@@ -163,7 +163,7 @@ def _cmd_shift(args) -> None:
     import numpy as np
     shifted = []
     for image_id, size in corpus.images:
-        anns = [a for a in corpus.annotations if a.image_id == image_id]
+        anns = corpus.by_image.get(image_id, [])
         if not anns:
             continue
         rng = np.random.default_rng((args.seed, image_id))

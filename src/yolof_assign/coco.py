@@ -37,9 +37,16 @@ class AnnotationCorpus:
     annotations: list  # Annotation, sorted by id
     categories: list
     dropped: int = 0  # annotations discarded for non-positive extent
+    # image_id -> its annotations in id order; built once, read by threads
+    by_image: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.by_image = {}
+        for a in self.annotations:
+            self.by_image.setdefault(a.image_id, []).append(a)
 
     def ground_truths(self, image_id: int) -> GroundTruthSet:
-        anns = [a for a in self.annotations if a.image_id == image_id]
+        anns = self.by_image.get(image_id, [])
         boxes = np.array([a.box for a in anns], dtype=np.float64).reshape(-1, 4)
         classes = np.array([a.category_id for a in anns], dtype=np.int64)
         return GroundTruthSet(boxes=boxes, class_ids=classes)
@@ -204,6 +211,13 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     list of detail dicts sorted by image id.  Deterministic given the
     config seed; per-image work may run on multiple threads.
     """
+    # one read-only grid per image size, shared by the worker threads
+    grids = {}
+    for _, size in corpus.images:
+        if size not in grids:
+            grids[size] = generate_anchors(config.anchors, size)
+            grids[size].anchors.setflags(write=False)
+
     def process(item):
         image_id, size = item
         gts = corpus.ground_truths(image_id)
@@ -213,16 +227,11 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
             dy = int(rng.integers(-config.shift_max, config.shift_max + 1))
             boxes, kept = apply_shift(gts.boxes, size, dx, dy)
             gts = GroundTruthSet(boxes=boxes, class_ids=gts.class_ids[kept])
-        anchors = generate_anchors(config.anchors, size)
+        anchors = grids[size]
         try:
             result = _run_matcher(config, anchors, gts)
         except ValueError as exc:
             raise ValueError(f"image {image_id}: {exc}") from exc
-        uniform_cands = None
-        if config.matcher in ("uniform", "topk") and len(gts):
-            k = config.matcher_params.get("k", 4)
-            cands = matching.nearest_candidates(anchors, gts, k)
-            uniform_cands = all(len(c) == min(k, len(anchors)) for c in cands)
         detail = {
             "image_id": image_id,
             "num_gts": len(gts),
@@ -230,7 +239,7 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
             "num_positive": result.num_positive,
             "positives_per_gt": [len(p) for p in result.gt_positives],
         }
-        return image_id, gts, result, detail, uniform_cands
+        return image_id, gts, result, detail
 
     items = list(corpus.images)
     workers = worker_count()
@@ -241,12 +250,13 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
         rows = [process(item) for item in items]
     rows.sort(key=lambda r: r[0])
 
-    dist = distribution([(gts, res) for _, gts, res, _, _ in rows],
+    dist = distribution([(gts, res) for _, gts, res, _ in rows],
                         config.buckets, matcher=config.matcher)
-    per_image = [detail for _, _, _, detail, _ in rows]
-    flags = [u for _, _, _, _, u in rows if u is not None]
+    per_image = [detail for _, _, _, detail in rows]
+    # always true where defined: k above the anchor count raises instead
     dist_extras = {
-        "candidates_per_gt_uniform": bool(flags) and all(flags),
+        "candidates_per_gt_uniform": config.matcher in ("uniform", "topk")
+        and any(len(gts) for _, gts, _, _ in rows),
         "imbalance_defined": dist.total_gts > 0,
     }
     return dist, per_image, dist_extras

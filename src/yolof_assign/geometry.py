@@ -71,9 +71,7 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = as_boxes(a)
     b = as_boxes(b)
     inter, union = _inter_union(a, b)
-    out = np.zeros_like(union)
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    return _ratio(inter, union)
 
 
 def pairwise_giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,21 +79,41 @@ def pairwise_giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = as_boxes(a)
     b = as_boxes(b)
     inter, union = _inter_union(a, b)
-    iou_m = np.zeros_like(union)
-    np.divide(inter, union, out=iou_m, where=union > 0)
-    lt = np.minimum(a[:, None, :2], b[None, :, :2])
-    rb = np.maximum(a[:, None, 2:], b[None, :, 2:])
-    hull = np.prod(np.clip(rb - lt, 0.0, None), axis=-1)
-    penalty = np.zeros_like(hull)
-    np.divide(hull - union, hull, out=penalty, where=hull > 0)
+    iou_m = _ratio(inter, union)
+    hull, hull_h, scratch = np.empty((3, len(a), len(b)))
+    _span(a, b, 0, np.maximum, np.minimum, hull, scratch)
+    hull *= _span(a, b, 1, np.maximum, np.minimum, hull_h, scratch)
+    penalty = _ratio(np.subtract(hull, union, out=union), hull)
     return iou_m - penalty
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` in place where ``den > 0``, and 0 elsewhere."""
+    valid = den > 0
+    np.divide(num, den, out=num, where=valid)
+    num[~valid] = 0.0
+    return num
+
+
+def _span(a, b, axis: int, hi, lo, out, scratch) -> np.ndarray:
+    """Clipped ``hi(a_max, b_max) - lo(a_min, b_min)`` along one axis.
+
+    ``a``'s coordinate columns, shaped ``(N, 1)``, broadcast against
+    ``b``'s ``(M,)`` rows into the preallocated ``(N, M)`` ``out``.
+    """
+    hi(a[:, axis + 2, None], b[:, axis + 2], out=out)
+    out -= lo(a[:, axis, None], b[:, axis], out=scratch)
+    return np.clip(out, 0.0, None, out=out)
+
+
 def _inter_union(a: np.ndarray, b: np.ndarray):
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    inter = np.prod(np.clip(rb - lt, 0.0, None), axis=-1)
-    union = box_area(a)[:, None] + box_area(b)[None, :] - inter
+    # one block for every (N, M) buffer: fresh matrices this size are
+    # page-faulted in on each call, which costs more than the arithmetic
+    inter, union, scratch = np.empty((3, len(a), len(b)))
+    _span(a, b, 0, np.minimum, np.maximum, inter, scratch)
+    inter *= _span(a, b, 1, np.minimum, np.maximum, union, scratch)
+    np.add(box_area(a)[:, None], box_area(b), out=union)
+    union -= inter
     return inter, union
 
 

@@ -99,24 +99,57 @@ def _anchor_boxes(anchors) -> np.ndarray:
     return anchors.anchors if isinstance(anchors, AnchorGrid) else as_boxes(anchors)
 
 
-def _center_distances(gts: GroundTruthSet, boxes: np.ndarray) -> np.ndarray:
-    """Euclidean GT-center to anchor-center distance matrix ``(M, N)``."""
-    gc = box_centers(gts.boxes)
+def _center_distances(gt_boxes: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Euclidean center distances between two broadcastable box arrays.
+
+    ``gts.boxes[:, None]`` against ``(N, 4)`` anchors gives the ``(M, N)``
+    matrix; against ``(M, k, 4)`` gathered anchors, the ``(M, k)`` rows.
+    """
+    gc = box_centers(gt_boxes)
     ac = box_centers(boxes)
-    return np.sqrt(((gc[:, None, :] - ac[None, :, :]) ** 2).sum(axis=-1))
+    dist = gc[..., 0] - ac[..., 0]
+    dist *= dist
+    dy = gc[..., 1] - ac[..., 1]
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
 
 
-def nearest_candidates(anchors, gts: GroundTruthSet, k: int) -> list:
-    """Per-GT index lists of the k center-nearest anchors.
+def nearest_candidates(anchors, gts: GroundTruthSet, k: int) -> np.ndarray:
+    """The k center-nearest anchors of each GT, shape ``(M, k)``.
 
-    This is the pre-filter candidate set of uniform matching; ties in
-    distance break by ascending anchor index.
+    This is the pre-filter candidate set of uniform, top-k and ATSS
+    matching.  Each row is ordered by distance; ties in distance break by
+    ascending anchor index.
     """
     boxes = _anchor_boxes(anchors)
     if k > len(boxes):
         raise ValueError(f"k={k} exceeds the {len(boxes)} available anchors")
-    dist = _center_distances(gts, boxes)
-    return [np.argsort(dist[g], kind="stable")[:k] for g in range(len(gts))]
+    if len(gts) == 0:
+        return np.empty((0, k), dtype=np.int64)
+    dist = _center_distances(gts.boxes[:, None], boxes)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    # Every anchor at most the k-th distance away, as "not farther" so that
+    # a row of NaN distances (a NaN box) keeps all its anchors: such rows
+    # sort like argsort, NaN last and then by index.
+    near = np.flatnonzero(~(dist > kth))
+    rows, cols = np.divmod(near, len(boxes))
+    order = np.lexsort((cols, dist.ravel()[near], rows))
+    starts = np.searchsorted(rows, np.arange(len(gts)))
+    return cols[order][starts[:, None] + np.arange(k)]
+
+
+def _candidate_matrix(cand: np.ndarray, values, fill: float):
+    """GT-by-candidate matrix holding ``values`` at ``cand``, else ``fill``.
+
+    Returns ``(cols, matrix)``: the distinct candidate anchors, ascending,
+    and the ``(M, len(cols))`` matrix whose column ``j`` is anchor
+    ``cols[j]``.  Only anchors some GT claims need a column.
+    """
+    cols, slot = np.unique(cand, return_inverse=True)
+    matrix = np.full((len(cand), len(cols)), fill)
+    matrix[np.arange(len(cand))[:, None], slot.reshape(cand.shape)] = values
+    return cols, matrix
 
 
 def uniform_match(anchors, gts: GroundTruthSet,
@@ -131,31 +164,23 @@ def uniform_match(anchors, gts: GroundTruthSet,
     """
     boxes = _anchor_boxes(anchors)
     n = len(boxes)
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds the {n} available anchors")
+    cand = nearest_candidates(boxes, gts, cfg.k)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult.from_labels(labels, 0, matcher="uniform")
 
-    dist = _center_distances(gts, boxes)
-    candidates = [np.argsort(dist[g], kind="stable")[:cfg.k]
-                  for g in range(len(gts))]
-
     # conflict resolution: candidate anchors go to the closest claiming GT
-    claim = np.full((len(gts), n), np.inf)
-    for g, cand in enumerate(candidates):
-        claim[g, cand] = dist[g, cand]
-    is_candidate = np.isfinite(claim).any(axis=0)
-    owner = np.argmin(claim, axis=0)  # first min -> smaller gt index on ties
+    cols, claim = _candidate_matrix(
+        cand, _center_distances(gts.boxes[:, None], boxes[cand]), np.inf)
+    claimed = np.isfinite(claim).any(axis=0)
+    a = cols[claimed]
+    g = np.argmin(claim[:, claimed], axis=0)  # first min -> smaller gt index
 
     ious = pairwise_iou(gts.boxes, boxes)
-    for a in np.flatnonzero(is_candidate):
-        g = owner[a]
-        labels[a] = g if ious[g, a] >= cfg.pos_ignore_iou else IGNORED
-
-    non_candidate = ~is_candidate
-    hot = non_candidate & (ious.max(axis=0) > cfg.neg_ignore_iou)
+    hot = ious.max(axis=0) > cfg.neg_ignore_iou
+    hot[a] = False
     labels[hot] = IGNORED
+    labels[a] = np.where(ious[g, a] >= cfg.pos_ignore_iou, g, IGNORED)
     return MatchResult.from_labels(labels, len(gts), matcher="uniform")
 
 
@@ -213,27 +238,24 @@ def atss_match(anchors, gts: GroundTruthSet,
     """
     boxes = _anchor_boxes(anchors)
     n = len(boxes)
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds the {n} available anchors")
+    cand = nearest_candidates(boxes, gts, cfg.k)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult.from_labels(labels, 0, matcher="atss")
 
-    dist = _center_distances(gts, boxes)
     ious = pairwise_iou(gts.boxes, boxes)
-    centers = box_centers(boxes)
-    assigned_iou = np.full(n, -1.0)
-    for g in range(len(gts)):
-        cand = np.argsort(dist[g], kind="stable")[:cfg.k]
-        cand_ious = ious[g, cand]
-        thresh = cand_ious.mean() + cand_ious.std()  # population std
-        x1, y1, x2, y2 = gts.boxes[g]
-        for a in cand:
-            cx, cy = centers[a]
-            inside = x1 < cx < x2 and y1 < cy < y2
-            if ious[g, a] >= thresh and inside and ious[g, a] > assigned_iou[a]:
-                assigned_iou[a] = ious[g, a]
-                labels[a] = g
+    # rows in (distance, index) order, so each row sums as a 1-D pool would
+    cand_ious = np.take_along_axis(ious, cand, axis=1)
+    thresh = (cand_ious.mean(axis=1, keepdims=True)
+              + cand_ious.std(axis=1, keepdims=True))  # population std
+    cx, cy = np.moveaxis(box_centers(boxes[cand]), -1, 0)
+    x1, y1, x2, y2 = gts.boxes.T[:, :, None]
+    inside = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
+    cols, score = _candidate_matrix(
+        cand, np.where((cand_ious >= thresh) & inside, cand_ious, -1.0), -1.0)
+    owner = np.argmax(score, axis=0)  # first max -> smaller gt index on ties
+    positive = score.max(axis=0) > -1.0
+    labels[cols[positive]] = owner[positive]
     return MatchResult.from_labels(labels, len(gts), matcher="atss")
 
 
@@ -260,7 +282,7 @@ def hungarian_cost(anchors, gts: GroundTruthSet,
     if iou_scale is None:
         iou_scale = float(anchors.config.stride) \
             if isinstance(anchors, AnchorGrid) else 32.0
-    return (_center_distances(gts, boxes)
+    return (_center_distances(gts.boxes[:, None], boxes)
             - iou_scale * pairwise_iou(gts.boxes, boxes))
 
 

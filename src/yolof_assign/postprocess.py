@@ -33,20 +33,33 @@ def nms(dets, iou_threshold: float = 0.6) -> list:
     """Class-wise greedy NMS; returns kept input indices in kept order.
 
     A detection survives iff its IoU with every already-kept same-class
-    detection is at most ``iou_threshold``.
+    detection is at most ``iou_threshold``.  Each kept box is compared
+    once with the later boxes of its class still standing, so memory stays
+    O(N).  Boxes keep their own coordinates: offsetting classes apart
+    would change IoU rounding at the threshold.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must lie in [0, 1]")
     if not dets:
         return []
     boxes = as_boxes([d.box for d in dets])
-    ious = pairwise_iou(boxes, boxes)
-    kept = []
-    for i in _sorted_order(dets):
-        if all(dets[j].class_id != dets[i].class_id
-               or ious[i, j] <= iou_threshold for j in kept):
-            kept.append(i)
-    return kept
+    scores = np.array([d.score for d in dets])
+    classes = np.array([d.class_id for d in dets])
+    # descending score, ties by ascending input index, then grouped by class
+    order = np.argsort(-scores, kind="stable")
+    order = order[np.argsort(classes[order], kind="stable")]
+    cls = classes[order]
+    alive = np.ones(len(order), dtype=bool)
+    for i in range(len(order)):
+        if not alive[i]:
+            continue
+        end = np.searchsorted(cls, cls[i], side="right")
+        rest = np.flatnonzero(alive[i + 1:end]) + (i + 1)
+        if len(rest):
+            ious = pairwise_iou(boxes[order[i:i + 1]], boxes[order[rest]])
+            alive[rest[ious[0] > iou_threshold]] = False
+    kept = order[alive]
+    return kept[np.lexsort((kept, -scores[kept]))].tolist()
 
 
 def score_filter(dets, min_score: float = 0.0,

@@ -74,9 +74,19 @@ def to_json(doc) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    """Write via a temp file beside the target, then rename over it.
+
+    A symlink is followed, so the file it points to is replaced.  A target
+    that exists and is not a regular file (a FIFO, a device such as
+    ``/dev/null``) is written directly: renaming over it would replace the
+    node itself.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".report-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

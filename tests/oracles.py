@@ -99,3 +99,63 @@ def knearest_py(anchor_boxes, gt_box, k):
         dists.append((math.hypot(acx - gcx, acy - gcy), i))
     dists.sort()
     return [i for _, i in dists[:k]]
+
+
+def _center_distance(box, anchor):
+    return math.hypot((anchor[0] + anchor[2]) / 2.0 - (box[0] + box[2]) / 2.0,
+                      (anchor[1] + anchor[3]) / 2.0 - (box[1] + box[3]) / 2.0)
+
+
+def uniform_py(anchor_boxes, gt_boxes, k, pos_ignore_iou, neg_ignore_iou):
+    """Uniform-matching labels by direct simulation.
+
+    Labels are the GT index, -1 (negative) or -2 (ignored).  Each GT's k
+    nearest anchors are its candidates; an anchor claimed by several GTs
+    goes to the closest (tie: lower GT index) and is ignored below
+    ``pos_ignore_iou``; a non-candidate overlapping any GT above
+    ``neg_ignore_iou`` is ignored.
+    """
+    owner = {}
+    for g, box in enumerate(gt_boxes):
+        for a in knearest_py(anchor_boxes, box, k):
+            claim = (_center_distance(box, anchor_boxes[a]), g)
+            if a not in owner or claim < owner[a]:
+                owner[a] = claim
+    labels = []
+    for a, anchor in enumerate(anchor_boxes):
+        if a in owner:
+            g = owner[a][1]
+            labels.append(g if iou_py(gt_boxes[g], anchor) >= pos_ignore_iou
+                          else -2)
+        elif any(iou_py(box, anchor) > neg_ignore_iou for box in gt_boxes):
+            labels.append(-2)
+        else:
+            labels.append(-1)
+    return labels
+
+
+def atss_py(anchor_boxes, gt_boxes, k):
+    """ATSS labels (GT index or -1) by direct simulation, one GT at a time.
+
+    A candidate at or above its GT's mean + population std of candidate
+    IoUs, with its center strictly inside the GT, is positive; a later GT
+    takes an anchor only with a strictly higher IoU.  The threshold uses
+    numpy's mean and std over the candidates in (distance, index) order,
+    which fixes the summation order, so a candidate sitting exactly on
+    the threshold is judged the same way as by the library.
+    """
+    labels = [-1] * len(anchor_boxes)
+    best = [-1.0] * len(anchor_boxes)
+    for g, box in enumerate(gt_boxes):
+        cand = knearest_py(anchor_boxes, box, k)
+        ious = [iou_py(box, anchor_boxes[a]) for a in cand]
+        pool = np.array(ious)
+        thresh = pool.mean() + pool.std()
+        for a, v in zip(cand, ious):
+            cx = (anchor_boxes[a][0] + anchor_boxes[a][2]) / 2.0
+            cy = (anchor_boxes[a][1] + anchor_boxes[a][3]) / 2.0
+            inside = box[0] < cx < box[2] and box[1] < cy < box[3]
+            if v >= thresh and inside and v > best[a]:
+                best[a] = v
+                labels[a] = g
+    return labels

@@ -9,7 +9,7 @@ from yolof_assign.geometry import (AnchorConfig, ImageSize, apply_shift,
                                    decode_deltas, generate_anchors, giou, iou,
                                    pairwise_iou, random_shift)
 
-from oracles import raster_giou, raster_iou
+from oracles import iou_py, raster_giou, raster_iou
 
 int_boxes = st.tuples(st.integers(-20, 20), st.integers(-20, 20),
                       st.integers(1, 25), st.integers(1, 25)).map(
@@ -196,3 +196,35 @@ def test_pairwise_iou_shape_and_agreement():
     for i in range(2):
         for j in range(3):
             assert m[i, j] == pytest.approx(iou(a[i], b[j]))
+
+
+def _iou_table(a, b):
+    return np.array([[iou_py(x, y) for y in b] for x in a]).reshape(len(a),
+                                                                    len(b))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pairwise_iou_equals_scalar_oracle_exactly(seed):
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-50, 150, (60, 2))
+    wh = np.exp(rng.uniform(-3, 5, (60, 2)))
+    boxes = np.concatenate([xy, xy + wh], axis=1)
+    a, b = boxes[:17], boxes[17:]
+    np.testing.assert_array_equal(pairwise_iou(a, b), _iou_table(a, b))
+    np.testing.assert_array_equal(pairwise_iou(b, a), _iou_table(b, a))
+
+
+def test_pairwise_iou_equals_scalar_oracle_on_degenerate_and_touching():
+    boxes = np.array([
+        [0, 0, 10, 10], [10, 0, 20, 10], [0, 10, 10, 20],  # shared edges
+        [10, 10, 20, 20],  # shares one corner with the first
+        [5, 5, 5, 5], [10, 10, 10, 10],  # points, one on a corner
+        [0, 3, 10, 3], [4, 0, 4, 10],  # zero height, zero width
+        [3, 3, 2, 8],  # inverted x
+        [0, 0, 10, 10],  # duplicate
+        [0.1, 0.2, 0.30000000000000004, 0.7], [0.1, 0.2, 0.3, 0.7],
+    ], dtype=float)
+    np.testing.assert_array_equal(pairwise_iou(boxes, boxes),
+                                  _iou_table(boxes, boxes))
+    np.testing.assert_array_equal(pairwise_iou(boxes[:0], boxes),
+                                  np.zeros((0, len(boxes))))

@@ -1,8 +1,12 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 
+from yolof_assign import coco
 from yolof_assign.cli import main
 from yolof_assign.coco import (CorpusError, RunConfig, load_corpus,
                                parse_corpus, run_match_stats, worker_count)
@@ -61,6 +65,20 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="categories"):
             parse_corpus({"images": [], "annotations": []})
 
+    def test_ground_truths_per_image_in_id_order(self):
+        doc = dict(BASE_DOC, images=[{"id": 1, "width": 64, "height": 64},
+                                     {"id": 2, "width": 64, "height": 64}],
+                   annotations=[
+                       {"id": i, "image_id": img, "bbox": [i, i, 5, 5],
+                        "category_id": 2}
+                       for i, img in ((5, 2), (3, 1), (4, 2), (1, 2))])
+        corpus = parse_corpus(doc)
+        np.testing.assert_array_equal(corpus.ground_truths(2).boxes[:, 0],
+                                      [1, 4, 5])
+        np.testing.assert_array_equal(corpus.ground_truths(1).boxes[:, 0], [3])
+        assert len(parse_corpus(dict(doc, annotations=[])).ground_truths(1)) \
+            == 0
+
     def test_round_trip_fixed_point(self, tiny_corpus_path, tmp_path):
         first = load_corpus(tiny_corpus_path)
         second = parse_corpus(json.loads(json.dumps(first.to_dict())))
@@ -104,6 +122,31 @@ class TestRunMatchStats:
         assert extras["candidates_per_gt_uniform"] is True
         assert dist.total_gts == 6
         assert [d["image_id"] for d in per_image] == [1, 2, 3]
+
+    def test_uniform_candidates_flag_needs_candidates(self,
+                                                     tiny_corpus_path):
+        corpus = load_corpus(tiny_corpus_path)
+        _, _, extras = run_match_stats(corpus, RunConfig(matcher="max_iou"))
+        assert extras["candidates_per_gt_uniform"] is False
+        empty = parse_corpus(dict(BASE_DOC, annotations=[]))
+        _, _, extras = run_match_stats(empty, RunConfig(matcher="topk"))
+        assert extras["candidates_per_gt_uniform"] is False
+
+    def test_anchor_grid_built_once_per_size(self, monkeypatch):
+        grids = []
+        real = coco.generate_anchors
+
+        def counting(config, size):
+            grids.append(real(config, size))
+            return grids[-1]
+
+        monkeypatch.setattr(coco, "generate_anchors", counting)
+        doc = dict(BASE_DOC, images=[
+            {"id": i, "width": 64 + 32 * (i % 2), "height": 64}
+            for i in range(1, 6)])
+        run_match_stats(parse_corpus(doc), RunConfig())
+        assert sorted(len(g) for g in grids) == [20, 30]
+        assert not any(g.anchors.flags.writeable for g in grids)
 
     def test_max_iou_small_bucket_starved(self, tiny_corpus_path):
         corpus = load_corpus(tiny_corpus_path)
@@ -153,6 +196,29 @@ class TestReports:
         assert target.read_text() == "ok"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
         assert leftovers == []
+
+    def test_atomic_write_keeps_fifo(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        write_atomic(str(fifo), "report")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == ["report"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+    def test_atomic_write_follows_symlink(self, tmp_path):
+        target = tmp_path / "real.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        write_atomic(str(link), "new")
+        assert link.is_symlink()
+        assert target.read_text() == "new"
 
 
 class TestCLI:

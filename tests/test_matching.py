@@ -8,7 +8,7 @@ from yolof_assign.matching import (ATSSConfig, GroundTruthSet, IGNORED,
                                    nearest_candidates, solve_assignment,
                                    topk_match, uniform_match)
 
-from oracles import assignment_cost_enum, knearest_py
+from oracles import assignment_cost_enum, atss_py, knearest_py, uniform_py
 
 
 def gts(boxes, classes=None):
@@ -240,3 +240,76 @@ class TestHungarianMatch:
         cost = rng.uniform(0, 100, size=(m, n))
         _, _, total = solve_assignment(cost)
         assert total == pytest.approx(assignment_cost_enum(cost), abs=1e-9)
+
+
+def unaligned_scene(rng, image, n):
+    wh = np.exp(rng.uniform(np.log(6), np.log(300), (n, 2)))
+    wh = np.minimum(wh, [image.width - 1, image.height - 1])
+    xy = rng.uniform(0, 1, (n, 2)) * ([image.width, image.height] - wh)
+    return gts(np.concatenate([xy, xy + wh], axis=1))
+
+
+def aligned_scene(rng, image, n, stride=32):
+    """Boxes centered on anchor centers or cell corners, some repeated."""
+    i = rng.integers(0, image.height // stride, n)
+    j = rng.integers(0, image.width // stride, n)
+    off = rng.choice([0.0, 0.5], (n, 1)) * stride
+    centers = np.stack([j, i], axis=1) * stride + off
+    half = rng.choice([8.0, 16.0, 24.0, 32.0, 64.0, 128.0], (n, 2))
+    boxes = np.concatenate([centers - half, centers + half], axis=1)
+    boxes[n // 2] = boxes[0]  # a duplicate GT contests every candidate
+    return gts(boxes)
+
+
+DIFF_IMAGE = ImageSize(320, 256)  # 10 x 8 positions, 400 anchors
+SCENES = [(kind, seed) for kind in ("unaligned", "aligned")
+          for seed in range(4)]
+
+
+@pytest.fixture(scope="module")
+def diff_grid():
+    return generate_anchors(AnchorConfig(), DIFF_IMAGE)
+
+
+def make_scene(kind, seed):
+    rng = np.random.default_rng(seed)
+    make = unaligned_scene if kind == "unaligned" else aligned_scene
+    return make(rng, DIFF_IMAGE, int(rng.integers(2, 12)))
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("k", [1, 4, 5, 7, 15])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nearest_candidates_on_tied_centers(self, diff_grid, k, seed):
+        g = aligned_scene(np.random.default_rng(seed), DIFF_IMAGE, 9)
+        cands = nearest_candidates(diff_grid, g, k)
+        assert cands.shape == (len(g), k)
+        anchors = diff_grid.anchors.tolist()
+        for i, box in enumerate(g.boxes.tolist()):
+            assert cands[i].tolist() == knearest_py(anchors, box, k)
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    @pytest.mark.parametrize("cfg", [UniformMatchConfig(),
+                                     UniformMatchConfig(k=7,
+                                                        pos_ignore_iou=0.3,
+                                                        neg_ignore_iou=0.5)])
+    def test_uniform_equals_oracle(self, diff_grid, kind, seed, cfg):
+        g = make_scene(kind, seed)
+        want = uniform_py(diff_grid.anchors.tolist(), g.boxes.tolist(), cfg.k,
+                          cfg.pos_ignore_iou, cfg.neg_ignore_iou)
+        assert uniform_match(diff_grid, g, cfg).labels.tolist() == want
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_topk_equals_oracle(self, diff_grid, kind, seed):
+        g = make_scene(kind, seed)
+        want = uniform_py(diff_grid.anchors.tolist(), g.boxes.tolist(), 6,
+                          0.0, 1.0)
+        assert topk_match(diff_grid, g, 6).labels.tolist() == want
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    @pytest.mark.parametrize("k", [9, 15])
+    def test_atss_equals_oracle(self, diff_grid, kind, seed, k):
+        g = make_scene(kind, seed)
+        want = atss_py(diff_grid.anchors.tolist(), g.boxes.tolist(), k)
+        assert atss_match(diff_grid, g, ATSSConfig(k=k)).labels.tolist() \
+            == want

@@ -66,6 +66,27 @@ class TestNMS:
         again = nms([dets[i] for i in kept], 0.5)
         assert again == list(range(len(kept)))
 
+    def test_matches_oracle_on_large_clustered_input(self):
+        rng = np.random.default_rng(7)
+        objects = rng.uniform(0, 300, (60, 2))
+        sides = rng.uniform(8, 80, (60, 2))
+        obj = rng.integers(0, 60, 1200)
+        jitter = rng.uniform(-0.2, 0.2, (1200, 4)) * np.tile(sides[obj], 2)
+        boxes = np.concatenate([objects[obj], objects[obj] + sides[obj]],
+                               axis=1) + jitter
+        scores = np.round(rng.uniform(0, 1, 1200), 2)  # many repeats
+        classes = obj % 6
+        dets = [det(b, float(s), int(c))
+                for b, s, c in zip(boxes, scores, classes)]
+        # same class, IoU exactly 0.5: at the threshold, so both survive
+        dets += [det((500, 500, 510, 510), 1.0, 3),
+                 det((500, 500, 510, 505), 1.0, 3)]
+        kept = nms(dets, 0.5)
+        assert kept == nms_py([d.box for d in dets], [d.score for d in dets],
+                              [d.class_id for d in dets], 0.5)
+        assert {1200, 1201} <= set(kept)
+        assert len(kept) < len(dets) // 2
+
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             nms([det((0, 0, 1, 1), 0.5)], iou_threshold=1.5)
