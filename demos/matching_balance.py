@@ -10,7 +10,7 @@ matchers starve the small boxes.
 import numpy as np
 
 from yolof_assign import (AnchorConfig, GroundTruthSet, ImageSize,
-                          SizeBuckets, atss_match, distribution,
+                          MaxIoUConfig, SizeBuckets, atss_match, distribution,
                           generate_anchors, hungarian_match,
                           imbalance_ratio, max_iou_match, uniform_match)
 
@@ -33,7 +33,8 @@ def main():
 
     matchers = {
         "uniform": lambda g: uniform_match(grid, g),
-        "max_iou": lambda g: max_iou_match(grid, g, rescue=False),
+        "max_iou": lambda g: max_iou_match(grid, g,
+                                           MaxIoUConfig(rescue=False)),
         "atss": lambda g: atss_match(grid, g),
         "hungarian": lambda g: hungarian_match(grid, g),
     }

@@ -5,8 +5,9 @@ from .geometry import (AnchorConfig, AnchorGrid, ImageSize, apply_shift,
                        as_boxes, box_area, box_centers, decode_deltas,
                        generate_anchors, giou, iou, pairwise_giou,
                        pairwise_iou, random_shift)
-from .matching import (ATSSConfig, GroundTruthSet, IGNORED, MatchResult,
-                       MaxIoUConfig, NEGATIVE, UniformMatchConfig, atss_match,
+from .matching import (ATSSConfig, GroundTruthSet, HungarianConfig, IGNORED,
+                       MATCHERS, MatchResult, MaxIoUConfig, NEGATIVE,
+                       TopKConfig, UniformMatchConfig, atss_match,
                        hungarian_match, max_iou_match, nearest_candidates,
                        solve_assignment, topk_match, uniform_match)
 from .balance import (MatchDistribution, SizeBuckets, distribution,

@@ -100,12 +100,22 @@ def _check_consistent(gts: GroundTruthSet, match: MatchResult):
     if len(match.gt_positives) != len(gts):
         raise ValueError(f"match carries {len(match.gt_positives)} GT lists "
                          f"for {len(gts)} ground truths")
-    pos = match.labels[match.labels >= 0]
-    if len(pos) and pos.max() >= len(gts):
+    labels = match.labels
+    positive = labels >= 0
+    if np.any(positive) and labels[positive].max() >= len(gts):
         raise ValueError("match labels reference a ground truth out of range")
-    for g, idx in enumerate(match.gt_positives):
-        if not np.array_equal(np.sort(idx), np.flatnonzero(match.labels == g)):
-            raise ValueError(f"positive list for GT {g} disagrees with labels")
+    # one pass: a GT disagrees when it lists an anchor out of range or
+    # labelled otherwise, or lists one of its own anchors other than once
+    lists = [np.asarray(p, dtype=np.int64) for p in match.gt_positives]
+    idx = np.concatenate([np.empty(0, np.int64), *lists])
+    owner = np.repeat(np.arange(len(gts)), [len(p) for p in lists])
+    wrong = (idx < 0) | (idx >= len(labels))
+    wrong[~wrong] = labels[idx[~wrong]] != owner[~wrong]
+    hits = np.bincount(idx[~wrong], minlength=len(labels))
+    bad = np.concatenate([owner[wrong], labels[positive & (hits != 1)]])
+    if len(bad):
+        raise ValueError(f"positive list for GT {bad.min()} disagrees with "
+                         f"labels")
 
 
 def imbalance_ratio(dist: MatchDistribution) -> float:

@@ -8,15 +8,15 @@ goes to ``--output`` (written atomically) or standard output.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 from . import reports
-from .coco import AnnotationCorpus, CorpusError, RunConfig, load_corpus, \
+from .coco import CorpusError, RunConfig, load_corpus, read_json, \
     run_match_stats
 from .encoder import EncoderSpec, rf_profile, scale_coverage
 from .flops import DecoderSpec, EncoderTopology, encoder_decoder_flops
-from .geometry import ImageSize, apply_shift, generate_anchors
+from .geometry import ImageSize, apply_shift, generate_anchors, shift_offset
 from .postprocess import Detection, nms
 
 USAGE_EXIT = 1
@@ -63,10 +63,7 @@ def _cmd_anchors(args) -> None:
 def _cmd_match_stats(args) -> None:
     config = RunConfig.load(args.config)
     if args.seed is not None:
-        config = RunConfig(matcher=config.matcher,
-                           matcher_params=config.matcher_params,
-                           anchors=config.anchors, buckets=config.buckets,
-                           shift_max=config.shift_max, seed=args.seed)
+        config = dataclasses.replace(config, seed=args.seed)
     corpus = load_corpus(args.input)
     dist, per_image, extras = run_match_stats(corpus, config)
     if args.format == "csv":
@@ -131,14 +128,7 @@ def _cmd_flops(args) -> None:
 
 
 def _load_detections(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: parse error at line {exc.lineno}: "
-                              f"{exc.msg}") from exc
-    if not isinstance(doc, list):
-        raise CorpusError(f"{path}: expected an array of detections")
+    doc = read_json(path, list)
     dets = []
     for i, row in enumerate(doc):
         try:
@@ -160,25 +150,17 @@ def _cmd_nms(args) -> None:
 
 def _cmd_shift(args) -> None:
     corpus = load_corpus(args.input)
-    import numpy as np
     shifted = []
     for image_id, size in corpus.images:
+        dx, dy = shift_offset(args.max_shift, (args.seed, image_id))
         anns = corpus.by_image.get(image_id, [])
         if not anns:
             continue
-        rng = np.random.default_rng((args.seed, image_id))
-        dx = int(rng.integers(-args.max_shift, args.max_shift + 1))
-        dy = int(rng.integers(-args.max_shift, args.max_shift + 1))
         boxes, kept = apply_shift([a.box for a in anns], size, dx, dy)
-        for b, k in zip(boxes, kept):
-            a = anns[int(k)]
-            shifted.append(
-                type(a)(id=a.id, image_id=a.image_id,
-                        box=tuple(float(v) for v in b),
-                        category_id=a.category_id))
-    out = AnnotationCorpus(images=corpus.images, annotations=shifted,
-                           categories=corpus.categories,
-                           dropped=corpus.dropped)
+        shifted += [dataclasses.replace(anns[k],
+                                        box=tuple(float(v) for v in b))
+                    for b, k in zip(boxes, kept)]
+    out = dataclasses.replace(corpus, annotations=shifted)
     _emit(reports.to_json(out.to_dict()), args.output)
 
 

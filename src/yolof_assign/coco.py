@@ -11,7 +11,8 @@ import numpy as np
 
 from . import matching
 from .balance import MatchDistribution, SizeBuckets, distribution
-from .geometry import AnchorConfig, ImageSize, apply_shift, generate_anchors
+from .geometry import (AnchorConfig, ImageSize, apply_shift, generate_anchors,
+                       shift_offset)
 from .matching import GroundTruthSet
 
 THREADS_ENV = "YOLOF_ASSIGN_THREADS"
@@ -104,24 +105,32 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
                             dropped=dropped)
 
 
-def load_corpus(path) -> AnnotationCorpus:
+def read_json(path, top: type = dict):
+    """Parse a JSON file whose top level is a ``top`` (dict or list); a
+    syntax error is a CorpusError naming its line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: parse error at line {exc.lineno} "
                               f"column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise CorpusError(f"{path}: top level must be an object")
-    return parse_corpus(doc)
+    if not isinstance(doc, top):
+        raise CorpusError(f"{path}: top level must be an "
+                          f"{'object' if top is dict else 'array'}")
+    return doc
 
 
-MATCHER_NAMES = ("uniform", "topk", "max_iou", "atss", "hungarian")
+def load_corpus(path) -> AnnotationCorpus:
+    return parse_corpus(read_json(path))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One matching-study configuration."""
+    """One matching-study configuration.
+
+    ``matcher_params`` build ``matcher_config``, the matcher's parameter
+    dataclass in ``matching.MATCHERS``, so a bad key fails on construction.
+    """
 
     matcher: str = "uniform"
     matcher_params: dict = field(default_factory=dict)
@@ -129,67 +138,38 @@ class RunConfig:
     buckets: SizeBuckets = SizeBuckets()
     shift_max: int = 0  # 0 disables the random annotation shift
     seed: int = 0
+    matcher_config: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.matcher not in MATCHER_NAMES:
+        if self.matcher not in matching.MATCHERS:
             raise ValueError(f"unknown matcher {self.matcher!r}; expected one "
-                             f"of {MATCHER_NAMES}")
+                             f"of {tuple(matching.MATCHERS)}")
         if self.shift_max < 0:
             raise ValueError("shift_max must be >= 0")
+        object.__setattr__(self, "matcher_config", matching.MATCHERS[
+            self.matcher](**self.matcher_params))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         kwargs = dict(doc)
-        if "anchors" in kwargs:
-            a = kwargs["anchors"]
-            kwargs["anchors"] = AnchorConfig(
-                stride=a.get("stride", 32),
-                sizes=tuple(a.get("sizes", (32, 64, 128, 256, 512))),
-                scale_multipliers=tuple(a.get("scale_multipliers", (1.0,))),
-                aspect_ratios=tuple(a.get("aspect_ratios", (1.0,))))
-        if "buckets" in kwargs:
-            b = kwargs["buckets"]
-            kwargs["buckets"] = SizeBuckets(
-                small_max=b.get("small_max", 32.0 ** 2),
-                medium_max=b.get("medium_max", 96.0 ** 2))
+        for key, make in (("anchors", AnchorConfig), ("buckets", SizeBuckets)):
+            if key in kwargs:
+                if not isinstance(kwargs[key], dict):
+                    raise ValueError(f"{key} must be an object, got "
+                                     f"{kwargs[key]!r}")
+                kwargs[key] = make(**{k: tuple(v) if isinstance(v, list) else v
+                                      for k, v in kwargs[key].items()})
         return cls(**kwargs)
 
     @classmethod
     def load(cls, path_or_default: str) -> "RunConfig":
         if path_or_default == "default":
             return cls()
-        with open(path_or_default, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path_or_default}: parse error at line "
-                                  f"{exc.lineno}: {exc.msg}") from exc
+        doc = read_json(path_or_default)
         try:
             return cls.from_dict(doc)
         except (TypeError, ValueError) as exc:
             raise CorpusError(f"{path_or_default}: {exc}") from exc
-
-
-def _run_matcher(config: RunConfig, anchors, gts: GroundTruthSet):
-    p = config.matcher_params
-    if config.matcher == "uniform":
-        return matching.uniform_match(
-            anchors, gts, matching.UniformMatchConfig(
-                k=p.get("k", 4),
-                pos_ignore_iou=p.get("pos_ignore_iou", 0.15),
-                neg_ignore_iou=p.get("neg_ignore_iou", 0.7)))
-    if config.matcher == "topk":
-        return matching.topk_match(anchors, gts, k=p.get("k", 4))
-    if config.matcher == "max_iou":
-        return matching.max_iou_match(
-            anchors, gts,
-            matching.MaxIoUConfig(pos_iou=p.get("pos_iou", 0.5),
-                                  neg_iou=p.get("neg_iou", 0.4)),
-            rescue=p.get("rescue", True))
-    if config.matcher == "atss":
-        return matching.atss_match(
-            anchors, gts, matching.ATSSConfig(k=p.get("k", 15)))
-    return matching.hungarian_match(anchors, gts)
 
 
 def worker_count() -> int:
@@ -211,6 +191,7 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     list of detail dicts sorted by image id.  Deterministic given the
     config seed; per-image work may run on multiple threads.
     """
+    match = getattr(matching, f"{config.matcher}_match")
     # one read-only grid per image size, shared by the worker threads
     grids = {}
     for _, size in corpus.images:
@@ -222,14 +203,12 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
         image_id, size = item
         gts = corpus.ground_truths(image_id)
         if config.shift_max > 0 and len(gts):
-            rng = np.random.default_rng((config.seed, image_id))
-            dx = int(rng.integers(-config.shift_max, config.shift_max + 1))
-            dy = int(rng.integers(-config.shift_max, config.shift_max + 1))
+            dx, dy = shift_offset(config.shift_max, (config.seed, image_id))
             boxes, kept = apply_shift(gts.boxes, size, dx, dy)
             gts = GroundTruthSet(boxes=boxes, class_ids=gts.class_ids[kept])
         anchors = grids[size]
         try:
-            result = _run_matcher(config, anchors, gts)
+            result = match(anchors, gts, config.matcher_config)
         except ValueError as exc:
             raise ValueError(f"image {image_id}: {exc}") from exc
         detail = {
@@ -253,7 +232,6 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     dist = distribution([(gts, res) for _, gts, res, _ in rows],
                         config.buckets, matcher=config.matcher)
     per_image = [detail for _, _, _, detail in rows]
-    # always true where defined: k above the anchor count raises instead
     dist_extras = {
         "candidates_per_gt_uniform": config.matcher in ("uniform", "topk")
         and any(len(gts) for _, gts, _, _ in rows),

@@ -144,56 +144,40 @@ class WeightSet:
     blocks: list  # [(reduce, dilated, expand), ...]
 
     @classmethod
+    def build(cls, spec: EncoderSpec, layer) -> "WeightSet":
+        """Identity-BN layers whose ``(out, in, k, k)`` kernels come from
+        ``layer(out, in, k)``, called in forward order."""
+        b, m = spec.block_channels, spec.mid_channels
+        shapes = [(m, spec.in_channels, 1), (m, m, 3)] \
+            + [(b, m, 1), (b, b, 3), (m, b, 1)] * spec.num_blocks
+        convs = [ConvBN.identity_bn(layer(*shape)) for shape in shapes]
+        return cls(proj_reduce=convs[0], proj_refine=convs[1],
+                   blocks=[tuple(convs[i:i + 3])
+                           for i in range(2, len(convs), 3)])
+
+    @classmethod
     def identity(cls, spec: EncoderSpec) -> "WeightSet":
         """Channel-slice 1x1 convs, center-tap 3x3 convs, identity BN."""
         def eye(out, inp, k):
             w = np.zeros((out, inp, k, k))
-            for c in range(min(out, inp)):
-                w[c, c, k // 2, k // 2] = 1.0
-            return ConvBN.identity_bn(w)
+            w[:, :, k // 2, k // 2] = np.eye(out, inp)
+            return w
 
-        b = spec.block_channels
-        m = spec.mid_channels
-        return cls(
-            proj_reduce=eye(m, spec.in_channels, 1),
-            proj_refine=eye(m, m, 3),
-            blocks=[(eye(b, m, 1), eye(b, b, 3), eye(m, b, 1))
-                    for _ in range(spec.num_blocks)],
-        )
+        return cls.build(spec, eye)
 
     @classmethod
     def constant(cls, spec: EncoderSpec, value: float = 0.05) -> "WeightSet":
         """All-positive constant conv weights with identity BN."""
-        def full(out, inp, k):
-            return ConvBN.identity_bn(np.full((out, inp, k, k), value))
-
-        b = spec.block_channels
-        m = spec.mid_channels
-        return cls(
-            proj_reduce=full(m, spec.in_channels, 1),
-            proj_refine=full(m, m, 3),
-            blocks=[(full(b, m, 1), full(b, b, 3), full(m, b, 1))
-                    for _ in range(spec.num_blocks)],
-        )
+        return cls.build(spec, lambda out, inp, k:
+                         np.full((out, inp, k, k), value))
 
     @classmethod
     def seeded(cls, spec: EncoderSpec, seed: int,
                scale: float = 0.1) -> "WeightSet":
         """Deterministic random weights, uniform in ``[-scale, scale]``."""
         rng = np.random.default_rng(seed)
-
-        def rand(out, inp, k):
-            return ConvBN.identity_bn(
-                rng.uniform(-scale, scale, size=(out, inp, k, k)))
-
-        b = spec.block_channels
-        m = spec.mid_channels
-        return cls(
-            proj_reduce=rand(m, spec.in_channels, 1),
-            proj_refine=rand(m, m, 3),
-            blocks=[(rand(b, m, 1), rand(b, b, 3), rand(m, b, 1))
-                    for _ in range(spec.num_blocks)],
-        )
+        return cls.build(spec, lambda out, inp, k:
+                         rng.uniform(-scale, scale, size=(out, inp, k, k)))
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, dilation: int = 1) -> np.ndarray:

@@ -169,6 +169,11 @@ class AnchorGrid:
         return self.anchors.shape[0]
 
 
+def _anchor_boxes(anchors) -> np.ndarray:
+    return anchors.anchors if isinstance(anchors, AnchorGrid) \
+        else as_boxes(anchors)
+
+
 def generate_anchors(config: AnchorConfig, image: ImageSize) -> AnchorGrid:
     """Pave anchors on a feature grid of ``ceil(image / stride)`` cells.
 
@@ -203,19 +208,22 @@ def apply_shift(boxes, image: ImageSize, dx: float, dy: float):
     return shifted[kept], kept
 
 
-def random_shift(boxes, image: ImageSize, max_shift: int = 32,
-                 rng_seed: int = 0):
-    """Translate all boxes by one random integer offset.
-
-    ``(dx, dy)`` is drawn uniformly from ``[-max_shift, max_shift]^2``
-    (dx first, then dy).  Shifted boxes are clamped to the image and boxes
-    with zero clamped area are dropped.  Deterministic given ``rng_seed``.
-    """
+def shift_offset(max_shift: int, seed) -> tuple:
+    """Random integer ``(dx, dy)``, uniform in ``[-max_shift, max_shift]^2``,
+    dx drawn first, from ``np.random.default_rng(seed)``."""
     if max_shift < 0:
-        raise ValueError("max_shift must be >= 0")
-    rng = np.random.default_rng(rng_seed)
+        raise ValueError(f"max_shift must be >= 0, got {max_shift}")
+    rng = np.random.default_rng(seed)
     dx = int(rng.integers(-max_shift, max_shift + 1))
     dy = int(rng.integers(-max_shift, max_shift + 1))
+    return dx, dy
+
+
+def random_shift(boxes, image: ImageSize, max_shift: int = 32,
+                 rng_seed: int = 0):
+    """Translate all boxes by one :func:`shift_offset`, clamp them to the
+    image and drop empty ones.  Returns ``(shifted, (dx, dy))``."""
+    dx, dy = shift_offset(max_shift, rng_seed)
     shifted, _ = apply_shift(boxes, image, dx, dy)
     return shifted, (dx, dy)
 
@@ -229,7 +237,7 @@ def decode_deltas(anchors, deltas, center_clamp: float = 32.0) -> np.ndarray:
     """
     if center_clamp <= 0:
         raise ValueError("center_clamp must be positive")
-    boxes = anchors.anchors if isinstance(anchors, AnchorGrid) else as_boxes(anchors)
+    boxes = _anchor_boxes(anchors)
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
     if deltas.shape[0] != boxes.shape[0]:
         raise ValueError(f"got {deltas.shape[0]} deltas for "

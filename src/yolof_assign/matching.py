@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import AnchorGrid, as_boxes, box_area, box_centers, pairwise_iou
+from .geometry import (AnchorGrid, _anchor_boxes, as_boxes, box_area,
+                       box_centers, pairwise_iou)
 
 NEGATIVE = -1
 IGNORED = -2
@@ -55,8 +56,12 @@ class MatchResult:
     def from_labels(cls, labels: np.ndarray, num_gts: int,
                     matcher: str = "") -> "MatchResult":
         labels = np.asarray(labels, dtype=np.int64)
-        positives = [np.flatnonzero(labels == g) for g in range(num_gts)]
-        return cls(labels=labels, gt_positives=positives, matcher=matcher)
+        # one pass: positive anchors stably sorted by GT, split per GT
+        pos = np.flatnonzero(labels >= 0)
+        pos = pos[np.argsort(labels[pos], kind="stable")]
+        ends = np.searchsorted(labels[pos], np.arange(1, num_gts + 1))
+        return cls(labels=labels, gt_positives=np.split(pos, ends)[:num_gts],
+                   matcher=matcher)
 
     @property
     def num_positive(self) -> int:
@@ -77,9 +82,19 @@ class UniformMatchConfig:
 
 
 @dataclass(frozen=True)
+class TopKConfig:
+    k: int = 4
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be a positive integer")
+
+
+@dataclass(frozen=True)
 class MaxIoUConfig:
     pos_iou: float = 0.5
     neg_iou: float = 0.4
+    rescue: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.neg_iou <= self.pos_iou <= 1.0:
@@ -95,8 +110,15 @@ class ATSSConfig:
             raise ValueError("k must be >= 1")
 
 
-def _anchor_boxes(anchors) -> np.ndarray:
-    return anchors.anchors if isinstance(anchors, AnchorGrid) else as_boxes(anchors)
+@dataclass(frozen=True)
+class HungarianConfig:
+    """Hungarian matching has no parameters."""
+
+
+# matcher name -> parameter dataclass; ``<name>_match(anchors, gts, cfg)``
+MATCHERS = {"uniform": UniformMatchConfig, "topk": TopKConfig,
+            "max_iou": MaxIoUConfig, "atss": ATSSConfig,
+            "hungarian": HungarianConfig}
 
 
 def _center_distances(gt_boxes: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -184,17 +206,17 @@ def uniform_match(anchors, gts: GroundTruthSet,
     return MatchResult.from_labels(labels, len(gts), matcher="uniform")
 
 
-def topk_match(anchors, gts: GroundTruthSet, k: int) -> MatchResult:
+def topk_match(anchors, gts: GroundTruthSet,
+               cfg: TopKConfig = TopKConfig()) -> MatchResult:
     """Pure k-nearest matching: uniform matching with ignore filters off."""
-    cfg = UniformMatchConfig(k=k, pos_ignore_iou=0.0, neg_ignore_iou=1.0)
-    result = uniform_match(anchors, gts, cfg)
+    result = uniform_match(anchors, gts, UniformMatchConfig(
+        k=cfg.k, pos_ignore_iou=0.0, neg_ignore_iou=1.0))
     result.matcher = "topk"
     return result
 
 
 def max_iou_match(anchors, gts: GroundTruthSet,
-                  cfg: MaxIoUConfig = MaxIoUConfig(),
-                  rescue: bool = True) -> MatchResult:
+                  cfg: MaxIoUConfig = MaxIoUConfig()) -> MatchResult:
     """IoU-threshold matching.
 
     An anchor is positive for its argmax-IoU GT when that IoU reaches
@@ -215,14 +237,15 @@ def max_iou_match(anchors, gts: GroundTruthSet,
     ignore = (best_iou >= cfg.neg_iou) & (best_iou < cfg.pos_iou)
     labels[ignore] = IGNORED
 
-    if rescue:
-        # force each GT's best anchor; on contention the higher IoU wins
-        forced_iou = np.full(n, -1.0)
-        for g in range(len(gts)):
-            a = int(np.argmax(ious[g]))
-            if ious[g, a] > forced_iou[a]:
-                forced_iou[a] = ious[g, a]
-                labels[a] = g
+    if cfg.rescue:
+        # force each GT's best anchor; on contention the higher IoU wins,
+        # then the smaller GT index, and a NaN IoU never does
+        best = np.argmax(ious, axis=1)
+        forced_iou = ious[np.arange(len(gts)), best]
+        g = np.flatnonzero(~np.isnan(forced_iou))
+        g = g[np.argsort(-forced_iou[g], kind="stable")]
+        a, first = np.unique(best[g], return_index=True)
+        labels[a] = g[first]
     return MatchResult.from_labels(labels, len(gts), matcher="max_iou")
 
 
@@ -286,7 +309,8 @@ def hungarian_cost(anchors, gts: GroundTruthSet,
             - iou_scale * pairwise_iou(gts.boxes, boxes))
 
 
-def hungarian_match(anchors, gts: GroundTruthSet) -> MatchResult:
+def hungarian_match(anchors, gts: GroundTruthSet,
+                    cfg: HungarianConfig = HungarianConfig()) -> MatchResult:
     """Optimal one-to-one GT-to-anchor assignment (Kuhn-Munkres)."""
     boxes = _anchor_boxes(anchors)
     n = len(boxes)

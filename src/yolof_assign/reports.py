@@ -16,26 +16,19 @@ CSV_COLUMNS = ("matcher", "bucket", "gt_count", "positives_total",
 
 
 def _safe(value: float):
+    """A float for JSON: NaN becomes null and +inf ``"unbounded"``."""
     if isinstance(value, float) and not math.isfinite(value):
         return "unbounded" if value > 0 else None
-    if isinstance(value, float) and math.isnan(value):
-        return None
     return value
 
 
 def distribution_to_dict(dist: MatchDistribution, extras: dict | None = None,
                          per_image: list | None = None) -> dict:
-    buckets = {}
-    for name in BUCKET_NAMES:
-        stats = dist.buckets[name]
-        mean = stats.positives_mean
-        zf = dist.zero_fraction(name)
-        buckets[name] = {
-            "gt_count": stats.gt_count,
-            "positives_total": stats.positives_total,
-            "positives_mean": None if math.isnan(mean) else mean,
-            "zero_fraction": None if math.isnan(zf) else zf,
-        }
+    buckets = {name: {"gt_count": dist.buckets[name].gt_count,
+                      "positives_total": dist.buckets[name].positives_total,
+                      "positives_mean": _safe(dist.mean(name)),
+                      "zero_fraction": _safe(dist.zero_fraction(name))}
+               for name in BUCKET_NAMES}
     doc = {
         "matcher": dist.matcher,
         "buckets": buckets,

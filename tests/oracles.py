@@ -159,3 +159,44 @@ def atss_py(anchor_boxes, gt_boxes, k):
                 best[a] = v
                 labels[a] = g
     return labels
+
+
+def _argmax_py(values):
+    """Index of the first NaN, else of the first maximum (numpy's argmax)."""
+    best = 0
+    for i, v in enumerate(values):
+        if math.isnan(v):
+            return i
+        if v > values[best]:
+            best = i
+    return best
+
+
+def max_iou_py(ious, pos_iou, neg_iou, rescue):
+    """Max-IoU labels (GT index, -1 or -2) from a GT-by-anchor IoU matrix.
+
+    Each anchor takes its first best GT: positive at or above ``pos_iou``,
+    ignored in ``[neg_iou, pos_iou)``, negative otherwise (and when its
+    best IoU is NaN).  With ``rescue``, GT by GT in index order, each GT's
+    first best anchor is forced to it when that IoU beats every earlier
+    forced IoU of the anchor, so a NaN never does.
+    """
+    num_anchors = len(ious[0]) if ious else 0
+    labels = []
+    for a in range(num_anchors):
+        column = [row[a] for row in ious]
+        g = _argmax_py(column)
+        if column[g] >= pos_iou:
+            labels.append(g)
+        elif neg_iou <= column[g] < pos_iou:
+            labels.append(-2)
+        else:
+            labels.append(-1)
+    if rescue:
+        forced = [-1.0] * num_anchors
+        for g, row in enumerate(ious):
+            a = _argmax_py(row)
+            if row[a] > forced[a]:
+                forced[a] = row[a]
+                labels[a] = g
+    return labels

@@ -17,10 +17,11 @@ from yolof_assign.encoder import EncoderSpec, impulse_footprint, rf_profile
 from yolof_assign.flops import ConvLayer, DecoderSpec, EncoderTopology, \
     encoder_decoder_flops
 from yolof_assign.geometry import AnchorConfig, ImageSize, generate_anchors
-from yolof_assign.matching import (GroundTruthSet, hungarian_cost,
-                                   hungarian_match, max_iou_match,
-                                   nearest_candidates, solve_assignment,
-                                   topk_match, uniform_match)
+from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig, TopKConfig,
+                                   hungarian_cost, hungarian_match,
+                                   max_iou_match, nearest_candidates,
+                                   solve_assignment, topk_match,
+                                   uniform_match)
 from yolof_assign.postprocess import Detection, nms
 
 from oracles import assignment_cost_enum, nms_py
@@ -86,7 +87,8 @@ def test_criterion_2_uniform_balance():
     means = [dist.mean(b) for b in ("small", "medium", "large")]
     assert max(means) - min(means) <= 1.0
 
-    maxiou_pairs = [(gts, max_iou_match(grid, gts, rescue=False))
+    maxiou_pairs = [(gts, max_iou_match(grid, gts,
+                                        MaxIoUConfig(rescue=False)))
                     for gts in scenes]
     mdist = distribution(maxiou_pairs, SizeBuckets())
     assert mdist.zero_fraction("small") >= 0.5
@@ -125,7 +127,7 @@ def test_criterion_3_top1_hungarian_equivalence():
     for _ in range(100):
         anchors, gts = spread_instance(rng)
         hung = hungarian_match(anchors, gts)
-        top1 = topk_match(anchors, gts, k=1)
+        top1 = topk_match(anchors, gts, TopKConfig(k=1))
         np.testing.assert_array_equal(hung.labels >= 0, top1.labels >= 0)
         np.testing.assert_array_equal(
             np.flatnonzero(hung.labels >= 0),

@@ -6,7 +6,8 @@ import pytest
 from yolof_assign.balance import (BucketStats, MatchDistribution, SizeBuckets,
                                   distribution, imbalance_ratio)
 from yolof_assign.geometry import AnchorConfig, ImageSize, generate_anchors
-from yolof_assign.matching import (GroundTruthSet, MatchResult, max_iou_match,
+from yolof_assign.matching import (GroundTruthSet, MatchResult, MaxIoUConfig,
+                                   TopKConfig, max_iou_match,
                                    nearest_candidates, topk_match,
                                    uniform_match)
 
@@ -66,7 +67,7 @@ class TestDistribution:
     def test_max_iou_small_vs_large(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
         g = gts([[100, 100, 116, 116], [100, 100, 500, 500]])
-        match = max_iou_match(grid, g, rescue=False)
+        match = max_iou_match(grid, g, MaxIoUConfig(rescue=False))
         d = distribution([(g, match)])
         assert d.mean("small") == 0.0
         assert d.mean("large") >= 1.0
@@ -93,7 +94,7 @@ class TestDistribution:
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
         scenes = [gts([[10, 10, 40, 44], [64, 64, 364, 364]]),
                   gts([[200, 200, 290, 280]])]
-        pairs = [(g, topk_match(grid, g, 4)) for g in scenes]
+        pairs = [(g, topk_match(grid, g, TopKConfig(k=4))) for g in scenes]
         d = distribution(pairs)
         assert d.total_positives == sum(int(np.sum(m.labels >= 0))
                                         for _, m in pairs)
@@ -103,6 +104,45 @@ class TestDistribution:
         bad = fake_match([0, 1, -1], 2)  # two GT lists for one GT
         with pytest.raises(ValueError):
             distribution([(g, bad)])
+
+    def test_rejects_anchor_labelled_for_another_gt(self):
+        g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
+        bad = MatchResult(labels=np.array([0, 1, -1]),
+                          gt_positives=[np.array([0, 1]), np.array([1])])
+        with pytest.raises(ValueError, match="GT 0 disagrees"):
+            distribution([(g, bad)])
+
+    # GT 0's true list is [0, 1]: a repeat added, and a repeat in place of
+    # anchor 1, which keeps the length
+    @pytest.mark.parametrize("listed", [[0, 1, 0], [0, 0]])
+    def test_rejects_duplicated_index(self, listed):
+        g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
+        bad = MatchResult(labels=np.array([0, 0, 1]),
+                          gt_positives=[np.array(listed), np.array([2])])
+        with pytest.raises(ValueError, match="GT 0 disagrees"):
+            distribution([(g, bad)])
+
+    # -3 would wrap around to anchor 0, which is GT 0's
+    @pytest.mark.parametrize("listed", [[-3], [3]])
+    def test_rejects_listed_index_out_of_range(self, listed):
+        g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
+        bad = MatchResult(labels=np.array([0, 1, -1]),
+                          gt_positives=[np.array(listed), np.array([1])])
+        with pytest.raises(ValueError, match="GT 0 disagrees"):
+            distribution([(g, bad)])
+
+    def test_rejects_missing_index(self):
+        g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
+        bad = MatchResult(labels=np.array([0, 1, 1]),
+                          gt_positives=[np.array([0]), np.array([2])])
+        with pytest.raises(ValueError, match="GT 1 disagrees"):
+            distribution([(g, bad)])
+
+    def test_accepts_plain_lists(self):
+        g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
+        match = MatchResult(labels=np.array([1, -1, 1]),
+                            gt_positives=[[], [2, 0]])
+        assert distribution([(g, match)]).total_positives == 2
 
     def test_rejects_out_of_range_label(self):
         g = gts([[0, 0, 10, 10]])

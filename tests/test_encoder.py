@@ -137,6 +137,16 @@ class TestForward:
         assert out.shape == (4, 10, 10)
         assert np.all(np.isfinite(out))
 
+    def test_seeded_draws_layers_in_forward_order(self):
+        spec = small_spec()
+        weights = WeightSet.seeded(spec, 7, scale=0.3)
+        rng = np.random.default_rng(7)
+        for layer in [weights.proj_reduce, weights.proj_refine,
+                      *(conv for block in weights.blocks for conv in block)]:
+            np.testing.assert_array_equal(
+                layer.weight, rng.uniform(-0.3, 0.3, size=layer.weight.shape))
+            np.testing.assert_array_equal(layer.var, 1.0)
+
     def test_rejects_shape_mismatch(self):
         spec = small_spec()
         with pytest.raises(ValueError):

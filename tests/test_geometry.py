@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from yolof_assign.geometry import (AnchorConfig, ImageSize, apply_shift,
                                    decode_deltas, generate_anchors, giou, iou,
-                                   pairwise_iou, random_shift)
+                                   pairwise_iou, random_shift, shift_offset)
 
 from oracles import iou_py, raster_giou, raster_iou
 
@@ -134,6 +134,16 @@ class TestRandomShift:
         shifted, kept = apply_shift([[0, 0, 10, 10]], ImageSize(100, 100),
                                     -20, 0)
         assert len(shifted) == 0 and len(kept) == 0
+
+    def test_offset_draws_dx_then_dy(self):
+        rng = np.random.default_rng((7, 3))
+        want = tuple(int(rng.integers(-32, 33)) for _ in range(2))
+        assert shift_offset(32, (7, 3)) == want
+        assert shift_offset(0, 5) == (0, 0)
+
+    def test_offset_rejects_negative_max_shift(self):
+        with pytest.raises(ValueError, match="got -1"):
+            shift_offset(-1, 0)
 
     def test_seed_reproducible(self):
         boxes = [[10, 10, 50, 50]]

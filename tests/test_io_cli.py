@@ -10,6 +10,7 @@ from yolof_assign import coco
 from yolof_assign.cli import main
 from yolof_assign.coco import (CorpusError, RunConfig, load_corpus,
                                parse_corpus, run_match_stats, worker_count)
+from yolof_assign.matching import MaxIoUConfig, UniformMatchConfig
 from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
                                   to_json, write_atomic)
 
@@ -100,6 +101,18 @@ class TestRunConfig:
         assert config.matcher == "topk"
         assert config.anchors.sizes == (16, 32)
         assert config.buckets.small_max == 400.0
+
+    def test_matcher_params_built_from_table(self, tmp_path):
+        doc = {"matcher": "max_iou", "matcher_params": {"rescue": False}}
+        config = RunConfig.load(write_json(tmp_path / "cfg.json", doc))
+        assert config.matcher_config == MaxIoUConfig(rescue=False)
+        assert RunConfig().matcher_config == UniformMatchConfig()
+
+    def test_config_json_error_names_line_and_column(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"matcher":\n  uniform}')
+        with pytest.raises(CorpusError, match="line 2 column 3"):
+            RunConfig.load(str(path))
 
     def test_unknown_matcher_rejected(self, tmp_path):
         path = write_json(tmp_path / "cfg.json", {"matcher": "magic"})
@@ -282,6 +295,36 @@ class TestCLI:
         code, _, err = self.run(capsys, "match-stats", "--input", str(bad))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("doc,named", [
+        ({"matcher": "atss", "matcher_params": {"kk": 50}}, "'kk'"),
+        ({"matcher": "hungarian", "matcher_params": {"k": 3}}, "'k'"),
+        ({"anchors": {"strid": 16}}, "'strid'"),
+        ({"anchors": [1, 2]}, "[1, 2]"),
+        ({"buckets": {"small_max": 10, "large_max": 99}}, "'large_max'"),
+        ([["matcher", "atss"]], "top level must be an object"),
+    ])
+    def test_bad_config_exit_2(self, capsys, tmp_path, tiny_corpus_path,
+                               doc, named):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code, out, err = self.run(capsys, "match-stats", "--input",
+                                  str(tiny_corpus_path), "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    def test_negative_max_shift_exit_2(self, capsys, tiny_corpus_path):
+        code, out, err = self.run(capsys, "shift", "--input",
+                                  str(tiny_corpus_path), "--max-shift", "-3")
+        assert code == 2
+        assert out == ""
+        assert "max_shift must be >= 0, got -3" in err
+
+    def test_detections_must_be_an_array(self, capsys, tmp_path):
+        path = write_json(tmp_path / "dets.json", {"bbox": [0, 0, 1, 1]})
+        code, out, err = self.run(capsys, "nms", "--input", path)
+        assert code == 2
+        assert "top level must be an array" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = self.run(capsys, "nms", "--input", "/nope/x.json")

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from yolof_assign import matching
 from yolof_assign.geometry import AnchorConfig, ImageSize, generate_anchors
 from yolof_assign.matching import (ATSSConfig, GroundTruthSet, IGNORED,
-                                   MaxIoUConfig, NEGATIVE, UniformMatchConfig,
+                                   MaxIoUConfig, NEGATIVE, TopKConfig,
+                                   UniformMatchConfig,
                                    atss_match, hungarian_match, max_iou_match,
                                    nearest_candidates, solve_assignment,
                                    topk_match, uniform_match)
 
-from oracles import assignment_cost_enum, atss_py, knearest_py, uniform_py
+from oracles import (assignment_cost_enum, atss_py, iou_py, knearest_py,
+                     max_iou_py, uniform_py)
 
 
 def gts(boxes, classes=None):
@@ -106,19 +109,21 @@ class TestUniformMatch:
 
 class TestTopkMatch:
     def test_top1_unique_nearest(self, small_grid):
-        result = topk_match(small_grid, gts([[2, 2, 28, 28]]), k=1)
+        result = topk_match(small_grid, gts([[2, 2, 28, 28]]),
+                            TopKConfig(k=1))
         assert np.sum(result.labels >= 0) == 1
         assert result.labels[0] == 0
 
     def test_equals_uniform_when_filters_idle(self, small_grid):
         # the size-32 anchor at every claimed cell clears both thresholds
         g = gts([[2, 2, 30, 30]])
-        top = topk_match(small_grid, g, k=1)
+        top = topk_match(small_grid, g, TopKConfig(k=1))
         uni = uniform_match(small_grid, g, UniformMatchConfig(k=1))
         np.testing.assert_array_equal(top.labels, uni.labels)
 
     def test_all_anchors_positive(self, small_grid):
-        result = topk_match(small_grid, gts([[0, 0, 64, 64]]), k=20)
+        result = topk_match(small_grid, gts([[0, 0, 64, 64]]),
+                            TopKConfig(k=20))
         assert np.all(result.labels == 0)
 
 
@@ -129,32 +134,35 @@ class TestMaxIoUMatch:
 
     def test_small_gt_zero_positives_without_rescue(self, small_grid):
         result = max_iou_match(small_grid, gts([[8, 8, 24, 24]]),
-                               rescue=False)
+                               MaxIoUConfig(rescue=False))
         assert np.all(result.labels != 0)
         # the best anchor (IoU 0.25) falls in the negative band, not ignore
         assert result.labels[0] == NEGATIVE
 
     def test_rescue_recovers_best_anchor(self, small_grid):
         result = max_iou_match(small_grid, gts([[8, 8, 24, 24]]),
-                               rescue=True)
+                               MaxIoUConfig(rescue=True))
         assert result.labels[0] == 0
 
     def test_large_gt_multiple_positives(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(1280, 800))
-        result = max_iou_match(grid, gts([[0, 0, 512, 512]]), rescue=False)
+        result = max_iou_match(grid, gts([[0, 0, 512, 512]]),
+                               MaxIoUConfig(rescue=False))
         assert np.sum(result.labels == 0) >= 2
 
     def test_ignore_band(self):
         # IoU 0.45 falls between neg 0.4 and pos 0.5
         anchors = np.array([[0.0, 0.0, 10.0, 9.0]])
-        result = max_iou_match(anchors, gts([[0, 0, 10, 20]]), rescue=False)
+        result = max_iou_match(anchors, gts([[0, 0, 10, 20]]),
+                               MaxIoUConfig(rescue=False))
         assert result.labels[0] == IGNORED
 
     def test_monotone_in_iou(self, small_grid):
         # growing a GT's overlap with an anchor never turns it negative
-        base = max_iou_match(small_grid, gts([[0, 4, 32, 36]]), rescue=False)
+        base = max_iou_match(small_grid, gts([[0, 4, 32, 36]]),
+                             MaxIoUConfig(rescue=False))
         closer = max_iou_match(small_grid, gts([[0, 1, 32, 33]]),
-                               rescue=False)
+                               MaxIoUConfig(rescue=False))
         assert base.labels[0] == 0
         assert closer.labels[0] == 0
 
@@ -304,7 +312,8 @@ class TestDifferential:
         g = make_scene(kind, seed)
         want = uniform_py(diff_grid.anchors.tolist(), g.boxes.tolist(), 6,
                           0.0, 1.0)
-        assert topk_match(diff_grid, g, 6).labels.tolist() == want
+        assert topk_match(diff_grid, g,
+                          TopKConfig(k=6)).labels.tolist() == want
 
     @pytest.mark.parametrize("kind,seed", SCENES)
     @pytest.mark.parametrize("k", [9, 15])
@@ -313,3 +322,53 @@ class TestDifferential:
         want = atss_py(diff_grid.anchors.tolist(), g.boxes.tolist(), k)
         assert atss_match(diff_grid, g, ATSSConfig(k=k)).labels.tolist() \
             == want
+
+    @pytest.mark.parametrize("rescue", [True, False])
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_max_iou_equals_oracle(self, diff_grid, kind, seed, rescue):
+        # aligned scenes repeat a GT, so two GTs share a best anchor at
+        # equal IoU; the appended NaN box has IoU 0 with every anchor
+        g = make_scene(kind, seed)
+        g = gts(np.vstack([g.boxes, np.full((1, 4), np.nan)]))
+        cfg = MaxIoUConfig(rescue=rescue)
+        anchors = diff_grid.anchors.tolist()
+        ious = [[iou_py(box, a) for a in anchors] for box in g.boxes.tolist()]
+        want = max_iou_py(ious, cfg.pos_iou, cfg.neg_iou, rescue)
+        assert max_iou_match(diff_grid, g, cfg).labels.tolist() == want
+
+    def test_max_iou_equals_oracle_on_nan_and_tied_ious(self, monkeypatch):
+        # IoU matrices drawn from a few values, NaN among them, so that
+        # best anchors collide and tie; pairwise_iou returns them as given
+        rng = np.random.default_rng(0)
+        values = [0.0, 0.1, 0.3, 0.4, 0.45, 0.5, 0.8, 1.0, np.nan]
+        for _ in range(300):
+            m, n = rng.integers(1, 7), rng.integers(1, 10)
+            ious = rng.choice(values, size=(m, n))
+            monkeypatch.setattr(matching, "pairwise_iou",
+                                lambda a, b, ious=ious: ious.copy())
+            g = gts(np.tile([0.0, 0.0, 8.0, 8.0], (m, 1)))
+            for rescue in (True, False):
+                cfg = MaxIoUConfig(rescue=rescue)
+                want = max_iou_py(ious.tolist(), cfg.pos_iou, cfg.neg_iou,
+                                  rescue)
+                got = max_iou_match(np.zeros((n, 4)), g, cfg)
+                assert got.labels.tolist() == want, (ious, rescue)
+
+
+class TestMatcherTable:
+    @pytest.mark.parametrize("name", sorted(matching.MATCHERS))
+    def test_every_matcher_takes_its_config(self, small_grid, name):
+        match = getattr(matching, f"{name}_match")
+        result = match(small_grid, gts([[4, 4, 40, 36]]),
+                       matching.MATCHERS[name]())
+        assert result.matcher == name
+        assert len(result.gt_positives) == 1
+
+    @pytest.mark.parametrize("cls", list(matching.MATCHERS.values()))
+    def test_unknown_parameter_rejected(self, cls):
+        with pytest.raises(TypeError, match="kk"):
+            cls(kk=1)
+
+    def test_topk_rejects_zero_k(self):
+        with pytest.raises(ValueError):
+            TopKConfig(k=0)
