@@ -71,14 +71,19 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
         if key not in doc or not isinstance(doc[key], list):
             raise CorpusError(f"document lacks the {key!r} array")
     images = []
+    known = set()
     for img in doc["images"]:
         try:
-            images.append((int(img["id"]),
-                           ImageSize(int(img["width"]), int(img["height"]))))
+            image_id = int(img["id"])
+            size = ImageSize(int(img["width"]), int(img["height"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"bad image record {img!r}: {exc}") from exc
+        if image_id in known:
+            raise CorpusError(f"duplicate image id {image_id} in image "
+                              f"record {img!r}")
+        known.add(image_id)
+        images.append((image_id, size))
     images.sort(key=lambda t: t[0])
-    known = {i for i, _ in images}
 
     annotations = []
     dropped = 0
@@ -93,11 +98,14 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
         if image_id not in known:
             raise CorpusError(f"annotation {ann_id} references missing "
                               f"image_id {image_id}")
+        box = (x, y, x + w, y + h)
+        if not all(-np.inf < v < np.inf for v in box):  # NaN fails too
+            raise CorpusError(f"annotation {ann_id} has a non-finite bbox "
+                              f"{ann['bbox']!r}")
         if w <= 0 or h <= 0:
             dropped += 1
             continue
-        annotations.append(Annotation(id=ann_id, image_id=image_id,
-                                      box=(x, y, x + w, y + h),
+        annotations.append(Annotation(id=ann_id, image_id=image_id, box=box,
                                       category_id=cat))
     annotations.sort(key=lambda a: a.id)
     return AnnotationCorpus(images=images, annotations=annotations,

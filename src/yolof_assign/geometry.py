@@ -44,9 +44,10 @@ def as_boxes(boxes) -> np.ndarray:
 
 def box_area(boxes: np.ndarray) -> np.ndarray:
     boxes = np.asarray(boxes, dtype=np.float64)
-    w = np.clip(boxes[..., 2] - boxes[..., 0], 0.0, None)
-    h = np.clip(boxes[..., 3] - boxes[..., 1], 0.0, None)
-    return w * h
+    # np.maximum is what np.clip(x, 0.0, None) calls, without its overhead
+    w = np.maximum(boxes[..., 2] - boxes[..., 0], 0.0)
+    w *= np.maximum(boxes[..., 3] - boxes[..., 1], 0.0)
+    return w
 
 
 def box_centers(boxes: np.ndarray) -> np.ndarray:
@@ -66,11 +67,19 @@ def giou(a, b) -> float:
     return float(pairwise_giou(as_boxes(a), as_boxes(b))[0, 0])
 
 
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU matrix of shape ``(N, M)`` for boxes ``a`` and ``b``."""
+def pairwise_iou(a: np.ndarray, b) -> np.ndarray:
+    """IoU of boxes ``a`` with the boxes of ``b``.
+
+    ``b`` is an ``(M, 4)`` box array, giving the ``(N, M)`` matrix; an
+    ``(N, k, 4)`` array of k boxes per box of ``a``, giving ``(N, k)``; or
+    an :class:`AnchorGrid`, giving ``(N, len(b))`` from the grid's
+    per-column and per-row extents, bit-identical to ``b.anchors``.
+    """
     a = as_boxes(a)
-    b = as_boxes(b)
-    inter, union = _inter_union(a, b)
+    if isinstance(b, AnchorGrid):
+        inter, union = _grid_inter_union(a, b)
+    else:
+        inter, union = _inter_union(a, _other_boxes(a, b))
     return _ratio(inter, union)
 
 
@@ -81,10 +90,19 @@ def pairwise_giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter, union = _inter_union(a, b)
     iou_m = _ratio(inter, union)
     hull, hull_h, scratch = np.empty((3, len(a), len(b)))
-    _span(a, b, 0, np.maximum, np.minimum, hull, scratch)
-    hull *= _span(a, b, 1, np.maximum, np.minimum, hull_h, scratch)
+    _span(a[:, None, ::2], b[:, ::2], np.maximum, np.minimum, hull, scratch)
+    hull *= _span(a[:, None, 1::2], b[:, 1::2], np.maximum, np.minimum,
+                  hull_h, scratch)
     penalty = _ratio(np.subtract(hull, union, out=union), hull)
     return iou_m - penalty
+
+
+def _other_boxes(a: np.ndarray, b) -> np.ndarray:
+    """``b`` as float64 ``(M, 4)`` boxes, or ``(len(a), k, 4)`` rows."""
+    arr = np.asarray(b, dtype=np.float64)
+    if arr.ndim == 3 and arr.shape[0] == len(a) and arr.shape[2] == 4:
+        return arr
+    return as_boxes(arr)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -95,26 +113,62 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num
 
 
-def _span(a, b, axis: int, hi, lo, out, scratch) -> np.ndarray:
+def _span(a, b, hi, lo, out, scratch) -> np.ndarray:
     """Clipped ``hi(a_max, b_max) - lo(a_min, b_min)`` along one axis.
 
-    ``a``'s coordinate columns, shaped ``(N, 1)``, broadcast against
-    ``b``'s ``(M,)`` rows into the preallocated ``(N, M)`` ``out``.
+    ``a`` and ``b`` hold ``(min, max)`` pairs on their last axis; the rest
+    broadcasts into the preallocated ``out``.
     """
-    hi(a[:, axis + 2, None], b[:, axis + 2], out=out)
-    out -= lo(a[:, axis, None], b[:, axis], out=scratch)
-    return np.clip(out, 0.0, None, out=out)
+    hi(a[..., 1], b[..., 1], out=out)
+    out -= lo(a[..., 0], b[..., 0], out=scratch)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _inter_union(a: np.ndarray, b: np.ndarray):
     # one block for every (N, M) buffer: fresh matrices this size are
     # page-faulted in on each call, which costs more than the arithmetic
-    inter, union, scratch = np.empty((3, len(a), len(b)))
-    _span(a, b, 0, np.minimum, np.maximum, inter, scratch)
-    inter *= _span(a, b, 1, np.minimum, np.maximum, union, scratch)
+    shape = np.broadcast_shapes((len(a), 1), b.shape[:-1])
+    inter, union, scratch = np.empty((3,) + shape)
+    _span(a[:, None, ::2], b[..., ::2], np.minimum, np.maximum, inter,
+          scratch)
+    inter *= _span(a[:, None, 1::2], b[..., 1::2], np.minimum, np.maximum,
+                   union, scratch)
     np.add(box_area(a)[:, None], box_area(b), out=union)
     union -= inter
     return inter, union
+
+
+def _grid_inter_union(a: np.ndarray, grid: "AnchorGrid"):
+    """:func:`_inter_union` against every anchor of ``grid``.
+
+    An anchor's x extent depends only on its (column, slot) and its y
+    extent only on its (row, slot), so the clipped spans are thin
+    ``(N, W, A)`` and ``(N, H, A)`` arrays whose products are the
+    intersections; every float is the one the flat kernel computes.
+    """
+    xs = np.empty((2, len(a)) + grid.x_extents.shape[:-1])
+    ys = np.empty((2, len(a)) + grid.y_extents.shape[:-1])
+    _span(a[:, None, None, ::2], grid.x_extents, np.minimum, np.maximum, *xs)
+    _span(a[:, None, None, 1::2], grid.y_extents, np.minimum, np.maximum,
+          *ys)
+    inter = _grid_outer(np.multiply, xs[0], ys[0])
+    union = np.add(box_area(a)[:, None], grid.areas)
+    union -= inter
+    return inter, union
+
+
+def _grid_outer(op, per_col: np.ndarray, per_row: np.ndarray) -> np.ndarray:
+    """``op(per_row[m, i, s], per_col[m, j, s])`` for every anchor (row i,
+    column j, slot s) in anchor order, shape ``(M, H * W * A)``, from
+    ``(M, W, A)`` column values and ``(M, H, A)`` row values.
+
+    ``op`` must be commutative (it sees the row value first).  The row
+    values are tiled over the columns first, because a broadcast whose
+    innermost axis is the few slots runs far slower than a flat one.
+    """
+    out = np.repeat(per_row[:, :, None], per_col.shape[1], axis=2)
+    op(out, per_col[:, None], out=out)
+    return out.reshape(len(out), -1)
 
 
 @dataclass(frozen=True)
@@ -158,20 +212,50 @@ class AnchorConfig:
 
 @dataclass
 class AnchorGrid:
-    """Anchors paved over one feature level, row-major over positions."""
+    """Anchors paved over one feature level, row-major over positions.
+
+    Beside the ``(H * W * A, 4)`` anchors it keeps thin read-only copies
+    for the grid kernels: ``x_extents`` ``(W, A, 2)`` and ``x_centers``
+    ``(W, A)`` per (column, slot), ``y_extents`` ``(H, A, 2)`` and
+    ``y_centers`` ``(H, A)`` per (row, slot), and the anchor ``areas``.
+    ``shared_centers`` says whether every slot's float center equals slot
+    0's, so that distances can be taken per position.
+    """
 
     config: AnchorConfig
     grid_h: int
     grid_w: int
     anchors: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        cells = self.anchors.reshape(self.grid_h, self.grid_w, -1, 4)
+        if not ((cells[..., ::2] == cells[0, :, :, ::2]).all()
+                and (cells[..., 1::2] == cells[:, :1, :, 1::2]).all()):
+            raise ValueError("anchors must pave a grid: x set by column and "
+                             "slot, y by row and slot")
+        self.x_extents = cells[0, :, :, ::2].copy()
+        self.y_extents = cells[:, 0, :, 1::2].copy()
+        self.x_centers = box_centers(cells[0])[..., 0]
+        self.y_centers = box_centers(cells[:, 0])[..., 1]
+        self.areas = box_area(self.anchors)
+        for arr in (self.x_extents, self.y_extents, self.x_centers,
+                    self.y_centers, self.areas):
+            arr.setflags(write=False)
+        self.shared_centers = bool(
+            (self.x_centers == self.x_centers[:, :1]).all()
+            and (self.y_centers == self.y_centers[:, :1]).all())
+
     def __len__(self) -> int:
         return self.anchors.shape[0]
 
 
-def _anchor_boxes(anchors) -> np.ndarray:
-    return anchors.anchors if isinstance(anchors, AnchorGrid) \
-        else as_boxes(anchors)
+def _anchor_layout(anchors):
+    """``(anchors, boxes)``: a grid and its ``(N, 4)`` anchors, or any other
+    anchor input as one ``(N, 4)`` array in both places."""
+    if isinstance(anchors, AnchorGrid):
+        return anchors, anchors.anchors
+    boxes = as_boxes(anchors)
+    return boxes, boxes
 
 
 def generate_anchors(config: AnchorConfig, image: ImageSize) -> AnchorGrid:
@@ -202,8 +286,7 @@ def apply_shift(boxes, image: ImageSize, dx: float, dy: float):
     """
     boxes = as_boxes(boxes)
     shifted = boxes + np.array([dx, dy, dx, dy], dtype=np.float64)
-    shifted[:, [0, 2]] = np.clip(shifted[:, [0, 2]], 0.0, image.width)
-    shifted[:, [1, 3]] = np.clip(shifted[:, [1, 3]], 0.0, image.height)
+    np.clip(shifted, 0.0, [image.width, image.height] * 2, out=shifted)
     kept = np.flatnonzero(box_area(shifted) > 0)
     return shifted[kept], kept
 
@@ -237,7 +320,7 @@ def decode_deltas(anchors, deltas, center_clamp: float = 32.0) -> np.ndarray:
     """
     if center_clamp <= 0:
         raise ValueError("center_clamp must be positive")
-    boxes = _anchor_boxes(anchors)
+    _, boxes = _anchor_layout(anchors)
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
     if deltas.shape[0] != boxes.shape[0]:
         raise ValueError(f"got {deltas.shape[0]} deltas for "

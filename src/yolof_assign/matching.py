@@ -7,13 +7,13 @@ All matchers are pure and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import (AnchorGrid, _anchor_boxes, as_boxes, box_area,
-                       box_centers, pairwise_iou)
+from .geometry import (AnchorGrid, _anchor_layout, _grid_outer, as_boxes,
+                       box_area, box_centers, pairwise_iou)
 
 NEGATIVE = -1
 IGNORED = -2
@@ -68,6 +68,29 @@ class MatchResult:
         return int(np.sum(self.labels >= 0))
 
 
+# parameter type -> (accepted value types, what the message asks for)
+_PARAM_TYPES = {
+    "int": ((int, np.integer), "an integer"),
+    "bool": ((bool, np.bool_), "a bool"),
+    "float": ((int, float, np.integer, np.floating), "a finite real number"),
+}
+
+
+def _check_types(cfg) -> None:
+    """Reject a parameter value that does not fit its field's type.
+
+    A bool is only a bool (Python counts it as an int), and a ``float``
+    parameter must be finite.
+    """
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        types, want = _PARAM_TYPES[f.type]
+        ok = isinstance(v, types) \
+            and isinstance(v, (bool, np.bool_)) == (f.type == "bool")
+        if not ok or (f.type == "float" and not abs(v) < np.inf):
+            raise ValueError(f"{f.name} must be {want}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class UniformMatchConfig:
     k: int = 4
@@ -75,6 +98,7 @@ class UniformMatchConfig:
     neg_ignore_iou: float = 0.7
 
     def __post_init__(self):
+        _check_types(self)
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if not 0.0 <= self.pos_ignore_iou < self.neg_ignore_iou <= 1.0:
@@ -86,6 +110,7 @@ class TopKConfig:
     k: int = 4
 
     def __post_init__(self):
+        _check_types(self)
         if self.k < 1:
             raise ValueError("k must be a positive integer")
 
@@ -97,6 +122,7 @@ class MaxIoUConfig:
     rescue: bool = True
 
     def __post_init__(self):
+        _check_types(self)
         if not 0.0 <= self.neg_iou <= self.pos_iou <= 1.0:
             raise ValueError("need 0 <= neg_iou <= pos_iou <= 1")
 
@@ -106,6 +132,7 @@ class ATSSConfig:
     k: int = 15
 
     def __post_init__(self):
+        _check_types(self)
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -121,19 +148,35 @@ MATCHERS = {"uniform": UniformMatchConfig, "topk": TopKConfig,
             "hungarian": HungarianConfig}
 
 
-def _center_distances(gt_boxes: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Euclidean center distances between two broadcastable box arrays.
+def _center_distances(gt_boxes: np.ndarray, anchors) -> np.ndarray:
+    """Euclidean center distances from each GT box to ``anchors``.
 
-    ``gts.boxes[:, None]`` against ``(N, 4)`` anchors gives the ``(M, N)``
-    matrix; against ``(M, k, 4)`` gathered anchors, the ``(M, k)`` rows.
+    ``anchors`` are shaped as ``b`` in :func:`pairwise_iou`: ``(N, 4)``
+    boxes or a grid give the ``(M, N)`` matrix, ``(M, k, 4)`` gathered
+    anchors the ``(M, k)`` rows.
     """
     gc = box_centers(gt_boxes)
-    ac = box_centers(boxes)
-    dist = gc[..., 0] - ac[..., 0]
+    if isinstance(anchors, AnchorGrid):
+        return _grid_distances(gc, anchors.x_centers, anchors.y_centers)
+    ac = box_centers(anchors)
+    dist = gc[:, None, 0] - ac[..., 0]
     dist *= dist
-    dy = gc[..., 1] - ac[..., 1]
+    dy = gc[:, None, 1] - ac[..., 1]
     dy *= dy
     dist += dy
+    return np.sqrt(dist, out=dist)
+
+
+def _grid_distances(gc: np.ndarray, xc: np.ndarray, yc: np.ndarray):
+    """Distances from centers ``gc`` ``(M, 2)`` to a grid whose x centers
+    are ``xc`` ``(W, A)`` and y centers ``yc`` ``(H, A)``, as ``(M, H*W*A)``:
+    squared x offsets per column, squared y offsets per row, then one add
+    per anchor and one sqrt."""
+    dx = gc[:, None, None, 0] - xc
+    dx *= dx
+    dy = gc[:, None, None, 1] - yc
+    dy *= dy
+    dist = _grid_outer(np.add, dx, dy)
     return np.sqrt(dist, out=dist)
 
 
@@ -144,20 +187,36 @@ def nearest_candidates(anchors, gts: GroundTruthSet, k: int) -> np.ndarray:
     matching.  Each row is ordered by distance; ties in distance break by
     ascending anchor index.
     """
-    boxes = _anchor_boxes(anchors)
+    anchors, boxes = _anchor_layout(anchors)
     if k > len(boxes):
         raise ValueError(f"k={k} exceeds the {len(boxes)} available anchors")
     if len(gts) == 0:
         return np.empty((0, k), dtype=np.int64)
-    dist = _center_distances(gts.boxes[:, None], boxes)
+    if isinstance(anchors, AnchorGrid) and anchors.shared_centers:
+        # Every slot of a position has the same distance, and its anchors
+        # are consecutive, so (distance, index) order over anchors is that
+        # order over positions with each expanded into its slots.
+        per = anchors.config.anchors_per_position
+        pos = _k_smallest(_grid_distances(box_centers(gts.boxes),
+                                          anchors.x_centers[:, :1],
+                                          anchors.y_centers[:, :1]),
+                          -(-k // per))
+        return (pos[:, :, None] * per + np.arange(per)).reshape(
+            len(gts), -1)[:, :k]
+    return _k_smallest(_center_distances(gts.boxes, anchors), k)
+
+
+def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest values, ``(M, k)``, ordered
+    by (value, index)."""
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-    # Every anchor at most the k-th distance away, as "not farther" so that
-    # a row of NaN distances (a NaN box) keeps all its anchors: such rows
-    # sort like argsort, NaN last and then by index.
+    # Every column at most the k-th value, as "not farther" so that a row
+    # of NaN distances (a NaN box) keeps all its columns: such rows sort
+    # like argsort, NaN last and then by index.
     near = np.flatnonzero(~(dist > kth))
-    rows, cols = np.divmod(near, len(boxes))
+    rows, cols = np.divmod(near, dist.shape[1])
     order = np.lexsort((cols, dist.ravel()[near], rows))
-    starts = np.searchsorted(rows, np.arange(len(gts)))
+    starts = np.searchsorted(rows, np.arange(len(dist)))
     return cols[order][starts[:, None] + np.arange(k)]
 
 
@@ -184,25 +243,36 @@ def uniform_match(anchors, gts: GroundTruthSet,
     ignored rather than positive; a non-candidate whose best IoU over all
     GTs exceeds ``neg_ignore_iou`` is ignored rather than negative.
     """
-    boxes = _anchor_boxes(anchors)
-    n = len(boxes)
-    cand = nearest_candidates(boxes, gts, cfg.k)
-    labels = np.full(n, NEGATIVE, dtype=np.int64)
+    anchors, boxes = _anchor_layout(anchors)
+    cand = nearest_candidates(anchors, gts, cfg.k)
+    labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult.from_labels(labels, 0, matcher="uniform")
 
-    # conflict resolution: candidate anchors go to the closest claiming GT
-    cols, claim = _candidate_matrix(
-        cand, _center_distances(gts.boxes[:, None], boxes[cand]), np.inf)
-    claimed = np.isfinite(claim).any(axis=0)
-    a = cols[claimed]
-    g = np.argmin(claim[:, claimed], axis=0)  # first min -> smaller gt index
+    # Conflict resolution, as a scan over the GTs in index order that hands
+    # an anchor to a strictly nearer claim: the nearest claim wins (tie:
+    # smaller GT index), and a NaN distance never takes an anchor claimed
+    # before it nor loses one it claimed first.
+    claims = cand.ravel()
+    claimer = np.repeat(np.arange(len(gts)), cfg.k)
+    dist = _center_distances(gts.boxes, boxes[cand]).ravel()
+    owner = np.empty(len(boxes), dtype=np.int64)
+    by_dist = np.lexsort((claimer, dist))  # NaN last
+    best = by_dist[np.unique(claims[by_dist], return_index=True)[1]]
+    owner[claims[best]] = claimer[best]
+    a, first = np.unique(claims, return_index=True)
+    kept = first[np.isnan(dist[first])]
+    owner[claims[kept]] = claimer[kept]
+    g = owner[a]
 
-    ious = pairwise_iou(gts.boxes, boxes)
-    hot = ious.max(axis=0) > cfg.neg_ignore_iou
-    hot[a] = False
-    labels[hot] = IGNORED
-    labels[a] = np.where(ious[g, a] >= cfg.pos_ignore_iou, g, IGNORED)
+    if cfg.neg_ignore_iou < 1.0:  # no IoU exceeds 1, so 1 ignores nothing
+        hot = pairwise_iou(gts.boxes, anchors).max(axis=0) \
+            > cfg.neg_ignore_iou
+        hot[a] = False
+        labels[hot] = IGNORED
+    # only each resolved (GT, anchor) pair's IoU: (n, 4) against (n, 1, 4)
+    pair_iou = pairwise_iou(gts.boxes[g], boxes[a, None])[:, 0]
+    labels[a] = np.where(pair_iou >= cfg.pos_ignore_iou, g, IGNORED)
     return MatchResult.from_labels(labels, len(gts), matcher="uniform")
 
 
@@ -224,13 +294,13 @@ def max_iou_match(anchors, gts: GroundTruthSet,
     ``rescue`` on, each GT's best-IoU anchor is forced positive for it
     even below the threshold.
     """
-    boxes = _anchor_boxes(anchors)
+    anchors, boxes = _anchor_layout(anchors)
     n = len(boxes)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult.from_labels(labels, 0, matcher="max_iou")
 
-    ious = pairwise_iou(gts.boxes, boxes)
+    ious = pairwise_iou(gts.boxes, anchors)
     best_gt = np.argmax(ious, axis=0)
     best_iou = ious[best_gt, np.arange(n)]
     labels[best_iou >= cfg.pos_iou] = best_gt[best_iou >= cfg.pos_iou]
@@ -259,16 +329,15 @@ def atss_match(anchors, gts: GroundTruthSet,
     become positive; conflicts go to the higher IoU (tie: smaller GT
     index).  There is no ignored class.
     """
-    boxes = _anchor_boxes(anchors)
-    n = len(boxes)
-    cand = nearest_candidates(boxes, gts, cfg.k)
-    labels = np.full(n, NEGATIVE, dtype=np.int64)
+    anchors, boxes = _anchor_layout(anchors)
+    cand = nearest_candidates(anchors, gts, cfg.k)
+    labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult.from_labels(labels, 0, matcher="atss")
 
-    ious = pairwise_iou(gts.boxes, boxes)
-    # rows in (distance, index) order, so each row sums as a 1-D pool would
-    cand_ious = np.take_along_axis(ious, cand, axis=1)
+    # only the candidates' IoUs, each row in (distance, index) order, so it
+    # sums as a 1-D pool would
+    cand_ious = pairwise_iou(gts.boxes, boxes[cand])
     thresh = (cand_ious.mean(axis=1, keepdims=True)
               + cand_ious.std(axis=1, keepdims=True))  # population std
     cx, cy = np.moveaxis(box_centers(boxes[cand]), -1, 0)
@@ -301,18 +370,18 @@ def solve_assignment(cost: np.ndarray):
 def hungarian_cost(anchors, gts: GroundTruthSet,
                    iou_scale: float | None = None) -> np.ndarray:
     """Assignment cost: center distance minus scaled IoU, shape ``(M, N)``."""
-    boxes = _anchor_boxes(anchors)
+    anchors, _ = _anchor_layout(anchors)
     if iou_scale is None:
         iou_scale = float(anchors.config.stride) \
             if isinstance(anchors, AnchorGrid) else 32.0
-    return (_center_distances(gts.boxes[:, None], boxes)
-            - iou_scale * pairwise_iou(gts.boxes, boxes))
+    return (_center_distances(gts.boxes, anchors)
+            - iou_scale * pairwise_iou(gts.boxes, anchors))
 
 
 def hungarian_match(anchors, gts: GroundTruthSet,
                     cfg: HungarianConfig = HungarianConfig()) -> MatchResult:
     """Optimal one-to-one GT-to-anchor assignment (Kuhn-Munkres)."""
-    boxes = _anchor_boxes(anchors)
+    anchors, boxes = _anchor_layout(anchors)
     n = len(boxes)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if len(gts) == 0:

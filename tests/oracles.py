@@ -88,22 +88,25 @@ def assignment_cost_enum(cost):
     return best
 
 
+def _center_distance(box, anchor):
+    """Center distance as ``sqrt(dx * dx + dy * dy)``.
+
+    This is the library's rounding.  ``math.hypot`` can differ from it in
+    the last bit, which reorders anchors whose float centers differ only
+    by rounding (the slots of one position under non-square aspect
+    ratios), so a k-nearest oracle has to fix the formula as well.
+    """
+    dx = (box[0] + box[2]) / 2.0 - (anchor[0] + anchor[2]) / 2.0
+    dy = (box[1] + box[3]) / 2.0 - (anchor[1] + anchor[3]) / 2.0
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def knearest_py(anchor_boxes, gt_box, k):
     """Indices of the k anchors center-nearest to a GT, stable ties."""
-    gcx = (gt_box[0] + gt_box[2]) / 2.0
-    gcy = (gt_box[1] + gt_box[3]) / 2.0
-    dists = []
-    for i, a in enumerate(anchor_boxes):
-        acx = (a[0] + a[2]) / 2.0
-        acy = (a[1] + a[3]) / 2.0
-        dists.append((math.hypot(acx - gcx, acy - gcy), i))
+    dists = [(_center_distance(gt_box, a), i)
+             for i, a in enumerate(anchor_boxes)]
     dists.sort()
     return [i for _, i in dists[:k]]
-
-
-def _center_distance(box, anchor):
-    return math.hypot((anchor[0] + anchor[2]) / 2.0 - (box[0] + box[2]) / 2.0,
-                      (anchor[1] + anchor[3]) / 2.0 - (box[1] + box[3]) / 2.0)
 
 
 def uniform_py(anchor_boxes, gt_boxes, k, pos_ignore_iou, neg_ignore_iou):

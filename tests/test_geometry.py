@@ -135,6 +135,16 @@ class TestRandomShift:
                                     -20, 0)
         assert len(shifted) == 0 and len(kept) == 0
 
+    def test_clamps_x_to_width_and_y_to_height(self):
+        boxes = [[80, 10, 95, 30], [-5, 30, 20, 45.5], [1, 2, 3, 4]]
+        image = ImageSize(100, 40)  # not square, so the axes cannot swap
+        shifted, kept = apply_shift(boxes, image, 10.5, 3)
+        want = [[min(max(v + d, 0.0), hi) for v, d, hi in
+                 zip(box, (10.5, 3, 10.5, 3), (100, 40, 100, 40))]
+                for box in boxes]
+        np.testing.assert_array_equal(shifted, want)
+        np.testing.assert_array_equal(kept, [0, 1, 2])
+
     def test_offset_draws_dx_then_dy(self):
         rng = np.random.default_rng((7, 3))
         want = tuple(int(rng.integers(-32, 33)) for _ in range(2))
@@ -238,3 +248,23 @@ def test_pairwise_iou_equals_scalar_oracle_on_degenerate_and_touching():
                                   _iou_table(boxes, boxes))
     np.testing.assert_array_equal(pairwise_iou(boxes[:0], boxes),
                                   np.zeros((0, len(boxes))))
+
+
+# coordinates that stress the kernel: NaN, infinities, repeated values
+# (zero-width and touching boxes) and a few ordinary ones
+odd_coord = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 2.5,
+                             10.0, -3.0, 1e308, -1e308])
+odd_boxes = st.lists(st.tuples(odd_coord, odd_coord, odd_coord, odd_coord),
+                     min_size=1, max_size=6)
+
+
+@given(a=odd_boxes, b=odd_boxes)
+@settings(max_examples=200, deadline=None)
+def test_pairwise_iou_in_unit_interval_and_never_nan(a, b):
+    # the uniform matcher skips its neg_ignore_iou test at 1.0 because no
+    # IoU exceeds 1, and a NaN never ranks above anything
+    full = pairwise_iou(a, b)
+    assert not np.isnan(full).any()
+    assert ((0.0 <= full) & (full <= 1.0)).all()
+    rows = np.broadcast_to(np.asarray(b, dtype=float), (len(a), len(b), 4))
+    np.testing.assert_array_equal(pairwise_iou(a, rows), full)

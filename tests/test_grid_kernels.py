@@ -1,0 +1,219 @@
+"""The anchor-grid kernels against the flat ones and the naive oracles.
+
+Every matcher computes its IoUs and center distances from a grid's thin
+per-column and per-row arrays; here each result must equal, float for
+float, the one computed from ``grid.anchors`` as a plain box array, and
+the labels must equal the scalar oracles'.
+"""
+
+import numpy as np
+import pytest
+
+from yolof_assign import matching
+from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
+                                   generate_anchors, pairwise_iou)
+from yolof_assign.matching import (ATSSConfig, GroundTruthSet, MaxIoUConfig,
+                                   UniformMatchConfig, _center_distances,
+                                   hungarian_cost, nearest_candidates)
+
+from oracles import (_center_distance, atss_py, iou_py, knearest_py,
+                     max_iou_py, uniform_py)
+
+CONFIGS = {
+    "default": AnchorConfig(),
+    "stride16": AnchorConfig(stride=16, sizes=(24.0, 48.0, 96.0)),
+    # RetinaNet-style: 45 slots whose float centers differ in the last bits
+    "slots45": AnchorConfig(scale_multipliers=(1.0, 2 ** (1 / 3),
+                                               2 ** (2 / 3)),
+                            aspect_ratios=(0.5, 1.0, 2.0)),
+}
+IMAGE = ImageSize(256, 200)  # a partial last row of cells at stride 32
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def grid(request):
+    return generate_anchors(CONFIGS[request.param], IMAGE)
+
+
+def scene(rng, stride, kind):
+    """GT boxes of one kind of scene, shape (M, 4)."""
+    n = 7
+    i = rng.integers(0, -(-IMAGE.height // stride), n)
+    j = rng.integers(0, -(-IMAGE.width // stride), n)
+    # centers on cell centers (+0.5 cell) and on cell corners (+0)
+    centers = (np.stack([j, i], axis=1)
+               + rng.choice([0.0, 0.5], (n, 1))) * stride
+    half = rng.choice([4.0, 8.0, 16.0, 24.0, 40.0, 96.0], (n, 2))
+    boxes = np.concatenate([centers - half, centers + half], axis=1)
+    boxes[n // 2] = boxes[0]  # a repeated GT contests every candidate
+    if kind == "edge":
+        # crossing each image edge, and one box holding the whole image
+        w, h = IMAGE.width, IMAGE.height
+        boxes = np.vstack([boxes, [[-30, -20, 40, 30], [w - 25, 60, w + 50,
+                                    90], [70, h - 10, 120, h + 40],
+                                   [-5, -5, w + 5, h + 5]]])
+    elif kind == "nonfinite":
+        # A NaN box and two inf boxes.  Every anchor is equally far (NaN or
+        # inf) from them, so they claim the first anchors, which the box
+        # over the top-left corner contests.
+        boxes = np.vstack([boxes, [[-10, -10, 30, 20], [np.nan] * 4,
+                                   [10, 10, np.inf, 50],
+                                   [-np.inf, -np.inf, np.inf, np.inf]]])
+    return boxes
+
+
+SCENES = [(kind, seed) for kind in ("aligned", "edge", "nonfinite")
+          for seed in range(2)]
+
+
+def gts_for(grid, kind, seed):
+    boxes = scene(np.random.default_rng(seed), grid.config.stride, kind)
+    return GroundTruthSet(boxes=boxes, class_ids=np.zeros(len(boxes)))
+
+
+def assert_same_floats(got, want):
+    """Equal shapes, NaN at the same places and every other bit equal."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64),
+                                  want[~nan].view(np.uint64))
+
+
+class TestGridArrays:
+    def test_thin_arrays_match_the_anchors(self, grid):
+        a = grid.config.anchors_per_position
+        cells = grid.anchors.reshape(grid.grid_h, grid.grid_w, a, 4)
+        assert grid.x_extents.shape == (grid.grid_w, a, 2)
+        assert grid.y_extents.shape == (grid.grid_h, a, 2)
+        np.testing.assert_array_equal(cells[..., ::2],
+                                      np.broadcast_to(grid.x_extents,
+                                                      cells[..., ::2].shape))
+        np.testing.assert_array_equal(
+            cells[..., 1::2],
+            np.broadcast_to(grid.y_extents[:, None], cells[..., 1::2].shape))
+        for arr in (grid.x_extents, grid.y_extents, grid.x_centers,
+                    grid.y_centers, grid.areas):
+            assert not arr.flags.writeable
+
+    def test_shared_centers_only_where_they_are_equal(self):
+        flags = {name: generate_anchors(cfg, IMAGE).shared_centers
+                 for name, cfg in CONFIGS.items()}
+        assert flags == {"default": True, "stride16": True, "slots45": False}
+
+    def test_rejects_anchors_that_are_not_a_grid(self):
+        grid = generate_anchors(AnchorConfig(), ImageSize(64, 64))
+        anchors = grid.anchors.copy()
+        anchors[7, 0] += 1.0
+        with pytest.raises(ValueError, match="grid"):
+            AnchorGrid(grid.config, grid.grid_h, grid.grid_w, anchors)
+
+
+class TestKernelsExact:
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_iou_grid_equals_flat(self, grid, kind, seed):
+        g = gts_for(grid, kind, seed)
+        assert_same_floats(pairwise_iou(g.boxes, grid),
+                           pairwise_iou(g.boxes, grid.anchors))
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_center_distances_grid_equals_flat(self, grid, kind, seed):
+        g = gts_for(grid, kind, seed)
+        assert_same_floats(_center_distances(g.boxes, grid),
+                           _center_distances(g.boxes, grid.anchors))
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_gathered_rows_equal_the_full_matrix(self, grid, kind, seed):
+        g = gts_for(grid, kind, seed)
+        cand = nearest_candidates(grid, g, 9)
+        rows = grid.anchors[cand]
+        assert_same_floats(pairwise_iou(g.boxes, rows), np.take_along_axis(
+            pairwise_iou(g.boxes, grid.anchors), cand, axis=1))
+        assert_same_floats(_center_distances(g.boxes, rows),
+                           np.take_along_axis(_center_distances(
+                               g.boxes, grid.anchors), cand, axis=1))
+
+    def test_iou_equals_scalar_oracle(self, grid):
+        g = gts_for(grid, "edge", 0)
+        anchors = grid.anchors.tolist()
+        want = np.array([[iou_py(b, a) for a in anchors]
+                         for b in g.boxes.tolist()])
+        assert_same_floats(pairwise_iou(g.boxes, grid), want)
+
+    @pytest.mark.parametrize("k", [1, 4, 5, 9, 15])
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_nearest_candidates(self, grid, kind, seed, k):
+        g = gts_for(grid, kind, seed)
+        got = nearest_candidates(grid, g, k)
+        np.testing.assert_array_equal(got,
+                                      nearest_candidates(grid.anchors, g, k))
+        anchors = grid.anchors.tolist()
+        assert got.tolist() == [knearest_py(anchors, b, k)
+                                for b in g.boxes.tolist()]
+
+
+class TestMatchersDifferential:
+    """Each matcher on a grid, on its plain anchors, and its oracle."""
+
+    @pytest.mark.parametrize("cfg", [UniformMatchConfig(),
+                                     UniformMatchConfig(k=7,
+                                                        pos_ignore_iou=0.3,
+                                                        neg_ignore_iou=0.5)])
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_uniform(self, grid, kind, seed, cfg):
+        g = gts_for(grid, kind, seed)
+        got = matching.uniform_match(grid, g, cfg).labels.tolist()
+        assert got == matching.uniform_match(grid.anchors, g,
+                                             cfg).labels.tolist()
+        assert got == uniform_py(grid.anchors.tolist(), g.boxes.tolist(),
+                                 cfg.k, cfg.pos_ignore_iou,
+                                 cfg.neg_ignore_iou)
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_topk(self, grid, kind, seed):
+        g = gts_for(grid, kind, seed)
+        got = matching.topk_match(grid, g).labels.tolist()
+        assert got == matching.topk_match(grid.anchors, g).labels.tolist()
+        assert got == uniform_py(grid.anchors.tolist(), g.boxes.tolist(), 4,
+                                 0.0, 1.0)
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_atss(self, grid, kind, seed):
+        g = gts_for(grid, kind, seed)
+        cfg = ATSSConfig(k=9)
+        got = matching.atss_match(grid, g, cfg).labels.tolist()
+        assert got == matching.atss_match(grid.anchors, g,
+                                          cfg).labels.tolist()
+        assert got == atss_py(grid.anchors.tolist(), g.boxes.tolist(), 9)
+
+    @pytest.mark.parametrize("rescue", [True, False])
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_max_iou(self, grid, kind, seed, rescue):
+        g = gts_for(grid, kind, seed)
+        cfg = MaxIoUConfig(rescue=rescue)
+        got = matching.max_iou_match(grid, g, cfg).labels.tolist()
+        assert got == matching.max_iou_match(grid.anchors, g,
+                                             cfg).labels.tolist()
+        anchors = grid.anchors.tolist()
+        ious = [[iou_py(b, a) for a in anchors] for b in g.boxes.tolist()]
+        assert got == max_iou_py(ious, cfg.pos_iou, cfg.neg_iou, rescue)
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_hungarian(self, grid, kind, seed):
+        g = gts_for(grid, kind, seed)
+        stride = grid.config.stride
+        cost = hungarian_cost(grid, g)
+        assert_same_floats(cost, hungarian_cost(grid.anchors, g,
+                                                iou_scale=float(stride)))
+        anchors = grid.anchors.tolist()
+        assert_same_floats(cost, np.array([
+            [_center_distance(b, a) - stride * iou_py(b, a) for a in anchors]
+            for b in g.boxes.tolist()]))
+        if kind == "nonfinite":
+            # scipy refuses a cost matrix holding NaN
+            for anchors in (grid, grid.anchors):
+                with pytest.raises(ValueError):
+                    matching.hungarian_match(anchors, g)
+        else:
+            assert matching.hungarian_match(grid, g).labels.tolist() == \
+                matching.hungarian_match(grid.anchors, g).labels.tolist()

@@ -313,6 +313,68 @@ class TestCLI:
         assert out == ""
         assert named in err
 
+    @pytest.mark.parametrize("matcher,params,named", [
+        ("uniform", {"k": 4.5}, "k must be an integer, got 4.5"),
+        ("atss", {"k": True}, "k must be an integer, got True"),
+        ("topk", {"k": "4"}, "k must be an integer, got '4'"),
+        ("max_iou", {"rescue": "no"}, "rescue must be a bool, got 'no'"),
+        ("max_iou", {"rescue": 0}, "rescue must be a bool, got 0"),
+        ("uniform", {"pos_ignore_iou": "0.1"},
+         "pos_ignore_iou must be a finite real number, got '0.1'"),
+        ("max_iou", {"pos_iou": float("nan")},
+         "pos_iou must be a finite real number, got nan"),
+        ("uniform", {"neg_ignore_iou": float("inf")},
+         "neg_ignore_iou must be a finite real number, got inf"),
+        ("max_iou", {"neg_iou": False},
+         "neg_iou must be a finite real number, got False"),
+    ])
+    def test_bad_matcher_param_value_exit_2(self, capsys, tmp_path,
+                                            tiny_corpus_path, matcher,
+                                            params, named):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"matcher": matcher, "matcher_params": params})
+        code, out, err = self.run(capsys, "match-stats", "--input",
+                                  str(tiny_corpus_path), "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    def test_integer_thresholds_accepted(self, capsys, tmp_path,
+                                         tiny_corpus_path):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "matcher": "uniform",
+            "matcher_params": {"pos_ignore_iou": 0, "neg_ignore_iou": 1}})
+        code, _, _ = self.run(capsys, "match-stats", "--input",
+                              str(tiny_corpus_path), "--config", cfg)
+        assert code == 0
+
+    @pytest.mark.parametrize("bbox", [[float("nan"), 1, 2, 3],
+                                      [1, 1, float("inf"), 3],
+                                      ["-inf", 1, 2, 3], [1e308, 1, 1e308, 3]])
+    def test_non_finite_bbox_exit_2(self, capsys, tmp_path, bbox):
+        doc = dict(BASE_DOC, annotations=BASE_DOC["annotations"] + [
+            {"id": 7, "image_id": 1, "bbox": bbox, "category_id": 2}])
+        path = write_json(tmp_path / "c.json", doc)
+        with pytest.raises(CorpusError, match="annotation 7 has a "
+                                              "non-finite bbox"):
+            load_corpus(path)
+        code, out, err = self.run(capsys, "match-stats", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert "annotation 7" in err
+
+    def test_duplicate_image_id_exit_2(self, capsys, tmp_path):
+        doc = dict(BASE_DOC, images=BASE_DOC["images"] + [
+            {"id": 1, "width": 32, "height": 48}])
+        path = write_json(tmp_path / "c.json", doc)
+        with pytest.raises(CorpusError, match="duplicate image id 1 in "
+                                              "image record .*'width': 32"):
+            load_corpus(path)
+        code, out, err = self.run(capsys, "match-stats", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert "duplicate image id 1" in err
+
     def test_negative_max_shift_exit_2(self, capsys, tiny_corpus_path):
         code, out, err = self.run(capsys, "shift", "--input",
                                   str(tiny_corpus_path), "--max-shift", "-3")
