@@ -96,6 +96,22 @@ def distribution(results, buckets: SizeBuckets = SizeBuckets(),
                              zero_counts=zeros, per_gt_counts=per_gt)
 
 
+def merge_distributions(parts: list) -> MatchDistribution:
+    """Combine distributions over disjoint scene sets; per-GT counts keep
+    the order of ``parts``, so merging consecutive runs of scenes gives
+    what one ``distribution`` call over all of them gives."""
+    return MatchDistribution(
+        matcher=parts[0].matcher,
+        buckets={name: BucketStats(
+            gt_count=sum(p.buckets[name].gt_count for p in parts),
+            positives_total=sum(p.buckets[name].positives_total
+                                for p in parts))
+            for name in BUCKET_NAMES},
+        zero_counts={name: sum(p.zero_counts[name] for p in parts)
+                     for name in BUCKET_NAMES},
+        per_gt_counts=[c for p in parts for c in p.per_gt_counts])
+
+
 def _check_consistent(gts: GroundTruthSet, match: MatchResult):
     if len(match.gt_positives) != len(gts):
         raise ValueError(f"match carries {len(match.gt_positives)} GT lists "

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matching
-from .balance import MatchDistribution, SizeBuckets, distribution
+from .balance import (MatchDistribution, SizeBuckets, distribution,
+                      merge_distributions)
 from .geometry import (AnchorConfig, ImageSize, apply_shift, generate_anchors,
                        shift_offset)
 from .matching import GroundTruthSet
@@ -38,7 +40,7 @@ class AnnotationCorpus:
     annotations: list  # Annotation, sorted by id
     categories: list
     dropped: int = 0  # annotations discarded for non-positive extent
-    # image_id -> its annotations in id order; built once, read by threads
+    # image_id -> its annotations in id order; built once, then only read
     by_image: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -181,7 +183,8 @@ class RunConfig:
 
 
 def worker_count() -> int:
-    """Parallelism cap from ``YOLOF_ASSIGN_THREADS`` (0 or unset = auto)."""
+    """Parallelism cap from ``YOLOF_ASSIGN_THREADS`` (0 or unset = auto:
+    the CPUs this process may run on, at most 8)."""
     raw = os.environ.get(THREADS_ENV, "0")
     try:
         n = int(raw)
@@ -189,26 +192,23 @@ def worker_count() -> int:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
     if n < 0:
         raise ValueError(f"{THREADS_ENV} must be >= 0")
-    return n if n > 0 else min(8, os.cpu_count() or 1)
+    if n > 0:
+        return n
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
+    return min(8, os.cpu_count() or 1)
 
 
-def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
-    """Match every corpus image and aggregate per-bucket statistics.
+def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
+                 images: list):
+    """Match ``images`` in order, then aggregate them in one call.
 
-    Returns ``(MatchDistribution, per_image)`` where ``per_image`` is a
-    list of detail dicts sorted by image id.  Deterministic given the
-    config seed; per-image work may run on multiple threads.
+    Returns ``(MatchDistribution, per_image)``; no MatchResult outlives
+    the call.
     """
     match = getattr(matching, f"{config.matcher}_match")
-    # one read-only grid per image size, shared by the worker threads
-    grids = {}
-    for _, size in corpus.images:
-        if size not in grids:
-            grids[size] = generate_anchors(config.anchors, size)
-            grids[size].anchors.setflags(write=False)
-
-    def process(item):
-        image_id, size = item
+    pairs, per_image = [], []
+    for image_id, size in images:
         gts = corpus.ground_truths(image_id)
         if config.shift_max > 0 and len(gts):
             dx, dy = shift_offset(config.shift_max, (config.seed, image_id))
@@ -219,30 +219,74 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
             result = match(anchors, gts, config.matcher_config)
         except ValueError as exc:
             raise ValueError(f"image {image_id}: {exc}") from exc
-        detail = {
+        pairs.append((gts, result))
+        per_image.append({
             "image_id": image_id,
             "num_gts": len(gts),
             "num_anchors": len(anchors),
             "num_positive": result.num_positive,
             "positives_per_gt": [len(p) for p in result.gt_positives],
-        }
-        return image_id, gts, result, detail
+        })
+    # aggregated after the loop, so each image's time ends at the next
+    # image's GT lookup and aggregation is timed apart from matching
+    return distribution(pairs, config.buckets,
+                        matcher=config.matcher), per_image
 
-    items = list(corpus.images)
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(process, items))
+
+# (corpus, config, grids, images) of the run that forked this worker
+_inherited = None
+
+
+def _inherit(state):
+    global _inherited
+    _inherited = state
+
+
+def _forked_chunk(lo: int, hi: int):
+    corpus, config, grids, images = _inherited
+    return _match_chunk(corpus, config, grids, images[lo:hi])
+
+
+def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
+    """Match every corpus image and aggregate per-bucket statistics.
+
+    Returns ``(MatchDistribution, per_image, extras)`` where ``per_image``
+    is a list of detail dicts sorted by image id.  Deterministic given the
+    config seed: the report is the same for every worker count.  With more
+    than one worker, each forked worker process matches one contiguous
+    chunk of images and sends back only the chunk's aggregate and detail
+    rows.
+    """
+    images = sorted(corpus.images, key=lambda t: t[0])
+    # one read-only grid per image size, shared by every chunk
+    grids = {}
+    for _, size in images:
+        if size not in grids:
+            grids[size] = generate_anchors(config.anchors, size)
+            grids[size].anchors.setflags(write=False)
+
+    workers = min(worker_count(), len(images))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # fork, not spawn: the workers inherit the corpus, the config and
+        # the grids instead of unpickling them, and skip re-importing numpy
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_inherit,
+                initargs=((corpus, config, grids, images),)) as pool:
+            futures = [pool.submit(_forked_chunk, len(images) * i // workers,
+                                   len(images) * (i + 1) // workers)
+                       for i in range(workers)]
+            # in chunk order, so a failure names the first failing image
+            parts = [f.result() for f in futures]
     else:
-        rows = [process(item) for item in items]
-    rows.sort(key=lambda r: r[0])
+        parts = [_match_chunk(corpus, config, grids, images)]
 
-    dist = distribution([(gts, res) for _, gts, res, _ in rows],
-                        config.buckets, matcher=config.matcher)
-    per_image = [detail for _, _, _, detail in rows]
+    dist = merge_distributions([d for d, _ in parts])
+    per_image = [row for _, rows in parts for row in rows]
+    has_gts = dist.total_gts > 0
     dist_extras = {
         "candidates_per_gt_uniform": config.matcher in ("uniform", "topk")
-        and any(len(gts) for _, gts, _, _ in rows),
-        "imbalance_defined": dist.total_gts > 0,
+        and has_gts,
+        "imbalance_defined": has_gts,
     }
     return dist, per_image, dist_extras

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from yolof_assign.balance import (BucketStats, MatchDistribution, SizeBuckets,
-                                  distribution, imbalance_ratio)
+                                  distribution, imbalance_ratio,
+                                  merge_distributions)
 from yolof_assign.geometry import AnchorConfig, ImageSize, generate_anchors
 from yolof_assign.matching import (GroundTruthSet, MatchResult, MaxIoUConfig,
                                    TopKConfig, max_iou_match,
@@ -89,6 +90,18 @@ class TestDistribution:
             assert a.buckets[name].gt_count == b.buckets[name].gt_count
             assert a.buckets[name].positives_total \
                 == b.buckets[name].positives_total
+
+    def test_merge_of_consecutive_runs_equals_one_call(self):
+        grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
+        scenes = [gts([[100, 100, 116, 116]]), gts([]),
+                  gts([[64, 64, 364, 364], [300, 32, 350, 90]]),
+                  gts([[10, 10, 40, 44], [200, 200, 290, 280]])]
+        pairs = [(g, max_iou_match(grid, g)) for g in scenes]
+        whole = distribution(pairs, matcher="max_iou")
+        for cuts in ([4], [0, 4], [1, 2, 4], [2, 2, 3, 4]):
+            parts = [distribution(pairs[lo:hi], matcher="max_iou")
+                     for lo, hi in zip([0] + cuts, cuts)]
+            assert merge_distributions(parts) == whole
 
     def test_totals_match_positive_labels(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))

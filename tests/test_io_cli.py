@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import stat
 import threading
@@ -176,15 +177,81 @@ class TestRunMatchStats:
         b = run_match_stats(corpus, config)
         assert distribution_to_dict(a[0]) == distribution_to_dict(b[0])
 
-    def test_thread_env(self, tiny_corpus_path, monkeypatch):
-        corpus = load_corpus(tiny_corpus_path)
-        serial = run_match_stats(corpus, RunConfig())
-        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "4")
-        assert worker_count() == 4
-        threaded = run_match_stats(corpus, RunConfig())
+    @pytest.mark.parametrize("workers", ["2", "3", "4", "9"])
+    @pytest.mark.parametrize("corpus_doc", [
+        None,  # tests/data/tiny_corpus.json, 3 images
+        dict(BASE_DOC, images=[], annotations=[]),
+        dict(BASE_DOC, annotations=[], images=[
+            {"id": i, "width": 64, "height": 48} for i in (7, 2, 5)]),
+    ], ids=["tiny", "no-images", "no-annotations"])
+    def test_thread_env(self, tiny_corpus_path, monkeypatch, corpus_doc,
+                        workers):
+        corpus = load_corpus(tiny_corpus_path) if corpus_doc is None \
+            else parse_corpus(corpus_doc)
+        config = RunConfig(shift_max=16, seed=3)
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
+        serial = run_match_stats(corpus, config)
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
+        assert worker_count() == int(workers)
+        aggregated_here = []
+        real = coco.distribution
+
+        def recording(*args, **kwargs):
+            aggregated_here.append(os.getpid())
+            return real(*args, **kwargs)
+
+        # a forked worker's call is recorded in the worker's copy of the
+        # list, so this one stays empty when the chunks ran in workers
+        monkeypatch.setattr(coco, "distribution", recording)
+        threaded = run_match_stats(corpus, config)
         assert distribution_to_dict(serial[0]) \
             == distribution_to_dict(threaded[0])
         assert serial[1] == threaded[1]
+        assert serial[2] == threaded[2]
+        assert aggregated_here == ([] if len(corpus.images) > 1
+                                   else [os.getpid()])
+        assert multiprocessing.active_children() == []
+
+    def test_auto_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("YOLOF_ASSIGN_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5},
+                            raising=False)
+        assert worker_count() == 2
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "0")
+        assert worker_count() == 2
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(12)))
+        assert worker_count() == 8
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count() == 1
+
+    def test_without_fork_runs_in_process(self, tiny_corpus_path,
+                                          monkeypatch):
+        corpus = load_corpus(tiny_corpus_path)
+        config = RunConfig(shift_max=16, seed=3)
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
+        serial = run_match_stats(corpus, config)
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "3")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        aggregated_here = []
+        real = coco.distribution
+
+        def recording(results, *args, **kwargs):
+            aggregated_here.append(len(results))
+            return real(results, *args, **kwargs)
+
+        monkeypatch.setattr(coco, "distribution", recording)
+        in_process = run_match_stats(corpus, config)
+        assert aggregated_here == [3]  # one chunk over the whole corpus
+        assert distribution_to_dict(serial[0]) \
+            == distribution_to_dict(in_process[0])
+        assert serial[1:] == in_process[1:]
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "lots")
@@ -295,6 +362,28 @@ class TestCLI:
         code, _, err = self.run(capsys, "match-stats", "--input", str(bad))
         assert code == 2
         assert "error" in err
+
+    def test_image_error_from_a_worker_exit_2(self, capsys, tmp_path,
+                                              monkeypatch):
+        # a 20x20 image has 5 anchors, fewer than ATSS k=15; it sits in
+        # the second of two chunks
+        doc = dict(BASE_DOC, images=[
+            {"id": i, "width": 320, "height": 256} for i in range(1, 6)]
+            + [{"id": 6, "width": 20, "height": 20},
+               {"id": 7, "width": 320, "height": 256}],
+            annotations=[{"id": i, "image_id": i, "bbox": [3, 3, 10, 12],
+                          "category_id": 2} for i in range(1, 8)])
+        corpus = write_json(tmp_path / "c.json", doc)
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"matcher": "atss", "matcher_params": {"k": 15}})
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
+            runs.append(self.run(capsys, "match-stats", "--input", corpus,
+                                 "--config", cfg))
+            assert multiprocessing.active_children() == []
+        assert runs[0] == runs[1] == (
+            2, "", "error: image 6: k=15 exceeds the 5 available anchors\n")
 
     @pytest.mark.parametrize("doc,named", [
         ({"matcher": "atss", "matcher_params": {"kk": 50}}, "'kk'"),
