@@ -3,8 +3,7 @@ single-level-feature object detection."""
 
 from .geometry import (AnchorConfig, AnchorGrid, ImageSize, apply_shift,
                        as_boxes, box_area, box_centers, decode_deltas,
-                       generate_anchors, giou, iou, pairwise_giou,
-                       pairwise_iou, random_shift)
+                       generate_anchors, iou, pairwise_iou)
 from .matching import (ATSSConfig, GroundTruthSet, HungarianConfig, IGNORED,
                        MATCHERS, MatchResult, MaxIoUConfig, NEGATIVE,
                        TopKConfig, UniformMatchConfig, atss_match,

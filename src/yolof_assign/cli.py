@@ -16,7 +16,7 @@ from .coco import CorpusError, RunConfig, load_corpus, read_json, \
     run_match_stats
 from .encoder import EncoderSpec, rf_profile, scale_coverage
 from .flops import DecoderSpec, EncoderTopology, encoder_decoder_flops
-from .geometry import ImageSize, apply_shift, generate_anchors, shift_offset
+from .geometry import ImageSize, generate_anchors
 from .postprocess import Detection, nms
 
 USAGE_EXIT = 1
@@ -65,12 +65,11 @@ def _cmd_match_stats(args) -> None:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     corpus = load_corpus(args.input)
-    dist, per_image, extras = run_match_stats(corpus, config)
+    dist, per_image = run_match_stats(corpus, config)
     if args.format == "csv":
         _emit(reports.distribution_to_csv(dist), args.output)
     else:
-        doc = reports.distribution_to_dict(dist, extras=extras,
-                                           per_image=per_image)
+        doc = reports.distribution_to_dict(dist, per_image=per_image)
         doc["seed"] = config.seed
         doc["dropped_annotations"] = corpus.dropped
         _emit(reports.to_json(doc), args.output)
@@ -149,19 +148,8 @@ def _cmd_nms(args) -> None:
 
 
 def _cmd_shift(args) -> None:
-    corpus = load_corpus(args.input)
-    shifted = []
-    for image_id, size in corpus.images:
-        dx, dy = shift_offset(args.max_shift, (args.seed, image_id))
-        anns = corpus.by_image.get(image_id, [])
-        if not anns:
-            continue
-        boxes, kept = apply_shift([a.box for a in anns], size, dx, dy)
-        shifted += [dataclasses.replace(anns[k],
-                                        box=tuple(float(v) for v in b))
-                    for b, k in zip(boxes, kept)]
-    out = dataclasses.replace(corpus, annotations=shifted)
-    _emit(reports.to_json(out.to_dict()), args.output)
+    shifted = load_corpus(args.input).shifted(args.max_shift, args.seed)
+    _emit(reports.to_json(shifted.to_dict()), args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

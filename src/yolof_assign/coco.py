@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -24,95 +26,144 @@ class CorpusError(Exception):
     """Malformed or referentially broken annotation input."""
 
 
-@dataclass
-class Annotation:
-    id: int
-    image_id: int
-    box: tuple  # (x1, y1, x2, y2)
-    category_id: int
-
-
-@dataclass
+@dataclass(eq=False)
 class AnnotationCorpus:
-    """Parsed COCO-style corpus with boxes in corner form."""
+    """Parsed COCO-style corpus, held as columns.
+
+    Annotations are sorted by (image id, annotation id).  ``ids``,
+    ``boxes`` (``(N, 4)``, corner form) and ``category_ids`` are parallel
+    read-only columns, and the annotations of ``images[i]`` are rows
+    ``offsets[i]:offsets[i + 1]``.
+    """
 
     images: list  # (image_id, ImageSize), sorted by id
-    annotations: list  # Annotation, sorted by id
+    ids: np.ndarray
+    boxes: np.ndarray
+    category_ids: np.ndarray
+    offsets: np.ndarray
     categories: list
     dropped: int = 0  # annotations discarded for non-positive extent
-    # image_id -> its annotations in id order; built once, then only read
-    by_image: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.by_image = {}
-        for a in self.annotations:
-            self.by_image.setdefault(a.image_id, []).append(a)
+        for column in (self.ids, self.boxes, self.category_ids, self.offsets):
+            column.setflags(write=False)
 
     def ground_truths(self, image_id: int) -> GroundTruthSet:
-        anns = self.by_image.get(image_id, [])
-        boxes = np.array([a.box for a in anns], dtype=np.float64).reshape(-1, 4)
-        classes = np.array([a.category_id for a in anns], dtype=np.int64)
-        return GroundTruthSet(boxes=boxes, class_ids=classes)
+        i = bisect.bisect_left(self.images, image_id, key=lambda t: t[0])
+        rows = slice(0, 0)
+        if i < len(self.images) and self.images[i][0] == image_id:
+            rows = slice(self.offsets[i], self.offsets[i + 1])
+        return GroundTruthSet(boxes=self.boxes[rows],
+                              class_ids=self.category_ids[rows])
+
+    def shifted(self, max_shift: int, seed: int) -> "AnnotationCorpus":
+        """This corpus with each image's boxes moved by :func:`shift_image`
+        (at ``max_shift`` 0 too, which only clamps them to the image)."""
+        parts = [(lo, *shift_image(self.boxes[lo:hi], size, max_shift, seed,
+                                   image_id))
+                 for (image_id, size), lo, hi in zip(
+                     self.images, self.offsets, self.offsets[1:])]
+        rows = np.concatenate([self.ids[:0]] + [lo + k for lo, _, k in parts])
+        return AnnotationCorpus(
+            self.images, self.ids[rows],
+            np.concatenate([self.boxes[:0]] + [b for _, b, _ in parts]),
+            self.category_ids[rows],
+            np.cumsum([0] + [len(k) for _, _, k in parts]), self.categories,
+            self.dropped)
 
     def to_dict(self) -> dict:
+        """The corpus as a COCO document, annotations in column order."""
+        image_ids = np.repeat([i for i, _ in self.images],
+                              np.diff(self.offsets))
+        xywh = self.boxes.copy()
+        xywh[:, 2:] -= self.boxes[:, :2]
         return {
             "images": [{"id": i, "width": s.width, "height": s.height}
                        for i, s in self.images],
             "annotations": [
-                {"id": a.id, "image_id": a.image_id,
-                 "bbox": [a.box[0], a.box[1],
-                          a.box[2] - a.box[0], a.box[3] - a.box[1]],
-                 "category_id": a.category_id}
-                for a in self.annotations],
+                {"id": a, "image_id": i, "bbox": b, "category_id": c}
+                for a, i, b, c in zip(self.ids.tolist(), image_ids.tolist(),
+                                      xywh.tolist(),
+                                      self.category_ids.tolist())],
             "categories": self.categories,
         }
+
+
+def shift_image(boxes, size: ImageSize, max_shift: int, seed: int,
+                image_id: int):
+    """One image's random shift: the offset drawn from ``(seed, image_id)``
+    by :func:`shift_offset`, then :func:`apply_shift`.
+
+    Returns ``(shifted, kept)``: the surviving boxes and their input rows.
+    """
+    dx, dy = shift_offset(max_shift, (seed, image_id))
+    return apply_shift(boxes, size, dx, dy)
+
+
+def _int64(value) -> int:
+    n = int(value)
+    if not -2 ** 63 <= n < 2 ** 63:
+        raise ValueError(f"{n} does not fit the int64 columns")
+    return n
 
 
 def parse_corpus(doc: dict) -> AnnotationCorpus:
     for key in ("images", "annotations", "categories"):
         if key not in doc or not isinstance(doc[key], list):
             raise CorpusError(f"document lacks the {key!r} array")
-    images = []
-    known = set()
+    sizes = {}
     for img in doc["images"]:
         try:
-            image_id = int(img["id"])
+            image_id = _int64(img["id"])
             size = ImageSize(int(img["width"]), int(img["height"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"bad image record {img!r}: {exc}") from exc
-        if image_id in known:
+        if image_id in sizes:
             raise CorpusError(f"duplicate image id {image_id} in image "
                               f"record {img!r}")
-        known.add(image_id)
-        images.append((image_id, size))
-    images.sort(key=lambda t: t[0])
+        sizes[image_id] = size
+    images = sorted(sizes.items(), key=lambda t: t[0])
 
-    annotations = []
+    ids, image_ids, boxes, cats = [], [], [], []
     dropped = 0
     for ann in doc["annotations"]:
         try:
-            ann_id = int(ann["id"])
+            ann_id = _int64(ann["id"])
             image_id = int(ann["image_id"])
             x, y, w, h = (float(v) for v in ann["bbox"])
-            cat = int(ann["category_id"])
+            cat = _int64(ann["category_id"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"bad annotation record {ann!r}: {exc}") from exc
-        if image_id not in known:
+        size = sizes.get(image_id)
+        if size is None:
             raise CorpusError(f"annotation {ann_id} references missing "
                               f"image_id {image_id}")
         box = (x, y, x + w, y + h)
-        if not all(-np.inf < v < np.inf for v in box):  # NaN fails too
+        if not all(map(math.isfinite, box)):
             raise CorpusError(f"annotation {ann_id} has a non-finite bbox "
                               f"{ann['bbox']!r}")
         if w <= 0 or h <= 0:
             dropped += 1
             continue
-        annotations.append(Annotation(id=ann_id, image_id=image_id, box=box,
-                                      category_id=cat))
-    annotations.sort(key=lambda a: a.id)
-    return AnnotationCorpus(images=images, annotations=annotations,
-                            categories=list(doc["categories"]),
-                            dropped=dropped)
+        if box[2] <= 0 or box[3] <= 0 or x >= size.width or y >= size.height:
+            raise CorpusError(f"annotation {ann_id} has a bbox "
+                              f"{ann['bbox']!r} entirely outside image "
+                              f"{image_id} of {size.width}x{size.height}")
+        ids.append(ann_id)
+        image_ids.append(image_id)
+        boxes.append(box)
+        cats.append(cat)
+
+    image_ids = np.array(image_ids, dtype=np.int64)
+    ids = np.array(ids, dtype=np.int64)
+    order = np.lexsort((ids, image_ids))  # stable: equal ids keep doc order
+    offsets = np.append(np.searchsorted(image_ids[order],
+                                        [i for i, _ in images]), len(ids))
+    return AnnotationCorpus(
+        images=images, ids=ids[order],
+        boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4)[order],
+        category_ids=np.array(cats, dtype=np.int64)[order], offsets=offsets,
+        categories=list(doc["categories"]), dropped=dropped)
 
 
 def read_json(path, top: type = dict):
@@ -211,8 +262,8 @@ def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
     for image_id, size in images:
         gts = corpus.ground_truths(image_id)
         if config.shift_max > 0 and len(gts):
-            dx, dy = shift_offset(config.shift_max, (config.seed, image_id))
-            boxes, kept = apply_shift(gts.boxes, size, dx, dy)
+            boxes, kept = shift_image(gts.boxes, size, config.shift_max,
+                                      config.seed, image_id)
             gts = GroundTruthSet(boxes=boxes, class_ids=gts.class_ids[kept])
         anchors = grids[size]
         try:
@@ -233,7 +284,7 @@ def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
                         matcher=config.matcher), per_image
 
 
-# (corpus, config, grids, images) of the run that forked this worker
+# (corpus, config, grids) of the run that forked this worker
 _inherited = None
 
 
@@ -243,21 +294,21 @@ def _inherit(state):
 
 
 def _forked_chunk(lo: int, hi: int):
-    corpus, config, grids, images = _inherited
-    return _match_chunk(corpus, config, grids, images[lo:hi])
+    corpus, config, grids = _inherited
+    return _match_chunk(corpus, config, grids, corpus.images[lo:hi])
 
 
 def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     """Match every corpus image and aggregate per-bucket statistics.
 
-    Returns ``(MatchDistribution, per_image, extras)`` where ``per_image``
-    is a list of detail dicts sorted by image id.  Deterministic given the
+    Returns ``(MatchDistribution, per_image)`` where ``per_image`` is a
+    list of detail dicts sorted by image id.  Deterministic given the
     config seed: the report is the same for every worker count.  With more
     than one worker, each forked worker process matches one contiguous
     chunk of images and sends back only the chunk's aggregate and detail
     rows.
     """
-    images = sorted(corpus.images, key=lambda t: t[0])
+    images = corpus.images
     # one read-only grid per image size, shared by every chunk
     grids = {}
     for _, size in images:
@@ -272,7 +323,7 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_inherit,
-                initargs=((corpus, config, grids, images),)) as pool:
+                initargs=((corpus, config, grids),)) as pool:
             futures = [pool.submit(_forked_chunk, len(images) * i // workers,
                                    len(images) * (i + 1) // workers)
                        for i in range(workers)]
@@ -281,12 +332,5 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     else:
         parts = [_match_chunk(corpus, config, grids, images)]
 
-    dist = merge_distributions([d for d, _ in parts])
-    per_image = [row for _, rows in parts for row in rows]
-    has_gts = dist.total_gts > 0
-    dist_extras = {
-        "candidates_per_gt_uniform": config.matcher in ("uniform", "topk")
-        and has_gts,
-        "imbalance_defined": has_gts,
-    }
-    return dist, per_image, dist_extras
+    return (merge_distributions([d for d, _ in parts]),
+            [row for _, rows in parts for row in rows])

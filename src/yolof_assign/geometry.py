@@ -62,11 +62,6 @@ def iou(a, b) -> float:
     return float(pairwise_iou(as_boxes(a), as_boxes(b))[0, 0])
 
 
-def giou(a, b) -> float:
-    """Generalized IoU of two boxes, in ``[-1, 1]``."""
-    return float(pairwise_giou(as_boxes(a), as_boxes(b))[0, 0])
-
-
 def pairwise_iou(a: np.ndarray, b) -> np.ndarray:
     """IoU of boxes ``a`` with the boxes of ``b``.
 
@@ -81,20 +76,6 @@ def pairwise_iou(a: np.ndarray, b) -> np.ndarray:
     else:
         inter, union = _inter_union(a, _other_boxes(a, b))
     return _ratio(inter, union)
-
-
-def pairwise_giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise generalized IoU matrix of shape ``(N, M)``."""
-    a = as_boxes(a)
-    b = as_boxes(b)
-    inter, union = _inter_union(a, b)
-    iou_m = _ratio(inter, union)
-    hull, hull_h, scratch = np.empty((3, len(a), len(b)))
-    _span(a[:, None, ::2], b[:, ::2], np.maximum, np.minimum, hull, scratch)
-    hull *= _span(a[:, None, 1::2], b[:, 1::2], np.maximum, np.minimum,
-                  hull_h, scratch)
-    penalty = _ratio(np.subtract(hull, union, out=union), hull)
-    return iou_m - penalty
 
 
 def _other_boxes(a: np.ndarray, b) -> np.ndarray:
@@ -113,14 +94,15 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num
 
 
-def _span(a, b, hi, lo, out, scratch) -> np.ndarray:
-    """Clipped ``hi(a_max, b_max) - lo(a_min, b_min)`` along one axis.
+def _span(a, b, out, scratch) -> np.ndarray:
+    """Clipped overlap ``min(a_max, b_max) - max(a_min, b_min)`` along one
+    axis.
 
     ``a`` and ``b`` hold ``(min, max)`` pairs on their last axis; the rest
     broadcasts into the preallocated ``out``.
     """
-    hi(a[..., 1], b[..., 1], out=out)
-    out -= lo(a[..., 0], b[..., 0], out=scratch)
+    np.minimum(a[..., 1], b[..., 1], out=out)
+    out -= np.maximum(a[..., 0], b[..., 0], out=scratch)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -129,10 +111,8 @@ def _inter_union(a: np.ndarray, b: np.ndarray):
     # page-faulted in on each call, which costs more than the arithmetic
     shape = np.broadcast_shapes((len(a), 1), b.shape[:-1])
     inter, union, scratch = np.empty((3,) + shape)
-    _span(a[:, None, ::2], b[..., ::2], np.minimum, np.maximum, inter,
-          scratch)
-    inter *= _span(a[:, None, 1::2], b[..., 1::2], np.minimum, np.maximum,
-                   union, scratch)
+    _span(a[:, None, ::2], b[..., ::2], inter, scratch)
+    inter *= _span(a[:, None, 1::2], b[..., 1::2], union, scratch)
     np.add(box_area(a)[:, None], box_area(b), out=union)
     union -= inter
     return inter, union
@@ -148,9 +128,8 @@ def _grid_inter_union(a: np.ndarray, grid: "AnchorGrid"):
     """
     xs = np.empty((2, len(a)) + grid.x_extents.shape[:-1])
     ys = np.empty((2, len(a)) + grid.y_extents.shape[:-1])
-    _span(a[:, None, None, ::2], grid.x_extents, np.minimum, np.maximum, *xs)
-    _span(a[:, None, None, 1::2], grid.y_extents, np.minimum, np.maximum,
-          *ys)
+    _span(a[:, None, None, ::2], grid.x_extents, *xs)
+    _span(a[:, None, None, 1::2], grid.y_extents, *ys)
     inter = _grid_outer(np.multiply, xs[0], ys[0])
     union = np.add(box_area(a)[:, None], grid.areas)
     union -= inter
@@ -300,15 +279,6 @@ def shift_offset(max_shift: int, seed) -> tuple:
     dx = int(rng.integers(-max_shift, max_shift + 1))
     dy = int(rng.integers(-max_shift, max_shift + 1))
     return dx, dy
-
-
-def random_shift(boxes, image: ImageSize, max_shift: int = 32,
-                 rng_seed: int = 0):
-    """Translate all boxes by one :func:`shift_offset`, clamp them to the
-    image and drop empty ones.  Returns ``(shifted, (dx, dy))``."""
-    dx, dy = shift_offset(max_shift, rng_seed)
-    shifted, _ = apply_shift(boxes, image, dx, dy)
-    return shifted, (dx, dy)
 
 
 def decode_deltas(anchors, deltas, center_clamp: float = 32.0) -> np.ndarray:

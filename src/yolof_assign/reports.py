@@ -22,7 +22,7 @@ def _safe(value: float):
     return value
 
 
-def distribution_to_dict(dist: MatchDistribution, extras: dict | None = None,
+def distribution_to_dict(dist: MatchDistribution,
                          per_image: list | None = None) -> dict:
     buckets = {name: {"gt_count": dist.buckets[name].gt_count,
                       "positives_total": dist.buckets[name].positives_total,
@@ -39,8 +39,6 @@ def distribution_to_dict(dist: MatchDistribution, extras: dict | None = None,
         "imbalance_ratio": (_safe(imbalance_ratio(dist))
                             if dist.total_gts else None),
     }
-    if extras:
-        doc.update(extras)
     if per_image is not None:
         doc["per_image"] = per_image
     return doc

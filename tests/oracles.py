@@ -22,7 +22,7 @@ def iou_py(a, b):
 
 
 def raster_areas(a, b):
-    """Cell-counted (area_a, area_b, intersection, hull) on integer boxes."""
+    """Cell-counted (area_a, area_b, intersection) on integer boxes."""
     x_lo = int(min(a[0], b[0]))
     x_hi = int(max(a[2], b[2]))
     y_lo = int(min(a[1], b[1]))
@@ -35,21 +35,13 @@ def raster_areas(a, b):
             area_a += in_a
             area_b += in_b
             inter += in_a and in_b
-    hull = (x_hi - x_lo) * (y_hi - y_lo)
-    return area_a, area_b, inter, hull
+    return area_a, area_b, inter
 
 
 def raster_iou(a, b):
-    area_a, area_b, inter, _ = raster_areas(a, b)
+    area_a, area_b, inter = raster_areas(a, b)
     union = area_a + area_b - inter
     return inter / union if union > 0 else 0.0
-
-
-def raster_giou(a, b):
-    area_a, area_b, inter, hull = raster_areas(a, b)
-    union = area_a + area_b - inter
-    iou = inter / union if union > 0 else 0.0
-    return iou - ((hull - union) / hull if hull > 0 else 0.0)
 
 
 def nms_py(boxes, scores, class_ids, threshold):

@@ -29,17 +29,60 @@ BASE_DOC = {
     "categories": [{"id": 2, "name": "thing"}],
 }
 
+# Annotations shuffled across images, ids out of image order; image 4 has
+# none, annotation 8 is degenerate, and 5, 3, 4 and 7 cross an image edge.
+SHUFFLED_DOC = {
+    "images": [{"id": i, "width": w, "height": h}
+               for i, w, h in ((3, 96, 64), (1, 64, 64), (4, 32, 32),
+                               (2, 80, 48))],
+    "annotations": [
+        {"id": i, "image_id": img, "bbox": bbox, "category_id": cat}
+        for i, img, bbox, cat in (
+            (9, 2, [10.25, 5, 20, 10.5], 3), (2, 3, [30, 12, 8, 9], 1),
+            (5, 1, [-4, 50, 12, 20], 2), (1, 2, [0.5, 30, 6, 6], 1),
+            (7, 3, [88, 1, 20, 7.75], 2), (3, 1, [-3, 10, 4, 5], 1),
+            (8, 1, [5, 5, 0, 3], 1), (4, 2, [70, 40, 20, 20], 3),
+            (6, 3, [2, 60, 5, 3], 1))],
+    "categories": [{"id": c} for c in (1, 2, 3)],
+}
+
+
+def replay_shift(doc, seed, max_shift):
+    """``shift``'s output redone box by box: each image's offset drawn from
+    ``(seed, image_id)``, dx first, then clamp and drop the empty boxes,
+    in (image id, id) order."""
+    annotations = []
+    images = sorted(doc["images"], key=lambda img: img["id"])
+    for img in images:
+        rng = np.random.default_rng((seed, img["id"]))
+        dx, dy = (int(rng.integers(-max_shift, max_shift + 1))
+                  for _ in range(2))
+        for ann in sorted((a for a in doc["annotations"]
+                           if a["image_id"] == img["id"]),
+                          key=lambda a: a["id"]):
+            x, y, w, h = (float(v) for v in ann["bbox"])
+            if w <= 0 or h <= 0:
+                continue  # dropped on load
+            x1, x2 = (min(max(v + dx, 0.0), img["width"]) for v in (x, x + w))
+            y1, y2 = (min(max(v + dy, 0.0), img["height"])
+                      for v in (y, y + h))
+            if x2 > x1 and y2 > y1:
+                annotations.append(dict(ann, bbox=[x1, y1, x2 - x1, y2 - y1]))
+    return {"images": images, "annotations": annotations,
+            "categories": doc["categories"]}
+
 
 class TestLoadCorpus:
     def test_bbox_conversion(self, tmp_path):
         corpus = load_corpus(write_json(tmp_path / "c.json", BASE_DOC))
-        assert corpus.annotations[0].box == (10, 20, 40, 60)
+        assert corpus.boxes.tolist() == [[10, 20, 40, 60]]
         assert corpus.dropped == 0
 
     def test_empty_annotations(self, tmp_path):
         doc = dict(BASE_DOC, annotations=[])
         corpus = load_corpus(write_json(tmp_path / "c.json", doc))
-        assert corpus.annotations == []
+        assert corpus.boxes.shape == (0, 4) and len(corpus.ids) == 0
+        assert corpus.offsets.tolist() == [0, 0]
         assert corpus.dropped == 0
 
     def test_degenerate_bbox_dropped(self, tmp_path):
@@ -47,7 +90,7 @@ class TestLoadCorpus:
         doc["annotations"] = BASE_DOC["annotations"] + [
             {"id": 2, "image_id": 1, "bbox": [5, 5, 0, 9], "category_id": 2}]
         corpus = load_corpus(write_json(tmp_path / "c.json", doc))
-        assert len(corpus.annotations) == 1
+        assert corpus.ids.tolist() == [1]
         assert corpus.dropped == 1
 
     def test_malformed_json_names_line(self, tmp_path):
@@ -80,6 +123,16 @@ class TestLoadCorpus:
         np.testing.assert_array_equal(corpus.ground_truths(1).boxes[:, 0], [3])
         assert len(parse_corpus(dict(doc, annotations=[])).ground_truths(1)) \
             == 0
+        corpus = parse_corpus(SHUFFLED_DOC)
+        for img in SHUFFLED_DOC["images"]:
+            anns = sorted((a for a in SHUFFLED_DOC["annotations"]
+                           if a["image_id"] == img["id"]
+                           and a["bbox"][2] > 0), key=lambda a: a["id"])
+            gts = corpus.ground_truths(img["id"])
+            assert gts.boxes.tolist() == [[x, y, x + w, y + h] for x, y, w, h
+                                          in (a["bbox"] for a in anns)]
+            assert gts.class_ids.tolist() == [a["category_id"] for a in anns]
+        assert len(corpus.ground_truths(99)) == 0
 
     def test_round_trip_fixed_point(self, tiny_corpus_path, tmp_path):
         first = load_corpus(tiny_corpus_path)
@@ -125,26 +178,15 @@ class TestRunMatchStats:
     def test_empty_corpus(self, tmp_path):
         doc = dict(BASE_DOC, annotations=[])
         corpus = load_corpus(write_json(tmp_path / "c.json", doc))
-        dist, per_image, extras = run_match_stats(corpus, RunConfig())
+        dist, per_image = run_match_stats(corpus, RunConfig())
         assert dist.total_gts == 0
-        assert extras["imbalance_defined"] is False
         assert per_image[0]["num_positive"] == 0
 
     def test_uniform_candidates_flag(self, tiny_corpus_path):
         corpus = load_corpus(tiny_corpus_path)
-        dist, per_image, extras = run_match_stats(corpus, RunConfig())
-        assert extras["candidates_per_gt_uniform"] is True
+        dist, per_image = run_match_stats(corpus, RunConfig())
         assert dist.total_gts == 6
         assert [d["image_id"] for d in per_image] == [1, 2, 3]
-
-    def test_uniform_candidates_flag_needs_candidates(self,
-                                                     tiny_corpus_path):
-        corpus = load_corpus(tiny_corpus_path)
-        _, _, extras = run_match_stats(corpus, RunConfig(matcher="max_iou"))
-        assert extras["candidates_per_gt_uniform"] is False
-        empty = parse_corpus(dict(BASE_DOC, annotations=[]))
-        _, _, extras = run_match_stats(empty, RunConfig(matcher="topk"))
-        assert extras["candidates_per_gt_uniform"] is False
 
     def test_anchor_grid_built_once_per_size(self, monkeypatch):
         grids = []
@@ -166,7 +208,7 @@ class TestRunMatchStats:
         corpus = load_corpus(tiny_corpus_path)
         config = RunConfig(matcher="max_iou",
                            matcher_params={"rescue": False})
-        dist, _, _ = run_match_stats(corpus, config)
+        dist, _ = run_match_stats(corpus, config)
         assert dist.zero_fraction("small") == 1.0
         assert dist.mean("large") >= 1.0
 
@@ -207,7 +249,6 @@ class TestRunMatchStats:
         assert distribution_to_dict(serial[0]) \
             == distribution_to_dict(threaded[0])
         assert serial[1] == threaded[1]
-        assert serial[2] == threaded[2]
         assert aggregated_here == ([] if len(corpus.images) > 1
                                    else [os.getpid()])
         assert multiprocessing.active_children() == []
@@ -262,7 +303,7 @@ class TestRunMatchStats:
 class TestReports:
     def test_csv_schema(self, tiny_corpus_path):
         corpus = load_corpus(tiny_corpus_path)
-        dist, _, _ = run_match_stats(corpus, RunConfig())
+        dist, _ = run_match_stats(corpus, RunConfig())
         text = distribution_to_csv(dist)
         lines = text.strip().split("\n")
         assert lines[0] == ("matcher,bucket,gt_count,positives_total,"
@@ -343,6 +384,19 @@ class TestCLI:
                                 str(tiny_corpus_path), "--format", "csv")
         assert code == 0
         assert out.startswith("matcher,bucket,")
+
+    @pytest.mark.parametrize("max_shift", [16, 0])
+    def test_shift_output_replayed_box_by_box(self, capsys, tmp_path,
+                                              max_shift):
+        path = write_json(tmp_path / "c.json", SHUFFLED_DOC)
+        code, out, err = self.run(capsys, "shift", "--input", path,
+                                  "--seed", "2", "--max-shift",
+                                  str(max_shift))
+        assert (code, err) == (0, "")
+        want = replay_shift(SHUFFLED_DOC, 2, max_shift)
+        assert out == to_json(want)
+        # at 16 some boxes leave their image; at 0 the edge-crossers clamp
+        assert len(want["annotations"]) == {16: 5, 0: 8}[max_shift]
 
     def test_shift_roundtrip_parses(self, capsys, tiny_corpus_path):
         code, out, _ = self.run(capsys, "shift", "--input",
@@ -451,6 +505,56 @@ class TestCLI:
         assert code == 2
         assert out == ""
         assert "annotation 7" in err
+
+    @pytest.mark.parametrize("bbox", [
+        [-20, 10, 10, 10],  # left of the image
+        [70, 10, 5, 5],  # right
+        [10, -30, 5, 10],  # above
+        [10, 64.5, 5, 5],  # below
+        [-10, 10, 10, 10],  # touches the left edge only
+        [10, 64, 5, 5],  # touches the bottom edge only
+    ])
+    def test_box_outside_image_exit_2(self, capsys, tmp_path, bbox):
+        doc = dict(BASE_DOC, annotations=BASE_DOC["annotations"] + [
+            {"id": 7, "image_id": 1, "bbox": bbox, "category_id": 2}])
+        path = write_json(tmp_path / "c.json", doc)
+        with pytest.raises(CorpusError, match=r"annotation 7 has a bbox .* "
+                                              r"entirely outside image 1 "):
+            load_corpus(path)
+        for command in ("match-stats", "shift"):
+            code, out, err = self.run(capsys, command, "--input", path)
+            assert (code, out) == (2, "")
+            assert "annotation 7" in err and "image 1" in err
+
+    @pytest.mark.parametrize("key,record,value", [
+        ("images", "image", 2 ** 63),
+        ("annotations", "annotation", -2 ** 63 - 1),
+        ("annotations", "annotation", 2 ** 64),  # as the category id
+    ])
+    def test_id_beyond_int64_exit_2(self, capsys, tmp_path, key, record,
+                                    value):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[key][0]["category_id" if value == 2 ** 64 else "id"] = value
+        path = write_json(tmp_path / "c.json", doc)
+        code, out, err = self.run(capsys, "shift", "--input", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad {record} record ")
+        assert f"{value} does not fit the int64 columns" in err
+
+    def test_box_straddling_edge_accepted(self, capsys, tmp_path):
+        doc = dict(BASE_DOC, annotations=BASE_DOC["annotations"] + [
+            {"id": 7, "image_id": 1, "bbox": [-5, 60, 10, 10],
+             "category_id": 2},
+            # degenerate boxes are dropped before the outside check
+            {"id": 8, "image_id": 1, "bbox": [99, 99, 0, 5],
+             "category_id": 2}])
+        corpus = parse_corpus(doc)
+        assert corpus.ids.tolist() == [1, 7]
+        assert corpus.dropped == 1
+        code, out, _ = self.run(capsys, "match-stats", "--input",
+                                write_json(tmp_path / "c.json", doc))
+        assert code == 0
+        assert json.loads(out)["total_gts"] == 2
 
     def test_duplicate_image_id_exit_2(self, capsys, tmp_path):
         doc = dict(BASE_DOC, images=BASE_DOC["images"] + [
