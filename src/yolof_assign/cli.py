@@ -134,7 +134,7 @@ def _load_detections(path) -> list:
             dets.append(Detection(box=tuple(float(v) for v in row["bbox"]),
                                   score=float(row["score"]),
                                   class_id=int(row["category_id"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"{path}: bad detection #{i}: {exc}") from exc
     return dets
 

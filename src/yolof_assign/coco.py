@@ -116,7 +116,7 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
         try:
             image_id = _int64(img["id"])
             size = ImageSize(int(img["width"]), int(img["height"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"bad image record {img!r}: {exc}") from exc
         if image_id in sizes:
             raise CorpusError(f"duplicate image id {image_id} in image "
@@ -132,7 +132,7 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
             image_id = int(ann["image_id"])
             x, y, w, h = (float(v) for v in ann["bbox"])
             cat = _int64(ann["category_id"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"bad annotation record {ann!r}: {exc}") from exc
         size = sizes.get(image_id)
         if size is None:

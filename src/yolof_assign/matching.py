@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import (AnchorGrid, _anchor_layout, _grid_outer, as_boxes,
                        box_area, box_centers, pairwise_iou)
@@ -351,20 +350,89 @@ def atss_match(anchors, gts: GroundTruthSet,
     return MatchResult.from_labels(labels, len(gts), matcher="atss")
 
 
+_INFEASIBLE = "cost matrix is infeasible"
+
+
 def solve_assignment(cost: np.ndarray):
     """Minimum-cost one-to-one assignment on an arbitrary cost matrix.
 
     Rows must not outnumber columns.  Returns ``(rows, cols, total_cost)``
-    with one column per row.
+    with ``rows == arange(M)`` and one distinct column per row.  A ``+inf``
+    entry forbids its pair; NaN or ``-inf`` entries, and a matrix that no
+    assignment of finite cost fits, raise ``ValueError``.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
-    if cost.shape[0] > cost.shape[1]:
-        raise ValueError(f"cannot assign {cost.shape[0]} rows to "
-                         f"{cost.shape[1]} columns")
-    rows, cols = linear_sum_assignment(cost)
-    return rows, cols, float(cost[rows, cols].sum())
+    m, n = cost.shape
+    if m > n:
+        raise ValueError(f"cannot assign {m} rows to {n} columns")
+    if not (cost > -np.inf).all():
+        raise ValueError("matrix contains invalid numeric entries")
+    rows = np.arange(m)
+    # Each row paying its own minimum is a lower bound, so distinct row
+    # argmins are an optimal assignment.
+    cols = cost.argmin(axis=1) if m else rows
+    if len(np.unique(cols)) < m:
+        # Some optimal assignment gives every row one of its m cheapest
+        # columns: a row on any other column can move to one of those that
+        # is free (at most m - 1 are taken) without raising the cost.
+        keep = np.unique(np.argpartition(cost, m - 1, axis=1)[:, :m])
+        cols = keep[_shortest_augmenting_paths(cost[:, keep])]
+    total = float(cost[rows, cols].sum())
+    if total == np.inf:  # a row of +inf only
+        raise ValueError(_INFEASIBLE)
+    return rows, cols, total
+
+
+def _shortest_augmenting_paths(cost: np.ndarray) -> np.ndarray:
+    """Each row's column in a minimum-cost assignment of ``cost`` (M <= N).
+
+    The shortest augmenting path method for rectangular problems (D. F.
+    Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
+    TAES 2016; Jonker and Volgenant 1987): rows join one at a time, each by
+    a Dijkstra search over reduced costs from the new row to a free column,
+    and each Dijkstra step is one pass over all columns.
+    """
+    m, n = cost.shape
+    u, v = np.zeros(m), np.zeros(n)  # row and column duals
+    col4row = np.full(m, -1)
+    row4col = np.full(n, -1)
+    for cur in range(m):
+        dist = np.full(n, np.inf)  # shortest path cost to each column
+        path = np.full(n, -1)  # the row before each column on its path
+        done = np.zeros(n, dtype=bool)  # columns whose dist is final
+        reached = [cur]
+        i, low = cur, 0.0
+        while True:
+            reduced = low + cost[i] - u[i] - v
+            better = (reduced < dist) & ~done
+            dist[better] = reduced[better]
+            path[better] = i
+            open_dist = np.where(done, np.inf, dist)
+            low = open_dist.min()
+            if low == np.inf:
+                raise ValueError(_INFEASIBLE)
+            # on a tie a free column ends the search
+            ties = np.flatnonzero(open_dist == low)
+            free = ties[row4col[ties] < 0]
+            j = free[0] if len(free) else ties[-1]
+            done[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            reached.append(i)
+        u[cur] += low
+        others = reached[1:]
+        u[others] += low - dist[col4row[others]]
+        v[done] -= low - dist[done]
+        while True:  # flip the path's edges back to ``cur``
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def hungarian_cost(anchors, gts: GroundTruthSet,

@@ -210,7 +210,7 @@ class TestMatchersDifferential:
             [_center_distance(b, a) - stride * iou_py(b, a) for a in anchors]
             for b in g.boxes.tolist()]))
         if kind == "nonfinite":
-            # scipy refuses a cost matrix holding NaN
+            # solve_assignment refuses a cost matrix holding NaN or -inf
             for anchors in (grid, grid.anchors):
                 with pytest.raises(ValueError):
                     matching.hungarian_match(anchors, g)

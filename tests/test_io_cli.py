@@ -541,6 +541,37 @@ class TestCLI:
         assert err.startswith(f"error: bad {record} record ")
         assert f"{value} does not fit the int64 columns" in err
 
+    @pytest.mark.parametrize("key,name,literal,record", [
+        ("annotations", "bbox", f"[{'9' * 400}, 1, 2, 3]", "annotation"),
+        ("images", "width", "Infinity", "image"),
+        ("annotations", "image_id", "1e400", "annotation"),
+    ], ids=["bbox-400-digits", "width-Infinity", "image_id-1e400"])
+    def test_number_overflow_exit_2(self, capsys, tmp_path, key, name,
+                                    literal, record):
+        # float() of a 400-digit integer and int() of an infinity raise
+        # OverflowError, not ValueError
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[key][0][name] = "@"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        for command in ("match-stats", "shift"):
+            code, out, err = self.run(capsys, command, "--input", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: bad {record} record {{'id': 1, ")
+
+    @pytest.mark.parametrize("name,value", [
+        ("score", 10 ** 400), ("bbox", [0, 0, 10 ** 400, 1])],
+        ids=["score-400-digits", "bbox-400-digits"])
+    def test_detection_number_overflow_exit_2(self, capsys, tmp_path, name,
+                                              value):
+        dets = [{"bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 0},
+                {"bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 0}]
+        dets[1][name] = value
+        path = write_json(tmp_path / "dets.json", dets)
+        code, out, err = self.run(capsys, "nms", "--input", path)
+        assert (code, out) == (2, "")
+        assert "bad detection #1: " in err
+
     def test_box_straddling_edge_accepted(self, capsys, tmp_path):
         doc = dict(BASE_DOC, annotations=BASE_DOC["annotations"] + [
             {"id": 7, "image_id": 1, "bbox": [-5, 60, 10, 10],

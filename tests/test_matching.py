@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -248,6 +253,94 @@ class TestHungarianMatch:
         cost = rng.uniform(0, 100, size=(m, n))
         _, _, total = solve_assignment(cost)
         assert total == pytest.approx(assignment_cost_enum(cost), abs=1e-9)
+
+
+SOLVER_KINDS = ["random", "tied", "square", "one_row", "tall", "collide",
+                "inf"]
+
+
+def solver_case(kind, rng):
+    """One cost matrix of the given kind, at most 40 rows."""
+    m = 1 if kind == "one_row" else int(rng.integers(1, 41))
+    n = {"square": m, "tall": m + int(rng.integers(0, 3))}.get(
+        kind, int(rng.integers(m, 301)))
+    if kind == "tied":
+        return rng.integers(0, 4, (m, n)).astype(float)
+    cost = rng.uniform(-50.0, 100.0, (m, n))
+    if kind == "collide":
+        # every row's argmin on one of three columns
+        hot = rng.integers(0, min(n, 3), m)
+        cost[np.arange(m), hot] = rng.uniform(-80.0, -60.0, m)
+    elif kind == "inf":
+        # forbid most pairs, but keep one complete assignment finite
+        keep = np.zeros((m, n), dtype=bool)
+        keep[np.arange(m), rng.permutation(n)[:m]] = True
+        cost[~keep & (rng.uniform(size=(m, n)) < 0.7)] = np.inf
+    return cost
+
+
+class TestSolveAssignment:
+    @pytest.mark.parametrize("seed,kind", enumerate(SOLVER_KINDS))
+    def test_total_matches_scipy(self, seed, kind):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            cost = solver_case(kind, rng)
+            rows, cols, total = solve_assignment(cost)
+            assert rows.tolist() == list(range(len(cost)))
+            assert len(set(cols.tolist())) == len(cost)
+            assert total == float(cost[rows, cols].sum())
+            r, c = optimize.linear_sum_assignment(cost)
+            assert total == pytest.approx(float(cost[r, c].sum()),
+                                          rel=1e-12, abs=1e-9)
+
+    def test_distinct_argmins_taken_as_they_are(self, monkeypatch):
+        def no_search(cost):
+            raise AssertionError("the augmenting-path search ran")
+
+        monkeypatch.setattr(matching, "_shortest_augmenting_paths", no_search)
+        cost = np.array([[5.0, 1.0, 9.0, 2.0], [0.5, 3.0, 4.0, 1.0],
+                         [7.0, 8.0, 6.0, -1.0]])
+        rows, cols, total = solve_assignment(cost)
+        assert cols.tolist() == [1, 0, 3]
+        assert total == 0.5
+
+    def test_contested_argmin(self):
+        # both rows want column 0; moving row 1 costs less than row 0
+        rows, cols, total = solve_assignment([[1.0, 9.0, 5.0],
+                                              [2.0, 3.0, 8.0]])
+        assert cols.tolist() == [0, 1]
+        assert total == 4.0
+
+    def test_empty(self):
+        for shape in ((0, 0), (0, 3)):
+            rows, cols, total = solve_assignment(np.zeros(shape))
+            assert (len(rows), len(cols), total) == (0, 0, 0.0)
+
+    @pytest.mark.parametrize("cost,message", [
+        (np.ones(3), "2-D"),
+        (np.ones((2, 2, 2)), "2-D"),
+        (np.ones((3, 2)), "cannot assign 3 rows to 2 columns"),
+        ([[1.0, np.nan], [2.0, 3.0]], "invalid numeric entries"),
+        ([[1.0, 2.0], [-np.inf, 3.0]], "invalid numeric entries"),
+        # a row of +inf only, found on the distinct-argmin path
+        ([[np.inf, np.inf, np.inf], [3.0, 1.0, 2.0]], "infeasible"),
+        # two rows whose only finite column is the same one
+        ([[1.0, np.inf, np.inf], [2.0, np.inf, np.inf]], "infeasible"),
+        ([[1.0, np.inf, np.inf], [2.0, np.inf, np.inf],
+          [0.0, 1.0, 2.0]], "infeasible"),
+    ])
+    def test_rejects(self, cost, message):
+        with pytest.raises(ValueError, match=message):
+            solve_assignment(cost)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.optimize takes most of a second to import on every CLI run
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", "import yolof_assign.cli, sys; "
+                    "assert 'scipy' not in sys.modules"],
+                   env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
 def unaligned_scene(rng, image, n):
