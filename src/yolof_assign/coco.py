@@ -142,13 +142,20 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
         if not all(map(math.isfinite, box)):
             raise CorpusError(f"annotation {ann_id} has a non-finite bbox "
                               f"{ann['bbox']!r}")
-        if w <= 0 or h <= 0:
+        # the extent the stored corners keep: x + w can round back to x
+        w, h = box[2] - x, box[3] - y
+        if w <= 0 or h <= 0 or w * h == 0:
             dropped += 1
             continue
         if box[2] <= 0 or box[3] <= 0 or x >= size.width or y >= size.height:
             raise CorpusError(f"annotation {ann_id} has a bbox "
                               f"{ann['bbox']!r} entirely outside image "
                               f"{image_id} of {size.width}x{size.height}")
+        cx, cy = (x + box[2]) * 0.5, (y + box[3]) * 0.5
+        if not math.isfinite(w * h) or not math.isfinite(cx * cx + cy * cy):
+            raise CorpusError(f"annotation {ann_id} in image {image_id} has "
+                              f"a bbox {ann['bbox']!r} whose area or center "
+                              f"overflows float64")
         ids.append(ann_id)
         image_ids.append(image_id)
         boxes.append(box)
@@ -276,7 +283,7 @@ def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
             "num_gts": len(gts),
             "num_anchors": len(anchors),
             "num_positive": result.num_positive,
-            "positives_per_gt": [len(p) for p in result.gt_positives],
+            "positives_per_gt": result.positives_per_gt.tolist(),
         })
     # aggregated after the loop, so each image's time ends at the next
     # image's GT lookup and aggregation is timed apart from matching

@@ -147,7 +147,7 @@ def _grid_outer(op, per_col: np.ndarray, per_row: np.ndarray) -> np.ndarray:
     """
     out = np.repeat(per_row[:, :, None], per_col.shape[1], axis=2)
     op(out, per_col[:, None], out=out)
-    return out.reshape(len(out), -1)
+    return out.reshape(len(out), math.prod(out.shape[1:]))
 
 
 @dataclass(frozen=True)

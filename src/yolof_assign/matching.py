@@ -7,7 +7,7 @@ All matchers are pure and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,26 +41,34 @@ class GroundTruthSet:
 
 @dataclass
 class MatchResult:
-    """Per-anchor assignment labels plus per-GT positive index lists.
+    """Per-anchor assignment labels, from which every per-GT count follows.
 
-    ``labels[a]`` is the ground-truth index when anchor ``a`` is positive,
-    ``NEGATIVE`` (-1) or ``IGNORED`` (-2) otherwise.
+    ``labels[a]`` is the ground-truth index (below ``num_gts``) when anchor
+    ``a`` is positive, ``NEGATIVE`` (-1) or ``IGNORED`` (-2) otherwise.
     """
 
     labels: np.ndarray
-    gt_positives: list = field(repr=False)
+    num_gts: int
     matcher: str = ""
 
-    @classmethod
-    def from_labels(cls, labels: np.ndarray, num_gts: int,
-                    matcher: str = "") -> "MatchResult":
-        labels = np.asarray(labels, dtype=np.int64)
-        # one pass: positive anchors stably sorted by GT, split per GT
-        pos = np.flatnonzero(labels >= 0)
-        pos = pos[np.argsort(labels[pos], kind="stable")]
-        ends = np.searchsorted(labels[pos], np.arange(1, num_gts + 1))
-        return cls(labels=labels, gt_positives=np.split(pos, ends)[:num_gts],
-                   matcher=matcher)
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if len(self.labels) and not (IGNORED <= self.labels.min()
+                                     and self.labels.max() < self.num_gts):
+            raise ValueError(f"labels must lie in [{IGNORED}, "
+                             f"{self.num_gts})")
+
+    @property
+    def positives_per_gt(self) -> np.ndarray:
+        return np.bincount(self.labels[self.labels >= 0],
+                           minlength=self.num_gts)
+
+    @property
+    def gt_positives(self) -> list:
+        """Each GT's positive anchor indices, ascending."""
+        pos = np.flatnonzero(self.labels >= 0)
+        pos = pos[np.argsort(self.labels[pos], kind="stable")]
+        return np.split(pos, np.cumsum(self.positives_per_gt))[:self.num_gts]
 
     @property
     def num_positive(self) -> int:
@@ -246,7 +254,7 @@ def uniform_match(anchors, gts: GroundTruthSet,
     cand = nearest_candidates(anchors, gts, cfg.k)
     labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
-        return MatchResult.from_labels(labels, 0, matcher="uniform")
+        return MatchResult(labels, 0, matcher="uniform")
 
     # Conflict resolution, as a scan over the GTs in index order that hands
     # an anchor to a strictly nearer claim: the nearest claim wins (tie:
@@ -272,7 +280,7 @@ def uniform_match(anchors, gts: GroundTruthSet,
     # only each resolved (GT, anchor) pair's IoU: (n, 4) against (n, 1, 4)
     pair_iou = pairwise_iou(gts.boxes[g], boxes[a, None])[:, 0]
     labels[a] = np.where(pair_iou >= cfg.pos_ignore_iou, g, IGNORED)
-    return MatchResult.from_labels(labels, len(gts), matcher="uniform")
+    return MatchResult(labels, len(gts), matcher="uniform")
 
 
 def topk_match(anchors, gts: GroundTruthSet,
@@ -297,7 +305,7 @@ def max_iou_match(anchors, gts: GroundTruthSet,
     n = len(boxes)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
-        return MatchResult.from_labels(labels, 0, matcher="max_iou")
+        return MatchResult(labels, 0, matcher="max_iou")
 
     ious = pairwise_iou(gts.boxes, anchors)
     best_gt = np.argmax(ious, axis=0)
@@ -315,7 +323,7 @@ def max_iou_match(anchors, gts: GroundTruthSet,
         g = g[np.argsort(-forced_iou[g], kind="stable")]
         a, first = np.unique(best[g], return_index=True)
         labels[a] = g[first]
-    return MatchResult.from_labels(labels, len(gts), matcher="max_iou")
+    return MatchResult(labels, len(gts), matcher="max_iou")
 
 
 def atss_match(anchors, gts: GroundTruthSet,
@@ -332,7 +340,7 @@ def atss_match(anchors, gts: GroundTruthSet,
     cand = nearest_candidates(anchors, gts, cfg.k)
     labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
-        return MatchResult.from_labels(labels, 0, matcher="atss")
+        return MatchResult(labels, 0, matcher="atss")
 
     # only the candidates' IoUs, each row in (distance, index) order, so it
     # sums as a 1-D pool would
@@ -347,7 +355,7 @@ def atss_match(anchors, gts: GroundTruthSet,
     owner = np.argmax(score, axis=0)  # first max -> smaller gt index on ties
     positive = score.max(axis=0) > -1.0
     labels[cols[positive]] = owner[positive]
-    return MatchResult.from_labels(labels, len(gts), matcher="atss")
+    return MatchResult(labels, len(gts), matcher="atss")
 
 
 _INFEASIBLE = "cost matrix is infeasible"
@@ -453,9 +461,9 @@ def hungarian_match(anchors, gts: GroundTruthSet,
     n = len(boxes)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
-        return MatchResult.from_labels(labels, 0, matcher="hungarian")
+        return MatchResult(labels, 0, matcher="hungarian")
     if len(gts) > n:
         raise ValueError(f"{len(gts)} ground truths exceed {n} anchors")
     rows, cols, _ = solve_assignment(hungarian_cost(anchors, gts))
     labels[cols] = rows
-    return MatchResult.from_labels(labels, len(gts), matcher="hungarian")
+    return MatchResult(labels, len(gts), matcher="hungarian")

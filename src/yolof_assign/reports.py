@@ -24,16 +24,17 @@ def _safe(value: float):
 
 def distribution_to_dict(dist: MatchDistribution,
                          per_image: list | None = None) -> dict:
-    buckets = {name: {"gt_count": dist.buckets[name].gt_count,
-                      "positives_total": dist.buckets[name].positives_total,
-                      "positives_mean": _safe(dist.mean(name)),
-                      "zero_fraction": _safe(dist.zero_fraction(name))}
-               for name in BUCKET_NAMES}
+    buckets = {}
+    for name in BUCKET_NAMES:
+        gts, positives, _ = dist.counts(name)
+        buckets[name] = {"gt_count": gts, "positives_total": positives,
+                         "positives_mean": _safe(dist.mean(name)),
+                         "zero_fraction": _safe(dist.zero_fraction(name))}
     doc = {
         "matcher": dist.matcher,
         "buckets": buckets,
-        "per_gt_counts": [{"bucket": b, "positives": c}
-                          for b, c in dist.per_gt_counts],
+        "per_gt_counts": [{"bucket": BUCKET_NAMES[b], "positives": c}
+                          for b, c in dist.per_gt_counts.tolist()],
         "total_gts": dist.total_gts,
         "total_positives": dist.total_positives,
         "imbalance_ratio": (_safe(imbalance_ratio(dist))
@@ -49,11 +50,11 @@ def distribution_to_csv(dist: MatchDistribution) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for name in BUCKET_NAMES:
-        stats = dist.buckets[name]
-        mean = stats.positives_mean
+        gts, positives, _ = dist.counts(name)
+        mean = dist.mean(name)
         zf = dist.zero_fraction(name)
         writer.writerow([
-            dist.matcher, name, stats.gt_count, stats.positives_total,
+            dist.matcher, name, gts, positives,
             "" if math.isnan(mean) else f"{mean:.6f}",
             "" if math.isnan(zf) else f"{zf:.6f}",
         ])

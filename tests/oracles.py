@@ -195,3 +195,44 @@ def max_iou_py(ious, pos_iou, neg_iou, rescue):
                 forced[a] = row[a]
                 labels[a] = g
     return labels
+
+
+def distribution_py(scenes, small_max=32.0 ** 2, medium_max=96.0 ** 2):
+    """Positives per GT by a loop over every GT of every scene.
+
+    ``scenes`` holds ``(boxes, labels)`` pairs of plain lists.  Returns
+    ``(rows, stats)``: one ``(bucket name, positives)`` row per GT in scene
+    order, and per bucket ``[GTs, positives, GTs without a positive]``.
+    A GT's area is ``max(w, 0) * max(h, 0)`` with a NaN side kept NaN,
+    and a NaN area falls through both ``<`` tests into "large".
+    """
+    rows = []
+    stats = {name: [0, 0, 0] for name in ("small", "medium", "large")}
+    for boxes, labels in scenes:
+        for g, (x1, y1, x2, y2) in enumerate(boxes):
+            w = 0.0 if x2 - x1 < 0 else x2 - x1
+            h = 0.0 if y2 - y1 < 0 else y2 - y1
+            area = w * h
+            if area < small_max:
+                name = "small"
+            elif area < medium_max:
+                name = "medium"
+            else:
+                name = "large"
+            count = sum(1 for label in labels if label == g)
+            stats[name][0] += 1
+            stats[name][1] += count
+            stats[name][2] += count == 0
+            rows.append((name, count))
+    return rows, stats
+
+
+def split_positives_np(labels, num_gts):
+    """Each GT's positive anchors, split from the labels as they were when
+    a match stored them: positive anchors stably sorted by GT, then cut
+    at each GT's first index."""
+    labels = np.asarray(labels, dtype=np.int64)
+    pos = np.flatnonzero(labels >= 0)
+    pos = pos[np.argsort(labels[pos], kind="stable")]
+    ends = np.searchsorted(labels[pos], np.arange(1, num_gts + 1))
+    return np.split(pos, ends)[:num_gts]

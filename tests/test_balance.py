@@ -1,16 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from yolof_assign.balance import (BucketStats, MatchDistribution, SizeBuckets,
-                                  distribution, imbalance_ratio,
+from yolof_assign.balance import (BUCKET_NAMES, MatchDistribution,
+                                  SizeBuckets, distribution, imbalance_ratio,
                                   merge_distributions)
 from yolof_assign.geometry import AnchorConfig, ImageSize, generate_anchors
 from yolof_assign.matching import (GroundTruthSet, MatchResult, MaxIoUConfig,
                                    TopKConfig, max_iou_match,
                                    nearest_candidates, topk_match,
                                    uniform_match)
+
+from oracles import distribution_py, split_positives_np
 
 
 def gts(boxes):
@@ -20,7 +23,7 @@ def gts(boxes):
 
 
 def fake_match(labels, num_gts):
-    return MatchResult.from_labels(np.asarray(labels), num_gts)
+    return MatchResult(np.asarray(labels), num_gts)
 
 
 def dist_from_means(means):
@@ -35,11 +38,17 @@ def dist_from_means(means):
 
 class TestSizeBuckets:
     def test_default_edges(self):
-        b = SizeBuckets()
-        assert b.bucket_of(100.0) == "small"
-        assert b.bucket_of(32.0 ** 2) == "medium"
-        assert b.bucket_of(5000.0) == "medium"
-        assert b.bucket_of(96.0 ** 2) == "large"
+        areas = [0.0, 100.0, np.nextafter(32.0 ** 2, 0), 32.0 ** 2, 5000.0,
+                 np.nextafter(96.0 ** 2, 0), 96.0 ** 2, 1e9, np.nan]
+        codes = SizeBuckets().codes(areas)
+        np.testing.assert_array_equal(codes, [0, 0, 0, 1, 1, 1, 2, 2, 2])
+        assert [BUCKET_NAMES[c] for c in codes[[1, 3, 6]]] \
+            == ["small", "medium", "large"]
+
+    def test_custom_edges(self):
+        np.testing.assert_array_equal(
+            SizeBuckets(small_max=4.0, medium_max=9.0).codes([3, 4, 8, 9]),
+            [0, 1, 1, 2])
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -61,9 +70,13 @@ class TestDistribution:
         d = distribution([(gts(boxes), fake_match(labels, 2))])
         assert d.total_gts == 2
         assert d.total_positives == 3
-        assert d.buckets["small"].gt_count == 1
-        assert d.buckets["large"].positives_total == 2
+        assert d.counts("small") == (1, 1, 0)
+        assert d.counts("medium") == (0, 0, 0)
+        assert d.counts("large") == (1, 2, 0)
         assert d.zero_fraction("small") == 0.0
+        assert math.isnan(d.mean("medium"))
+        np.testing.assert_array_equal(d.per_gt_counts, [[0, 1], [2, 2]])
+        assert d.per_gt_counts.dtype == np.int64
 
     def test_max_iou_small_vs_large(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
@@ -86,10 +99,8 @@ class TestDistribution:
         pairs = [(g, uniform_match(grid, g)) for g in scenes]
         a = distribution(pairs)
         b = distribution(pairs[::-1])
-        for name in ("small", "medium", "large"):
-            assert a.buckets[name].gt_count == b.buckets[name].gt_count
-            assert a.buckets[name].positives_total \
-                == b.buckets[name].positives_total
+        for name in BUCKET_NAMES:
+            assert a.counts(name) == b.counts(name)
 
     def test_merge_of_consecutive_runs_equals_one_call(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
@@ -101,7 +112,11 @@ class TestDistribution:
         for cuts in ([4], [0, 4], [1, 2, 4], [2, 2, 3, 4]):
             parts = [distribution(pairs[lo:hi], matcher="max_iou")
                      for lo, hi in zip([0] + cuts, cuts)]
-            assert merge_distributions(parts) == whole
+            merged = merge_distributions(parts)
+            assert merged.matcher == whole.matcher
+            np.testing.assert_array_equal(merged.per_gt_counts,
+                                          whole.per_gt_counts)
+            assert merged.per_gt_counts.dtype == np.int64
 
     def test_totals_match_positive_labels(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
@@ -114,55 +129,125 @@ class TestDistribution:
 
     def test_rejects_inconsistent_pair(self):
         g = gts([[0, 0, 10, 10]])
-        bad = fake_match([0, 1, -1], 2)  # two GT lists for one GT
-        with pytest.raises(ValueError):
-            distribution([(g, bad)])
-
-    def test_rejects_anchor_labelled_for_another_gt(self):
-        g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
-        bad = MatchResult(labels=np.array([0, 1, -1]),
-                          gt_positives=[np.array([0, 1]), np.array([1])])
-        with pytest.raises(ValueError, match="GT 0 disagrees"):
-            distribution([(g, bad)])
-
-    # GT 0's true list is [0, 1]: a repeat added, and a repeat in place of
-    # anchor 1, which keeps the length
-    @pytest.mark.parametrize("listed", [[0, 1, 0], [0, 0]])
-    def test_rejects_duplicated_index(self, listed):
-        g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
-        bad = MatchResult(labels=np.array([0, 0, 1]),
-                          gt_positives=[np.array(listed), np.array([2])])
-        with pytest.raises(ValueError, match="GT 0 disagrees"):
-            distribution([(g, bad)])
-
-    # -3 would wrap around to anchor 0, which is GT 0's
-    @pytest.mark.parametrize("listed", [[-3], [3]])
-    def test_rejects_listed_index_out_of_range(self, listed):
-        g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
-        bad = MatchResult(labels=np.array([0, 1, -1]),
-                          gt_positives=[np.array(listed), np.array([1])])
-        with pytest.raises(ValueError, match="GT 0 disagrees"):
-            distribution([(g, bad)])
-
-    def test_rejects_missing_index(self):
-        g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
-        bad = MatchResult(labels=np.array([0, 1, 1]),
-                          gt_positives=[np.array([0]), np.array([2])])
-        with pytest.raises(ValueError, match="GT 1 disagrees"):
+        bad = fake_match([0, 1, -1], 2)  # labels for two GTs, one box
+        with pytest.raises(ValueError, match="2 ground truths for 1 boxes"):
             distribution([(g, bad)])
 
     def test_accepts_plain_lists(self):
         g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
-        match = MatchResult(labels=np.array([1, -1, 1]),
-                            gt_positives=[[], [2, 0]])
+        match = MatchResult(labels=[1, -1, 1], num_gts=2)
+        assert match.labels.dtype == np.int64
         assert distribution([(g, match)]).total_positives == 2
 
     def test_rejects_out_of_range_label(self):
-        g = gts([[0, 0, 10, 10]])
-        bad = MatchResult(labels=np.array([5, -1]),
-                          gt_positives=[np.array([], dtype=int)])
+        for labels in ([5, -1], [1, -1], [0, -3]):
+            with pytest.raises(ValueError, match=r"labels must lie in "
+                                                 r"\[-2, 1\)"):
+                MatchResult(labels=np.array(labels), num_gts=1)
         with pytest.raises(ValueError):
-            distribution([(g, bad)])
+            MatchResult(labels=np.array([0]), num_gts=0)
+
+
+class TestMatchResult:
+    def test_counts_follow_the_labels(self):
+        match = MatchResult(np.array([2, -1, 0, 2, -2, 2]), num_gts=4)
+        np.testing.assert_array_equal(match.positives_per_gt, [1, 0, 3, 0])
+        assert match.num_positive == 4
+        got = match.gt_positives
+        assert len(got) == 4
+        for have, want in zip(got, [[2], [], [0, 3, 5], []]):
+            np.testing.assert_array_equal(have, want)
+
+    def test_no_gts(self):
+        match = MatchResult(np.array([-1, -2, -1]), num_gts=0)
+        assert match.positives_per_gt.shape == (0,)
+        assert match.gt_positives == []
+        assert match.num_positive == 0
+
+    def test_only_labels_are_stored(self):
+        match = MatchResult(np.array([0, -1]), num_gts=1, matcher="topk")
+        assert [f.name for f in dataclasses.fields(match)] \
+            == ["labels", "num_gts", "matcher"]
+        with pytest.raises(AttributeError):
+            match.gt_positives = []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gt_positives_match_label_split(self, seed):
+        rng = np.random.default_rng(seed)
+        num_gts = int(rng.integers(0, 6))
+        labels = rng.integers(-2, num_gts, int(rng.integers(0, 40)))
+        match = MatchResult(labels, num_gts)
+        want = split_positives_np(labels, num_gts)
+        got = match.gt_positives
+        assert len(got) == len(want) == num_gts
+        for g, (have, expect) in enumerate(zip(got, want)):
+            np.testing.assert_array_equal(have, expect)
+            np.testing.assert_array_equal(have, np.flatnonzero(labels == g))
+        np.testing.assert_array_equal(match.positives_per_gt,
+                                      [len(p) for p in want])
+
+
+def random_scenes(rng):
+    """Scenes as ``(GroundTruthSet, MatchResult)`` pairs: some empty, GTs
+    on and beside the bucket edges, GTs without positives and NaN
+    boxes."""
+    # sides with areas 32^2, 32^2 - 1, 96^2 and 96^2 - 3, exact from
+    # integer corners
+    edges = np.array([[32.0, 32.0], [32.0, 31.96875], [96.0, 96.0],
+                      [96.0, 95.96875]])
+    pairs = []
+    for s in range(int(rng.integers(1, 12))):
+        n = int(rng.integers(0, 7)) if s % 4 else 0
+        xy = np.floor(rng.uniform(0, 500, (n, 2)))
+        side = np.exp(rng.uniform(0.0, np.log(400.0), (n, 2)))
+        on_edge = rng.random(n) < 0.4
+        side[on_edge] = edges[rng.integers(0, 4, on_edge.sum())]
+        boxes = np.concatenate([xy, xy + side], axis=1)
+        if n and rng.random() < 0.3:
+            boxes[rng.integers(n)] = np.nan
+        num_anchors = int(rng.integers(n + 1, 30))
+        # a label per anchor in [-2, n): positives for some GTs, none for
+        # the rest
+        labels = rng.integers(-2, max(n, 1), num_anchors)
+        labels[labels >= n] = -1
+        pairs.append((gts(boxes), MatchResult(labels, n, matcher="uniform")))
+    return pairs
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_distribution_equals_per_gt_loop(self, seed):
+        pairs = random_scenes(np.random.default_rng(seed))
+        d = distribution(pairs)
+        rows, stats = distribution_py(
+            [(g.boxes.tolist(), m.labels.tolist()) for g, m in pairs])
+        assert d.matcher == "uniform"
+        assert [(BUCKET_NAMES[b], c) for b, c in d.per_gt_counts.tolist()] \
+            == rows
+        for name in BUCKET_NAMES:
+            gt_count, total, zeros = stats[name]
+            assert d.counts(name) == (gt_count, total, zeros)
+            if gt_count:
+                assert d.mean(name) == total / gt_count
+                assert d.zero_fraction(name) == zeros / gt_count
+            else:
+                assert math.isnan(d.mean(name))
+                assert math.isnan(d.zero_fraction(name))
+        assert d.total_gts == len(rows)
+        assert d.total_positives == sum(c for _, c in rows)
+
+    def test_scenes_cover_the_edge_cases(self):
+        pairs = [p for seed in range(25)
+                 for p in random_scenes(np.random.default_rng(seed))]
+        boxes = np.concatenate([g.boxes for g, _ in pairs])
+        counts = np.concatenate([m.positives_per_gt for _, m in pairs])
+        sides = boxes[:, 2:] - boxes[:, :2]
+        assert any(len(g) == 0 for g, _ in pairs)
+        assert np.isnan(boxes).any()
+        assert (counts == 0).any() and (counts > 1).any()
+        areas = np.prod(sides, axis=1)
+        for area in (32.0 ** 2 - 1, 32.0 ** 2, 96.0 ** 2 - 3, 96.0 ** 2):
+            assert (areas == area).any()
 
 
 class TestImbalanceRatio:
@@ -178,9 +263,6 @@ class TestImbalanceRatio:
         assert math.isinf(imbalance_ratio(d))
 
     def test_rejects_empty(self):
-        empty = MatchDistribution(
-            matcher="", zero_counts={"small": 0, "medium": 0, "large": 0},
-            buckets={n: BucketStats()
-                     for n in ("small", "medium", "large")})
+        empty = MatchDistribution("", np.empty((0, 2), dtype=np.int64))
         with pytest.raises(ValueError):
             imbalance_ratio(empty)

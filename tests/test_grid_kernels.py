@@ -122,6 +122,26 @@ class TestKernelsExact:
         assert_same_floats(_center_distances(g.boxes, grid),
                            _center_distances(g.boxes, grid.anchors))
 
+    # no GT: a (0, N) matrix, as the flat anchors give
+    def test_iou_without_gts(self, grid):
+        none = np.empty((0, 4))
+        assert_same_floats(pairwise_iou(none, grid),
+                           pairwise_iou(none, grid.anchors))
+        assert pairwise_iou(none, grid).shape == (0, len(grid))
+
+    def test_center_distances_without_gts(self, grid):
+        none = np.empty((0, 4))
+        assert_same_floats(_center_distances(none, grid),
+                           _center_distances(none, grid.anchors))
+        assert _center_distances(none, grid).shape == (0, len(grid))
+
+    def test_hungarian_cost_without_gts(self, grid):
+        none = GroundTruthSet(boxes=np.empty((0, 4)), class_ids=[])
+        assert_same_floats(hungarian_cost(grid, none),
+                           hungarian_cost(grid.anchors, none,
+                                          float(grid.config.stride)))
+        assert hungarian_cost(grid, none).shape == (0, len(grid))
+
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_gathered_rows_equal_the_full_matrix(self, grid, kind, seed):
         g = gts_for(grid, kind, seed)

@@ -11,7 +11,7 @@ from yolof_assign import coco
 from yolof_assign.cli import main
 from yolof_assign.coco import (CorpusError, RunConfig, load_corpus,
                                parse_corpus, run_match_stats, worker_count)
-from yolof_assign.matching import MaxIoUConfig, UniformMatchConfig
+from yolof_assign.matching import MATCHERS, MaxIoUConfig, UniformMatchConfig
 from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
                                   to_json, write_atomic)
 
@@ -86,12 +86,16 @@ class TestLoadCorpus:
         assert corpus.dropped == 0
 
     def test_degenerate_bbox_dropped(self, tmp_path):
-        doc = dict(BASE_DOC)
-        doc["annotations"] = BASE_DOC["annotations"] + [
-            {"id": 2, "image_id": 1, "bbox": [5, 5, 0, 9], "category_id": 2}]
-        corpus = load_corpus(write_json(tmp_path / "c.json", doc))
-        assert corpus.ids.tolist() == [1]
-        assert corpus.dropped == 1
+        # no width, then stored corners that keep no extent (x + w rounds
+        # back to x, y + h to y) or an area that rounds to 0
+        for bbox in ([5, 5, 0, 9], [1e20, 5, 1, 3], [5, 5, 3, 1e-300],
+                     [0, 0, 1e-200, 1e-200]):
+            doc = dict(BASE_DOC)
+            doc["annotations"] = BASE_DOC["annotations"] + [
+                {"id": 2, "image_id": 1, "bbox": bbox, "category_id": 2}]
+            corpus = load_corpus(write_json(tmp_path / "c.json", doc))
+            assert corpus.ids.tolist() == [1]
+            assert corpus.dropped == 1
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -505,6 +509,48 @@ class TestCLI:
         assert code == 2
         assert out == ""
         assert "annotation 7" in err
+
+    # a box 640x480 image 1 holds, beside one ordinary annotation
+    def huge_box_doc(self, tmp_path, bbox):
+        doc = {"images": [{"id": 1, "width": 640, "height": 480}],
+               "annotations": [
+                   {"id": 1, "image_id": 1, "bbox": [10, 20, 30, 40],
+                    "category_id": 2},
+                   {"id": 7, "image_id": 1, "bbox": bbox, "category_id": 2}],
+               "categories": [{"id": 2}]}
+        return write_json(tmp_path / "c.json", doc)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
+    @pytest.mark.parametrize("bbox", [
+        # finite corners, but an area and a center norm past float64
+        [-1.7e308, -1.7e308, 1.75e308, 1.75e308],
+        # an area of 1.5e8, but a center at x = -7.5e307
+        [-1.5e308, 0, 1.5000000000000002e+308, 1e-300],
+    ], ids=["area", "center"])
+    def test_overflowing_bbox_exit_2(self, capsys, tmp_path, matcher, bbox):
+        path = self.huge_box_doc(tmp_path, bbox)
+        cfg = write_json(tmp_path / "cfg.json", {"matcher": matcher})
+        code, out, err = self.run(capsys, "match-stats", "--input", path,
+                                  "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "annotation 7 in image 1" in err
+        assert "overflows" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
+    def test_bbox_extent_rounding_to_zero_dropped(self, capsys, tmp_path,
+                                                  matcher):
+        # y + h rounds back to y: the stored box has no height
+        path = self.huge_box_doc(tmp_path, [-1e308, 10, 1.00001e308, 1e-300])
+        cfg = write_json(tmp_path / "cfg.json", {"matcher": matcher})
+        code, out, err = self.run(capsys, "match-stats", "--input", path,
+                                  "--config", cfg)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["dropped_annotations"] == 1
+        assert doc["total_gts"] == 1
 
     @pytest.mark.parametrize("bbox", [
         [-20, 10, 10, 10],  # left of the image
