@@ -41,8 +41,9 @@ def main():
     print(f"{'matcher':<10} {'small':>8} {'medium':>8} {'large':>8} "
           f"{'zero%(small)':>13} {'imbalance':>10}")
     for name, fn in matchers.items():
-        dist = distribution([(g, fn(g)) for g in scenes],
-                            SizeBuckets(), matcher=name)
+        dist = distribution([(i, len(grid), g, fn(g).positives_per_gt)
+                             for i, g in enumerate(scenes)],
+                            name, SizeBuckets())
         means = [dist.mean(b) for b in ("small", "medium", "large")]
         ratio = imbalance_ratio(dist)
         print(f"{name:<10} {means[0]:>8.2f} {means[1]:>8.2f} "

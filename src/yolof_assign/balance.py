@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,17 +42,27 @@ class MatchDistribution:
 
     ``per_gt_counts`` is an ``(N, 2)`` int64 array with one row per GT in
     scene order: the GT's index into :data:`BUCKET_NAMES` and its number
-    of positive anchors.
+    of positive anchors.  ``per_image`` is a ``(K, 3)`` int64 array with
+    one row per scene (image id, anchors, GTs); each scene's GTs are the
+    next rows of ``per_gt_counts``.
     """
 
     matcher: str
     per_gt_counts: np.ndarray
+    per_image: np.ndarray
+
+    @cached_property
+    def _bucket_counts(self) -> dict:  # every bucket's counts, in one pass
+        code, positives = self.per_gt_counts.T
+        n = len(BUCKET_NAMES)
+        columns = (np.bincount(code, minlength=n),
+                   np.bincount(code, positives, n).astype(np.int64),
+                   np.bincount(code[positives == 0], minlength=n))
+        return dict(zip(BUCKET_NAMES, zip(*(c.tolist() for c in columns))))
 
     def counts(self, bucket: str) -> tuple:
         """``(GTs, positives, GTs without a positive)`` of one bucket."""
-        code, positives = self.per_gt_counts.T
-        mine = positives[code == BUCKET_NAMES.index(bucket)]
-        return len(mine), int(mine.sum()), int(np.count_nonzero(mine == 0))
+        return self._bucket_counts[bucket]
 
     def mean(self, bucket: str) -> float:
         gts, positives, _ = self.counts(bucket)
@@ -70,29 +81,30 @@ class MatchDistribution:
         return int(self.per_gt_counts[:, 1].sum())
 
 
-def distribution(results, buckets: SizeBuckets = SizeBuckets(),
-                 matcher: str = "") -> MatchDistribution:
-    """Aggregate positives-per-GT over ``(GroundTruthSet, MatchResult)`` pairs."""
-    areas, counts = [np.empty(0)], [np.empty(0, np.int64)]
-    for gts, match in results:
-        if match.num_gts != len(gts):
-            raise ValueError(f"match labels {match.num_gts} ground truths "
+def distribution(records, matcher: str,
+                 buckets: SizeBuckets = SizeBuckets()) -> MatchDistribution:
+    """Aggregate per-image records ``(image_id, num_anchors, gts,
+    positives_per_gt)``, where ``gts`` is a ``GroundTruthSet``."""
+    rows, areas, counts = [], [np.empty(0)], [np.empty(0, np.int64)]
+    for image_id, num_anchors, gts, positives in records:
+        if len(positives) != len(gts):
+            raise ValueError(f"match labels {len(positives)} ground truths "
                              f"for {len(gts)} boxes")
-        if not matcher:
-            matcher = match.matcher
+        rows.append((image_id, num_anchors, len(gts)))
         areas.append(box_area(gts.boxes))
-        counts.append(match.positives_per_gt)
-    return MatchDistribution(matcher, np.stack(
-        [buckets.codes(np.concatenate(areas)), np.concatenate(counts)],
-        axis=1))
+        counts.append(positives)
+    codes = buckets.codes(np.concatenate(areas))
+    return MatchDistribution(matcher, np.stack([codes, np.concatenate(
+        counts)], axis=1), np.array(rows, np.int64).reshape(-1, 3))
 
 
 def merge_distributions(parts: list) -> MatchDistribution:
-    """Combine distributions over disjoint scene sets; per-GT counts keep
-    the order of ``parts``, so merging consecutive runs of scenes gives
-    what one ``distribution`` call over all of them gives."""
-    return MatchDistribution(parts[0].matcher, np.concatenate(
-        [p.per_gt_counts for p in parts]))
+    """Combine distributions over disjoint scene sets; rows keep the order
+    of ``parts``, so merging consecutive runs of scenes gives what one
+    ``distribution`` call over all of them gives."""
+    return MatchDistribution(
+        parts[0].matcher, np.concatenate([p.per_gt_counts for p in parts]),
+        np.concatenate([p.per_image for p in parts]))
 
 
 def imbalance_ratio(dist: MatchDistribution) -> float:

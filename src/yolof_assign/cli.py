@@ -65,11 +65,11 @@ def _cmd_match_stats(args) -> None:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     corpus = load_corpus(args.input)
-    dist, per_image = run_match_stats(corpus, config)
+    dist = run_match_stats(corpus, config)
     if args.format == "csv":
         _emit(reports.distribution_to_csv(dist), args.output)
     else:
-        doc = reports.distribution_to_dict(dist, per_image=per_image)
+        doc = reports.distribution_to_dict(dist)
         doc["seed"] = config.seed
         doc["dropped_annotations"] = corpus.dropped
         _emit(reports.to_json(doc), args.output)

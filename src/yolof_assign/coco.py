@@ -258,14 +258,11 @@ def worker_count() -> int:
 
 
 def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
-                 images: list):
-    """Match ``images`` in order, then aggregate them in one call.
-
-    Returns ``(MatchDistribution, per_image)``; no MatchResult outlives
-    the call.
-    """
+                 images: list) -> MatchDistribution:
+    """Match ``images`` in order, then aggregate them in one call; each
+    image's labels are cut to per-GT counts as soon as it is matched."""
     match = getattr(matching, f"{config.matcher}_match")
-    pairs, per_image = [], []
+    records = []
     for image_id, size in images:
         gts = corpus.ground_truths(image_id)
         if config.shift_max > 0 and len(gts):
@@ -277,18 +274,10 @@ def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
             result = match(anchors, gts, config.matcher_config)
         except ValueError as exc:
             raise ValueError(f"image {image_id}: {exc}") from exc
-        pairs.append((gts, result))
-        per_image.append({
-            "image_id": image_id,
-            "num_gts": len(gts),
-            "num_anchors": len(anchors),
-            "num_positive": result.num_positive,
-            "positives_per_gt": result.positives_per_gt.tolist(),
-        })
+        records.append((image_id, len(anchors), gts, result.positives_per_gt))
     # aggregated after the loop, so each image's time ends at the next
     # image's GT lookup and aggregation is timed apart from matching
-    return distribution(pairs, config.buckets,
-                        matcher=config.matcher), per_image
+    return distribution(records, config.matcher, config.buckets)
 
 
 # (corpus, config, grids) of the run that forked this worker
@@ -308,12 +297,10 @@ def _forked_chunk(lo: int, hi: int):
 def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     """Match every corpus image and aggregate per-bucket statistics.
 
-    Returns ``(MatchDistribution, per_image)`` where ``per_image`` is a
-    list of detail dicts sorted by image id.  Deterministic given the
-    config seed: the report is the same for every worker count.  With more
-    than one worker, each forked worker process matches one contiguous
-    chunk of images and sends back only the chunk's aggregate and detail
-    rows.
+    Returns one ``MatchDistribution``, its rows in image id order, the
+    same for every worker count.  With more than one worker, each forked
+    worker process matches one contiguous chunk of images and sends back
+    only the chunk's distribution.
     """
     images = corpus.images
     # one read-only grid per image size, shared by every chunk
@@ -339,5 +326,4 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     else:
         parts = [_match_chunk(corpus, config, grids, images)]
 
-    return (merge_distributions([d for d, _ in parts]),
-            [row for _, rows in parts for row in rows])
+    return merge_distributions(parts)

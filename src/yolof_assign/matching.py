@@ -49,7 +49,6 @@ class MatchResult:
 
     labels: np.ndarray
     num_gts: int
-    matcher: str = ""
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -69,10 +68,6 @@ class MatchResult:
         pos = np.flatnonzero(self.labels >= 0)
         pos = pos[np.argsort(self.labels[pos], kind="stable")]
         return np.split(pos, np.cumsum(self.positives_per_gt))[:self.num_gts]
-
-    @property
-    def num_positive(self) -> int:
-        return int(np.sum(self.labels >= 0))
 
 
 # parameter type -> (accepted value types, what the message asks for)
@@ -192,11 +187,11 @@ def nearest_candidates(anchors, gts: GroundTruthSet, k: int) -> np.ndarray:
 
     This is the pre-filter candidate set of uniform, top-k and ATSS
     matching.  Each row is ordered by distance; ties in distance break by
-    ascending anchor index.
+    ascending anchor index.  An image with fewer than k anchors gives
+    every GT all of them, as ATSS takes ``min(k, anchors on the level)``.
     """
     anchors, boxes = _anchor_layout(anchors)
-    if k > len(boxes):
-        raise ValueError(f"k={k} exceeds the {len(boxes)} available anchors")
+    k = min(k, len(boxes))
     if len(gts) == 0:
         return np.empty((0, k), dtype=np.int64)
     if isinstance(anchors, AnchorGrid) and anchors.shared_centers:
@@ -254,14 +249,14 @@ def uniform_match(anchors, gts: GroundTruthSet,
     cand = nearest_candidates(anchors, gts, cfg.k)
     labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
-        return MatchResult(labels, 0, matcher="uniform")
+        return MatchResult(labels, 0)
 
     # Conflict resolution, as a scan over the GTs in index order that hands
     # an anchor to a strictly nearer claim: the nearest claim wins (tie:
     # smaller GT index), and a NaN distance never takes an anchor claimed
     # before it nor loses one it claimed first.
     claims = cand.ravel()
-    claimer = np.repeat(np.arange(len(gts)), cfg.k)
+    claimer = np.repeat(np.arange(len(gts)), cand.shape[1])
     dist = _center_distances(gts.boxes, boxes[cand]).ravel()
     owner = np.empty(len(boxes), dtype=np.int64)
     by_dist = np.lexsort((claimer, dist))  # NaN last
@@ -280,16 +275,14 @@ def uniform_match(anchors, gts: GroundTruthSet,
     # only each resolved (GT, anchor) pair's IoU: (n, 4) against (n, 1, 4)
     pair_iou = pairwise_iou(gts.boxes[g], boxes[a, None])[:, 0]
     labels[a] = np.where(pair_iou >= cfg.pos_ignore_iou, g, IGNORED)
-    return MatchResult(labels, len(gts), matcher="uniform")
+    return MatchResult(labels, len(gts))
 
 
 def topk_match(anchors, gts: GroundTruthSet,
                cfg: TopKConfig = TopKConfig()) -> MatchResult:
     """Pure k-nearest matching: uniform matching with ignore filters off."""
-    result = uniform_match(anchors, gts, UniformMatchConfig(
+    return uniform_match(anchors, gts, UniformMatchConfig(
         k=cfg.k, pos_ignore_iou=0.0, neg_ignore_iou=1.0))
-    result.matcher = "topk"
-    return result
 
 
 def max_iou_match(anchors, gts: GroundTruthSet,
@@ -305,7 +298,7 @@ def max_iou_match(anchors, gts: GroundTruthSet,
     n = len(boxes)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
-        return MatchResult(labels, 0, matcher="max_iou")
+        return MatchResult(labels, 0)
 
     ious = pairwise_iou(gts.boxes, anchors)
     best_gt = np.argmax(ious, axis=0)
@@ -323,7 +316,7 @@ def max_iou_match(anchors, gts: GroundTruthSet,
         g = g[np.argsort(-forced_iou[g], kind="stable")]
         a, first = np.unique(best[g], return_index=True)
         labels[a] = g[first]
-    return MatchResult(labels, len(gts), matcher="max_iou")
+    return MatchResult(labels, len(gts))
 
 
 def atss_match(anchors, gts: GroundTruthSet,
@@ -340,7 +333,7 @@ def atss_match(anchors, gts: GroundTruthSet,
     cand = nearest_candidates(anchors, gts, cfg.k)
     labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
-        return MatchResult(labels, 0, matcher="atss")
+        return MatchResult(labels, 0)
 
     # only the candidates' IoUs, each row in (distance, index) order, so it
     # sums as a 1-D pool would
@@ -355,7 +348,7 @@ def atss_match(anchors, gts: GroundTruthSet,
     owner = np.argmax(score, axis=0)  # first max -> smaller gt index on ties
     positive = score.max(axis=0) > -1.0
     labels[cols[positive]] = owner[positive]
-    return MatchResult(labels, len(gts), matcher="atss")
+    return MatchResult(labels, len(gts))
 
 
 _INFEASIBLE = "cost matrix is infeasible"
@@ -461,9 +454,9 @@ def hungarian_match(anchors, gts: GroundTruthSet,
     n = len(boxes)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
-        return MatchResult(labels, 0, matcher="hungarian")
+        return MatchResult(labels, 0)
     if len(gts) > n:
         raise ValueError(f"{len(gts)} ground truths exceed {n} anchors")
     rows, cols, _ = solve_assignment(hungarian_cost(anchors, gts))
     labels[cols] = rows
-    return MatchResult(labels, len(gts), matcher="hungarian")
+    return MatchResult(labels, len(gts))

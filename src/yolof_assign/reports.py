@@ -9,6 +9,8 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 from .balance import BUCKET_NAMES, MatchDistribution, imbalance_ratio
 
 CSV_COLUMNS = ("matcher", "bucket", "gt_count", "positives_total",
@@ -22,37 +24,42 @@ def _safe(value: float):
     return value
 
 
-def distribution_to_dict(dist: MatchDistribution,
-                         per_image: list | None = None) -> dict:
-    buckets = {}
-    for name in BUCKET_NAMES:
-        gts, positives, _ = dist.counts(name)
-        buckets[name] = {"gt_count": gts, "positives_total": positives,
-                         "positives_mean": _safe(dist.mean(name)),
-                         "zero_fraction": _safe(dist.zero_fraction(name))}
-    doc = {
+def _bucket_rows(dist: MatchDistribution) -> list:
+    """Each bucket's ``(name, GTs, positives, mean, zero fraction)``."""
+    return [(name, *dist.counts(name)[:2], dist.mean(name),
+             dist.zero_fraction(name)) for name in BUCKET_NAMES]
+
+
+def distribution_to_dict(dist: MatchDistribution) -> dict:
+    per_gt = dist.per_gt_counts.tolist()
+    counts = [c for _, c in per_gt]
+    ends = np.cumsum(dist.per_image[:, 2]).tolist()
+    return {
         "matcher": dist.matcher,
-        "buckets": buckets,
+        "buckets": {name: {"gt_count": gts, "positives_total": positives,
+                           "positives_mean": _safe(mean),
+                           "zero_fraction": _safe(zf)}
+                    for name, gts, positives, mean, zf in _bucket_rows(dist)},
         "per_gt_counts": [{"bucket": BUCKET_NAMES[b], "positives": c}
-                          for b, c in dist.per_gt_counts.tolist()],
+                          for b, c in per_gt],
+        # image i's n GTs are the rows that end at ends[i]
+        "per_image": [{"image_id": i, "num_gts": n, "num_anchors": a,
+                       "num_positive": sum(counts[end - n:end]),
+                       "positives_per_gt": counts[end - n:end]}
+                      for (i, a, n), end in zip(dist.per_image.tolist(),
+                                                ends)],
         "total_gts": dist.total_gts,
         "total_positives": dist.total_positives,
         "imbalance_ratio": (_safe(imbalance_ratio(dist))
                             if dist.total_gts else None),
     }
-    if per_image is not None:
-        doc["per_image"] = per_image
-    return doc
 
 
 def distribution_to_csv(dist: MatchDistribution) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for name in BUCKET_NAMES:
-        gts, positives, _ = dist.counts(name)
-        mean = dist.mean(name)
-        zf = dist.zero_fraction(name)
+    for name, gts, positives, mean, zf in _bucket_rows(dist):
         writer.writerow([
             dist.matcher, name, gts, positives,
             "" if math.isnan(mean) else f"{mean:.6f}",

@@ -227,6 +227,20 @@ def distribution_py(scenes, small_max=32.0 ** 2, medium_max=96.0 ** 2):
     return rows, stats
 
 
+def per_image_py(scenes):
+    """One report row per scene of ``(boxes, labels)`` plain lists, by a
+    loop over its labels: its GTs, anchors, positive anchors and each
+    GT's positive anchors."""
+    rows = []
+    for boxes, labels in scenes:
+        per_gt = [sum(1 for label in labels if label == g)
+                  for g in range(len(boxes))]
+        rows.append({"num_gts": len(boxes), "num_anchors": len(labels),
+                     "num_positive": sum(1 for label in labels if label >= 0),
+                     "positives_per_gt": per_gt})
+    return rows
+
+
 def split_positives_np(labels, num_gts):
     """Each GT's positive anchors, split from the labels as they were when
     a match stored them: positive anchors stably sorted by GT, then cut

@@ -78,19 +78,20 @@ def test_criterion_2_uniform_balance():
     grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
     scenes = [synthetic_scene(i, rng) for i in range(200)]
 
-    uniform_pairs = []
-    for gts in scenes:
+    uniform_rows = []
+    for i, gts in enumerate(scenes):
         for cand in nearest_candidates(grid, gts, 4):
             assert len(cand) == 4  # pre-filter candidates are uniform
-        uniform_pairs.append((gts, uniform_match(grid, gts)))
-    dist = distribution(uniform_pairs, SizeBuckets())
+        uniform_rows.append((i, len(grid), gts,
+                             uniform_match(grid, gts).positives_per_gt))
+    dist = distribution(uniform_rows, "uniform", SizeBuckets())
     means = [dist.mean(b) for b in ("small", "medium", "large")]
     assert max(means) - min(means) <= 1.0
 
-    maxiou_pairs = [(gts, max_iou_match(grid, gts,
-                                        MaxIoUConfig(rescue=False)))
-                    for gts in scenes]
-    mdist = distribution(maxiou_pairs, SizeBuckets())
+    maxiou_rows = [(i, len(grid), gts, max_iou_match(
+        grid, gts, MaxIoUConfig(rescue=False)).positives_per_gt)
+        for i, gts in enumerate(scenes)]
+    mdist = distribution(maxiou_rows, "max_iou", SizeBuckets())
     assert mdist.zero_fraction("small") >= 0.5
     assert mdist.mean("large") >= 1.0
     elapsed = time.perf_counter() - start

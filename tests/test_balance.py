@@ -12,8 +12,9 @@ from yolof_assign.matching import (GroundTruthSet, MatchResult, MaxIoUConfig,
                                    TopKConfig, max_iou_match,
                                    nearest_candidates, topk_match,
                                    uniform_match)
+from yolof_assign.reports import distribution_to_dict
 
-from oracles import distribution_py, split_positives_np
+from oracles import distribution_py, per_image_py, split_positives_np
 
 
 def gts(boxes):
@@ -26,6 +27,13 @@ def fake_match(labels, num_gts):
     return MatchResult(np.asarray(labels), num_gts)
 
 
+def records(pairs):
+    """``distribution`` records of ``(GroundTruthSet, MatchResult)`` pairs,
+    with image ids 1, 2, ..."""
+    return [(i, len(m.labels), g, m.positives_per_gt)
+            for i, (g, m) in enumerate(pairs, 1)]
+
+
 def dist_from_means(means):
     """Distribution with one GT per bucket carrying the given counts."""
     boxes = [[0, 0, 10, 10], [0, 0, 70, 70], [0, 0, 400, 50]]
@@ -33,7 +41,8 @@ def dist_from_means(means):
     for g, count in enumerate(means):
         labels += [g] * int(count)
     labels += [-1] * 5
-    return distribution([(gts(boxes), fake_match(labels, 3))])
+    return distribution(records([(gts(boxes), fake_match(labels, 3))]),
+                        "uniform")
 
 
 class TestSizeBuckets:
@@ -59,7 +68,8 @@ class TestDistribution:
     def test_uniform_counts(self):
         boxes = [[0, 0, 10, 10], [0, 0, 70.8, 70.8], [0, 0, 200, 100]]
         labels = [0] * 4 + [1] * 4 + [2] * 4 + [-1] * 3
-        d = distribution([(gts(boxes), fake_match(labels, 3))])
+        d = distribution(records([(gts(boxes), fake_match(labels, 3))]),
+                         "uniform")
         for name in ("small", "medium", "large"):
             assert d.mean(name) == 4.0
         assert imbalance_ratio(d) == 1.0
@@ -67,7 +77,8 @@ class TestDistribution:
     def test_totals_and_counts(self):
         boxes = [[0, 0, 10, 10], [0, 0, 200, 100]]
         labels = [0, 1, 1, -1, -2]
-        d = distribution([(gts(boxes), fake_match(labels, 2))])
+        d = distribution(records([(gts(boxes), fake_match(labels, 2))]),
+                         "uniform")
         assert d.total_gts == 2
         assert d.total_positives == 3
         assert d.counts("small") == (1, 1, 0)
@@ -77,12 +88,14 @@ class TestDistribution:
         assert math.isnan(d.mean("medium"))
         np.testing.assert_array_equal(d.per_gt_counts, [[0, 1], [2, 2]])
         assert d.per_gt_counts.dtype == np.int64
+        np.testing.assert_array_equal(d.per_image, [[1, 5, 2]])
+        assert d.per_image.dtype == np.int64
 
     def test_max_iou_small_vs_large(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
         g = gts([[100, 100, 116, 116], [100, 100, 500, 500]])
         match = max_iou_match(grid, g, MaxIoUConfig(rescue=False))
-        d = distribution([(g, match)])
+        d = distribution(records([(g, match)]), "max_iou")
         assert d.mean("small") == 0.0
         assert d.mean("large") >= 1.0
 
@@ -97,8 +110,8 @@ class TestDistribution:
         scenes = [gts([[100, 100, 116, 116]]),
                   gts([[64, 64, 364, 364], [300, 32, 350, 90]])]
         pairs = [(g, uniform_match(grid, g)) for g in scenes]
-        a = distribution(pairs)
-        b = distribution(pairs[::-1])
+        a = distribution(records(pairs), "uniform")
+        b = distribution(records(pairs[::-1]), "uniform")
         for name in BUCKET_NAMES:
             assert a.counts(name) == b.counts(name)
 
@@ -107,23 +120,24 @@ class TestDistribution:
         scenes = [gts([[100, 100, 116, 116]]), gts([]),
                   gts([[64, 64, 364, 364], [300, 32, 350, 90]]),
                   gts([[10, 10, 40, 44], [200, 200, 290, 280]])]
-        pairs = [(g, max_iou_match(grid, g)) for g in scenes]
-        whole = distribution(pairs, matcher="max_iou")
+        rows = records([(g, max_iou_match(grid, g)) for g in scenes])
+        whole = distribution(rows, "max_iou")
         for cuts in ([4], [0, 4], [1, 2, 4], [2, 2, 3, 4]):
-            parts = [distribution(pairs[lo:hi], matcher="max_iou")
+            parts = [distribution(rows[lo:hi], "max_iou")
                      for lo, hi in zip([0] + cuts, cuts)]
             merged = merge_distributions(parts)
             assert merged.matcher == whole.matcher
-            np.testing.assert_array_equal(merged.per_gt_counts,
-                                          whole.per_gt_counts)
-            assert merged.per_gt_counts.dtype == np.int64
+            for have, want in ((merged.per_gt_counts, whole.per_gt_counts),
+                               (merged.per_image, whole.per_image)):
+                np.testing.assert_array_equal(have, want)
+                assert have.dtype == np.int64
 
     def test_totals_match_positive_labels(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
         scenes = [gts([[10, 10, 40, 44], [64, 64, 364, 364]]),
                   gts([[200, 200, 290, 280]])]
         pairs = [(g, topk_match(grid, g, TopKConfig(k=4))) for g in scenes]
-        d = distribution(pairs)
+        d = distribution(records(pairs), "topk")
         assert d.total_positives == sum(int(np.sum(m.labels >= 0))
                                         for _, m in pairs)
 
@@ -131,13 +145,14 @@ class TestDistribution:
         g = gts([[0, 0, 10, 10]])
         bad = fake_match([0, 1, -1], 2)  # labels for two GTs, one box
         with pytest.raises(ValueError, match="2 ground truths for 1 boxes"):
-            distribution([(g, bad)])
+            distribution(records([(g, bad)]), "uniform")
 
     def test_accepts_plain_lists(self):
         g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
         match = MatchResult(labels=[1, -1, 1], num_gts=2)
         assert match.labels.dtype == np.int64
-        assert distribution([(g, match)]).total_positives == 2
+        assert distribution(records([(g, match)]),
+                            "uniform").total_positives == 2
 
     def test_rejects_out_of_range_label(self):
         for labels in ([5, -1], [1, -1], [0, -3]):
@@ -152,7 +167,6 @@ class TestMatchResult:
     def test_counts_follow_the_labels(self):
         match = MatchResult(np.array([2, -1, 0, 2, -2, 2]), num_gts=4)
         np.testing.assert_array_equal(match.positives_per_gt, [1, 0, 3, 0])
-        assert match.num_positive == 4
         got = match.gt_positives
         assert len(got) == 4
         for have, want in zip(got, [[2], [], [0, 3, 5], []]):
@@ -162,12 +176,11 @@ class TestMatchResult:
         match = MatchResult(np.array([-1, -2, -1]), num_gts=0)
         assert match.positives_per_gt.shape == (0,)
         assert match.gt_positives == []
-        assert match.num_positive == 0
 
     def test_only_labels_are_stored(self):
-        match = MatchResult(np.array([0, -1]), num_gts=1, matcher="topk")
+        match = MatchResult(np.array([0, -1]), num_gts=1)
         assert [f.name for f in dataclasses.fields(match)] \
-            == ["labels", "num_gts", "matcher"]
+            == ["labels", "num_gts"]
         with pytest.raises(AttributeError):
             match.gt_positives = []
 
@@ -210,7 +223,7 @@ def random_scenes(rng):
         # the rest
         labels = rng.integers(-2, max(n, 1), num_anchors)
         labels[labels >= n] = -1
-        pairs.append((gts(boxes), MatchResult(labels, n, matcher="uniform")))
+        pairs.append((gts(boxes), MatchResult(labels, n)))
     return pairs
 
 
@@ -218,9 +231,9 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("seed", range(25))
     def test_distribution_equals_per_gt_loop(self, seed):
         pairs = random_scenes(np.random.default_rng(seed))
-        d = distribution(pairs)
-        rows, stats = distribution_py(
-            [(g.boxes.tolist(), m.labels.tolist()) for g, m in pairs])
+        d = distribution(records(pairs), "uniform")
+        scenes = [(g.boxes.tolist(), m.labels.tolist()) for g, m in pairs]
+        rows, stats = distribution_py(scenes)
         assert d.matcher == "uniform"
         assert [(BUCKET_NAMES[b], c) for b, c in d.per_gt_counts.tolist()] \
             == rows
@@ -235,6 +248,22 @@ class TestAgainstOracle:
                 assert math.isnan(d.zero_fraction(name))
         assert d.total_gts == len(rows)
         assert d.total_positives == sum(c for _, c in rows)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_per_image_rows_equal_per_scene_loop(self, seed):
+        pairs = random_scenes(np.random.default_rng(seed))
+        rows = records(pairs)
+        want = per_image_py(
+            [(g.boxes.tolist(), m.labels.tolist()) for g, m in pairs])
+        for cuts in ([len(rows)], [len(rows) // 2, len(rows)]):
+            d = merge_distributions([distribution(rows[lo:hi], "uniform")
+                                     for lo, hi in zip([0] + cuts, cuts)])
+            got = distribution_to_dict(d)["per_image"]
+            assert [r["image_id"] for r in got] \
+                == list(range(1, len(pairs) + 1))
+            keys = ("num_gts", "num_anchors", "num_positive",
+                    "positives_per_gt")
+            assert [{k: r[k] for k in keys} for r in got] == want
 
     def test_scenes_cover_the_edge_cases(self):
         pairs = [p for seed in range(25)
@@ -263,6 +292,7 @@ class TestImbalanceRatio:
         assert math.isinf(imbalance_ratio(d))
 
     def test_rejects_empty(self):
-        empty = MatchDistribution("", np.empty((0, 2), dtype=np.int64))
+        empty = MatchDistribution("", np.empty((0, 2), dtype=np.int64),
+                                  np.empty((0, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             imbalance_ratio(empty)

@@ -13,8 +13,9 @@ from yolof_assign import matching
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
                                    generate_anchors, pairwise_iou)
 from yolof_assign.matching import (ATSSConfig, GroundTruthSet, MaxIoUConfig,
-                                   UniformMatchConfig, _center_distances,
-                                   hungarian_cost, nearest_candidates)
+                                   TopKConfig, UniformMatchConfig,
+                                   _center_distances, hungarian_cost,
+                                   nearest_candidates)
 
 from oracles import (_center_distance, atss_py, iou_py, knearest_py,
                      max_iou_py, uniform_py)
@@ -28,11 +29,17 @@ CONFIGS = {
                             aspect_ratios=(0.5, 1.0, 2.0)),
 }
 IMAGE = ImageSize(256, 200)  # a partial last row of cells at stride 32
+TINY = ImageSize(20, 20)  # 5, 12 or 45 anchors: fewer than k
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
 def grid(request):
     return generate_anchors(CONFIGS[request.param], IMAGE)
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def tiny_grid(request):
+    return generate_anchors(CONFIGS[request.param], TINY)
 
 
 def scene(rng, stride, kind):
@@ -205,6 +212,25 @@ class TestMatchersDifferential:
         assert got == matching.atss_match(grid.anchors, g,
                                           cfg).labels.tolist()
         assert got == atss_py(grid.anchors.tolist(), g.boxes.tolist(), 9)
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_fewer_anchors_than_k(self, tiny_grid, kind, seed):
+        """Uniform, top-k and ATSS take every anchor when k exceeds them."""
+        g = gts_for(tiny_grid, kind, seed)
+        k = len(tiny_grid) + 2
+        assert nearest_candidates(tiny_grid, g, k).shape \
+            == (len(g), len(tiny_grid))
+        anchors, boxes = tiny_grid.anchors.tolist(), g.boxes.tolist()
+        for match, cfg, want in (
+                (matching.uniform_match, UniformMatchConfig(k=k),
+                 uniform_py(anchors, boxes, k, 0.15, 0.7)),
+                (matching.topk_match, TopKConfig(k=k),
+                 uniform_py(anchors, boxes, k, 0.0, 1.0)),
+                (matching.atss_match, ATSSConfig(k=k),
+                 atss_py(anchors, boxes, k))):
+            got = match(tiny_grid, g, cfg).labels.tolist()
+            assert got == match(tiny_grid.anchors, g, cfg).labels.tolist()
+            assert got == want
 
     @pytest.mark.parametrize("rescue", [True, False])
     @pytest.mark.parametrize("kind,seed", SCENES)

@@ -1,13 +1,15 @@
+import gc
 import json
 import multiprocessing
 import os
 import stat
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from yolof_assign import coco
+from yolof_assign import coco, matching
 from yolof_assign.cli import main
 from yolof_assign.coco import (CorpusError, RunConfig, load_corpus,
                                parse_corpus, run_match_stats, worker_count)
@@ -182,15 +184,16 @@ class TestRunMatchStats:
     def test_empty_corpus(self, tmp_path):
         doc = dict(BASE_DOC, annotations=[])
         corpus = load_corpus(write_json(tmp_path / "c.json", doc))
-        dist, per_image = run_match_stats(corpus, RunConfig())
+        dist = run_match_stats(corpus, RunConfig())
         assert dist.total_gts == 0
-        assert per_image[0]["num_positive"] == 0
+        assert distribution_to_dict(dist)["per_image"][0]["num_positive"] \
+            == 0
 
     def test_uniform_candidates_flag(self, tiny_corpus_path):
         corpus = load_corpus(tiny_corpus_path)
-        dist, per_image = run_match_stats(corpus, RunConfig())
+        dist = run_match_stats(corpus, RunConfig())
         assert dist.total_gts == 6
-        assert [d["image_id"] for d in per_image] == [1, 2, 3]
+        assert dist.per_image[:, 0].tolist() == [1, 2, 3]
 
     def test_anchor_grid_built_once_per_size(self, monkeypatch):
         grids = []
@@ -212,7 +215,7 @@ class TestRunMatchStats:
         corpus = load_corpus(tiny_corpus_path)
         config = RunConfig(matcher="max_iou",
                            matcher_params={"rescue": False})
-        dist, _ = run_match_stats(corpus, config)
+        dist = run_match_stats(corpus, config)
         assert dist.zero_fraction("small") == 1.0
         assert dist.mean("large") >= 1.0
 
@@ -221,7 +224,7 @@ class TestRunMatchStats:
         config = RunConfig(shift_max=16, seed=11)
         a = run_match_stats(corpus, config)
         b = run_match_stats(corpus, config)
-        assert distribution_to_dict(a[0]) == distribution_to_dict(b[0])
+        assert distribution_to_dict(a) == distribution_to_dict(b)
 
     @pytest.mark.parametrize("workers", ["2", "3", "4", "9"])
     @pytest.mark.parametrize("corpus_doc", [
@@ -250,9 +253,7 @@ class TestRunMatchStats:
         # list, so this one stays empty when the chunks ran in workers
         monkeypatch.setattr(coco, "distribution", recording)
         threaded = run_match_stats(corpus, config)
-        assert distribution_to_dict(serial[0]) \
-            == distribution_to_dict(threaded[0])
-        assert serial[1] == threaded[1]
+        assert distribution_to_dict(serial) == distribution_to_dict(threaded)
         assert aggregated_here == ([] if len(corpus.images) > 1
                                    else [os.getpid()])
         assert multiprocessing.active_children() == []
@@ -294,9 +295,31 @@ class TestRunMatchStats:
         monkeypatch.setattr(coco, "distribution", recording)
         in_process = run_match_stats(corpus, config)
         assert aggregated_here == [3]  # one chunk over the whole corpus
-        assert distribution_to_dict(serial[0]) \
-            == distribution_to_dict(in_process[0])
-        assert serial[1:] == in_process[1:]
+        assert distribution_to_dict(serial) \
+            == distribution_to_dict(in_process)
+
+    def test_labels_do_not_outlive_their_match(self, seeded_corpus_path,
+                                               monkeypatch):
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
+        results, alive = [], []
+        real_match, real_distribution = matching.uniform_match, \
+            coco.distribution
+
+        def keeping(*args, **kwargs):
+            result = real_match(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        def counting(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in results))
+            return real_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "uniform_match", keeping)
+        monkeypatch.setattr(coco, "distribution", counting)
+        run_match_stats(load_corpus(seeded_corpus_path), RunConfig())
+        assert len(results) == 40
+        assert len(alive) == 1 and alive[0] <= 1  # the last image's
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "lots")
@@ -307,7 +330,7 @@ class TestRunMatchStats:
 class TestReports:
     def test_csv_schema(self, tiny_corpus_path):
         corpus = load_corpus(tiny_corpus_path)
-        dist, _ = run_match_stats(corpus, RunConfig())
+        dist = run_match_stats(corpus, RunConfig())
         text = distribution_to_csv(dist)
         lines = text.strip().split("\n")
         assert lines[0] == ("matcher,bucket,gt_count,positives_total,"
@@ -423,17 +446,19 @@ class TestCLI:
 
     def test_image_error_from_a_worker_exit_2(self, capsys, tmp_path,
                                               monkeypatch):
-        # a 20x20 image has 5 anchors, fewer than ATSS k=15; it sits in
-        # the second of two chunks
+        # a 20x20 image has 5 anchors, fewer than its 6 GTs, which
+        # Hungarian matching cannot assign one to one; it sits in the
+        # second of two chunks
         doc = dict(BASE_DOC, images=[
             {"id": i, "width": 320, "height": 256} for i in range(1, 6)]
             + [{"id": 6, "width": 20, "height": 20},
                {"id": 7, "width": 320, "height": 256}],
             annotations=[{"id": i, "image_id": i, "bbox": [3, 3, 10, 12],
-                          "category_id": 2} for i in range(1, 8)])
+                          "category_id": 2} for i in range(1, 8)]
+            + [{"id": 10 + i, "image_id": 6, "bbox": [i, i, 6, 6],
+                "category_id": 2} for i in range(5)])
         corpus = write_json(tmp_path / "c.json", doc)
-        cfg = write_json(tmp_path / "cfg.json",
-                         {"matcher": "atss", "matcher_params": {"k": 15}})
+        cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
         runs = []
         for workers in ("1", "2"):
             monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
@@ -441,7 +466,7 @@ class TestCLI:
                                  "--config", cfg))
             assert multiprocessing.active_children() == []
         assert runs[0] == runs[1] == (
-            2, "", "error: image 6: k=15 exceeds the 5 available anchors\n")
+            2, "", "error: image 6: 6 ground truths exceed 5 anchors\n")
 
     @pytest.mark.parametrize("doc,named", [
         ({"matcher": "atss", "matcher_params": {"kk": 50}}, "'kk'"),
