@@ -2,8 +2,8 @@
 single-level-feature object detection."""
 
 from .geometry import (AnchorConfig, AnchorGrid, ImageSize, apply_shift,
-                       as_boxes, box_area, box_centers, decode_deltas,
-                       generate_anchors, iou, pairwise_iou)
+                       as_boxes, box_area, box_centers, generate_anchors, iou,
+                       pairwise_iou)
 from .matching import (ATSSConfig, GroundTruthSet, HungarianConfig, IGNORED,
                        MATCHERS, MatchResult, MaxIoUConfig, NEGATIVE,
                        TopKConfig, UniformMatchConfig, atss_match,
@@ -11,8 +11,8 @@ from .matching import (ATSSConfig, GroundTruthSet, HungarianConfig, IGNORED,
                        solve_assignment, topk_match, uniform_match)
 from .balance import (MatchDistribution, SizeBuckets, distribution,
                       imbalance_ratio)
-from .encoder import (EncoderSpec, FeatureLevel, RFProfile, WeightSet,
-                      forward, impulse_footprint, rf_profile, scale_coverage)
+from .encoder import (EncoderSpec, RFProfile, WeightSet, forward,
+                      impulse_footprint, rf_profile, scale_coverage)
 from .flops import (DecoderSpec, EncoderTopology, FlopsReport, conv_flops,
                     encoder_decoder_flops)
 from .postprocess import Detection, nms, score_filter

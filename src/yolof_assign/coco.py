@@ -138,6 +138,9 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
         if size is None:
             raise CorpusError(f"annotation {ann_id} references missing "
                               f"image_id {image_id}")
+        if cat < 0:
+            raise CorpusError(f"annotation {ann_id} in image {image_id} has "
+                              f"a negative category_id {cat}")
         box = (x, y, x + w, y + h)
         if not all(map(math.isfinite, box)):
             raise CorpusError(f"annotation {ann_id} has a non-finite bbox "

@@ -9,8 +9,7 @@ involved; batch norm runs in inference form only.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,22 +19,6 @@ FEATURE_LEVEL_STRIDES = {
     "C3": 8, "C4": 16, "C5": 32, "DC5": 16,
     "P3": 8, "P4": 16, "P5": 32, "P6": 64, "P7": 128,
 }
-
-
-@dataclass(frozen=True)
-class FeatureLevel:
-    """Named backbone/pyramid level with its downsample rate."""
-
-    name: str
-    channels: int = 2048
-
-    def __post_init__(self):
-        if self.name not in FEATURE_LEVEL_STRIDES:
-            raise ValueError(f"unknown feature level {self.name!r}")
-
-    @property
-    def stride(self) -> int:
-        return FEATURE_LEVEL_STRIDES[self.name]
 
 
 @dataclass(frozen=True)

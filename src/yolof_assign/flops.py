@@ -7,7 +7,7 @@ is recorded in report metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .encoder import FEATURE_LEVEL_STRIDES, EncoderSpec
 from .geometry import ImageSize
@@ -172,13 +172,12 @@ class DecoderSpec:
 
 @dataclass
 class FlopsReport:
-    """Per-layer MAC breakdown with encoder/decoder/backbone totals."""
+    """Per-layer MAC breakdown with encoder and decoder totals."""
 
     topology: str
     image: ImageSize
     encoder_layers: list  # (layer name, level, macs)
     decoder_layers: list
-    backbone_macs: int | None = None
     notes: str = COST_NOTES
 
     @property
@@ -191,8 +190,7 @@ class FlopsReport:
 
     @property
     def total(self) -> int:
-        return (self.encoder_total + self.decoder_total
-                + (self.backbone_macs or 0))
+        return self.encoder_total + self.decoder_total
 
     def per_level(self) -> dict:
         out = {}
@@ -202,8 +200,7 @@ class FlopsReport:
 
 
 def encoder_decoder_flops(topology: EncoderTopology, decoder: DecoderSpec,
-                          image: ImageSize,
-                          backbone_macs: int | None = None) -> FlopsReport:
+                          image: ImageSize) -> FlopsReport:
     """Sum convolution MACs over the encoder inventory and the decoder
     heads applied on every encoder output level."""
     enc = [(l.name, l.level, l.flops(image)) for l in topology.layers]
@@ -214,5 +211,4 @@ def encoder_decoder_flops(topology: EncoderTopology, decoder: DecoderSpec,
         dec += [(l.name, level, l.flops(image))
                 for l in decoder.layers(level)]
     return FlopsReport(topology=topology.kind, image=image,
-                       encoder_layers=enc, decoder_layers=dec,
-                       backbone_macs=backbone_macs)
+                       encoder_layers=enc, decoder_layers=dec)

@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# exp(dw)/exp(dh) clamp so decoded sizes cannot overflow
-DELTA_CLAMP = math.log(1000.0 / 16.0)
-
-
 @dataclass(frozen=True)
 class ImageSize:
     """Integer pixel dimensions of an image."""
@@ -280,28 +276,3 @@ def shift_offset(max_shift: int, seed) -> tuple:
     dy = int(rng.integers(-max_shift, max_shift + 1))
     return dx, dy
 
-
-def decode_deltas(anchors, deltas, center_clamp: float = 32.0) -> np.ndarray:
-    """Decode ``(dx, dy, dw, dh)`` regression deltas against anchors.
-
-    The additive center displacement ``(dx * w_a, dy * h_a)`` is clamped
-    component-wise to ``[-center_clamp, center_clamp]``; ``dw``/``dh`` are
-    clamped to ``ln(1000/16)`` before exponentiation.
-    """
-    if center_clamp <= 0:
-        raise ValueError("center_clamp must be positive")
-    _, boxes = _anchor_layout(anchors)
-    deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
-    if deltas.shape[0] != boxes.shape[0]:
-        raise ValueError(f"got {deltas.shape[0]} deltas for "
-                         f"{boxes.shape[0]} anchors")
-    wa = boxes[:, 2] - boxes[:, 0]
-    ha = boxes[:, 3] - boxes[:, 1]
-    ctr = box_centers(boxes)
-    shift_x = np.clip(deltas[:, 0] * wa, -center_clamp, center_clamp)
-    shift_y = np.clip(deltas[:, 1] * ha, -center_clamp, center_clamp)
-    cx = ctr[:, 0] + shift_x
-    cy = ctr[:, 1] + shift_y
-    w = wa * np.exp(np.minimum(deltas[:, 2], DELTA_CLAMP))
-    h = ha * np.exp(np.minimum(deltas[:, 3], DELTA_CLAMP))
-    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)

@@ -20,7 +20,11 @@ IGNORED = -2
 
 @dataclass
 class GroundTruthSet:
-    """Ground-truth boxes with parallel class ids."""
+    """Ground-truth boxes with parallel class ids.
+
+    Every coordinate is finite and every box has positive area, so the
+    matchers never see a NaN distance or IoU.
+    """
 
     boxes: np.ndarray
     class_ids: np.ndarray
@@ -32,6 +36,8 @@ class GroundTruthSet:
             raise ValueError("boxes and class_ids must have equal length")
         if np.any(self.class_ids < 0):
             raise ValueError("class ids must be non-negative")
+        if not np.isfinite(self.boxes).all():
+            raise ValueError("every ground-truth coordinate must be finite")
         if len(self.boxes) and np.any(box_area(self.boxes) <= 0):
             raise ValueError("every ground-truth box must have positive area")
 
@@ -212,27 +218,22 @@ def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k smallest values, ``(M, k)``, ordered
     by (value, index)."""
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-    # Every column at most the k-th value, as "not farther" so that a row
-    # of NaN distances (a NaN box) keeps all its columns: such rows sort
-    # like argsort, NaN last and then by index.
-    near = np.flatnonzero(~(dist > kth))
+    near = np.flatnonzero(dist <= kth)
     rows, cols = np.divmod(near, dist.shape[1])
     order = np.lexsort((cols, dist.ravel()[near], rows))
     starts = np.searchsorted(rows, np.arange(len(dist)))
     return cols[order][starts[:, None] + np.arange(k)]
 
 
-def _candidate_matrix(cand: np.ndarray, values, fill: float):
-    """GT-by-candidate matrix holding ``values`` at ``cand``, else ``fill``.
+def _resolve_claims(anchor: np.ndarray, gt: np.ndarray, cost: np.ndarray):
+    """Settle the parallel claims ``(anchor[i], gt[i])`` of cost ``cost[i]``.
 
-    Returns ``(cols, matrix)``: the distinct candidate anchors, ascending,
-    and the ``(M, len(cols))`` matrix whose column ``j`` is anchor
-    ``cols[j]``.  Only anchors some GT claims need a column.
+    Each claimed anchor goes to its least-cost claim, ties to the smaller
+    GT index.  Returns the claimed anchors, ascending, and their GTs.
     """
-    cols, slot = np.unique(cand, return_inverse=True)
-    matrix = np.full((len(cand), len(cols)), fill)
-    matrix[np.arange(len(cand))[:, None], slot.reshape(cand.shape)] = values
-    return cols, matrix
+    order = np.lexsort((gt, cost))
+    a, first = np.unique(anchor[order], return_index=True)
+    return a, gt[order[first]]
 
 
 def uniform_match(anchors, gts: GroundTruthSet,
@@ -251,21 +252,9 @@ def uniform_match(anchors, gts: GroundTruthSet,
     if len(gts) == 0:
         return MatchResult(labels, 0)
 
-    # Conflict resolution, as a scan over the GTs in index order that hands
-    # an anchor to a strictly nearer claim: the nearest claim wins (tie:
-    # smaller GT index), and a NaN distance never takes an anchor claimed
-    # before it nor loses one it claimed first.
-    claims = cand.ravel()
-    claimer = np.repeat(np.arange(len(gts)), cand.shape[1])
-    dist = _center_distances(gts.boxes, boxes[cand]).ravel()
-    owner = np.empty(len(boxes), dtype=np.int64)
-    by_dist = np.lexsort((claimer, dist))  # NaN last
-    best = by_dist[np.unique(claims[by_dist], return_index=True)[1]]
-    owner[claims[best]] = claimer[best]
-    a, first = np.unique(claims, return_index=True)
-    kept = first[np.isnan(dist[first])]
-    owner[claims[kept]] = claimer[kept]
-    g = owner[a]
+    a, g = _resolve_claims(cand.ravel(),
+                           np.repeat(np.arange(len(gts)), cand.shape[1]),
+                           _center_distances(gts.boxes, boxes[cand]).ravel())
 
     if cfg.neg_ignore_iou < 1.0:  # no IoU exceeds 1, so 1 ignores nothing
         hot = pairwise_iou(gts.boxes, anchors).max(axis=0) \
@@ -308,14 +297,11 @@ def max_iou_match(anchors, gts: GroundTruthSet,
     labels[ignore] = IGNORED
 
     if cfg.rescue:
-        # force each GT's best anchor; on contention the higher IoU wins,
-        # then the smaller GT index, and a NaN IoU never does
+        # force each GT's best anchor, the higher IoU winning a contested one
+        g = np.arange(len(gts))
         best = np.argmax(ious, axis=1)
-        forced_iou = ious[np.arange(len(gts)), best]
-        g = np.flatnonzero(~np.isnan(forced_iou))
-        g = g[np.argsort(-forced_iou[g], kind="stable")]
-        a, first = np.unique(best[g], return_index=True)
-        labels[a] = g[first]
+        a, owner = _resolve_claims(best, g, -ious[g, best])
+        labels[a] = owner
     return MatchResult(labels, len(gts))
 
 
@@ -343,11 +329,9 @@ def atss_match(anchors, gts: GroundTruthSet,
     cx, cy = np.moveaxis(box_centers(boxes[cand]), -1, 0)
     x1, y1, x2, y2 = gts.boxes.T[:, :, None]
     inside = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
-    cols, score = _candidate_matrix(
-        cand, np.where((cand_ious >= thresh) & inside, cand_ious, -1.0), -1.0)
-    owner = np.argmax(score, axis=0)  # first max -> smaller gt index on ties
-    positive = score.max(axis=0) > -1.0
-    labels[cols[positive]] = owner[positive]
+    ok = (cand_ious >= thresh) & inside
+    a, g = _resolve_claims(cand[ok], np.nonzero(ok)[0], -cand_ious[ok])
+    labels[a] = g
     return MatchResult(labels, len(gts))
 
 
@@ -449,14 +433,20 @@ def hungarian_cost(anchors, gts: GroundTruthSet,
 
 def hungarian_match(anchors, gts: GroundTruthSet,
                     cfg: HungarianConfig = HungarianConfig()) -> MatchResult:
-    """Optimal one-to-one GT-to-anchor assignment (Kuhn-Munkres)."""
+    """Optimal one-to-one GT-to-anchor assignment (Kuhn-Munkres).
+
+    With more GTs than anchors the transposed cost is solved instead, as
+    a rectangular assignment does: every anchor goes positive for a
+    distinct GT, and the other GTs get no positive.
+    """
     anchors, boxes = _anchor_layout(anchors)
-    n = len(boxes)
-    labels = np.full(n, NEGATIVE, dtype=np.int64)
+    labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult(labels, 0)
-    if len(gts) > n:
-        raise ValueError(f"{len(gts)} ground truths exceed {n} anchors")
-    rows, cols, _ = solve_assignment(hungarian_cost(anchors, gts))
-    labels[cols] = rows
+    cost = hungarian_cost(anchors, gts)
+    if len(gts) > len(boxes):
+        anchor, gt, _ = solve_assignment(cost.T)
+    else:
+        gt, anchor, _ = solve_assignment(cost)
+    labels[anchor] = gt
     return MatchResult(labels, len(gts))

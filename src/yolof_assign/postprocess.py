@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ class Detection:
     class_id: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.box)):
+            raise ValueError(f"box must be finite, got {self.box}")
         if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be finite in [0, 1], got {self.score}")
         if self.class_id < 0:

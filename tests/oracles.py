@@ -156,31 +156,20 @@ def atss_py(anchor_boxes, gt_boxes, k):
     return labels
 
 
-def _argmax_py(values):
-    """Index of the first NaN, else of the first maximum (numpy's argmax)."""
-    best = 0
-    for i, v in enumerate(values):
-        if math.isnan(v):
-            return i
-        if v > values[best]:
-            best = i
-    return best
-
-
 def max_iou_py(ious, pos_iou, neg_iou, rescue):
     """Max-IoU labels (GT index, -1 or -2) from a GT-by-anchor IoU matrix.
 
     Each anchor takes its first best GT: positive at or above ``pos_iou``,
-    ignored in ``[neg_iou, pos_iou)``, negative otherwise (and when its
-    best IoU is NaN).  With ``rescue``, GT by GT in index order, each GT's
-    first best anchor is forced to it when that IoU beats every earlier
-    forced IoU of the anchor, so a NaN never does.
+    ignored in ``[neg_iou, pos_iou)``, negative otherwise.  With
+    ``rescue``, GT by GT in index order, each GT's first best anchor is
+    forced to it when that IoU beats every earlier forced IoU of the
+    anchor.
     """
     num_anchors = len(ious[0]) if ious else 0
     labels = []
     for a in range(num_anchors):
         column = [row[a] for row in ious]
-        g = _argmax_py(column)
+        g = column.index(max(column))
         if column[g] >= pos_iou:
             labels.append(g)
         elif neg_iou <= column[g] < pos_iou:
@@ -190,7 +179,7 @@ def max_iou_py(ious, pos_iou, neg_iou, rescue):
     if rescue:
         forced = [-1.0] * num_anchors
         for g, row in enumerate(ious):
-            a = _argmax_py(row)
+            a = row.index(max(row))
             if row[a] > forced[a]:
                 forced[a] = row[a]
                 labels[a] = g
@@ -203,16 +192,12 @@ def distribution_py(scenes, small_max=32.0 ** 2, medium_max=96.0 ** 2):
     ``scenes`` holds ``(boxes, labels)`` pairs of plain lists.  Returns
     ``(rows, stats)``: one ``(bucket name, positives)`` row per GT in scene
     order, and per bucket ``[GTs, positives, GTs without a positive]``.
-    A GT's area is ``max(w, 0) * max(h, 0)`` with a NaN side kept NaN,
-    and a NaN area falls through both ``<`` tests into "large".
     """
     rows = []
     stats = {name: [0, 0, 0] for name in ("small", "medium", "large")}
     for boxes, labels in scenes:
         for g, (x1, y1, x2, y2) in enumerate(boxes):
-            w = 0.0 if x2 - x1 < 0 else x2 - x1
-            h = 0.0 if y2 - y1 < 0 else y2 - y1
-            area = w * h
+            area = (x2 - x1) * (y2 - y1)
             if area < small_max:
                 name = "small"
             elif area < medium_max:

@@ -202,8 +202,7 @@ class TestMatchResult:
 
 def random_scenes(rng):
     """Scenes as ``(GroundTruthSet, MatchResult)`` pairs: some empty, GTs
-    on and beside the bucket edges, GTs without positives and NaN
-    boxes."""
+    on and beside the bucket edges, and GTs without positives."""
     # sides with areas 32^2, 32^2 - 1, 96^2 and 96^2 - 3, exact from
     # integer corners
     edges = np.array([[32.0, 32.0], [32.0, 31.96875], [96.0, 96.0],
@@ -216,8 +215,6 @@ def random_scenes(rng):
         on_edge = rng.random(n) < 0.4
         side[on_edge] = edges[rng.integers(0, 4, on_edge.sum())]
         boxes = np.concatenate([xy, xy + side], axis=1)
-        if n and rng.random() < 0.3:
-            boxes[rng.integers(n)] = np.nan
         num_anchors = int(rng.integers(n + 1, 30))
         # a label per anchor in [-2, n): positives for some GTs, none for
         # the rest
@@ -272,7 +269,6 @@ class TestAgainstOracle:
         counts = np.concatenate([m.positives_per_gt for _, m in pairs])
         sides = boxes[:, 2:] - boxes[:, :2]
         assert any(len(g) == 0 for g, _ in pairs)
-        assert np.isnan(boxes).any()
         assert (counts == 0).any() and (counts > 1).any()
         areas = np.prod(sides, axis=1)
         for area in (32.0 ** 2 - 1, 32.0 ** 2, 96.0 ** 2 - 3, 96.0 ** 2):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from yolof_assign.encoder import (EncoderSpec, FeatureLevel, WeightSet,
-                                  forward, impulse_footprint, rf_profile,
+from yolof_assign.encoder import (EncoderSpec, WeightSet, forward,
+                                  impulse_footprint, rf_profile,
                                   scale_coverage)
 
 
@@ -152,10 +152,3 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(spec, np.zeros((3, 8, 8)), WeightSet.identity(spec))
 
-
-def test_feature_level_strides():
-    assert FeatureLevel("C5").stride == 32
-    assert FeatureLevel("DC5").stride == 16
-    assert FeatureLevel("P3").stride == 8
-    with pytest.raises(ValueError):
-        FeatureLevel("C9")

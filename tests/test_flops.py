@@ -61,12 +61,6 @@ class TestReports:
         assert report.total == report.encoder_total + report.decoder_total
         assert sum(report.per_level().values()) == report.total
 
-    def test_backbone_constant(self):
-        report = encoder_decoder_flops(EncoderTopology.siso(), DecoderSpec(),
-                                       IMAGE, backbone_macs=1000)
-        assert report.total \
-            == report.encoder_total + report.decoder_total + 1000
-
     def test_zero_decoder(self):
         dec = DecoderSpec(cls_convs=0, reg_convs=0, anchors_per_position=0)
         report = encoder_decoder_flops(EncoderTopology.siso(), dec, IMAGE)

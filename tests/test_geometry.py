@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yolof_assign.geometry import (AnchorConfig, ImageSize, apply_shift,
-                                   decode_deltas, generate_anchors, iou,
-                                   pairwise_iou, shift_offset)
+                                   generate_anchors, iou, pairwise_iou,
+                                   shift_offset)
 
 from oracles import iou_py, raster_iou
 
@@ -140,42 +140,6 @@ class TestRandomShift:
         once, _ = apply_shift(boxes, image, dx, dy)
         back, _ = apply_shift(once, image, -dx, -dy)
         np.testing.assert_allclose(back, boxes)
-
-
-class TestDecodeDeltas:
-    def test_zero_deltas_identity(self):
-        grid = generate_anchors(AnchorConfig(), ImageSize(64, 64))
-        decoded = decode_deltas(grid, np.zeros((len(grid), 4)))
-        np.testing.assert_allclose(decoded, grid.anchors)
-
-    def test_center_clamp(self):
-        # raw shift 2*32=64 clamps to 32, moving the box a full side length
-        decoded = decode_deltas([[0, 0, 32, 32]], [[2, 0, 0, 0]],
-                                center_clamp=32)
-        np.testing.assert_allclose(decoded, [[32, 0, 64, 32]])
-
-    def test_size_scaling(self):
-        decoded = decode_deltas([[0, 0, 32, 32]], [[0, 0, math.log(2), 0]])
-        np.testing.assert_allclose(decoded, [[-16, 0, 48, 32]])
-
-    def test_exp_overflow_clamp(self):
-        decoded = decode_deltas([[0, 0, 32, 32]], [[0, 0, 50.0, 50.0]])
-        w = decoded[0, 2] - decoded[0, 0]
-        assert w == pytest.approx(32 * 1000 / 16)
-
-    def test_center_never_beyond_clamp(self):
-        rng = np.random.default_rng(0)
-        grid = generate_anchors(AnchorConfig(), ImageSize(128, 128))
-        deltas = rng.normal(scale=3.0, size=(len(grid), 4))
-        decoded = decode_deltas(grid, deltas, center_clamp=32)
-        anchor_c = (grid.anchors[:, :2] + grid.anchors[:, 2:]) / 2
-        decoded_c = (decoded[:, :2] + decoded[:, 2:]) / 2
-        assert np.abs(decoded_c - anchor_c).max() <= 32 + 1e-9
-
-    def test_rejects_length_mismatch(self):
-        grid = generate_anchors(AnchorConfig(), ImageSize(64, 64))
-        with pytest.raises(ValueError):
-            decode_deltas(grid, np.zeros((3, 4)))
 
 
 def test_pairwise_iou_shape_and_agreement():

@@ -3,7 +3,9 @@
 Every matcher computes its IoUs and center distances from a grid's thin
 per-column and per-row arrays; here each result must equal, float for
 float, the one computed from ``grid.anchors`` as a plain box array, and
-the labels must equal the scalar oracles'.
+the labels must equal the scalar oracles'.  The kernels take raw box
+arrays, non-finite ones too; the matchers take a ``GroundTruthSet``,
+which refuses a non-finite box.
 """
 
 import numpy as np
@@ -60,9 +62,7 @@ def scene(rng, stride, kind):
                                     90], [70, h - 10, 120, h + 40],
                                    [-5, -5, w + 5, h + 5]]])
     elif kind == "nonfinite":
-        # A NaN box and two inf boxes.  Every anchor is equally far (NaN or
-        # inf) from them, so they claim the first anchors, which the box
-        # over the top-left corner contests.
+        # a box over the top-left corner, a NaN box and two inf boxes
         boxes = np.vstack([boxes, [[-10, -10, 30, 20], [np.nan] * 4,
                                    [10, 10, np.inf, 50],
                                    [-np.inf, -np.inf, np.inf, np.inf]]])
@@ -73,9 +73,25 @@ SCENES = [(kind, seed) for kind in ("aligned", "edge", "nonfinite")
           for seed in range(2)]
 
 
+def boxes_for(grid, kind, seed):
+    return scene(np.random.default_rng(seed), grid.config.stride, kind)
+
+
 def gts_for(grid, kind, seed):
-    boxes = scene(np.random.default_rng(seed), grid.config.stride, kind)
+    """The scene's finite boxes as a ``GroundTruthSet``: the set refuses
+    the others (``test_ground_truths_must_be_finite``)."""
+    boxes = boxes_for(grid, kind, seed)
+    boxes = boxes[np.isfinite(boxes).all(axis=1)]
     return GroundTruthSet(boxes=boxes, class_ids=np.zeros(len(boxes)))
+
+
+def test_ground_truths_must_be_finite():
+    for value in (np.nan, np.inf, -np.inf):
+        for coord in range(4):
+            boxes = np.array([[10.0, 10.0, 50.0, 40.0], [0.0, 0.0, 8.0, 8.0]])
+            boxes[1, coord] = value
+            with pytest.raises(ValueError, match="must be finite"):
+                GroundTruthSet(boxes=boxes, class_ids=[0, 0])
 
 
 def assert_same_floats(got, want):
@@ -119,15 +135,15 @@ class TestGridArrays:
 class TestKernelsExact:
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_iou_grid_equals_flat(self, grid, kind, seed):
-        g = gts_for(grid, kind, seed)
-        assert_same_floats(pairwise_iou(g.boxes, grid),
-                           pairwise_iou(g.boxes, grid.anchors))
+        boxes = boxes_for(grid, kind, seed)
+        assert_same_floats(pairwise_iou(boxes, grid),
+                           pairwise_iou(boxes, grid.anchors))
 
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_center_distances_grid_equals_flat(self, grid, kind, seed):
-        g = gts_for(grid, kind, seed)
-        assert_same_floats(_center_distances(g.boxes, grid),
-                           _center_distances(g.boxes, grid.anchors))
+        boxes = boxes_for(grid, kind, seed)
+        assert_same_floats(_center_distances(boxes, grid),
+                           _center_distances(boxes, grid.anchors))
 
     # no GT: a (0, N) matrix, as the flat anchors give
     def test_iou_without_gts(self, grid):
@@ -151,14 +167,15 @@ class TestKernelsExact:
 
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_gathered_rows_equal_the_full_matrix(self, grid, kind, seed):
-        g = gts_for(grid, kind, seed)
-        cand = nearest_candidates(grid, g, 9)
+        boxes = boxes_for(grid, kind, seed)
+        cand = np.random.default_rng(seed).integers(0, len(grid),
+                                                    (len(boxes), 9))
         rows = grid.anchors[cand]
-        assert_same_floats(pairwise_iou(g.boxes, rows), np.take_along_axis(
-            pairwise_iou(g.boxes, grid.anchors), cand, axis=1))
-        assert_same_floats(_center_distances(g.boxes, rows),
+        assert_same_floats(pairwise_iou(boxes, rows), np.take_along_axis(
+            pairwise_iou(boxes, grid.anchors), cand, axis=1))
+        assert_same_floats(_center_distances(boxes, rows),
                            np.take_along_axis(_center_distances(
-                               g.boxes, grid.anchors), cand, axis=1))
+                               boxes, grid.anchors), cand, axis=1))
 
     def test_iou_equals_scalar_oracle(self, grid):
         g = gts_for(grid, "edge", 0)
@@ -255,11 +272,5 @@ class TestMatchersDifferential:
         assert_same_floats(cost, np.array([
             [_center_distance(b, a) - stride * iou_py(b, a) for a in anchors]
             for b in g.boxes.tolist()]))
-        if kind == "nonfinite":
-            # solve_assignment refuses a cost matrix holding NaN or -inf
-            for anchors in (grid, grid.anchors):
-                with pytest.raises(ValueError):
-                    matching.hungarian_match(anchors, g)
-        else:
-            assert matching.hungarian_match(grid, g).labels.tolist() == \
-                matching.hungarian_match(grid.anchors, g).labels.tolist()
+        assert matching.hungarian_match(grid, g).labels.tolist() == \
+            matching.hungarian_match(grid.anchors, g).labels.tolist()

@@ -444,20 +444,28 @@ class TestCLI:
         assert code == 2
         assert "error" in err
 
+    # 20x20 image 6 has 5 anchors and 6 GTs; it sits in the second of two
+    # chunks
+    ODD_IMAGE_DOC = dict(BASE_DOC, images=[
+        {"id": i, "width": 320, "height": 256} for i in range(1, 6)]
+        + [{"id": 6, "width": 20, "height": 20},
+           {"id": 7, "width": 320, "height": 256}],
+        annotations=[{"id": i, "image_id": i, "bbox": [3, 3, 10, 12],
+                      "category_id": 2} for i in range(1, 8)]
+        + [{"id": 10 + i, "image_id": 6, "bbox": [i, i, 6, 6],
+            "category_id": 2} for i in range(5)])
+
     def test_image_error_from_a_worker_exit_2(self, capsys, tmp_path,
                                               monkeypatch):
-        # a 20x20 image has 5 anchors, fewer than its 6 GTs, which
-        # Hungarian matching cannot assign one to one; it sits in the
-        # second of two chunks
-        doc = dict(BASE_DOC, images=[
-            {"id": i, "width": 320, "height": 256} for i in range(1, 6)]
-            + [{"id": 6, "width": 20, "height": 20},
-               {"id": 7, "width": 320, "height": 256}],
-            annotations=[{"id": i, "image_id": i, "bbox": [3, 3, 10, 12],
-                          "category_id": 2} for i in range(1, 8)]
-            + [{"id": 10 + i, "image_id": 6, "bbox": [i, i, 6, 6],
-                "category_id": 2} for i in range(5)])
-        corpus = write_json(tmp_path / "c.json", doc)
+        hungarian_match = matching.hungarian_match
+
+        def fail_on_image_6(anchors, gts, cfg):
+            if len(gts) == 6:
+                raise ValueError("no assignment")
+            return hungarian_match(anchors, gts, cfg)
+
+        monkeypatch.setattr(matching, "hungarian_match", fail_on_image_6)
+        corpus = write_json(tmp_path / "c.json", self.ODD_IMAGE_DOC)
         cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
         runs = []
         for workers in ("1", "2"):
@@ -465,8 +473,25 @@ class TestCLI:
             runs.append(self.run(capsys, "match-stats", "--input", corpus,
                                  "--config", cfg))
             assert multiprocessing.active_children() == []
-        assert runs[0] == runs[1] == (
-            2, "", "error: image 6: 6 ground truths exceed 5 anchors\n")
+        assert runs[0] == runs[1] == (2, "",
+                                      "error: image 6: no assignment\n")
+
+    def test_hungarian_on_more_gts_than_anchors(self, capsys, tmp_path,
+                                                monkeypatch):
+        # every anchor of image 6 goes to a distinct GT, one GT gets none
+        corpus = write_json(tmp_path / "c.json", self.ODD_IMAGE_DOC)
+        cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
+            runs.append(self.run(capsys, "match-stats", "--input", corpus,
+                                 "--config", cfg))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, err) == (0, "")
+        row = json.loads(out)["per_image"][5]
+        assert row["image_id"] == 6
+        assert sorted(row["positives_per_gt"]) == [0, 1, 1, 1, 1, 1]
 
     @pytest.mark.parametrize("doc,named", [
         ({"matcher": "atss", "matcher_params": {"kk": 50}}, "'kk'"),
@@ -642,6 +667,28 @@ class TestCLI:
         code, out, err = self.run(capsys, "nms", "--input", path)
         assert (code, out) == (2, "")
         assert "bad detection #1: " in err
+
+    def test_negative_category_id_exit_2(self, capsys, tmp_path):
+        doc = dict(BASE_DOC, annotations=BASE_DOC["annotations"] + [
+            {"id": 7, "image_id": 1, "bbox": [5, 5, 10, 10],
+             "category_id": -3}])
+        path = write_json(tmp_path / "c.json", doc)
+        for command in ("match-stats", "shift"):
+            code, out, err = self.run(capsys, command, "--input", path)
+            assert (code, out) == (2, "")
+            assert err == ("error: annotation 7 in image 1 has a negative "
+                           "category_id -3\n")
+
+    @pytest.mark.parametrize("literal", [
+        "[NaN, 0, 10, 10]", "[0, 0, Infinity, 10]", "[0, -Infinity, 10, 10]"])
+    def test_non_finite_detection_exit_2(self, capsys, tmp_path, literal):
+        dets = [{"bbox": [0, 0, 10, 10], "score": 0.9, "category_id": 1},
+                {"bbox": "@", "score": 0.8, "category_id": 1}]
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps(dets).replace('"@"', literal))
+        code, out, err = self.run(capsys, "nms", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "bad detection #1: box must be finite" in err
 
     def test_box_straddling_edge_accepted(self, capsys, tmp_path):
         doc = dict(BASE_DOC, annotations=BASE_DOC["annotations"] + [

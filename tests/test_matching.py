@@ -243,10 +243,20 @@ class TestHungarianMatch:
         assert len(positives) == 3
         assert len(set(positives)) == 3
 
-    def test_rejects_more_gts_than_anchors(self):
-        anchors = np.array([[0.0, 0.0, 32.0, 32.0]])
-        with pytest.raises(ValueError):
-            hungarian_match(anchors, gts([[0, 0, 8, 8], [8, 8, 16, 16]]))
+    def test_more_gts_than_anchors_matches_enumeration_oracle(self):
+        # a 20x20 image has 5 anchors: each goes to a distinct GT at the
+        # least total cost, and the other GTs get no positive
+        grid = generate_anchors(AnchorConfig(), ImageSize(20, 20))
+        rng = np.random.default_rng(0)
+        for m in (6, 7, 8):
+            xy = rng.uniform(0, 16, (m, 2))
+            g = gts(np.concatenate([xy, xy + rng.uniform(1, 8, (m, 2))], 1))
+            labels = hungarian_match(grid, g).labels
+            assert sorted(np.bincount(labels, minlength=m)) \
+                == [0] * (m - 5) + [1] * 5
+            cost = matching.hungarian_cost(grid, g)
+            assert cost[labels, np.arange(5)].sum() == pytest.approx(
+                assignment_cost_enum(cost.T), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_enumeration_oracle(self, seed):
@@ -423,20 +433,20 @@ class TestDifferential:
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_max_iou_equals_oracle(self, diff_grid, kind, seed, rescue):
         # aligned scenes repeat a GT, so two GTs share a best anchor at
-        # equal IoU; the appended NaN box has IoU 0 with every anchor
+        # equal IoU; the appended far box has IoU 0 with every anchor
         g = make_scene(kind, seed)
-        g = gts(np.vstack([g.boxes, np.full((1, 4), np.nan)]))
+        g = gts(np.vstack([g.boxes, [[1000.0, 1000.0, 1010.0, 1010.0]]]))
         cfg = MaxIoUConfig(rescue=rescue)
         anchors = diff_grid.anchors.tolist()
         ious = [[iou_py(box, a) for a in anchors] for box in g.boxes.tolist()]
         want = max_iou_py(ious, cfg.pos_iou, cfg.neg_iou, rescue)
         assert max_iou_match(diff_grid, g, cfg).labels.tolist() == want
 
-    def test_max_iou_equals_oracle_on_nan_and_tied_ious(self, monkeypatch):
-        # IoU matrices drawn from a few values, NaN among them, so that
-        # best anchors collide and tie; pairwise_iou returns them as given
+    def test_max_iou_equals_oracle_on_tied_ious(self, monkeypatch):
+        # IoU matrices drawn from a few values, so that best anchors
+        # collide and tie; pairwise_iou returns them as given
         rng = np.random.default_rng(0)
-        values = [0.0, 0.1, 0.3, 0.4, 0.45, 0.5, 0.8, 1.0, np.nan]
+        values = [0.0, 0.1, 0.3, 0.4, 0.45, 0.5, 0.8, 1.0]
         for _ in range(300):
             m, n = rng.integers(1, 7), rng.integers(1, 10)
             ious = rng.choice(values, size=(m, n))
