@@ -17,7 +17,7 @@ BACKBONE_CHANNELS = {"C3": 512, "C4": 1024, "C5": 2048, "DC5": 2048}
 
 COST_NOTES = (
     "MAC counted as 1 FLOP; bias/BN/ReLU/interpolation/addition excluded; "
-    "backbone cost is an optional external constant"
+    "encoder and decoder only, no backbone"
 )
 
 

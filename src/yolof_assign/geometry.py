@@ -41,16 +41,16 @@ def as_boxes(boxes) -> np.ndarray:
 def box_area(boxes: np.ndarray) -> np.ndarray:
     boxes = np.asarray(boxes, dtype=np.float64)
     # np.maximum is what np.clip(x, 0.0, None) calls, without its overhead
-    w = np.maximum(boxes[..., 2] - boxes[..., 0], 0.0)
-    w *= np.maximum(boxes[..., 3] - boxes[..., 1], 0.0)
-    return w
+    sides = np.maximum(boxes[..., 2:] - boxes[..., :2], 0.0)
+    return sides[..., 0] * sides[..., 1]
 
 
 def box_centers(boxes: np.ndarray) -> np.ndarray:
     """Centers ``(cx, cy)`` of an ``(N, 4)`` box array."""
     boxes = np.asarray(boxes, dtype=np.float64)
-    return np.stack([(boxes[..., 0] + boxes[..., 2]) * 0.5,
-                     (boxes[..., 1] + boxes[..., 3]) * 0.5], axis=-1)
+    centers = boxes[..., :2] + boxes[..., 2:]
+    centers *= 0.5
+    return centers
 
 
 def iou(a, b) -> float:
@@ -63,14 +63,17 @@ def pairwise_iou(a: np.ndarray, b) -> np.ndarray:
 
     ``b`` is an ``(M, 4)`` box array, giving the ``(N, M)`` matrix; an
     ``(N, k, 4)`` array of k boxes per box of ``a``, giving ``(N, k)``; or
-    an :class:`AnchorGrid`, giving ``(N, len(b))`` from the grid's
-    per-column and per-row extents, bit-identical to ``b.anchors``.
+    an :class:`AnchorGrid`, giving ``(N, len(b))`` as the window of
+    :func:`iou_window` that holds every anchor, bit-identical to
+    ``b.anchors``.
     """
     a = as_boxes(a)
     if isinstance(b, AnchorGrid):
-        inter, union = _grid_inter_union(a, b)
-    else:
-        inter, union = _inter_union(a, _other_boxes(a, b))
+        gt, anchor, values = iou_window(a, b)
+        out = np.empty((len(a), len(b)))
+        out[gt, anchor] = values
+        return out
+    inter, union = _inter_union(a, _other_boxes(a, b))
     return _ratio(inter, union)
 
 
@@ -114,22 +117,120 @@ def _inter_union(a: np.ndarray, b: np.ndarray):
     return inter, union
 
 
-def _grid_inter_union(a: np.ndarray, grid: "AnchorGrid"):
-    """:func:`_inter_union` against every anchor of ``grid``.
+def iou_window(a, grid: "AnchorGrid", thresh=None):
+    """``(gt, anchor, iou)`` of every pair of a box of ``a`` and an anchor
+    of ``grid`` whose IoU is positive and at least ``thresh[gt]``, or of
+    every pair when ``thresh`` is None.  Each IoU is the float the flat
+    kernel computes for the pair.
 
     An anchor's x extent depends only on its (column, slot) and its y
-    extent only on its (row, slot), so the clipped spans are thin
-    ``(N, W, A)`` and ``(N, H, A)`` arrays whose products are the
-    intersections; every float is the one the flat kernel computes.
+    extent only on its (row, slot).  So for each (box, slot) the clipped
+    spans are one thin row over the columns and one over the rows, and an
+    anchor's intersection is the product of two of them.
+
+    With a threshold, a (box, slot) is scored only if its sides and the
+    slot's widest sides may reach it, and then only in the window of
+    columns and rows that may reach it with the widest span of the other
+    axis (:func:`_reaches`).
     """
-    xs = np.empty((2, len(a)) + grid.x_extents.shape[:-1])
-    ys = np.empty((2, len(a)) + grid.y_extents.shape[:-1])
-    _span(a[:, None, None, ::2], grid.x_extents, *xs)
-    _span(a[:, None, None, 1::2], grid.y_extents, *ys)
-    inter = _grid_outer(np.multiply, xs[0], ys[0])
-    union = np.add(box_area(a)[:, None], grid.areas)
+    a = as_boxes(a)
+    if thresh is not None:
+        thresh = np.asarray(thresh, dtype=np.float64)
+    sides = np.maximum(a[:, 2:] - a[:, :2], 0.0)
+    area = sides[:, 0] * sides[:, 1]  # box_area(a)
+    slots = len(grid.slot_min_areas)
+    if thresh is None:
+        gt, slot = np.divmod(np.arange(len(a) * slots), slots)
+    else:
+        sides = np.minimum(sides[:, None], grid.slot_max_sides)
+        gt, slot = _reaches(sides[..., 0] * sides[..., 1],
+                            area[:, None] + grid.slot_min_areas,
+                            thresh[:, None]).nonzero()
+        if len(gt) == 0:  # no (box, slot) may reach its threshold
+            return gt, gt, np.empty(0)
+    box = a[gt, :, None]
+    span = np.minimum(box[:, 2:], grid.slot_hi[slot])  # (P, 2, L)
+    span -= np.maximum(box[:, :2], grid.slot_lo[slot])
+    np.maximum(span, 0.0, out=span)
+    if thresh is None:
+        ok = np.broadcast_to(grid.lines, span.shape)
+    else:
+        ok = _reaches(span * span.max(axis=2)[:, ::-1, None],
+                      (area[gt] + grid.slot_min_areas[slot])[:, None, None],
+                      thresh[gt, None, None])
+    p, i, j = _window(ok)
+    gt, anchor = gt[p], grid.anchor_index(i, j, slot[p])
+    inter = span[p, 1, i] * span[p, 0, j]
+    union = area[gt] + grid.areas[anchor]
     union -= inter
-    return inter, union
+    iou = _ratio(inter, union)
+    if thresh is None:
+        return gt, anchor, iou
+    keep = (iou > 0) & (iou >= thresh[gt])
+    return gt[keep], anchor[keep], iou[keep]
+
+
+def _reaches(inter, total, t) -> np.ndarray:
+    """Whether ``inter / (total - inter)`` is positive and at least ``t``.
+
+    Given an intersection no smaller and a ``total`` area no larger than
+    an anchor's, float rounding being monotone, this holds whenever the
+    anchor's IoU does.  ``inter`` is at most the box's area and ``total``
+    at least it, so the union is not negative.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = inter / (total - inter) >= t
+    ok &= inter > 0
+    return ok
+
+
+def distance_window(centers, grid: "AnchorGrid", margin: float, bound=None):
+    """``(gt, anchor, distance)`` of every anchor of ``grid`` whose center
+    distance ``d`` from ``centers[gt]`` has ``d - margin <= bound[gt]``;
+    ``bound`` defaults to each center's nearest distance.
+
+    ``d`` is ``sqrt(dy * dy + dx * dx)`` of the center offsets, the float
+    the distance kernels of ``matching`` compute.  A column is in the
+    window when its squared x offset plus its slot's smallest squared y
+    offset passes, a row likewise; no other anchor is nearer.  Where every
+    slot shares slot 0's centers, only slot 0 is scored, and each anchor
+    found stands for its whole position.
+    """
+    slots = 1 if grid.shared_centers else len(grid.slot_centers)
+    gt, slot = np.divmod(np.arange(len(centers) * slots), slots)
+    sq = centers[:, None, :, None] - grid.slot_centers[:slots]
+    sq *= sq
+    sq = sq.reshape(len(gt), 2, -1)  # (P, 2, L)
+    nearest = sq.min(axis=2)
+    if bound is None:
+        bound = np.sqrt((nearest[:, 1] + nearest[:, 0]).reshape(
+            -1, slots).min(axis=1))
+    b = np.asarray(bound, dtype=np.float64)[gt]
+    ok = np.sqrt(sq + nearest[:, ::-1, None]) - margin <= b[:, None, None]
+    p, i, j = _window(ok)
+    dist = np.sqrt(sq[p, 1, i] + sq[p, 0, j])
+    keep = dist - margin <= b[p]
+    p, i, j, dist = p[keep], i[keep], j[keep], dist[keep]
+    per = len(grid.slot_centers) // slots  # the slots each anchor stands for
+    anchor = grid.anchor_index(i, j, slot[p])[:, None] + np.arange(per)
+    return gt[p].repeat(per), anchor.ravel(), dist.repeat(per)
+
+
+def _window(ok: np.ndarray):
+    """``(p, row, col)`` of the anchors in the windows of ``ok``.
+
+    ``ok[p]`` marks the columns, then the rows, of one (box, slot) that
+    may hold a passing anchor.  Its window is the rectangle from the first
+    to the last marked row and column, so it holds every anchor whose row
+    and column are both marked.
+    """
+    first = ok.argmax(axis=2)
+    size = ok.shape[2] - ok[..., ::-1].argmax(axis=2) - first
+    size *= ok.any(axis=2)  # 0 where nothing is marked
+    n = size[:, 0] * size[:, 1]
+    p = np.arange(len(n)).repeat(n)
+    di, dj = np.divmod(np.arange(len(p)) - (n.cumsum() - n)[p], size[p, 0])
+    return p, first[p, 1] + di, first[p, 0] + dj
 
 
 def _grid_outer(op, per_col: np.ndarray, per_row: np.ndarray) -> np.ndarray:
@@ -193,6 +294,11 @@ class AnchorGrid:
     for the grid kernels: ``x_extents`` ``(W, A, 2)`` and ``x_centers``
     ``(W, A)`` per (column, slot), ``y_extents`` ``(H, A, 2)`` and
     ``y_centers`` ``(H, A)`` per (row, slot), and the anchor ``areas``.
+    The window kernels read them per slot: ``slot_lo``, ``slot_hi`` and
+    ``slot_centers``, each ``(A, 2, max(W, H))``, hold each column's x
+    values, then each row's y values, where ``lines`` ``(2, max(W, H))``
+    is set; ``slot_max_sides`` ``(A, 2)`` and ``slot_min_areas`` ``(A,)``
+    bound a slot's anchors.
     ``shared_centers`` says whether every slot's float center equals slot
     0's, so that distances can be taken per position.
     """
@@ -213,8 +319,25 @@ class AnchorGrid:
         self.x_centers = box_centers(cells[0])[..., 0]
         self.y_centers = box_centers(cells[:, 0])[..., 1]
         self.areas = box_area(self.anchors)
+        # per slot, the columns (axis 0) and the rows (axis 1), padded to
+        # one length with lines that hold no anchor
+        size = max(self.grid_w, self.grid_h)
+        self.lines = np.zeros((2, size), dtype=bool)
+        self.slot_lo = np.full((len(cells[0, 0]), 2, size), np.inf)
+        self.slot_hi = np.full_like(self.slot_lo, -np.inf)
+        self.slot_centers = np.full_like(self.slot_lo, np.inf)
+        for axis, ext, ctr in ((0, self.x_extents, self.x_centers),
+                               (1, self.y_extents, self.y_centers)):
+            self.lines[axis, :len(ctr)] = True
+            self.slot_lo[:, axis, :len(ctr)] = ext[..., 0].T
+            self.slot_hi[:, axis, :len(ctr)] = ext[..., 1].T
+            self.slot_centers[:, axis, :len(ctr)] = ctr.T
+        self.slot_max_sides = (self.slot_hi - self.slot_lo).max(axis=2)
+        self.slot_min_areas = self.areas.reshape(-1, cells.shape[2]).min(0)
         for arr in (self.x_extents, self.y_extents, self.x_centers,
-                    self.y_centers, self.areas):
+                    self.y_centers, self.areas, self.lines, self.slot_lo,
+                    self.slot_hi, self.slot_centers, self.slot_max_sides,
+                    self.slot_min_areas):
             arr.setflags(write=False)
         self.shared_centers = bool(
             (self.x_centers == self.x_centers[:, :1]).all()
@@ -222,6 +345,10 @@ class AnchorGrid:
 
     def __len__(self) -> int:
         return self.anchors.shape[0]
+
+    def anchor_index(self, row, col, slot):
+        """The index of the anchor at (row, column, slot)."""
+        return (row * self.grid_w + col) * len(self.slot_lo) + slot
 
 
 def _anchor_layout(anchors):

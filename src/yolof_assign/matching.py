@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import (AnchorGrid, _anchor_layout, _grid_outer, as_boxes,
-                       box_area, box_centers, pairwise_iou)
+                       box_area, box_centers, distance_window, iou_window,
+                       pairwise_iou)
 
 NEGATIVE = -1
 IGNORED = -2
@@ -229,11 +230,25 @@ def _resolve_claims(anchor: np.ndarray, gt: np.ndarray, cost: np.ndarray):
     """Settle the parallel claims ``(anchor[i], gt[i])`` of cost ``cost[i]``.
 
     Each claimed anchor goes to its least-cost claim, ties to the smaller
-    GT index.  Returns the claimed anchors, ascending, and their GTs.
+    GT index.  Returns the index of each winning claim, in ascending order
+    of the claimed anchors.
     """
-    order = np.lexsort((gt, cost))
-    a, first = np.unique(anchor[order], return_index=True)
-    return a, gt[order[first]]
+    order = np.lexsort((gt, cost, anchor))
+    anchor = anchor[order]
+    first = np.ones(len(order), dtype=bool)  # where each anchor's run starts
+    np.not_equal(anchor[1:], anchor[:-1], out=first[1:])
+    return order[first]
+
+
+def _iou_pairs(anchors, gts: GroundTruthSet, thresh: np.ndarray):
+    """``(gt, anchor, iou)`` of every pair whose IoU is positive and at
+    least ``thresh[gt]``: the window of a grid, or the pairs of the full
+    matrix of ``(N, 4)`` anchors."""
+    if isinstance(anchors, AnchorGrid):
+        return iou_window(gts.boxes, anchors, thresh)
+    ious = pairwise_iou(gts.boxes, anchors)
+    gt, anchor = np.nonzero((ious > 0) & (ious >= thresh[:, None]))
+    return gt, anchor, ious[gt, anchor]
 
 
 def uniform_match(anchors, gts: GroundTruthSet,
@@ -252,15 +267,16 @@ def uniform_match(anchors, gts: GroundTruthSet,
     if len(gts) == 0:
         return MatchResult(labels, 0)
 
-    a, g = _resolve_claims(cand.ravel(),
-                           np.repeat(np.arange(len(gts)), cand.shape[1]),
-                           _center_distances(gts.boxes, boxes[cand]).ravel())
+    gt = np.repeat(np.arange(len(gts)), cand.shape[1])
+    win = _resolve_claims(cand.ravel(), gt,
+                          _center_distances(gts.boxes, boxes[cand]).ravel())
+    a, g = cand.ravel()[win], gt[win]
 
     if cfg.neg_ignore_iou < 1.0:  # no IoU exceeds 1, so 1 ignores nothing
-        hot = pairwise_iou(gts.boxes, anchors).max(axis=0) \
-            > cfg.neg_ignore_iou
-        hot[a] = False
-        labels[hot] = IGNORED
+        # the resolved candidates among them are labelled below
+        _, hot, ious = _iou_pairs(anchors, gts,
+                                  np.full(len(gts), cfg.neg_ignore_iou))
+        labels[hot[ious > cfg.neg_ignore_iou]] = IGNORED
     # only each resolved (GT, anchor) pair's IoU: (n, 4) against (n, 1, 4)
     pair_iou = pairwise_iou(gts.boxes[g], boxes[a, None])[:, 0]
     labels[a] = np.where(pair_iou >= cfg.pos_ignore_iou, g, IGNORED)
@@ -284,25 +300,59 @@ def max_iou_match(anchors, gts: GroundTruthSet,
     even below the threshold.
     """
     anchors, boxes = _anchor_layout(anchors)
-    n = len(boxes)
-    labels = np.full(n, NEGATIVE, dtype=np.int64)
-    if len(gts) == 0:
-        return MatchResult(labels, 0)
+    m = len(gts)
+    if m == 0:
+        return MatchResult(np.full(len(boxes), NEGATIVE, dtype=np.int64), 0)
+    # Only pairs of positive IoU at or above ``low`` are scored.  An anchor
+    # with none has every IoU below ``low``: negative, or with neg_iou at 0
+    # ignored, or with pos_iou at 0 too positive for GT 0, its first best.
+    low = cfg.neg_iou or cfg.pos_iou
+    default = NEGATIVE if cfg.neg_iou else IGNORED if cfg.pos_iou else 0
+    labels = np.full(len(boxes), default, dtype=np.int64)
+    # Each GT's best IoU is at least its rescue floor, so a pair at the
+    # floor or above holds it.
+    thresh = np.full(m, low)
+    if cfg.rescue:
+        np.minimum(thresh, _rescue_floor(anchors, gts), out=thresh)
+    g, a, v = _iou_pairs(anchors, gts, thresh)
 
-    ious = pairwise_iou(gts.boxes, anchors)
-    best_gt = np.argmax(ious, axis=0)
-    best_iou = ious[best_gt, np.arange(n)]
-    labels[best_iou >= cfg.pos_iou] = best_gt[best_iou >= cfg.pos_iou]
-    ignore = (best_iou >= cfg.neg_iou) & (best_iou < cfg.pos_iou)
-    labels[ignore] = IGNORED
+    # each anchor takes its best GT, the first on a tie
+    cost = -v
+    win = _resolve_claims(a, g, cost)
+    win = win[v[win] >= low]
+    labels[a[win]] = np.where(v[win] >= cfg.pos_iou, g[win], IGNORED)
 
     if cfg.rescue:
-        # force each GT's best anchor, the higher IoU winning a contested one
-        g = np.arange(len(gts))
-        best = np.argmax(ious, axis=1)
-        a, owner = _resolve_claims(best, g, -ious[g, best])
-        labels[a] = owner
-    return MatchResult(labels, len(gts))
+        # force each GT's first best anchor, the higher IoU winning a
+        # contested one; a GT of IoU 0 everywhere has anchor 0
+        win = _resolve_claims(g, a, cost)
+        best, best_iou = np.zeros(m, dtype=np.int64), np.zeros(m)
+        best[g[win]], best_iou[g[win]] = a[win], v[win]
+        win = _resolve_claims(best, np.arange(m), -best_iou)
+        labels[best[win]] = win
+    return MatchResult(labels, m)
+
+
+def _rescue_floor(grid, gts: GroundTruthSet) -> np.ndarray:
+    """A lower bound on each GT's best IoU: its best IoU with the slots of
+    the grid position that holds its center, clamped to the grid, or 0 off
+    a grid.  Each IoU is the float :func:`pairwise_iou` gives."""
+    if not isinstance(grid, AnchorGrid):
+        return np.zeros(len(gts))
+    x1, y1, x2, y2 = gts.boxes.T
+    j = ((x1 + x2) * (0.5 / grid.config.stride)).clip(0, grid.grid_w - 1)
+    i = ((y1 + y2) * (0.5 / grid.config.stride)).clip(0, grid.grid_h - 1)
+    j, i = j.astype(np.int64), i.astype(np.int64)
+    w = np.minimum(x2, grid.slot_hi[:, 0, j])  # (A, M)
+    w -= np.maximum(x1, grid.slot_lo[:, 0, j])
+    h = np.minimum(y2, grid.slot_hi[:, 1, i])
+    h -= np.maximum(y1, grid.slot_lo[:, 1, i])
+    inter = np.maximum(w, 0.0) * np.maximum(h, 0.0)
+    union = box_area(gts.boxes) \
+        + grid.areas.reshape(len(grid.anchors) // len(inter), -1)[
+            i * grid.grid_w + j].T
+    union -= inter
+    return (inter / union).max(axis=0)
 
 
 def atss_match(anchors, gts: GroundTruthSet,
@@ -330,8 +380,9 @@ def atss_match(anchors, gts: GroundTruthSet,
     x1, y1, x2, y2 = gts.boxes.T[:, :, None]
     inside = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
     ok = (cand_ious >= thresh) & inside
-    a, g = _resolve_claims(cand[ok], np.nonzero(ok)[0], -cand_ious[ok])
-    labels[a] = g
+    a, g = cand[ok], np.nonzero(ok)[0]
+    win = _resolve_claims(a, g, -cand_ious[ok])
+    labels[a[win]] = g[win]
     return MatchResult(labels, len(gts))
 
 
@@ -361,8 +412,11 @@ def solve_assignment(cost: np.ndarray):
     if len(np.unique(cols)) < m:
         # Some optimal assignment gives every row one of its m cheapest
         # columns: a row on any other column can move to one of those that
-        # is free (at most m - 1 are taken) without raising the cost.
-        keep = np.unique(np.argpartition(cost, m - 1, axis=1)[:, :m])
+        # is free (at most m - 1 are taken) without raising the cost.  The
+        # cut keeps every column tied with a row's m-th cheapest, so it
+        # depends on the cost values alone.
+        kth = np.partition(cost, m - 1, axis=1)[:, m - 1:m]
+        keep = np.flatnonzero((cost <= kth).any(axis=0))
         cols = keep[_shortest_augmenting_paths(cost[:, keep])]
     total = float(cost[rows, cols].sum())
     if total == np.inf:  # a row of +inf only
@@ -443,10 +497,43 @@ def hungarian_match(anchors, gts: GroundTruthSet,
     labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult(labels, 0)
-    cost = hungarian_cost(anchors, gts)
-    if len(gts) > len(boxes):
+    if isinstance(anchors, AnchorGrid):
+        # Each GT's cheapest anchor lies in its nearest window.  Distinct
+        # ones are the assignment, as each row paying its own minimum is a
+        # lower bound; else the solver needs each GT's m cheapest.
+        gt, anchor, cost = _hungarian_window(anchors, gts)
+        win = _resolve_claims(gt, anchor, cost)  # each GT's first argmin
+        labels[anchor[win]] = gt[win]
+        if np.count_nonzero(labels >= 0) == len(gts):
+            return MatchResult(labels, len(gts))
+        labels[anchor[win]] = NEGATIVE
+        kth = nearest_candidates(anchors, gts, len(gts))[:, -1:]
+        stride = float(anchors.config.stride)
+        _, near, _ = distance_window(
+            box_centers(gts.boxes), anchors, stride,
+            _center_distances(gts.boxes, boxes[kth])[:, 0])
+        cols = np.unique(near)
+        cost = hungarian_cost(boxes[cols], gts, stride)
+    else:
+        cols, cost = np.arange(len(boxes)), hungarian_cost(anchors, gts)
+    if len(gts) > len(cols):
         anchor, gt, _ = solve_assignment(cost.T)
     else:
         gt, anchor, _ = solve_assignment(cost)
-    labels[anchor] = gt
+    labels[cols[anchor]] = gt
     return MatchResult(labels, len(gts))
+
+
+def _hungarian_window(grid: AnchorGrid, gts: GroundTruthSet):
+    """``(gt, anchor, cost)`` of every pair whose cost may be at most its
+    GT's nearest distance, which holds each GT's cheapest anchors.
+
+    A cost lies in ``[d - stride, d]`` for center distance ``d``, so a GT's
+    k-th cheapest cost is at most its k-th smallest distance, and no anchor
+    with ``d - stride`` above that is as cheap.  Each cost is the float
+    :func:`hungarian_cost` gives.
+    """
+    stride = float(grid.config.stride)
+    gt, anchor, dist = distance_window(box_centers(gts.boxes), grid, stride)
+    return gt, anchor, dist - stride * pairwise_iou(
+        gts.boxes[gt], grid.anchors[anchor, None])[:, 0]

@@ -19,6 +19,8 @@ class Detection:
     class_id: int
 
     def __post_init__(self):
+        if len(self.box) != 4:
+            raise ValueError(f"box must have 4 values, got {len(self.box)}")
         if not all(map(math.isfinite, self.box)):
             raise ValueError(f"box must be finite, got {self.box}")
         if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:

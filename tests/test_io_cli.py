@@ -690,6 +690,19 @@ class TestCLI:
         assert (code, out) == (2, "")
         assert "bad detection #1: box must be finite" in err
 
+    @pytest.mark.parametrize("boxes,bad", [
+        ([[0, 0, 10]], 0),
+        ([[0, 0, 10, 10], [0, 0, 10], [5, 5, 20, 20]], 1)],
+        ids=["lone", "among-four"])
+    def test_detection_box_of_three_values_exit_2(self, capsys, tmp_path,
+                                                  boxes, bad):
+        dets = [{"bbox": b, "score": 0.9, "category_id": 1} for b in boxes]
+        path = write_json(tmp_path / "dets.json", dets)
+        code, out, err = self.run(capsys, "nms", "--input", path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: bad detection #{bad}: box must have "
+                       f"4 values, got 3\n")
+
     def test_box_straddling_edge_accepted(self, capsys, tmp_path):
         doc = dict(BASE_DOC, annotations=BASE_DOC["annotations"] + [
             {"id": 7, "image_id": 1, "bbox": [-5, 60, 10, 10],

@@ -318,6 +318,26 @@ class TestSolveAssignment:
         assert cols.tolist() == [1, 0, 3]
         assert total == 0.5
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cut_depends_on_cost_values_only(self, seed):
+        # integer-tied costs whose argmins collide: columns dearer than
+        # every row's m-th cheapest change nothing, wherever they go
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            m = int(rng.integers(2, 6))
+            cost = rng.integers(0, 4, (m, int(rng.integers(m, 20)))) * 1.0
+            kth = np.sort(cost, axis=1)[:, m - 1].max()
+            extra = kth + rng.integers(1, 3, (m, int(rng.integers(1, 40))))
+            rows, cols, total = solve_assignment(cost)
+            wide = np.hstack([cost, extra])
+            assert [a.tolist() for a in solve_assignment(wide)[:2]] \
+                == [rows.tolist(), cols.tolist()]
+            # appended columns keep their index only if the others stay
+            # in front; inserted in front, every index shifts by as many
+            shifted = solve_assignment(np.hstack([extra, cost]))
+            assert shifted[1].tolist() == (cols + extra.shape[1]).tolist()
+            assert shifted[2] == total == assignment_cost_enum(cost)
+
     def test_contested_argmin(self):
         # both rows want column 0; moving row 1 costs less than row 0
         rows, cols, total = solve_assignment([[1.0, 9.0, 5.0],
