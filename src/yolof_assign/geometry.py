@@ -63,16 +63,12 @@ def pairwise_iou(a: np.ndarray, b) -> np.ndarray:
 
     ``b`` is an ``(M, 4)`` box array, giving the ``(N, M)`` matrix; an
     ``(N, k, 4)`` array of k boxes per box of ``a``, giving ``(N, k)``; or
-    an :class:`AnchorGrid`, giving ``(N, len(b))`` as the window of
-    :func:`iou_window` that holds every anchor, bit-identical to
-    ``b.anchors``.
+    an :class:`AnchorGrid`, giving the matrix of its anchors.  On a grid,
+    :func:`iou_window` scores only the pairs that may pass a threshold.
     """
     a = as_boxes(a)
     if isinstance(b, AnchorGrid):
-        gt, anchor, values = iou_window(a, b)
-        out = np.empty((len(a), len(b)))
-        out[gt, anchor] = values
-        return out
+        b = b.anchors
     inter, union = _inter_union(a, _other_boxes(a, b))
     return _ratio(inter, union)
 
@@ -108,7 +104,7 @@ def _span(a, b, out, scratch) -> np.ndarray:
 def _inter_union(a: np.ndarray, b: np.ndarray):
     # one block for every (N, M) buffer: fresh matrices this size are
     # page-faulted in on each call, which costs more than the arithmetic
-    shape = np.broadcast_shapes((len(a), 1), b.shape[:-1])
+    shape = (len(a),) + b.shape[-2:-1]  # (N, M), or (N, k) gathered
     inter, union, scratch = np.empty((3,) + shape)
     _span(a[:, None, ::2], b[..., ::2], inter, scratch)
     inter *= _span(a[:, None, 1::2], b[..., 1::2], union, scratch)
@@ -117,71 +113,61 @@ def _inter_union(a: np.ndarray, b: np.ndarray):
     return inter, union
 
 
-def iou_window(a, grid: "AnchorGrid", thresh=None):
+# the smallest positive float
+_TINY = np.nextafter(0.0, 1.0)
+
+
+def iou_window(a, grid: "AnchorGrid", thresh):
     """``(gt, anchor, iou)`` of every pair of a box of ``a`` and an anchor
-    of ``grid`` whose IoU is positive and at least ``thresh[gt]``, or of
-    every pair when ``thresh`` is None.  Each IoU is the float the flat
-    kernel computes for the pair.
+    of ``grid`` whose IoU is positive and at least ``thresh[gt]``.  Each
+    IoU is the float the flat kernel computes for the pair.
 
     An anchor's x extent depends only on its (column, slot) and its y
     extent only on its (row, slot).  So for each (box, slot) the clipped
     spans are one thin row over the columns and one over the rows, and an
-    anchor's intersection is the product of two of them.
-
-    With a threshold, a (box, slot) is scored only if its sides and the
-    slot's widest sides may reach it, and then only in the window of
-    columns and rows that may reach it with the widest span of the other
-    axis (:func:`_reaches`).
+    anchor's intersection is the product of two of them.  A (box, slot) is
+    scored only if its sides and the slot's widest sides may reach the
+    threshold, and then only in the window of columns and rows that may
+    reach it with the widest span of the other axis (:func:`_reaches`).
     """
     a = as_boxes(a)
-    if thresh is not None:
-        thresh = np.asarray(thresh, dtype=np.float64)
+    # an IoU is positive and at least t when it is at least the larger of
+    # t and the smallest positive float
+    thresh = np.maximum(thresh, _TINY)
     sides = np.maximum(a[:, 2:] - a[:, :2], 0.0)
     area = sides[:, 0] * sides[:, 1]  # box_area(a)
-    slots = len(grid.slot_min_areas)
-    if thresh is None:
-        gt, slot = np.divmod(np.arange(len(a) * slots), slots)
-    else:
-        sides = np.minimum(sides[:, None], grid.slot_max_sides)
-        gt, slot = _reaches(sides[..., 0] * sides[..., 1],
-                            area[:, None] + grid.slot_min_areas,
-                            thresh[:, None]).nonzero()
-        if len(gt) == 0:  # no (box, slot) may reach its threshold
-            return gt, gt, np.empty(0)
+    sides = np.minimum(sides[:, None], grid.slot_max_sides)
+    gt, slot = _reaches(sides[..., 0] * sides[..., 1],
+                        area[:, None] + grid.slot_min_areas,
+                        thresh[:, None]).nonzero()
+    if len(gt) == 0:  # no (box, slot) may reach its threshold
+        return gt, gt, np.empty(0)
     box = a[gt, :, None]
     span = np.minimum(box[:, 2:], grid.slot_hi[slot])  # (P, 2, L)
     span -= np.maximum(box[:, :2], grid.slot_lo[slot])
     np.maximum(span, 0.0, out=span)
-    if thresh is None:
-        ok = np.broadcast_to(grid.lines, span.shape)
-    else:
-        ok = _reaches(span * span.max(axis=2)[:, ::-1, None],
-                      (area[gt] + grid.slot_min_areas[slot])[:, None, None],
-                      thresh[gt, None, None])
+    ok = _reaches(span * span.max(axis=2)[:, ::-1, None],
+                  (area[gt] + grid.slot_min_areas[slot])[:, None, None],
+                  thresh[gt, None, None])
     p, i, j = _window(ok)
     gt, anchor = gt[p], grid.anchor_index(i, j, slot[p])
     inter = span[p, 1, i] * span[p, 0, j]
     union = area[gt] + grid.areas[anchor]
     union -= inter
     iou = _ratio(inter, union)
-    if thresh is None:
-        return gt, anchor, iou
-    keep = (iou > 0) & (iou >= thresh[gt])
+    keep = iou >= thresh[gt]
     return gt[keep], anchor[keep], iou[keep]
 
 
 def _reaches(inter, total, t) -> np.ndarray:
-    """Whether ``inter / (total - inter)`` is positive and at least ``t``.
+    """Whether ``inter / (total - inter)`` is at least ``t``.
 
     Given an intersection no smaller and a ``total`` area no larger than
     an anchor's, float rounding being monotone, this holds whenever the
     anchor's IoU does.  ``inter`` is at most the box's area and ``total``
-    at least it, so the union is not negative.
+    exceeds it by a slot's positive area, so the union is positive.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = inter / (total - inter) >= t
-    ok &= inter > 0
-    return ok
+    return inter / (total - inter) >= t
 
 
 def distance_window(centers, grid: "AnchorGrid", margin: float, bound=None):
@@ -296,9 +282,9 @@ class AnchorGrid:
     ``y_centers`` ``(H, A)`` per (row, slot), and the anchor ``areas``.
     The window kernels read them per slot: ``slot_lo``, ``slot_hi`` and
     ``slot_centers``, each ``(A, 2, max(W, H))``, hold each column's x
-    values, then each row's y values, where ``lines`` ``(2, max(W, H))``
-    is set; ``slot_max_sides`` ``(A, 2)`` and ``slot_min_areas`` ``(A,)``
-    bound a slot's anchors.
+    values, then each row's y values, padded with lines that no box
+    overlaps and no center is near; ``slot_max_sides`` ``(A, 2)`` and
+    ``slot_min_areas`` ``(A,)`` bound a slot's anchors.
     ``shared_centers`` says whether every slot's float center equals slot
     0's, so that distances can be taken per position.
     """
@@ -320,22 +306,20 @@ class AnchorGrid:
         self.y_centers = box_centers(cells[:, 0])[..., 1]
         self.areas = box_area(self.anchors)
         # per slot, the columns (axis 0) and the rows (axis 1), padded to
-        # one length with lines that hold no anchor
+        # one length with empty extents at infinite centers
         size = max(self.grid_w, self.grid_h)
-        self.lines = np.zeros((2, size), dtype=bool)
         self.slot_lo = np.full((len(cells[0, 0]), 2, size), np.inf)
         self.slot_hi = np.full_like(self.slot_lo, -np.inf)
         self.slot_centers = np.full_like(self.slot_lo, np.inf)
         for axis, ext, ctr in ((0, self.x_extents, self.x_centers),
                                (1, self.y_extents, self.y_centers)):
-            self.lines[axis, :len(ctr)] = True
             self.slot_lo[:, axis, :len(ctr)] = ext[..., 0].T
             self.slot_hi[:, axis, :len(ctr)] = ext[..., 1].T
             self.slot_centers[:, axis, :len(ctr)] = ctr.T
         self.slot_max_sides = (self.slot_hi - self.slot_lo).max(axis=2)
         self.slot_min_areas = self.areas.reshape(-1, cells.shape[2]).min(0)
         for arr in (self.x_extents, self.y_extents, self.x_centers,
-                    self.y_centers, self.areas, self.lines, self.slot_lo,
+                    self.y_centers, self.areas, self.slot_lo,
                     self.slot_hi, self.slot_centers, self.slot_max_sides,
                     self.slot_min_areas):
             arr.setflags(write=False)

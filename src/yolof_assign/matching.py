@@ -235,7 +235,8 @@ def _resolve_claims(anchor: np.ndarray, gt: np.ndarray, cost: np.ndarray):
     """
     order = np.lexsort((gt, cost, anchor))
     anchor = anchor[order]
-    first = np.ones(len(order), dtype=bool)  # where each anchor's run starts
+    first = np.empty(len(order), dtype=bool)  # where each anchor's run starts
+    first[:1] = True
     np.not_equal(anchor[1:], anchor[:-1], out=first[1:])
     return order[first]
 
@@ -311,9 +312,8 @@ def max_iou_match(anchors, gts: GroundTruthSet,
     labels = np.full(len(boxes), default, dtype=np.int64)
     # Each GT's best IoU is at least its rescue floor, so a pair at the
     # floor or above holds it.
-    thresh = np.full(m, low)
-    if cfg.rescue:
-        np.minimum(thresh, _rescue_floor(anchors, gts), out=thresh)
+    thresh = np.minimum(_rescue_floor(anchors, gts), low) if cfg.rescue \
+        else np.full(m, low)
     g, a, v = _iou_pairs(anchors, gts, thresh)
 
     # each anchor takes its best GT, the first on a tie
@@ -339,18 +339,17 @@ def _rescue_floor(grid, gts: GroundTruthSet) -> np.ndarray:
     a grid.  Each IoU is the float :func:`pairwise_iou` gives."""
     if not isinstance(grid, AnchorGrid):
         return np.zeros(len(gts))
-    x1, y1, x2, y2 = gts.boxes.T
-    j = ((x1 + x2) * (0.5 / grid.config.stride)).clip(0, grid.grid_w - 1)
-    i = ((y1 + y2) * (0.5 / grid.config.stride)).clip(0, grid.grid_h - 1)
-    j, i = j.astype(np.int64), i.astype(np.int64)
-    w = np.minimum(x2, grid.slot_hi[:, 0, j])  # (A, M)
-    w -= np.maximum(x1, grid.slot_lo[:, 0, j])
-    h = np.minimum(y2, grid.slot_hi[:, 1, i])
-    h -= np.maximum(y1, grid.slot_lo[:, 1, i])
-    inter = np.maximum(w, 0.0) * np.maximum(h, 0.0)
-    union = box_area(gts.boxes) \
-        + grid.areas.reshape(len(grid.anchors) // len(inter), -1)[
-            i * grid.grid_w + j].T
+    boxes = gts.boxes
+    cell = (boxes[:, :2] + boxes[:, 2:]) * (0.5 / grid.config.stride)
+    np.minimum(cell, (grid.grid_w - 1, grid.grid_h - 1), out=cell)
+    cell = np.maximum(cell, 0.0, out=cell).T.astype(np.int64)  # (2, M)
+    axis = np.arange(2)[:, None]  # each slot's x, then y, spans: (A, 2, M)
+    span = np.minimum(boxes[:, 2:].T, grid.slot_hi[:, axis, cell])
+    span -= np.maximum(boxes[:, :2].T, grid.slot_lo[:, axis, cell])
+    np.maximum(span, 0.0, out=span)
+    inter = span[:, 0] * span[:, 1]
+    union = box_area(boxes) + grid.areas.reshape(
+        -1, len(grid.slot_lo))[cell[1] * grid.grid_w + cell[0]].T
     union -= inter
     return (inter / union).max(axis=0)
 
@@ -503,15 +502,15 @@ def hungarian_match(anchors, gts: GroundTruthSet,
         # lower bound; else the solver needs each GT's m cheapest.
         gt, anchor, cost = _hungarian_window(anchors, gts)
         win = _resolve_claims(gt, anchor, cost)  # each GT's first argmin
-        labels[anchor[win]] = gt[win]
-        if np.count_nonzero(labels >= 0) == len(gts):
+        anchor, gt = anchor[win], gt[win]
+        labels[anchor] = gt
+        if (labels[anchor] == gt).all():  # no GT overwritten
             return MatchResult(labels, len(gts))
-        labels[anchor[win]] = NEGATIVE
-        kth = nearest_candidates(anchors, gts, len(gts))[:, -1:]
+        labels[anchor] = NEGATIVE
+        centers = box_centers(gts.boxes)
         stride = float(anchors.config.stride)
-        _, near, _ = distance_window(
-            box_centers(gts.boxes), anchors, stride,
-            _center_distances(gts.boxes, boxes[kth])[:, 0])
+        _, near, _ = distance_window(centers, anchors, stride, _kth_distance(
+            anchors, centers, min(len(gts), len(boxes))))
         cols = np.unique(near)
         cost = hungarian_cost(boxes[cols], gts, stride)
     else:
@@ -537,3 +536,17 @@ def _hungarian_window(grid: AnchorGrid, gts: GroundTruthSet):
     gt, anchor, dist = distance_window(box_centers(gts.boxes), grid, stride)
     return gt, anchor, dist - stride * pairwise_iou(
         gts.boxes[gt], grid.anchors[anchor, None])[:, 0]
+
+
+def _kth_distance(grid: AnchorGrid, centers: np.ndarray, k: int):
+    """Each center's k-th smallest anchor distance, from distance windows
+    widened until each holds at least k anchors.  Every anchor outside a
+    window is farther than every anchor in it."""
+    margin = float(grid.config.stride)
+    while True:
+        gt, _, dist = distance_window(centers, grid, margin)
+        counts = np.bincount(gt, minlength=len(centers))
+        if counts.min() >= k:
+            break
+        margin *= 2
+    return dist[np.lexsort((dist, gt))][counts.cumsum() - counts + k - 1]

@@ -104,6 +104,17 @@ class TestDistanceWindow:
         if k == 1:  # the default bound is each center's nearest distance
             assert as_pairs(*distance_window(centers, grid, margin)) == want
 
+    @pytest.mark.parametrize("kind,seed", SCENES[:4])
+    def test_kth_distance(self, grid, kind, seed):
+        # widened windows give each center's k-th smallest distance, k
+        # up to every anchor of the grid
+        g = gts_for(grid, kind, seed)
+        dist = np.sort(_center_distances(g.boxes, grid.anchors), axis=1)
+        centers = (g.boxes[:, :2] + g.boxes[:, 2:]) * 0.5
+        for k in (1, 2, len(g), 60, len(grid)):
+            got = matching._kth_distance(grid, centers, k)
+            assert got.tolist() == dist[:, k - 1].tolist()
+
 
 def oracle_max_iou(grid, g, cfg):
     anchors = grid.anchors.tolist()
@@ -183,29 +194,41 @@ class TestMatchersAtTheEdges:
         assert np.count_nonzero(labels >= 0) == len(g)
 
 
-def test_no_full_grid_matrix(monkeypatch):
-    """Uniform, max-IoU and Hungarian on a 1280x800 grid never build an
-    (M, 5000) IoU or distance matrix, the Hungarian collision path
-    included."""
-    grid = generate_anchors(AnchorConfig(), ImageSize(1280, 800))
-    shapes = []
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_no_full_grid_matrix(monkeypatch, name):
+    """Max-IoU and Hungarian on a 1280x800 grid never build an IoU or
+    distance matrix over every anchor or every position, the Hungarian
+    collision path included, and uniform's ignore test builds no IoU
+    matrix.  Uniform's k-nearest candidates still score every position,
+    or every anchor where the slots' centers differ."""
+    grid = generate_anchors(CONFIGS[name], ImageSize(1280, 800))
+    full = {len(grid), grid.grid_h * grid.grid_w}
+    spied = ("pairwise_iou", "_center_distances", "_grid_distances")
+    shapes = {fn: [] for fn in spied}
+    originals = {fn: getattr(matching, fn) for fn in spied}
 
     def spy(fn):
         def wrapped(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            shapes.append(out.shape)
+            out = originals[fn](*args, **kwargs)
+            shapes[fn].append(out.shape)
             return out
         return wrapped
 
-    for name in ("pairwise_iou", "_center_distances"):
-        monkeypatch.setattr(matching, name, spy(getattr(matching, name)))
+    for fn in spied:
+        monkeypatch.setattr(matching, fn, spy(fn))
     rng = np.random.default_rng(3)
     xy = rng.uniform(0, 1000, (9, 2))
     boxes = np.hstack([xy, xy + rng.uniform(8, 300, (9, 2))])
     boxes[4] = boxes[2]  # a repeated GT: the Hungarian argmins collide
     g = gts(boxes)
-    for match in (matching.uniform_match, matching.max_iou_match,
-                  matching.hungarian_match):
+    seen = 0
+    for match, checked in ((matching.uniform_match, spied[:1]),
+                           (matching.max_iou_match, spied),
+                           (matching.hungarian_match, spied)):
+        for fn in spied:
+            shapes[fn].clear()
         match(grid, g, matching.MATCHERS[match.__name__[:-6]]())
-    assert shapes
-    assert all(s[-1] != len(grid) for s in shapes), shapes
+        got = [s for fn in checked for s in shapes[fn]]
+        assert all(s[-1] not in full for s in got), (match.__name__, got)
+        seen += len(got)
+    assert seen  # uniform's pair IoUs and Hungarian's window costs
