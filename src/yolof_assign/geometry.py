@@ -213,10 +213,11 @@ def _window(ok: np.ndarray):
     first = ok.argmax(axis=2)
     size = ok.shape[2] - ok[..., ::-1].argmax(axis=2) - first
     size *= ok.any(axis=2)  # 0 where nothing is marked
-    n = size[:, 0] * size[:, 1]
+    (col0, row0), (cols, rows) = first.T, size.T
+    n = cols * rows
     p = np.arange(len(n)).repeat(n)
-    di, dj = np.divmod(np.arange(len(p)) - (n.cumsum() - n)[p], size[p, 0])
-    return p, first[p, 1] + di, first[p, 0] + dj
+    di, dj = np.divmod(np.arange(len(p)) - (n.cumsum() - n)[p], cols[p])
+    return p, row0[p] + di, col0[p] + dj
 
 
 def _grid_outer(op, per_col: np.ndarray, per_row: np.ndarray) -> np.ndarray:

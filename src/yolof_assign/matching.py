@@ -507,12 +507,13 @@ def hungarian_match(anchors, gts: GroundTruthSet,
         if (labels[anchor] == gt).all():  # no GT overwritten
             return MatchResult(labels, len(gts))
         labels[anchor] = NEGATIVE
-        centers = box_centers(gts.boxes)
-        stride = float(anchors.config.stride)
-        _, near, _ = distance_window(centers, anchors, stride, _kth_distance(
-            anchors, centers, min(len(gts), len(boxes))))
-        cols = np.unique(near)
-        cost = hungarian_cost(boxes[cols], gts, stride)
+        # the solver's cut: every anchor at or below some GT's k-th
+        # cheapest cost, all of which lie in the GT's k-th distance window
+        k = min(len(gts), len(boxes))
+        gt, anchor, cost = _hungarian_window(anchors, gts, _kth_smallest(
+            *_widened_distances(anchors, gts, k), k))
+        cols = np.unique(anchor[cost <= _kth_smallest(gt, cost, k)[gt]])
+        cost = hungarian_cost(boxes[cols], gts, float(anchors.config.stride))
     else:
         cols, cost = np.arange(len(boxes)), hungarian_cost(anchors, gts)
     if len(gts) > len(cols):
@@ -523,30 +524,39 @@ def hungarian_match(anchors, gts: GroundTruthSet,
     return MatchResult(labels, len(gts))
 
 
-def _hungarian_window(grid: AnchorGrid, gts: GroundTruthSet):
-    """``(gt, anchor, cost)`` of every pair whose cost may be at most its
-    GT's nearest distance, which holds each GT's cheapest anchors.
+def _hungarian_window(grid: AnchorGrid, gts: GroundTruthSet, bound=None):
+    """``(gt, anchor, cost)`` of every pair whose center distance ``d`` has
+    ``d - stride <= bound[gt]``; ``bound`` defaults to each GT's nearest
+    distance, which holds each GT's cheapest anchors.
 
-    A cost lies in ``[d - stride, d]`` for center distance ``d``, so a GT's
-    k-th cheapest cost is at most its k-th smallest distance, and no anchor
-    with ``d - stride`` above that is as cheap.  Each cost is the float
-    :func:`hungarian_cost` gives.
+    A cost lies in ``[d - stride, d]``, so a GT's k-th cheapest cost is at
+    most its k-th smallest distance, and no anchor with ``d - stride``
+    above that is as cheap.  Each cost is the float :func:`hungarian_cost`
+    gives.
     """
     stride = float(grid.config.stride)
-    gt, anchor, dist = distance_window(box_centers(gts.boxes), grid, stride)
+    gt, anchor, dist = distance_window(box_centers(gts.boxes), grid, stride,
+                                       bound)
     return gt, anchor, dist - stride * pairwise_iou(
         gts.boxes[gt], grid.anchors[anchor, None])[:, 0]
 
 
-def _kth_distance(grid: AnchorGrid, centers: np.ndarray, k: int):
-    """Each center's k-th smallest anchor distance, from distance windows
-    widened until each holds at least k anchors.  Every anchor outside a
-    window is farther than every anchor in it."""
+def _widened_distances(grid: AnchorGrid, gts: GroundTruthSet, k: int):
+    """``(gt, distance)`` of distance windows widened until each GT's holds
+    at least k anchors.  Every anchor outside a GT's window is farther
+    than every anchor in it."""
+    centers = box_centers(gts.boxes)
     margin = float(grid.config.stride)
     while True:
         gt, _, dist = distance_window(centers, grid, margin)
-        counts = np.bincount(gt, minlength=len(centers))
-        if counts.min() >= k:
-            break
+        if np.bincount(gt, minlength=len(gts)).min() >= k:
+            return gt, dist
         margin *= 2
-    return dist[np.lexsort((dist, gt))][counts.cumsum() - counts + k - 1]
+
+
+def _kth_smallest(group: np.ndarray, values: np.ndarray, k: int):
+    """The k-th smallest of ``values`` in each group ``0 .. G - 1`` of
+    ``group``, where every group has at least k values."""
+    counts = np.bincount(group)
+    start = counts.cumsum() - counts
+    return values[np.lexsort((values, group))][start + k - 1]

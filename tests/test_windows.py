@@ -110,9 +110,9 @@ class TestDistanceWindow:
         # up to every anchor of the grid
         g = gts_for(grid, kind, seed)
         dist = np.sort(_center_distances(g.boxes, grid.anchors), axis=1)
-        centers = (g.boxes[:, :2] + g.boxes[:, 2:]) * 0.5
         for k in (1, 2, len(g), 60, len(grid)):
-            got = matching._kth_distance(grid, centers, k)
+            got = matching._kth_smallest(
+                *matching._widened_distances(grid, g, k), k)
             assert got.tolist() == dist[:, k - 1].tolist()
 
 
