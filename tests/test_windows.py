@@ -115,6 +115,22 @@ class TestDistanceWindow:
                 *matching._widened_distances(grid, g, k), k)
             assert got.tolist() == dist[:, k - 1].tolist()
 
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_kth_cost_window(self, grid, kind, seed):
+        # the window within each GT's k-th distance holds, with the full
+        # matrix's floats, every pair at or below the GT's k-th cheapest
+        # cost: the columns that Hungarian's collision path solves on
+        g = gts_for(grid, kind, seed)
+        full = hungarian_cost(grid, g)
+        for k in (len(g), 2 * len(g)):
+            kth = np.sort(full, axis=1)[:, k - 1]
+            gt, anchor, cost = matching._hungarian_window(
+                grid, g, matching._kth_smallest(
+                    *matching._widened_distances(grid, g, k), k))
+            ok = cost <= matching._kth_smallest(gt, cost, k)[gt]
+            assert as_pairs(gt[ok], anchor[ok], cost[ok]) \
+                == full_pairs(full <= kth[:, None], full)
+
 
 def oracle_max_iou(grid, g, cfg):
     anchors = grid.anchors.tolist()
