@@ -101,7 +101,11 @@ def shift_image(boxes, size: ImageSize, max_shift: int, seed: int,
 
 
 def _int64(value) -> int:
+    """``value`` as an int64; a bool, or a float with a fraction, is
+    refused rather than truncated."""
     n = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ValueError(f"{value!r} is not an integer")
     if not -2 ** 63 <= n < 2 ** 63:
         raise ValueError(f"{n} does not fit the int64 columns")
     return n
@@ -115,7 +119,7 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
     for img in doc["images"]:
         try:
             image_id = _int64(img["id"])
-            size = ImageSize(int(img["width"]), int(img["height"]))
+            size = ImageSize(_int64(img["width"]), _int64(img["height"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"bad image record {img!r}: {exc}") from exc
         if image_id in sizes:
@@ -129,7 +133,7 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
     for ann in doc["annotations"]:
         try:
             ann_id = _int64(ann["id"])
-            image_id = int(ann["image_id"])
+            image_id = _int64(ann["image_id"])
             x, y, w, h = (float(v) for v in ann["bbox"])
             cat = _int64(ann["category_id"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -2,8 +2,9 @@
 
 Covers three views of the same structure: analytic receptive-field
 enumeration over shortcut paths, a scale-coverage interval model, and a
-naive numeric forward pass for impulse-response checks.  No training is
-involved; batch norm runs in inference form only.
+naive numeric forward pass (convolutions and ReLUs) whose impulse
+response checks the analytic extents.  The footprint depends only on
+kernel support, so the pass has no batch norm and no training.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-BN_EPS = 1e-5
 
 FEATURE_LEVEL_STRIDES = {
     "C3": 8, "C4": 16, "C5": 32, "DC5": 16,
@@ -102,65 +101,24 @@ def scale_coverage(profile: RFProfile, stride: int):
 
 
 @dataclass
-class ConvBN:
-    """One convolution with inference-mode batch-norm parameters."""
-
-    weight: np.ndarray  # (out, in, k, k)
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-
-    @classmethod
-    def identity_bn(cls, weight: np.ndarray) -> "ConvBN":
-        out = weight.shape[0]
-        return cls(weight=weight, gamma=np.ones(out), beta=np.zeros(out),
-                   mean=np.zeros(out), var=np.ones(out))
-
-
-@dataclass
 class WeightSet:
-    """All encoder weights: projector pair plus per-block conv triples."""
+    """All encoder kernels, each ``(out, in, k, k)``: the projector pair
+    plus per-block conv triples."""
 
-    proj_reduce: ConvBN
-    proj_refine: ConvBN
+    proj_reduce: np.ndarray
+    proj_refine: np.ndarray
     blocks: list  # [(reduce, dilated, expand), ...]
 
     @classmethod
-    def build(cls, spec: EncoderSpec, layer) -> "WeightSet":
-        """Identity-BN layers whose ``(out, in, k, k)`` kernels come from
-        ``layer(out, in, k)``, called in forward order."""
+    def constant(cls, spec: EncoderSpec, value: float = 0.05) -> "WeightSet":
+        """All-positive constant kernels."""
         b, m = spec.block_channels, spec.mid_channels
         shapes = [(m, spec.in_channels, 1), (m, m, 3)] \
             + [(b, m, 1), (b, b, 3), (m, b, 1)] * spec.num_blocks
-        convs = [ConvBN.identity_bn(layer(*shape)) for shape in shapes]
+        convs = [np.full((out, inp, k, k), value) for out, inp, k in shapes]
         return cls(proj_reduce=convs[0], proj_refine=convs[1],
                    blocks=[tuple(convs[i:i + 3])
                            for i in range(2, len(convs), 3)])
-
-    @classmethod
-    def identity(cls, spec: EncoderSpec) -> "WeightSet":
-        """Channel-slice 1x1 convs, center-tap 3x3 convs, identity BN."""
-        def eye(out, inp, k):
-            w = np.zeros((out, inp, k, k))
-            w[:, :, k // 2, k // 2] = np.eye(out, inp)
-            return w
-
-        return cls.build(spec, eye)
-
-    @classmethod
-    def constant(cls, spec: EncoderSpec, value: float = 0.05) -> "WeightSet":
-        """All-positive constant conv weights with identity BN."""
-        return cls.build(spec, lambda out, inp, k:
-                         np.full((out, inp, k, k), value))
-
-    @classmethod
-    def seeded(cls, spec: EncoderSpec, seed: int,
-               scale: float = 0.1) -> "WeightSet":
-        """Deterministic random weights, uniform in ``[-scale, scale]``."""
-        rng = np.random.default_rng(seed)
-        return cls.build(spec, lambda out, inp, k:
-                         rng.uniform(-scale, scale, size=(out, inp, k, k)))
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, dilation: int = 1) -> np.ndarray:
@@ -185,28 +143,21 @@ def conv2d(x: np.ndarray, weight: np.ndarray, dilation: int = 1) -> np.ndarray:
     return out
 
 
-def batchnorm(x: np.ndarray, layer: ConvBN) -> np.ndarray:
-    scale = layer.gamma / np.sqrt(layer.var + BN_EPS)
-    shift = layer.beta - layer.mean * scale
-    return x * scale[:, None, None] + shift[:, None, None]
-
-
 def forward(spec: EncoderSpec, x: np.ndarray,
             weights: WeightSet) -> np.ndarray:
-    """Numeric forward pass: projector (conv+BN only) then residual blocks
-    (every conv followed by BN and ReLU, shortcut added after the block)."""
+    """Numeric forward pass: projector (two convs, no activation) then
+    residual blocks (every conv followed by ReLU, shortcut added after the
+    block)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] != spec.in_channels:
         raise ValueError(f"expected ({spec.in_channels}, H, W) input, got "
                          f"shape {x.shape}")
-    x = batchnorm(conv2d(x, weights.proj_reduce.weight), weights.proj_reduce)
-    x = batchnorm(conv2d(x, weights.proj_refine.weight), weights.proj_refine)
-    for i, (reduce_w, dilated_w, expand_w) in enumerate(weights.blocks):
-        y = np.maximum(batchnorm(conv2d(x, reduce_w.weight), reduce_w), 0.0)
-        y = np.maximum(batchnorm(
-            conv2d(y, dilated_w.weight, dilation=spec.dilations[i]),
-            dilated_w), 0.0)
-        y = np.maximum(batchnorm(conv2d(y, expand_w.weight), expand_w), 0.0)
+    x = conv2d(conv2d(x, weights.proj_reduce), weights.proj_refine)
+    for (reduce_w, dilated_w, expand_w), d in zip(weights.blocks,
+                                                  spec.dilations):
+        y = np.maximum(conv2d(x, reduce_w), 0.0)
+        y = np.maximum(conv2d(y, dilated_w, dilation=d), 0.0)
+        y = np.maximum(conv2d(y, expand_w), 0.0)
         x = x + y if spec.shortcuts else y
     return x
 

@@ -220,17 +220,16 @@ def _window(ok: np.ndarray):
     return p, row0[p] + di, col0[p] + dj
 
 
-def _grid_outer(op, per_col: np.ndarray, per_row: np.ndarray) -> np.ndarray:
-    """``op(per_row[m, i, s], per_col[m, j, s])`` for every anchor (row i,
+def _grid_outer(per_col: np.ndarray, per_row: np.ndarray) -> np.ndarray:
+    """``per_row[m, i, s] + per_col[m, j, s]`` for every anchor (row i,
     column j, slot s) in anchor order, shape ``(M, H * W * A)``, from
     ``(M, W, A)`` column values and ``(M, H, A)`` row values.
 
-    ``op`` must be commutative (it sees the row value first).  The row
-    values are tiled over the columns first, because a broadcast whose
-    innermost axis is the few slots runs far slower than a flat one.
+    The row values are tiled over the columns first, because a broadcast
+    whose innermost axis is the few slots runs far slower than a flat one.
     """
     out = np.repeat(per_row[:, :, None], per_col.shape[1], axis=2)
-    op(out, per_col[:, None], out=out)
+    out += per_col[:, None]
     return out.reshape(len(out), math.prod(out.shape[1:]))
 
 
@@ -277,17 +276,14 @@ class AnchorConfig:
 class AnchorGrid:
     """Anchors paved over one feature level, row-major over positions.
 
-    Beside the ``(H * W * A, 4)`` anchors it keeps thin read-only copies
-    for the grid kernels: ``x_extents`` ``(W, A, 2)`` and ``x_centers``
-    ``(W, A)`` per (column, slot), ``y_extents`` ``(H, A, 2)`` and
-    ``y_centers`` ``(H, A)`` per (row, slot), and the anchor ``areas``.
-    The window kernels read them per slot: ``slot_lo``, ``slot_hi`` and
-    ``slot_centers``, each ``(A, 2, max(W, H))``, hold each column's x
-    values, then each row's y values, padded with lines that no box
-    overlaps and no center is near; ``slot_max_sides`` ``(A, 2)`` and
-    ``slot_min_areas`` ``(A,)`` bound a slot's anchors.
-    ``shared_centers`` says whether every slot's float center equals slot
-    0's, so that distances can be taken per position.
+    Beside the ``(H * W * A, 4)`` anchors and their ``areas`` it keeps
+    read-only per-slot arrays for the grid kernels: ``slot_lo``,
+    ``slot_hi`` and ``slot_centers``, each ``(A, 2, max(W, H))``, hold
+    each column's x extent and center, then each row's y extent and
+    center, padded with lines that no box overlaps and no center is near;
+    ``slot_max_sides`` ``(A, 2)`` and ``slot_min_areas`` ``(A,)`` bound a
+    slot's anchors.  ``shared_centers`` says whether every slot's float
+    center equals slot 0's, so that distances can be taken per position.
     """
 
     config: AnchorConfig
@@ -301,32 +297,26 @@ class AnchorGrid:
                 and (cells[..., 1::2] == cells[:, :1, :, 1::2]).all()):
             raise ValueError("anchors must pave a grid: x set by column and "
                              "slot, y by row and slot")
-        self.x_extents = cells[0, :, :, ::2].copy()
-        self.y_extents = cells[:, 0, :, 1::2].copy()
-        self.x_centers = box_centers(cells[0])[..., 0]
-        self.y_centers = box_centers(cells[:, 0])[..., 1]
         self.areas = box_area(self.anchors)
         # per slot, the columns (axis 0) and the rows (axis 1), padded to
         # one length with empty extents at infinite centers
         size = max(self.grid_w, self.grid_h)
-        self.slot_lo = np.full((len(cells[0, 0]), 2, size), np.inf)
+        self.slot_lo = np.full((cells.shape[2], 2, size), np.inf)
         self.slot_hi = np.full_like(self.slot_lo, -np.inf)
         self.slot_centers = np.full_like(self.slot_lo, np.inf)
-        for axis, ext, ctr in ((0, self.x_extents, self.x_centers),
-                               (1, self.y_extents, self.y_centers)):
-            self.slot_lo[:, axis, :len(ctr)] = ext[..., 0].T
-            self.slot_hi[:, axis, :len(ctr)] = ext[..., 1].T
-            self.slot_centers[:, axis, :len(ctr)] = ctr.T
+        for axis, line in ((0, cells[0]), (1, cells[:, 0])):  # (L, A, 4)
+            self.slot_lo[:, axis, :len(line)] = line[..., axis].T
+            self.slot_hi[:, axis, :len(line)] = line[..., axis + 2].T
+            self.slot_centers[:, axis, :len(line)] = \
+                box_centers(line)[..., axis].T
         self.slot_max_sides = (self.slot_hi - self.slot_lo).max(axis=2)
         self.slot_min_areas = self.areas.reshape(-1, cells.shape[2]).min(0)
-        for arr in (self.x_extents, self.y_extents, self.x_centers,
-                    self.y_centers, self.areas, self.slot_lo,
-                    self.slot_hi, self.slot_centers, self.slot_max_sides,
+        for arr in (self.areas, self.slot_lo, self.slot_hi,
+                    self.slot_centers, self.slot_max_sides,
                     self.slot_min_areas):
             arr.setflags(write=False)
         self.shared_centers = bool(
-            (self.x_centers == self.x_centers[:, :1]).all()
-            and (self.y_centers == self.y_centers[:, :1]).all())
+            (self.slot_centers == self.slot_centers[:1]).all())
 
     def __len__(self) -> int:
         return self.anchors.shape[0]

@@ -166,7 +166,7 @@ def _center_distances(gt_boxes: np.ndarray, anchors) -> np.ndarray:
     """
     gc = box_centers(gt_boxes)
     if isinstance(anchors, AnchorGrid):
-        return _grid_distances(gc, anchors.x_centers, anchors.y_centers)
+        return _grid_distances(gc, anchors, len(anchors.slot_centers))
     ac = box_centers(anchors)
     dist = gc[:, None, 0] - ac[..., 0]
     dist *= dist
@@ -176,16 +176,20 @@ def _center_distances(gt_boxes: np.ndarray, anchors) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def _grid_distances(gc: np.ndarray, xc: np.ndarray, yc: np.ndarray):
-    """Distances from centers ``gc`` ``(M, 2)`` to a grid whose x centers
-    are ``xc`` ``(W, A)`` and y centers ``yc`` ``(H, A)``, as ``(M, H*W*A)``:
+def _grid_distances(gc: np.ndarray, grid: AnchorGrid, slots: int):
+    """Distances from centers ``gc`` ``(M, 2)`` to the anchors of the first
+    ``slots`` slots of every position of ``grid``, as ``(M, H*W*slots)``:
     squared x offsets per column, squared y offsets per row, then one add
     per anchor and one sqrt."""
+    # contiguous (W, slots) and (H, slots) centers: offsets taken from a
+    # transposed view come out in an order the later passes walk slowly
+    xc = grid.slot_centers[:slots, 0, :grid.grid_w].T.copy()
+    yc = grid.slot_centers[:slots, 1, :grid.grid_h].T.copy()
     dx = gc[:, None, None, 0] - xc
     dx *= dx
     dy = gc[:, None, None, 1] - yc
     dy *= dy
-    dist = _grid_outer(np.add, dx, dy)
+    dist = _grid_outer(dx, dy)
     return np.sqrt(dist, out=dist)
 
 
@@ -206,9 +210,7 @@ def nearest_candidates(anchors, gts: GroundTruthSet, k: int) -> np.ndarray:
         # are consecutive, so (distance, index) order over anchors is that
         # order over positions with each expanded into its slots.
         per = anchors.config.anchors_per_position
-        pos = _k_smallest(_grid_distances(box_centers(gts.boxes),
-                                          anchors.x_centers[:, :1],
-                                          anchors.y_centers[:, :1]),
+        pos = _k_smallest(_grid_distances(box_centers(gts.boxes), anchors, 1),
                           -(-k // per))
         return (pos[:, :, None] * per + np.arange(per)).reshape(
             len(gts), -1)[:, :k]

@@ -1,7 +1,7 @@
 """The anchor-grid kernels against the flat ones and the naive oracles.
 
 Every matcher computes its IoUs and center distances from a grid's thin
-per-column and per-row arrays; here each result must equal, float for
+per-slot column and row arrays; here each result must equal, float for
 float, the one computed from ``grid.anchors`` as a plain box array, and
 the labels must equal the scalar oracles'.  The kernels take raw box
 arrays, non-finite ones too; the matchers take a ``GroundTruthSet``,
@@ -13,7 +13,8 @@ import pytest
 
 from yolof_assign import matching
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
-                                   generate_anchors, pairwise_iou)
+                                   box_centers, generate_anchors,
+                                   pairwise_iou)
 from yolof_assign.matching import (ATSSConfig, GroundTruthSet, MaxIoUConfig,
                                    TopKConfig, UniformMatchConfig,
                                    _center_distances, hungarian_cost,
@@ -107,16 +108,23 @@ class TestGridArrays:
     def test_thin_arrays_match_the_anchors(self, grid):
         a = grid.config.anchors_per_position
         cells = grid.anchors.reshape(grid.grid_h, grid.grid_w, a, 4)
-        assert grid.x_extents.shape == (grid.grid_w, a, 2)
-        assert grid.y_extents.shape == (grid.grid_h, a, 2)
-        np.testing.assert_array_equal(cells[..., ::2],
-                                      np.broadcast_to(grid.x_extents,
-                                                      cells[..., ::2].shape))
-        np.testing.assert_array_equal(
-            cells[..., 1::2],
-            np.broadcast_to(grid.y_extents[:, None], cells[..., 1::2].shape))
-        for arr in (grid.x_extents, grid.y_extents, grid.x_centers,
-                    grid.y_centers, grid.areas):
+        size = max(grid.grid_w, grid.grid_h)
+        for arr in (grid.slot_lo, grid.slot_hi, grid.slot_centers):
+            assert arr.shape == (a, 2, size)
+        i, j, s = np.indices(cells.shape[:3])
+        centers = box_centers(grid.anchors).reshape(cells.shape[:3] + (2,))
+        for axis, line in ((0, j), (1, i)):
+            for arr, want in ((grid.slot_lo, cells[..., axis]),
+                              (grid.slot_hi, cells[..., axis + 2]),
+                              (grid.slot_centers, centers[..., axis])):
+                assert_same_floats(arr[s, axis, line], want)
+        # padding: no box overlaps an empty extent, no center is near
+        for axis, n in ((0, grid.grid_w), (1, grid.grid_h)):
+            assert (grid.slot_lo[:, axis, n:] == np.inf).all()
+            assert (grid.slot_hi[:, axis, n:] == -np.inf).all()
+            assert (grid.slot_centers[:, axis, n:] == np.inf).all()
+        for arr in (grid.slot_lo, grid.slot_hi, grid.slot_centers,
+                    grid.slot_max_sides, grid.slot_min_areas, grid.areas):
             assert not arr.flags.writeable
 
     def test_shared_centers_only_where_they_are_equal(self):

@@ -105,6 +105,18 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(str(path))
 
+    def test_integral_numbers_and_strings_accepted(self):
+        doc = dict(BASE_DOC, images=[{"id": 1.0, "width": "64",
+                                      "height": 64.0}],
+                   annotations=[{"id": "5", "image_id": 1.0,
+                                 "bbox": [10, 20, 30, 40],
+                                 "category_id": 2.0}])
+        corpus = parse_corpus(doc)
+        assert [(i, s.width, s.height) for i, s in corpus.images] \
+            == [(1, 64, 64)]
+        assert corpus.ids.tolist() == [5]
+        assert corpus.category_ids.tolist() == [2]
+
     def test_missing_image_reference(self):
         doc = dict(BASE_DOC)
         doc["annotations"] = [{"id": 77, "image_id": 9, "bbox": [1, 1, 2, 2],
@@ -636,6 +648,28 @@ class TestCLI:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad {record} record ")
         assert f"{value} does not fit the int64 columns" in err
+
+    @pytest.mark.parametrize("key,name,value,record", [
+        ("images", "id", 1.5, "image"),
+        ("images", "width", 640.9, "image"),
+        ("images", "height", 64.5, "image"),
+        ("annotations", "id", 1.5, "annotation"),
+        ("annotations", "image_id", 1.9, "annotation"),
+        ("annotations", "image_id", True, "annotation"),
+        ("annotations", "category_id", 1.7, "annotation"),
+    ], ids=["image-id", "width", "height", "annotation-id", "image_id",
+            "image_id-true", "category_id"])
+    def test_fractional_or_bool_integer_exit_2(self, capsys, tmp_path, key,
+                                               name, value, record):
+        # int() would truncate each of these to a valid value
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[key][0][name] = value
+        path = write_json(tmp_path / "c.json", doc)
+        for command in ("match-stats", "shift"):
+            code, out, err = self.run(capsys, command, "--input", path)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: bad {record} record {{'id': ")
+            assert f"{value!r} is not an integer" in err
 
     @pytest.mark.parametrize("key,name,literal,record", [
         ("annotations", "bbox", f"[{'9' * 400}, 1, 2, 3]", "annotation"),
