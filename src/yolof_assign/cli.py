@@ -12,8 +12,8 @@ import dataclasses
 import sys
 
 from . import reports
-from .coco import CorpusError, RunConfig, load_corpus, read_json, \
-    run_match_stats
+from .coco import CorpusError, RunConfig, as_int64, load_corpus, \
+    read_json, run_match_stats
 from .encoder import EncoderSpec, rf_profile, scale_coverage
 from .flops import DecoderSpec, EncoderTopology, encoder_decoder_flops
 from .geometry import ImageSize, generate_anchors
@@ -69,10 +69,9 @@ def _cmd_match_stats(args) -> None:
     if args.format == "csv":
         _emit(reports.distribution_to_csv(dist), args.output)
     else:
-        doc = reports.distribution_to_dict(dist)
-        doc["seed"] = config.seed
-        doc["dropped_annotations"] = corpus.dropped
-        _emit(reports.to_json(doc), args.output)
+        _emit(reports.distribution_to_json(
+            dist, seed=config.seed, dropped_annotations=corpus.dropped),
+            args.output)
 
 
 def _cmd_rf(args) -> None:
@@ -133,7 +132,7 @@ def _load_detections(path) -> list:
         try:
             dets.append(Detection(box=tuple(float(v) for v in row["bbox"]),
                                   score=float(row["score"]),
-                                  class_id=int(row["category_id"])))
+                                  class_id=as_int64(row["category_id"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"{path}: bad detection #{i}: {exc}") from exc
     return dets

@@ -57,18 +57,21 @@ class AnnotationCorpus:
                               class_ids=self.category_ids[rows])
 
     def shifted(self, max_shift: int, seed: int) -> "AnnotationCorpus":
-        """This corpus with each image's boxes moved by :func:`shift_image`
-        (at ``max_shift`` 0 too, which only clamps them to the image)."""
-        parts = [(lo, *shift_image(self.boxes[lo:hi], size, max_shift, seed,
-                                   image_id))
-                 for (image_id, size), lo, hi in zip(
-                     self.images, self.offsets, self.offsets[1:])]
-        rows = np.concatenate([self.ids[:0]] + [lo + k for lo, _, k in parts])
+        """This corpus with each image's boxes moved by one offset, drawn
+        by :func:`shift_offset` from ``(seed, image_id)``, and clamped to
+        the image; boxes left without area are dropped.  At ``max_shift``
+        0 this only clamps."""
+        per_image = np.array(
+            [(*shift_offset(max_shift, (seed, image_id)), size.width,
+              size.height) for image_id, size in self.images],
+            np.int64).reshape(-1, 4)
+        # one (dx, dy, width, height) row per annotation
+        rows = np.repeat(per_image, np.diff(self.offsets), axis=0)
+        boxes, kept = apply_shift(self.boxes, rows[:, 2:], rows[:, 0],
+                                  rows[:, 1])
         return AnnotationCorpus(
-            self.images, self.ids[rows],
-            np.concatenate([self.boxes[:0]] + [b for _, b, _ in parts]),
-            self.category_ids[rows],
-            np.cumsum([0] + [len(k) for _, _, k in parts]), self.categories,
+            self.images, self.ids[kept], boxes, self.category_ids[kept],
+            np.searchsorted(kept, self.offsets), self.categories,
             self.dropped)
 
     def to_dict(self) -> dict:
@@ -89,18 +92,7 @@ class AnnotationCorpus:
         }
 
 
-def shift_image(boxes, size: ImageSize, max_shift: int, seed: int,
-                image_id: int):
-    """One image's random shift: the offset drawn from ``(seed, image_id)``
-    by :func:`shift_offset`, then :func:`apply_shift`.
-
-    Returns ``(shifted, kept)``: the surviving boxes and their input rows.
-    """
-    dx, dy = shift_offset(max_shift, (seed, image_id))
-    return apply_shift(boxes, size, dx, dy)
-
-
-def _int64(value) -> int:
+def as_int64(value) -> int:
     """``value`` as an int64; a bool, or a float with a fraction, is
     refused rather than truncated."""
     n = int(value)
@@ -118,8 +110,8 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
     sizes = {}
     for img in doc["images"]:
         try:
-            image_id = _int64(img["id"])
-            size = ImageSize(_int64(img["width"]), _int64(img["height"]))
+            image_id = as_int64(img["id"])
+            size = ImageSize(as_int64(img["width"]), as_int64(img["height"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"bad image record {img!r}: {exc}") from exc
         if image_id in sizes:
@@ -132,10 +124,10 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
     dropped = 0
     for ann in doc["annotations"]:
         try:
-            ann_id = _int64(ann["id"])
-            image_id = _int64(ann["image_id"])
+            ann_id = as_int64(ann["id"])
+            image_id = as_int64(ann["image_id"])
             x, y, w, h = (float(v) for v in ann["bbox"])
-            cat = _int64(ann["category_id"])
+            cat = as_int64(ann["category_id"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"bad annotation record {ann!r}: {exc}") from exc
         size = sizes.get(image_id)
@@ -272,10 +264,6 @@ def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
     records = []
     for image_id, size in images:
         gts = corpus.ground_truths(image_id)
-        if config.shift_max > 0 and len(gts):
-            boxes, kept = shift_image(gts.boxes, size, config.shift_max,
-                                      config.seed, image_id)
-            gts = GroundTruthSet(boxes=boxes, class_ids=gts.class_ids[kept])
         anchors = grids[size]
         try:
             result = match(anchors, gts, config.matcher_config)
@@ -304,11 +292,15 @@ def _forked_chunk(lo: int, hi: int):
 def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     """Match every corpus image and aggregate per-bucket statistics.
 
-    Returns one ``MatchDistribution``, its rows in image id order, the
-    same for every worker count.  With more than one worker, each forked
-    worker process matches one contiguous chunk of images and sends back
-    only the chunk's distribution.
+    With ``shift_max`` above 0 the whole corpus is shifted first, by
+    :meth:`AnnotationCorpus.shifted`.  Returns one ``MatchDistribution``,
+    its rows in image id order, the same for every worker count.  With
+    more than one worker, each forked worker process matches one
+    contiguous chunk of images and sends back only the chunk's
+    distribution.
     """
+    if config.shift_max > 0:  # at 0 the boxes stay unclamped
+        corpus = corpus.shifted(config.shift_max, config.seed)
     images = corpus.images
     # one read-only grid per image size, shared by every chunk
     grids = {}

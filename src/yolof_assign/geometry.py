@@ -355,15 +355,22 @@ def generate_anchors(config: AnchorConfig, image: ImageSize) -> AnchorGrid:
                       anchors=anchors)
 
 
-def apply_shift(boxes, image: ImageSize, dx: float, dy: float):
+def apply_shift(boxes, image, dx, dy):
     """Translate boxes by ``(dx, dy)``, clamp to the image, drop empties.
 
-    Returns ``(shifted, kept)`` where ``kept`` holds the input indices of
-    the surviving boxes.
+    ``image`` is one ``ImageSize``, or an ``(N, 2)`` array of each box's
+    image ``(width, height)``; ``dx`` and ``dy`` are numbers, or length-N
+    arrays of each box's offset.  Returns ``(shifted, kept)`` where
+    ``kept`` holds the input indices of the surviving boxes.
     """
     boxes = as_boxes(boxes)
-    shifted = boxes + np.array([dx, dy, dx, dy], dtype=np.float64)
-    np.clip(shifted, 0.0, [image.width, image.height] * 2, out=shifted)
+    if isinstance(image, ImageSize):
+        image = (image.width, image.height)
+    # rows of (dx, dy, dx, dy) and (width, height, width, height)
+    offset = np.tile(np.column_stack(np.broadcast_arrays(dx, dy)), 2)
+    bounds = np.tile(np.reshape(image, (-1, 2)), 2)
+    shifted = boxes + offset
+    np.clip(shifted, 0.0, bounds, out=shifted)
     kept = np.flatnonzero(box_area(shifted) > 0)
     return shifted[kept], kept
 

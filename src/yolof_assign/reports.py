@@ -30,29 +30,80 @@ def _bucket_rows(dist: MatchDistribution) -> list:
              dist.zero_fraction(name)) for name in BUCKET_NAMES]
 
 
-def distribution_to_dict(dist: MatchDistribution) -> dict:
-    per_gt = dist.per_gt_counts.tolist()
-    counts = [c for _, c in per_gt]
-    ends = np.cumsum(dist.per_image[:, 2]).tolist()
+def _summary(dist: MatchDistribution) -> dict:
+    """A ``match-stats`` report's fields besides its two row sections."""
     return {
         "matcher": dist.matcher,
         "buckets": {name: {"gt_count": gts, "positives_total": positives,
                            "positives_mean": _safe(mean),
                            "zero_fraction": _safe(zf)}
                     for name, gts, positives, mean, zf in _bucket_rows(dist)},
-        "per_gt_counts": [{"bucket": BUCKET_NAMES[b], "positives": c}
-                          for b, c in per_gt],
-        # image i's n GTs are the rows that end at ends[i]
-        "per_image": [{"image_id": i, "num_gts": n, "num_anchors": a,
-                       "num_positive": sum(counts[end - n:end]),
-                       "positives_per_gt": counts[end - n:end]}
-                      for (i, a, n), end in zip(dist.per_image.tolist(),
-                                                ends)],
         "total_gts": dist.total_gts,
         "total_positives": dist.total_positives,
         "imbalance_ratio": (_safe(imbalance_ratio(dist))
                             if dist.total_gts else None),
     }
+
+
+def _split_rows(dist: MatchDistribution):
+    """``per_gt_counts`` as a list, and each scene's ``(image id, anchors,
+    GTs, positives of its GTs)``."""
+    per_gt = dist.per_gt_counts.tolist()
+    counts = [c for _, c in per_gt]
+    ends = np.cumsum(dist.per_image[:, 2]).tolist()
+    # image i's n GTs are the rows that end at ends[i]
+    return per_gt, [(i, a, n, counts[end - n:end]) for (i, a, n), end in
+                    zip(dist.per_image.tolist(), ends)]
+
+
+def distribution_to_dict(dist: MatchDistribution) -> dict:
+    per_gt, per_image = _split_rows(dist)
+    return {
+        **_summary(dist),
+        "per_gt_counts": [{"bucket": BUCKET_NAMES[b], "positives": c}
+                          for b, c in per_gt],
+        "per_image": [{"image_id": i, "num_gts": n, "num_anchors": a,
+                       "num_positive": sum(counts),
+                       "positives_per_gt": counts}
+                      for i, a, n, counts in per_image],
+    }
+
+
+# One row of each row section as to_json indents it, keys sorted
+_GT_ROW = '{\n      "bucket": %s,\n      "positives": %d\n    }'
+_IMAGE_ROW = ('{\n      "image_id": %d,\n      "num_anchors": %d,\n'
+              '      "num_gts": %d,\n      "num_positive": %d,\n'
+              '      "positives_per_gt": %s\n    }')
+
+
+def _json_list(items: list, indent: str) -> str:
+    """``items``, already JSON text, as to_json writes a list whose
+    closing bracket is indented by ``indent``."""
+    if not items:
+        return "[]"
+    inner = ",\n  " + indent
+    return "[\n  " + indent + inner.join(items) + "\n" + indent + "]"
+
+
+def distribution_to_json(dist: MatchDistribution, **fields) -> str:
+    """``to_json({**distribution_to_dict(dist), **fields})``, with the two
+    row sections written from the arrays by template instead of dicts."""
+    per_gt, per_image = _split_rows(dist)
+    bucket = [json.dumps(name) for name in BUCKET_NAMES]
+    sections = {
+        "per_gt_counts": [_GT_ROW % (bucket[b], c) for b, c in per_gt],
+        "per_image": [
+            _IMAGE_ROW % (i, a, n, sum(counts), _json_list(
+                list(map(str, counts)), "      "))
+            for i, a, n, counts in per_image],
+    }
+    text = to_json({**_summary(dist), **fields,
+                    **{key: [] for key in sections}})
+    # each top-level key is on its own line, indented by two spaces
+    for key, rows in sections.items():
+        text = text.replace(f'\n  "{key}": []',
+                            f'\n  "{key}": {_json_list(rows, "  ")}', 1)
+    return text
 
 
 def distribution_to_csv(dist: MatchDistribution) -> str:

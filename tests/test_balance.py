@@ -12,7 +12,8 @@ from yolof_assign.matching import (GroundTruthSet, MatchResult, MaxIoUConfig,
                                    TopKConfig, max_iou_match,
                                    nearest_candidates, topk_match,
                                    uniform_match)
-from yolof_assign.reports import distribution_to_dict
+from yolof_assign.reports import (distribution_to_dict, distribution_to_json,
+                                  to_json)
 
 from oracles import distribution_py, per_image_py, split_positives_np
 
@@ -273,6 +274,64 @@ class TestAgainstOracle:
         areas = np.prod(sides, axis=1)
         for area in (32.0 ** 2 - 1, 32.0 ** 2, 96.0 ** 2 - 3, 96.0 ** 2):
             assert (areas == area).any()
+
+
+def assert_template_text(d, seed=7, dropped=3):
+    """The template writer's text equals the dict report's."""
+    want = to_json({**distribution_to_dict(d), "seed": seed,
+                    "dropped_annotations": dropped})
+    assert distribution_to_json(d, seed=seed, dropped_annotations=dropped) \
+        == want
+    return want
+
+
+class TestTemplateWriter:
+    """``distribution_to_json`` against ``to_json`` of the dict report."""
+
+    def test_no_images(self):
+        d = MatchDistribution("atss", np.empty((0, 2), dtype=np.int64),
+                              np.empty((0, 3), dtype=np.int64))
+        text = assert_template_text(d)
+        assert '"per_gt_counts": []' in text and '"per_image": []' in text
+        assert '"imbalance_ratio": null' in text
+
+    def test_images_without_gts(self):
+        d = distribution(records([(gts([]), fake_match([-1] * 4, 0))] * 3),
+                         "uniform")
+        text = assert_template_text(d, seed=0, dropped=0)
+        assert '"positives_per_gt": []' in text
+        assert '"imbalance_ratio": null' in text
+
+    def test_empty_buckets_and_unbounded_ratio(self):
+        d = dist_from_means([0, 1, 2])
+        assert '"imbalance_ratio": "unbounded"' in assert_template_text(d)
+        # only small GTs: the other buckets' means are null
+        d = distribution(records([(gts([[0, 0, 5, 5]]),
+                                   fake_match([0, -1], 1))]), "topk")
+        text = assert_template_text(d)
+        assert '"positives_mean": null' in text
+        assert '"imbalance_ratio": 1.0' in text
+
+    def test_one_gt_images(self):
+        pairs = [(gts([[0, 0, 10 * k, 10 * k]]), fake_match([0] * k, 1))
+                 for k in range(1, 6)]
+        text = assert_template_text(distribution(records(pairs), "max_iou"))
+        assert '"positives_per_gt": [\n        5\n      ]' in text
+
+    def test_image_ids_at_int64_extremes(self):
+        ids = [-2 ** 63, 0, 2 ** 63 - 1]
+        d = MatchDistribution(
+            "hungarian", np.array([[0, 1], [2, 0]], dtype=np.int64),
+            np.array([[i, 5000, n] for i, n in zip(ids, (1, 0, 1))],
+                     dtype=np.int64))
+        text = assert_template_text(d, seed=2 ** 63 - 1, dropped=2 ** 40)
+        assert f'"image_id": {-2 ** 63},' in text
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_scenes(self, seed):
+        pairs = random_scenes(np.random.default_rng(seed))
+        assert_template_text(distribution(records(pairs), "uniform"),
+                             seed=seed)
 
 
 class TestImbalanceRatio:

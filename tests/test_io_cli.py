@@ -13,6 +13,7 @@ from yolof_assign import coco, matching
 from yolof_assign.cli import main
 from yolof_assign.coco import (CorpusError, RunConfig, load_corpus,
                                parse_corpus, run_match_stats, worker_count)
+from yolof_assign.geometry import apply_shift, shift_offset
 from yolof_assign.matching import MATCHERS, MaxIoUConfig, UniformMatchConfig
 from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
                                   to_json, write_atomic)
@@ -72,6 +73,94 @@ def replay_shift(doc, seed, max_shift):
                 annotations.append(dict(ann, bbox=[x1, y1, x2 - x1, y2 - y1]))
     return {"images": images, "annotations": annotations,
             "categories": doc["categories"]}
+
+
+def shifted_by_image(corpus, max_shift, seed):
+    """``AnnotationCorpus.shifted`` redone one image at a time with the
+    scalar ``apply_shift``: ``(ids, boxes, category ids, offsets)``."""
+    ids, boxes, cats, offsets = [], [], [], [0]
+    for (image_id, size), lo, hi in zip(corpus.images, corpus.offsets,
+                                        corpus.offsets[1:]):
+        dx, dy = shift_offset(max_shift, (seed, image_id))
+        moved, kept = apply_shift(corpus.boxes[lo:hi], size, dx, dy)
+        ids += corpus.ids[lo:hi][kept].tolist()
+        boxes += moved.tolist()
+        cats += corpus.category_ids[lo:hi][kept].tolist()
+        offsets.append(len(ids))
+    return ids, boxes, cats, offsets
+
+
+def edge_corpus(rng) -> dict:
+    """Images of mixed sizes, some without annotations, whose small boxes
+    sit on and across every edge, so a shift drops some of them."""
+    images, annotations = [], []
+    for image_id in rng.permutation(np.arange(1, 31)).tolist():
+        w, h = (int(v) for v in rng.integers(24, 200, 2))
+        images.append({"id": image_id, "width": w, "height": h})
+        for _ in range(int(rng.integers(0, 6)) if image_id % 5 else 0):
+            bw, bh = (round(float(v), 2) for v in rng.uniform(0.5, 12, 2))
+            x = float(rng.choice([-bw / 2, 0, w - bw, w - bw / 2,
+                                  rng.uniform(0, w - bw)]))
+            y = float(rng.choice([-bh / 2, 0, h - bh, h - bh / 2,
+                                  rng.uniform(0, h - bh)]))
+            annotations.append({"id": len(annotations) + 1,
+                                "image_id": image_id, "bbox": [x, y, bw, bh],
+                                "category_id": int(rng.integers(0, 3))})
+    return {"images": images, "annotations": annotations, "categories": []}
+
+
+class TestShift:
+    """The corpus-wide ``shifted`` against a per-image loop."""
+
+    @pytest.mark.parametrize("max_shift", [0, 1, 8, 32])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_image_loop(self, seed, max_shift):
+        corpus = parse_corpus(edge_corpus(np.random.default_rng(seed)))
+        got = corpus.shifted(max_shift, seed)
+        ids, boxes, cats, offsets = shifted_by_image(corpus, max_shift, seed)
+        assert got.ids.tolist() == ids
+        assert got.boxes.tolist() == boxes
+        assert got.category_ids.tolist() == cats
+        assert got.offsets.tolist() == offsets
+        assert (got.ids.dtype, got.boxes.dtype, got.category_ids.dtype) \
+            == (np.int64, np.float64, np.int64)
+        assert got.images == corpus.images
+        assert got.dropped == corpus.dropped
+        if max_shift == 0:  # only clamps: every box stays
+            assert ids == corpus.ids.tolist()
+            assert boxes != corpus.boxes.tolist()  # some crossed an edge
+
+    def test_cases_drop_boxes_and_keep_empty_images(self):
+        for seed in range(6):
+            corpus = parse_corpus(edge_corpus(np.random.default_rng(seed)))
+            assert (np.diff(corpus.offsets) == 0).any()
+            assert len({s for _, s in corpus.images}) > 1
+        assert len(corpus.shifted(32, 0).ids) < len(corpus.ids)
+
+    def test_shuffled_doc_and_empty_corpus(self):
+        for doc in (SHUFFLED_DOC, dict(BASE_DOC, annotations=[]),
+                    dict(BASE_DOC, images=[], annotations=[])):
+            corpus = parse_corpus(doc)
+            got = corpus.shifted(16, 2)
+            ids, boxes, cats, offsets = shifted_by_image(corpus, 16, 2)
+            assert (got.ids.tolist(), got.boxes.tolist(),
+                    got.category_ids.tolist(), got.offsets.tolist()) \
+                == (ids, boxes, cats, offsets)
+
+    def test_match_stats_matches_the_shifted_corpus(self):
+        corpus = parse_corpus(edge_corpus(np.random.default_rng(9)))
+        shifted = run_match_stats(corpus, RunConfig(shift_max=32, seed=4))
+        direct = run_match_stats(corpus.shifted(32, 4), RunConfig())
+        assert distribution_to_dict(shifted) == distribution_to_dict(direct)
+
+    def test_match_stats_at_shift_0_does_not_clamp(self, monkeypatch):
+        # 120 px a side: large; clamped to the 64 px image it is medium
+        doc = dict(BASE_DOC, annotations=[
+            {"id": 1, "image_id": 1, "bbox": [-40, -40, 120, 120],
+             "category_id": 2}])
+        monkeypatch.setattr(coco, "apply_shift", None)  # never called
+        dist = run_match_stats(parse_corpus(doc), RunConfig(shift_max=0))
+        assert dist.counts("large")[0] == 1
 
 
 class TestLoadCorpus:
@@ -701,6 +790,28 @@ class TestCLI:
         code, out, err = self.run(capsys, "nms", "--input", path)
         assert (code, out) == (2, "")
         assert "bad detection #1: " in err
+
+    @pytest.mark.parametrize("value", [1.7, True])
+    def test_fractional_or_bool_detection_class_exit_2(self, capsys,
+                                                       tmp_path, value):
+        # int() would truncate both to class 1, which suppresses box #1
+        dets = [{"bbox": [0, 0, 10, 10], "score": 0.9, "category_id": 1},
+                {"bbox": [0, 0, 10, 9], "score": 0.8, "category_id": value}]
+        path = write_json(tmp_path / "dets.json", dets)
+        code, out, err = self.run(capsys, "nms", "--input", path)
+        assert (code, out) == (2, "")
+        assert f"bad detection #1: {value!r} is not an integer" in err
+
+    @pytest.mark.parametrize("value", [1.0, "1"])
+    def test_integral_detection_class_accepted(self, capsys, tmp_path,
+                                               value):
+        dets = [{"bbox": [0, 0, 10, 10], "score": 0.9, "category_id": 1},
+                {"bbox": [0, 0, 10, 9], "score": 0.8, "category_id": value}]
+        path = write_json(tmp_path / "dets.json", dets)
+        code, out, _ = self.run(capsys, "nms", "--input", path)
+        assert code == 0
+        assert json.loads(out) == [dict(dets[0], bbox=[0.0, 0.0, 10.0, 10.0],
+                                        category_id=1)]
 
     def test_negative_category_id_exit_2(self, capsys, tmp_path):
         doc = dict(BASE_DOC, annotations=BASE_DOC["annotations"] + [
