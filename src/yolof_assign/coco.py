@@ -61,6 +61,8 @@ class AnnotationCorpus:
         by :func:`shift_offset` from ``(seed, image_id)``, and clamped to
         the image; boxes left without area are dropped.  At ``max_shift``
         0 this only clamps."""
+        if max_shift < 0:  # shift_offset checks it only per image
+            raise ValueError(f"max_shift must be >= 0, got {max_shift}")
         per_image = np.array(
             [(*shift_offset(max_shift, (seed, image_id)), size.width,
               size.height) for image_id, size in self.images],
@@ -211,8 +213,8 @@ class RunConfig:
         if self.matcher not in matching.MATCHERS:
             raise ValueError(f"unknown matcher {self.matcher!r}; expected one "
                              f"of {tuple(matching.MATCHERS)}")
-        if self.shift_max < 0:
-            raise ValueError("shift_max must be >= 0")
+        for name in ("shift_max", "seed"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         object.__setattr__(self, "matcher_config", matching.MATCHERS[
             self.matcher](**self.matcher_params))
 
@@ -237,6 +239,19 @@ class RunConfig:
             return cls.from_dict(doc)
         except (TypeError, ValueError) as exc:
             raise CorpusError(f"{path_or_default}: {exc}") from exc
+
+
+def _count(name: str, value) -> int:
+    """The config field ``name`` as a non-negative int64 by
+    :func:`as_int64`; a string is refused too."""
+    try:
+        n = -1 if isinstance(value, str) else as_int64(value)
+    except (TypeError, ValueError, OverflowError):
+        n = -1
+    if n < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got "
+                         f"{value!r}")
+    return n
 
 
 def worker_count() -> int:

@@ -60,7 +60,13 @@ class RFProfile:
 
     def pixel_coverage(self, stride: int) -> int:
         """Approximate input-pixel span of the widest path."""
+        _check_stride(stride)
         return self.max_extent * stride
+
+
+def _check_stride(stride: int) -> None:
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
 
 
 def rf_profile(spec: EncoderSpec) -> RFProfile:
@@ -89,6 +95,7 @@ def scale_coverage(profile: RFProfile, stride: int):
     """
     if not profile.extents:
         raise ValueError("empty receptive-field profile")
+    _check_stride(stride)
     bands = [(e * stride / 2.0, float(e * stride)) for e in profile.extents]
     union = []
     for lo, hi in sorted(bands):

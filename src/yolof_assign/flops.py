@@ -150,8 +150,11 @@ class DecoderSpec:
     objectness: bool = False
 
     def __post_init__(self):
-        if self.cls_convs < 0 or self.reg_convs < 0:
-            raise ValueError("conv counts must be >= 0")
+        for name in ("cls_convs", "reg_convs", "anchors_per_position",
+                     "num_classes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)}")
 
     def layers(self, level: str) -> list:
         out = []

@@ -170,10 +170,10 @@ def _reaches(inter, total, t) -> np.ndarray:
     return inter / (total - inter) >= t
 
 
-def distance_window(centers, grid: "AnchorGrid", margin: float, bound=None):
+def distance_window(centers, grid: "AnchorGrid", margin: float):
     """``(gt, anchor, distance)`` of every anchor of ``grid`` whose center
-    distance ``d`` from ``centers[gt]`` has ``d - margin <= bound[gt]``;
-    ``bound`` defaults to each center's nearest distance.
+    distance ``d`` from ``centers[gt]`` has ``d - margin`` at most that
+    center's nearest distance.
 
     ``d`` is ``sqrt(dy * dy + dx * dx)`` of the center offsets, the float
     the distance kernels of ``matching`` compute.  A column is in the
@@ -188,10 +188,8 @@ def distance_window(centers, grid: "AnchorGrid", margin: float, bound=None):
     sq *= sq
     sq = sq.reshape(len(gt), 2, -1)  # (P, 2, L)
     nearest = sq.min(axis=2)
-    if bound is None:
-        bound = np.sqrt((nearest[:, 1] + nearest[:, 0]).reshape(
-            -1, slots).min(axis=1))
-    b = np.asarray(bound, dtype=np.float64)[gt]
+    b = np.sqrt((nearest[:, 1] + nearest[:, 0]).reshape(
+        -1, slots).min(axis=1))[gt]
     ok = np.sqrt(sq + nearest[:, ::-1, None]) - margin <= b[:, None, None]
     p, i, j = _window(ok)
     dist = np.sqrt(sq[p, 1, i] + sq[p, 0, j])

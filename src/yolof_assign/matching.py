@@ -501,7 +501,7 @@ def hungarian_match(anchors, gts: GroundTruthSet,
     if isinstance(anchors, AnchorGrid):
         # Each GT's cheapest anchor lies in its nearest window.  Distinct
         # ones are the assignment, as each row paying its own minimum is a
-        # lower bound; else the solver needs each GT's m cheapest.
+        # lower bound; else the solver cuts the full cost.
         gt, anchor, cost = _hungarian_window(anchors, gts)
         win = _resolve_claims(gt, anchor, cost)  # each GT's first argmin
         anchor, gt = anchor[win], gt[win]
@@ -509,56 +509,22 @@ def hungarian_match(anchors, gts: GroundTruthSet,
         if (labels[anchor] == gt).all():  # no GT overwritten
             return MatchResult(labels, len(gts))
         labels[anchor] = NEGATIVE
-        # the solver's cut: every anchor at or below some GT's k-th
-        # cheapest cost, all of which lie in the GT's k-th distance window
-        k = min(len(gts), len(boxes))
-        gt, anchor, cost = _hungarian_window(anchors, gts, _kth_smallest(
-            *_widened_distances(anchors, gts, k), k))
-        cols = np.unique(anchor[cost <= _kth_smallest(gt, cost, k)[gt]])
-        cost = hungarian_cost(boxes[cols], gts, float(anchors.config.stride))
-    else:
-        cols, cost = np.arange(len(boxes)), hungarian_cost(anchors, gts)
-    if len(gts) > len(cols):
+    cost = hungarian_cost(anchors, gts)
+    if len(gts) > len(boxes):
         anchor, gt, _ = solve_assignment(cost.T)
     else:
         gt, anchor, _ = solve_assignment(cost)
-    labels[cols[anchor]] = gt
+    labels[anchor] = gt
     return MatchResult(labels, len(gts))
 
 
-def _hungarian_window(grid: AnchorGrid, gts: GroundTruthSet, bound=None):
+def _hungarian_window(grid: AnchorGrid, gts: GroundTruthSet):
     """``(gt, anchor, cost)`` of every pair whose center distance ``d`` has
-    ``d - stride <= bound[gt]``; ``bound`` defaults to each GT's nearest
-    distance, which holds each GT's cheapest anchors.
-
-    A cost lies in ``[d - stride, d]``, so a GT's k-th cheapest cost is at
-    most its k-th smallest distance, and no anchor with ``d - stride``
-    above that is as cheap.  Each cost is the float :func:`hungarian_cost`
-    gives.
+    ``d - stride`` at most the GT's nearest distance: a cost lies in
+    ``[d - stride, d]``, so these hold each GT's cheapest anchors.  Each
+    cost is the float :func:`hungarian_cost` gives.
     """
     stride = float(grid.config.stride)
-    gt, anchor, dist = distance_window(box_centers(gts.boxes), grid, stride,
-                                       bound)
+    gt, anchor, dist = distance_window(box_centers(gts.boxes), grid, stride)
     return gt, anchor, dist - stride * pairwise_iou(
         gts.boxes[gt], grid.anchors[anchor, None])[:, 0]
-
-
-def _widened_distances(grid: AnchorGrid, gts: GroundTruthSet, k: int):
-    """``(gt, distance)`` of distance windows widened until each GT's holds
-    at least k anchors.  Every anchor outside a GT's window is farther
-    than every anchor in it."""
-    centers = box_centers(gts.boxes)
-    margin = float(grid.config.stride)
-    while True:
-        gt, _, dist = distance_window(centers, grid, margin)
-        if np.bincount(gt, minlength=len(gts)).min() >= k:
-            return gt, dist
-        margin *= 2
-
-
-def _kth_smallest(group: np.ndarray, values: np.ndarray, k: int):
-    """The k-th smallest of ``values`` in each group ``0 .. G - 1`` of
-    ``group``, where every group has at least k values."""
-    counts = np.bincount(group)
-    start = counts.cumsum() - counts
-    return values[np.lexsort((values, group))][start + k - 1]

@@ -78,6 +78,15 @@ class TestScaleCoverage:
         assert union == [(48.0, 96.0), (112.0, 43 * 32.0)]
         assert gaps == [(96.0, 112.0)]
 
+    @pytest.mark.parametrize("stride", [0, -32])
+    def test_stride_below_1_refused(self, stride):
+        profile = rf_profile(EncoderSpec())
+        with pytest.raises(ValueError, match=f"stride must be >= 1, got "
+                                             f"{stride}"):
+            scale_coverage(profile, stride)
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            profile.pixel_coverage(stride)
+
     def test_gap_reported(self):
         from yolof_assign.encoder import RFProfile
         _, union, gaps = scale_coverage(RFProfile(extents=(3, 43)), 32)

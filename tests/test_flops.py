@@ -66,6 +66,13 @@ class TestReports:
         report = encoder_decoder_flops(EncoderTopology.siso(), dec, IMAGE)
         assert report.decoder_total == 0
 
+    @pytest.mark.parametrize("field", ["cls_convs", "reg_convs",
+                                       "anchors_per_position", "num_classes"])
+    def test_negative_count_refused(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -3"):
+            DecoderSpec(**{field: -3})
+        assert DecoderSpec(**{field: 0}).layers("P5")  # 0 stays allowed
+
     def test_rejects_unknown_level(self):
         topo = EncoderTopology.siso()
         topo.output_levels = ("P9",)

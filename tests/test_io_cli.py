@@ -601,6 +601,18 @@ class TestCLI:
         ({"anchors": [1, 2]}, "[1, 2]"),
         ({"buckets": {"small_max": 10, "large_max": 99}}, "'large_max'"),
         ([["matcher", "atss"]], "top level must be an object"),
+        ({"seed": 1.5, "shift_max": 4},
+         "seed must be a non-negative integer, got 1.5"),
+        ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": None}, "seed must be a non-negative integer, got None"),
+        ({"seed": 1e400}, "seed must be a non-negative integer, got inf"),
+        ({"shift_max": True},
+         "shift_max must be a non-negative integer, got True"),
+        ({"shift_max": 1.5},
+         "shift_max must be a non-negative integer, got 1.5"),
+        ({"shift_max": -4},
+         "shift_max must be a non-negative integer, got -4"),
     ])
     def test_bad_config_exit_2(self, capsys, tmp_path, tiny_corpus_path,
                                doc, named):
@@ -635,6 +647,38 @@ class TestCLI:
                                   str(tiny_corpus_path), "--config", cfg)
         assert code == 2
         assert out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("shift_max", [0, 4])
+    def test_negative_seed_flag_exit_2(self, capsys, tmp_path,
+                                       tiny_corpus_path, shift_max):
+        cfg = write_json(tmp_path / "cfg.json", {"shift_max": shift_max})
+        code, out, err = self.run(capsys, "match-stats", "--input",
+                                  str(tiny_corpus_path), "--config", cfg,
+                                  "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "seed must be a non-negative integer, got -1" in err
+
+    def test_integral_seed_written_as_an_integer(self, capsys, tmp_path,
+                                                 tiny_corpus_path):
+        cfg = write_json(tmp_path / "cfg.json", {"seed": 3.0, "shift_max": 4})
+        code, out, _ = self.run(capsys, "match-stats", "--input",
+                                str(tiny_corpus_path), "--config", cfg)
+        assert code == 0
+        assert json.loads(out)["seed"] == 3
+        assert RunConfig(seed=3.0, shift_max=4.0) == RunConfig(seed=3,
+                                                               shift_max=4)
+
+    @pytest.mark.parametrize("argv,named", [
+        (["rf", "--stride", "0"], "stride must be >= 1, got 0"),
+        (["rf", "--stride", "-32"], "stride must be >= 1, got -32"),
+        (["flops", "--anchors-per-position", "-3"],
+         "anchors_per_position must be >= 0, got -3"),
+        (["flops", "--head-convs", "-1"], "cls_convs must be >= 0, got -1"),
+    ])
+    def test_negative_model_size_exit_2(self, capsys, argv, named):
+        code, out, err = self.run(capsys, *argv)
+        assert (code, out) == (2, "")
         assert named in err
 
     def test_integer_thresholds_accepted(self, capsys, tmp_path,
@@ -881,6 +925,15 @@ class TestCLI:
         assert code == 2
         assert out == ""
         assert "max_shift must be >= 0, got -3" in err
+
+    def test_negative_max_shift_on_no_images_exit_2(self, capsys, tmp_path):
+        path = write_json(tmp_path / "c.json", {"images": [],
+                                                "annotations": [],
+                                                "categories": []})
+        code, out, err = self.run(capsys, "shift", "--input", path,
+                                  "--max-shift", "-1")
+        assert (code, out) == (2, "")
+        assert "max_shift must be >= 0, got -1" in err
 
     def test_detections_must_be_an_array(self, capsys, tmp_path):
         path = write_json(tmp_path / "dets.json", {"bbox": [0, 0, 1, 1]})

@@ -90,46 +90,14 @@ class TestIoUWindow:
 
 
 class TestDistanceWindow:
-    @pytest.mark.parametrize("k", [1, 2, 7])
     @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_equals_the_full_matrix(self, grid, kind, seed, k):
+    def test_equals_the_full_matrix(self, grid, kind, seed):
         g = gts_for(grid, kind, seed)
         dist = _center_distances(g.boxes, grid.anchors)
-        bound = np.sort(dist, axis=1)[:, k - 1]
         margin = float(grid.config.stride)
         centers = (g.boxes[:, :2] + g.boxes[:, 2:]) * 0.5
-        want = full_pairs(dist - margin <= bound[:, None], dist)
-        assert as_pairs(*distance_window(centers, grid, margin,
-                                         bound)) == want
-        if k == 1:  # the default bound is each center's nearest distance
-            assert as_pairs(*distance_window(centers, grid, margin)) == want
-
-    @pytest.mark.parametrize("kind,seed", SCENES[:4])
-    def test_kth_distance(self, grid, kind, seed):
-        # widened windows give each center's k-th smallest distance, k
-        # up to every anchor of the grid
-        g = gts_for(grid, kind, seed)
-        dist = np.sort(_center_distances(g.boxes, grid.anchors), axis=1)
-        for k in (1, 2, len(g), 60, len(grid)):
-            got = matching._kth_smallest(
-                *matching._widened_distances(grid, g, k), k)
-            assert got.tolist() == dist[:, k - 1].tolist()
-
-    @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_kth_cost_window(self, grid, kind, seed):
-        # the window within each GT's k-th distance holds, with the full
-        # matrix's floats, every pair at or below the GT's k-th cheapest
-        # cost: the columns that Hungarian's collision path solves on
-        g = gts_for(grid, kind, seed)
-        full = hungarian_cost(grid, g)
-        for k in (len(g), 2 * len(g)):
-            kth = np.sort(full, axis=1)[:, k - 1]
-            gt, anchor, cost = matching._hungarian_window(
-                grid, g, matching._kth_smallest(
-                    *matching._widened_distances(grid, g, k), k))
-            ok = cost <= matching._kth_smallest(gt, cost, k)[gt]
-            assert as_pairs(gt[ok], anchor[ok], cost[ok]) \
-                == full_pairs(full <= kth[:, None], full)
+        want = full_pairs(dist - margin <= dist.min(axis=1)[:, None], dist)
+        assert as_pairs(*distance_window(centers, grid, margin)) == want
 
 
 def oracle_max_iou(grid, g, cfg):
@@ -213,10 +181,11 @@ class TestMatchersAtTheEdges:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_no_full_grid_matrix(monkeypatch, name):
     """Max-IoU and Hungarian on a 1280x800 grid never build an IoU or
-    distance matrix over every anchor or every position, the Hungarian
-    collision path included, and uniform's ignore test builds no IoU
-    matrix.  Uniform's k-nearest candidates still score every position,
-    or every anchor where the slots' centers differ."""
+    distance matrix over every anchor or every position, and uniform's
+    ignore test builds no IoU matrix.  Uniform's k-nearest candidates
+    still score every position, or every anchor where the slots' centers
+    differ.  The GTs' Hungarian argmins are distinct: on a collision
+    Hungarian solves the full cost."""
     grid = generate_anchors(CONFIGS[name], ImageSize(1280, 800))
     full = {len(grid), grid.grid_h * grid.grid_w}
     spied = ("pairwise_iou", "_center_distances", "_grid_distances")
@@ -230,13 +199,12 @@ def test_no_full_grid_matrix(monkeypatch, name):
             return out
         return wrapped
 
-    for fn in spied:
-        monkeypatch.setattr(matching, fn, spy(fn))
     rng = np.random.default_rng(3)
     xy = rng.uniform(0, 1000, (9, 2))
-    boxes = np.hstack([xy, xy + rng.uniform(8, 300, (9, 2))])
-    boxes[4] = boxes[2]  # a repeated GT: the Hungarian argmins collide
-    g = gts(boxes)
+    g = gts(np.hstack([xy, xy + rng.uniform(8, 300, (9, 2))]))
+    assert len(np.unique(hungarian_cost(grid, g).argmin(axis=1))) == len(g)
+    for fn in spied:
+        monkeypatch.setattr(matching, fn, spy(fn))
     seen = 0
     for match, checked in ((matching.uniform_match, spied[:1]),
                            (matching.max_iou_match, spied),
