@@ -22,7 +22,8 @@ from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig,
                                    uniform_match)
 
 from oracles import iou_py, max_iou_py, uniform_py
-from test_grid_kernels import CONFIGS, IMAGE, SCENES, TINY, gts_for
+from test_grid_kernels import (CONFIGS, IMAGE, SCENES, TINY,
+                               assert_same_floats, gts_for)
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -90,14 +91,53 @@ class TestIoUWindow:
 
 
 class TestDistanceWindow:
+    # the margin in strides: 0 keeps only each center's nearest anchors,
+    # 1 is Hungarian's window
+    @pytest.mark.parametrize("strides", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_equals_the_full_matrix(self, grid, kind, seed):
+    def test_equals_the_full_matrix(self, grid, kind, seed, strides):
         g = gts_for(grid, kind, seed)
         dist = _center_distances(g.boxes, grid.anchors)
-        margin = float(grid.config.stride)
+        margin = strides * grid.config.stride
         centers = (g.boxes[:, :2] + g.boxes[:, 2:]) * 0.5
         want = full_pairs(dist - margin <= dist.min(axis=1)[:, None], dist)
         assert as_pairs(*distance_window(centers, grid, margin)) == want
+
+
+class TestHungarianWindow:
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_holds_each_gts_cheapest_anchors(self, grid, kind, seed):
+        # the nearest window carries the full cost's floats and holds
+        # every anchor tied with its GT's cheapest cost
+        g = gts_for(grid, kind, seed)
+        dist = _center_distances(g.boxes, grid.anchors)
+        window = dist - grid.config.stride <= dist.min(axis=1)[:, None]
+        full = hungarian_cost(grid, g)
+        assert as_pairs(*matching._hungarian_window(grid, g)) \
+            == full_pairs(window, full)
+        cheapest = full <= full.min(axis=1)[:, None]
+        assert not (cheapest & ~window).any()
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_collision_solves_the_cut_of_the_full_cost(self, monkeypatch,
+                                                       grid, kind, seed):
+        # every scene repeats a GT, so the argmins collide: the solver
+        # gets the columns at or below some GT's M-th cheapest cost of the
+        # flat anchors' cost at the grid's IoU scale, with its floats
+        g = gts_for(grid, kind, seed)
+        full = hungarian_cost(grid.anchors, g, float(grid.config.stride))
+        kth = np.sort(full, axis=1)[:, len(g) - 1]
+        keep = np.flatnonzero((full <= kth[:, None]).any(axis=0))
+        solve, seen = matching._shortest_augmenting_paths, []
+
+        def spy(cost):
+            seen.append(cost.copy())
+            return solve(cost)
+
+        monkeypatch.setattr(matching, "_shortest_augmenting_paths", spy)
+        hungarian_match(grid, g)
+        assert len(seen) == 1
+        assert_same_floats(seen[0], full[:, keep])
 
 
 def oracle_max_iou(grid, g, cfg):
