@@ -5,7 +5,8 @@ survives at a few IoU thresholds, plus the score filter that caps the
 final detection list.
 """
 
-from yolof_assign import Detection, iou, nms, score_filter
+from yolof_assign import (Detection, detection_columns, iou, nms,
+                          score_filter)
 
 DETECTIONS = [
     Detection(box=(10, 10, 60, 60), score=0.95, class_id=0),
@@ -24,10 +25,10 @@ def main():
     print(f"\nIoU of [0] vs [1]: {iou(DETECTIONS[0].box, DETECTIONS[1].box):.3f}")
 
     for thr in (0.8, 0.6, 0.3):
-        kept = nms(DETECTIONS, thr)
+        kept = nms(*detection_columns(DETECTIONS), thr)
         print(f"nms @ IoU {thr}: keep {kept}")
 
-    kept = [DETECTIONS[i] for i in nms(DETECTIONS, 0.6)]
+    kept = [DETECTIONS[i] for i in nms(*detection_columns(DETECTIONS), 0.6)]
     final = score_filter(kept, min_score=0.28, max_keep=3)
     print(f"\nscore filter (min 0.28, top 3) on the survivors: {final}")
 

@@ -15,7 +15,8 @@ from .encoder import (EncoderSpec, RFProfile, WeightSet, forward,
                       impulse_footprint, rf_profile, scale_coverage)
 from .flops import (DecoderSpec, EncoderTopology, FlopsReport, conv_flops,
                     encoder_decoder_flops)
-from .postprocess import Detection, nms, score_filter
+from .postprocess import Detection, detection_columns, nms, \
+    score_filter
 from .coco import (AnnotationCorpus, CorpusError, RunConfig, load_corpus,
                    run_match_stats)
 

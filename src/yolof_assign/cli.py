@@ -11,13 +11,15 @@ import argparse
 import dataclasses
 import sys
 
+import numpy as np
+
 from . import reports
 from .coco import CorpusError, RunConfig, as_int64, load_corpus, \
     read_json, run_match_stats
 from .encoder import EncoderSpec, rf_profile, scale_coverage
 from .flops import DecoderSpec, EncoderTopology, encoder_decoder_flops
 from .geometry import ImageSize, generate_anchors
-from .postprocess import Detection, nms
+from .postprocess import Detection, detection_columns, nms
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -125,25 +127,70 @@ def _cmd_flops(args) -> None:
     _emit(reports.to_json(doc), args.output)
 
 
-def _load_detections(path) -> list:
+def _number(value) -> float:
+    """``float(value)``; a bool is refused rather than read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value} is not a number")
+    return float(value)
+
+
+def _plain_columns(doc: list):
+    """The (boxes, scores, class ids) of ``doc`` when every record is an
+    object whose bbox is an array of 4 finite JSON numbers, whose score is
+    a JSON number in [0, 1] and whose category_id a non-negative int64;
+    otherwise None."""
+    try:
+        boxes = [row["bbox"] for row in doc]
+        scores = [row["score"] for row in doc]
+        cats = [row["category_id"] for row in doc]
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}
+            and set(map(type, scores)) <= {int, float}
+            and set(map(type, cats)) <= {int}):
+        return None
+    flat = [v for box in boxes for v in box]
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        boxes = np.array(flat, dtype=np.float64).reshape(-1, 4)
+        scores = np.array(scores, dtype=np.float64)
+        cats = np.array(cats, dtype=np.int64)
+    except OverflowError:
+        return None
+    if not (np.isfinite(boxes).all() and (scores >= 0.0).all()
+            and (scores <= 1.0).all() and (cats >= 0).all()):
+        return None
+    return boxes, scores, cats
+
+
+def _load_detections(path) -> tuple:
+    """A detection file's (boxes, scores, class ids) columns.
+
+    Plain files are read as columns.  Any other file (numbers written as
+    strings, or a bad record) is read one :class:`Detection` at a time, so
+    the first bad record in document order names the fault.
+    """
     doc = read_json(path, list)
+    plain = _plain_columns(doc)
+    if plain is not None:
+        return plain
     dets = []
     for i, row in enumerate(doc):
         try:
-            dets.append(Detection(box=tuple(float(v) for v in row["bbox"]),
-                                  score=float(row["score"]),
+            dets.append(Detection(box=tuple(map(_number, row["bbox"])),
+                                  score=_number(row["score"]),
                                   class_id=as_int64(row["category_id"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"{path}: bad detection #{i}: {exc}") from exc
-    return dets
+    return detection_columns(dets)
 
 
 def _cmd_nms(args) -> None:
-    dets = _load_detections(args.input)
-    kept = nms(dets, iou_threshold=args.iou)
-    doc = [{"bbox": list(dets[i].box), "score": dets[i].score,
-            "category_id": dets[i].class_id} for i in kept]
-    _emit(reports.to_json(doc), args.output)
+    boxes, scores, class_ids = _load_detections(args.input)
+    kept = nms(boxes, scores, class_ids, iou_threshold=args.iou)
+    _emit(reports.detections_to_json(boxes[kept], scores[kept],
+                                     class_ids[kept]), args.output)
 
 
 def _cmd_shift(args) -> None:

@@ -61,8 +61,11 @@ class AnnotationCorpus:
         by :func:`shift_offset` from ``(seed, image_id)``, and clamped to
         the image; boxes left without area are dropped.  At ``max_shift``
         0 this only clamps."""
-        if max_shift < 0:  # shift_offset checks it only per image
+        # shift_offset checks both only per image, and numpy's message
+        # for a negative seed names neither
+        if max_shift < 0:
             raise ValueError(f"max_shift must be >= 0, got {max_shift}")
+        seed = _count("seed", seed)
         per_image = np.array(
             [(*shift_offset(max_shift, (seed, image_id)), size.width,
               size.height) for image_id, size in self.images],

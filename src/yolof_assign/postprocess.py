@@ -34,35 +34,63 @@ def _sorted_order(dets) -> list:
     return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
 
 
-def nms(dets, iou_threshold: float = 0.6) -> list:
+def detection_columns(dets) -> tuple:
+    """A sequence of :class:`Detection` as the ``(boxes, scores,
+    class_ids)`` columns :func:`nms` takes."""
+    return (as_boxes([d.box for d in dets]),
+            np.array([d.score for d in dets], dtype=np.float64),
+            np.array([d.class_id for d in dets], dtype=np.int64))
+
+
+# rows of a class compared per pairwise_iou call: memory stays
+# _BLOCK x (class size) floats, and few calls cover a long class
+_BLOCK = 32
+
+
+def nms(boxes, scores, class_ids, iou_threshold: float = 0.6) -> list:
     """Class-wise greedy NMS; returns kept input indices in kept order.
 
-    A detection survives iff its IoU with every already-kept same-class
-    detection is at most ``iou_threshold``.  Each kept box is compared
-    once with the later boxes of its class still standing, so memory stays
-    O(N).  Boxes keep their own coordinates: offsetting classes apart
-    would change IoU rounding at the threshold.
+    ``boxes`` is ``(N, 4)``, ``scores`` and ``class_ids`` have N entries
+    (see :func:`detection_columns`).  A detection survives iff its IoU
+    with every already-kept same-class detection is at most
+    ``iou_threshold``.
+
+    Each class is walked in descending score, ties by input index, in
+    blocks of ``_BLOCK`` rows.  One ``pairwise_iou`` call scores a block's
+    rows still standing against every row from the block's start to the
+    class's end, so memory stays O(N); inside the block each kept row then
+    strikes the later rows it overlaps.  ``pairwise_iou`` works element by
+    element, so each pair gets the float a one-row call would give.  Boxes
+    keep their own coordinates: offsetting classes apart would change IoU
+    rounding at the threshold.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must lie in [0, 1]")
-    if not dets:
-        return []
-    boxes = as_boxes([d.box for d in dets])
-    scores = np.array([d.score for d in dets])
-    classes = np.array([d.class_id for d in dets])
+    boxes = as_boxes(boxes)
+    scores = np.asarray(scores, dtype=np.float64)
+    class_ids = np.asarray(class_ids)
+    if not len(boxes) == len(scores) == len(class_ids):
+        raise ValueError(f"got {len(boxes)} boxes, {len(scores)} scores and "
+                         f"{len(class_ids)} class ids")
     # descending score, ties by ascending input index, then grouped by class
     order = np.argsort(-scores, kind="stable")
-    order = order[np.argsort(classes[order], kind="stable")]
-    cls = classes[order]
+    order = order[np.argsort(class_ids[order], kind="stable")]
+    boxes = boxes[order]
+    cls = class_ids[order]
+    class_ends = np.flatnonzero(cls[1:] != cls[:-1]) + 1
     alive = np.ones(len(order), dtype=bool)
-    for i in range(len(order)):
-        if not alive[i]:
-            continue
-        end = np.searchsorted(cls, cls[i], side="right")
-        rest = np.flatnonzero(alive[i + 1:end]) + (i + 1)
-        if len(rest):
-            ious = pairwise_iou(boxes[order[i:i + 1]], boxes[order[rest]])
-            alive[rest[ious[0] > iou_threshold]] = False
+    for start, end in zip([0, *class_ends.tolist()],
+                          [*class_ends.tolist(), len(order)]):
+        for block in range(start, end, _BLOCK):
+            stop = min(block + _BLOCK, end)
+            rows = np.flatnonzero(alive[block:stop]) + block
+            if not len(rows):
+                continue
+            stay = ~(pairwise_iou(boxes[rows], boxes[block:end])
+                     > iou_threshold)
+            for row, row_stay in zip(rows.tolist(), stay):
+                if alive[row]:
+                    alive[row + 1:end] &= row_stay[row + 1 - block:]
     kept = order[alive]
     return kept[np.lexsort((kept, -scores[kept]))].tolist()
 

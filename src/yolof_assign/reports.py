@@ -106,6 +106,20 @@ def distribution_to_json(dist: MatchDistribution, **fields) -> str:
     return text
 
 
+# One detection as to_json indents it in a top-level list, keys sorted
+_DETECTION_ROW = ('{\n    "bbox": [\n      %r,\n      %r,\n      %r,\n'
+                  '      %r\n    ],\n    "category_id": %d,\n'
+                  '    "score": %r\n  }')
+
+
+def detections_to_json(boxes, scores, class_ids) -> str:
+    """``to_json`` of the list of ``{"bbox", "score", "category_id"}``
+    objects, one per row, written by template."""
+    rows = [_DETECTION_ROW % (*box, class_id, score) for box, score, class_id
+            in zip(boxes.tolist(), scores.tolist(), class_ids.tolist())]
+    return _json_list(rows, "") + "\n"
+
+
 def distribution_to_csv(dist: MatchDistribution) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

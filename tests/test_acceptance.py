@@ -22,7 +22,7 @@ from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig, TopKConfig,
                                    max_iou_match, nearest_candidates,
                                    solve_assignment, topk_match,
                                    uniform_match)
-from yolof_assign.postprocess import Detection, nms
+from yolof_assign.postprocess import Detection, detection_columns, nms
 
 from oracles import assignment_cost_enum, nms_py
 
@@ -196,11 +196,11 @@ def test_criterion_6_nms_oracle():
                                   score=round(float(rng.uniform()), 3),
                                   class_id=int(rng.integers(0, 4))))
         thr = float(rng.uniform(0.05, 0.95))
-        kept = nms(dets, thr)
+        kept = nms(*detection_columns(dets), thr)
         expected = nms_py([d.box for d in dets], [d.score for d in dets],
                           [d.class_id for d in dets], thr)
         assert kept == expected  # exact index-set equality
-        again = nms([dets[i] for i in kept], thr)
+        again = nms(*detection_columns([dets[i] for i in kept]), thr)
         assert again == list(range(len(kept)))  # idempotence
     ok("6 NMS: greedy equals simulation oracle on 500 instances, idempotent")
 

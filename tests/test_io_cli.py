@@ -846,6 +846,21 @@ class TestCLI:
         assert (code, out) == (2, "")
         assert f"bad detection #1: {value!r} is not an integer" in err
 
+    @pytest.mark.parametrize("name,value,bad", [
+        ("bbox", [True, 0, 10, 10], True), ("bbox", [0, 0, 10, False], False),
+        ("score", True, True)], ids=["bbox-true", "bbox-false", "score-true"])
+    def test_bool_detection_number_exit_2(self, capsys, tmp_path, name,
+                                          value, bad):
+        # float() would read a bool as 0.0 or 1.0
+        dets = [{"bbox": [0, 0, 10, 10], "score": 0.9, "category_id": 1},
+                {"bbox": [0, 0, 10, 9], "score": 0.8, "category_id": 1}]
+        dets[1][name] = value
+        path = write_json(tmp_path / "dets.json", dets)
+        code, out, err = self.run(capsys, "nms", "--input", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: bad detection #1: {bad} is not a " \
+                      f"number\n"
+
     @pytest.mark.parametrize("value", [1.0, "1"])
     def test_integral_detection_class_accepted(self, capsys, tmp_path,
                                                value):
@@ -934,6 +949,17 @@ class TestCLI:
                                   "--max-shift", "-1")
         assert (code, out) == (2, "")
         assert "max_shift must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("corpus", ["tiny", "no-images"])
+    def test_negative_seed_exit_2(self, capsys, tmp_path, tiny_corpus_path,
+                                  corpus):
+        path = str(tiny_corpus_path) if corpus == "tiny" else write_json(
+            tmp_path / "c.json",
+            {"images": [], "annotations": [], "categories": []})
+        code, out, err = self.run(capsys, "shift", "--input", path,
+                                  "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_detections_must_be_an_array(self, capsys, tmp_path):
         path = write_json(tmp_path / "dets.json", {"bbox": [0, 0, 1, 1]})
