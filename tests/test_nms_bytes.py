@@ -90,10 +90,8 @@ def without(key: str) -> dict:
     return {k: v for k, v in OK.items() if k != key}
 
 
-# name -> (file text, extra argv)
-MALFORMED = {name: (text if isinstance(text, str) else json.dumps(text),
-                    extra)
-             for name, (text, extra) in {
+# name -> (detections, or the file's text; extra argv)
+MALFORMED = {
     "missing-bbox": ([OK, without("bbox")], []),
     "missing-score": ([OK, without("score")], []),
     "missing-category": ([OK, without("category_id")], []),
@@ -164,7 +162,7 @@ MALFORMED = {name: (text if isinstance(text, str) else json.dumps(text),
                               score=1e-05),
                         with_(bbox=[0, 0, 0, 0], score=0, category_id=0),
                         with_(score=1)], []),
-}.items()}
+}
 
 EXPECTED = {
     "bbox-3-values": (
@@ -415,6 +413,6 @@ EXPECTED = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_nms_exit_and_messages_unchanged(capsys, tmp_path, name):
-    text, extra = MALFORMED[name]
-    assert list(run_nms(capsys, tmp_path, text, extra)) \
-        == list(EXPECTED[name])
+    doc, extra = MALFORMED[name]
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    assert run_nms(capsys, tmp_path, text, extra) == EXPECTED[name]
