@@ -1,12 +1,10 @@
 """Greedy non-maximum suppression, step by step.
 
 Builds a cluster of overlapping detections in two classes and shows what
-survives at a few IoU thresholds, plus the score filter that caps the
-final detection list.
+survives at a few IoU thresholds.
 """
 
-from yolof_assign import (Detection, detection_columns, iou, nms,
-                          score_filter)
+from yolof_assign import Detection, detection_columns, iou, nms
 
 DETECTIONS = [
     Detection(box=(10, 10, 60, 60), score=0.95, class_id=0),
@@ -27,10 +25,6 @@ def main():
     for thr in (0.8, 0.6, 0.3):
         kept = nms(*detection_columns(DETECTIONS), thr)
         print(f"nms @ IoU {thr}: keep {kept}")
-
-    kept = [DETECTIONS[i] for i in nms(*detection_columns(DETECTIONS), 0.6)]
-    final = score_filter(kept, min_score=0.28, max_keep=3)
-    print(f"\nscore filter (min 0.28, top 3) on the survivors: {final}")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import reports
-from .coco import CorpusError, RunConfig, as_int64, load_corpus, \
-    read_json, run_match_stats
+from .coco import CorpusError, RunConfig, as_int64, bbox_values, \
+    load_corpus, read_json, run_match_stats
 from .encoder import EncoderSpec, rf_profile, scale_coverage
 from .flops import DecoderSpec, EncoderTopology, encoder_decoder_flops
 from .geometry import ImageSize, generate_anchors
@@ -178,7 +178,8 @@ def _load_detections(path) -> tuple:
     dets = []
     for i, row in enumerate(doc):
         try:
-            dets.append(Detection(box=tuple(map(_number, row["bbox"])),
+            box = tuple(map(_number, bbox_values(row["bbox"])))
+            dets.append(Detection(box=box,
                                   score=_number(row["score"]),
                                   class_id=as_int64(row["category_id"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -97,6 +97,14 @@ class AnnotationCorpus:
         }
 
 
+def bbox_values(value):
+    """A ``bbox`` field's values; a JSON string or object is refused rather
+    than read as its characters or its keys."""
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"bbox must be an array, got {value!r}")
+    return value
+
+
 def as_int64(value) -> int:
     """``value`` as an int64; a bool, or a float with a fraction, is
     refused rather than truncated."""
@@ -131,7 +139,7 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
         try:
             ann_id = as_int64(ann["id"])
             image_id = as_int64(ann["image_id"])
-            x, y, w, h = (float(v) for v in ann["bbox"])
+            x, y, w, h = (float(v) for v in bbox_values(ann["bbox"]))
             cat = as_int64(ann["category_id"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"bad annotation record {ann!r}: {exc}") from exc

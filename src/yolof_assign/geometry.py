@@ -324,15 +324,6 @@ class AnchorGrid:
         return (row * self.grid_w + col) * len(self.slot_lo) + slot
 
 
-def _anchor_layout(anchors):
-    """``(anchors, boxes)``: a grid and its ``(N, 4)`` anchors, or any other
-    anchor input as one ``(N, 4)`` array in both places."""
-    if isinstance(anchors, AnchorGrid):
-        return anchors, anchors.anchors
-    boxes = as_boxes(anchors)
-    return boxes, boxes
-
-
 def generate_anchors(config: AnchorConfig, image: ImageSize) -> AnchorGrid:
     """Pave anchors on a feature grid of ``ceil(image / stride)`` cells.
 

@@ -1,7 +1,8 @@
 """Label-assignment strategies for anchors on a single feature level.
 
-Every matcher returns a :class:`MatchResult` whose ``labels`` array tags
-each anchor as positive for one ground-truth box, negative, or ignored.
+Every matcher takes the :class:`AnchorGrid` of one feature level and
+returns a :class:`MatchResult` whose ``labels`` array tags each anchor as
+positive for one ground-truth box, negative, or ignored.
 All matchers are pure and deterministic.
 """
 
@@ -11,9 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import (AnchorGrid, _anchor_layout, _grid_outer, as_boxes,
-                       box_area, box_centers, distance_window, iou_window,
-                       pairwise_iou)
+from .geometry import (AnchorGrid, _grid_outer, as_boxes, box_area,
+                       box_centers, distance_window, iou_window, pairwise_iou)
 
 NEGATIVE = -1
 IGNORED = -2
@@ -151,22 +151,18 @@ class HungarianConfig:
     """Hungarian matching has no parameters."""
 
 
-# matcher name -> parameter dataclass; ``<name>_match(anchors, gts, cfg)``
+# matcher name -> parameter dataclass; ``<name>_match(grid, gts, cfg)``
 MATCHERS = {"uniform": UniformMatchConfig, "topk": TopKConfig,
             "max_iou": MaxIoUConfig, "atss": ATSSConfig,
             "hungarian": HungarianConfig}
 
 
 def _center_distances(gt_boxes: np.ndarray, anchors) -> np.ndarray:
-    """Euclidean center distances from each GT box to ``anchors``.
-
-    ``anchors`` are shaped as ``b`` in :func:`pairwise_iou`: ``(N, 4)``
-    boxes or a grid give the ``(M, N)`` matrix, ``(M, k, 4)`` gathered
+    """Euclidean center distances from each GT box to ``anchors``:
+    ``(N, 4)`` boxes give the ``(M, N)`` matrix, ``(M, k, 4)`` gathered
     anchors the ``(M, k)`` rows.
     """
     gc = box_centers(gt_boxes)
-    if isinstance(anchors, AnchorGrid):
-        return _grid_distances(gc, anchors, len(anchors.slot_centers))
     ac = box_centers(anchors)
     dist = gc[:, None, 0] - ac[..., 0]
     dist *= dist
@@ -193,7 +189,8 @@ def _grid_distances(gc: np.ndarray, grid: AnchorGrid, slots: int):
     return np.sqrt(dist, out=dist)
 
 
-def nearest_candidates(anchors, gts: GroundTruthSet, k: int) -> np.ndarray:
+def nearest_candidates(grid: AnchorGrid, gts: GroundTruthSet,
+                       k: int) -> np.ndarray:
     """The k center-nearest anchors of each GT, shape ``(M, k)``.
 
     This is the pre-filter candidate set of uniform, top-k and ATSS
@@ -201,20 +198,19 @@ def nearest_candidates(anchors, gts: GroundTruthSet, k: int) -> np.ndarray:
     ascending anchor index.  An image with fewer than k anchors gives
     every GT all of them, as ATSS takes ``min(k, anchors on the level)``.
     """
-    anchors, boxes = _anchor_layout(anchors)
-    k = min(k, len(boxes))
+    k = min(k, len(grid))
     if len(gts) == 0:
         return np.empty((0, k), dtype=np.int64)
-    if isinstance(anchors, AnchorGrid) and anchors.shared_centers:
+    centers = box_centers(gts.boxes)
+    per = len(grid.slot_centers)
+    if grid.shared_centers:
         # Every slot of a position has the same distance, and its anchors
         # are consecutive, so (distance, index) order over anchors is that
         # order over positions with each expanded into its slots.
-        per = anchors.config.anchors_per_position
-        pos = _k_smallest(_grid_distances(box_centers(gts.boxes), anchors, 1),
-                          -(-k // per))
+        pos = _k_smallest(_grid_distances(centers, grid, 1), -(-k // per))
         return (pos[:, :, None] * per + np.arange(per)).reshape(
             len(gts), -1)[:, :k]
-    return _k_smallest(_center_distances(gts.boxes, anchors), k)
+    return _k_smallest(_grid_distances(centers, grid, per), k)
 
 
 def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -243,18 +239,7 @@ def _resolve_claims(anchor: np.ndarray, gt: np.ndarray, cost: np.ndarray):
     return order[first]
 
 
-def _iou_pairs(anchors, gts: GroundTruthSet, thresh: np.ndarray):
-    """``(gt, anchor, iou)`` of every pair whose IoU is positive and at
-    least ``thresh[gt]``: the window of a grid, or the pairs of the full
-    matrix of ``(N, 4)`` anchors."""
-    if isinstance(anchors, AnchorGrid):
-        return iou_window(gts.boxes, anchors, thresh)
-    ious = pairwise_iou(gts.boxes, anchors)
-    gt, anchor = np.nonzero((ious > 0) & (ious >= thresh[:, None]))
-    return gt, anchor, ious[gt, anchor]
-
-
-def uniform_match(anchors, gts: GroundTruthSet,
+def uniform_match(grid: AnchorGrid, gts: GroundTruthSet,
                   cfg: UniformMatchConfig = UniformMatchConfig()) -> MatchResult:
     """k-nearest-anchor matching with IoU-based ignore filters.
 
@@ -264,36 +249,35 @@ def uniform_match(anchors, gts: GroundTruthSet,
     ignored rather than positive; a non-candidate whose best IoU over all
     GTs exceeds ``neg_ignore_iou`` is ignored rather than negative.
     """
-    anchors, boxes = _anchor_layout(anchors)
-    cand = nearest_candidates(anchors, gts, cfg.k)
-    labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
+    cand = nearest_candidates(grid, gts, cfg.k)
+    labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult(labels, 0)
 
     gt = np.repeat(np.arange(len(gts)), cand.shape[1])
-    win = _resolve_claims(cand.ravel(), gt,
-                          _center_distances(gts.boxes, boxes[cand]).ravel())
+    dist = _center_distances(gts.boxes, grid.anchors[cand])
+    win = _resolve_claims(cand.ravel(), gt, dist.ravel())
     a, g = cand.ravel()[win], gt[win]
 
     if cfg.neg_ignore_iou < 1.0:  # no IoU exceeds 1, so 1 ignores nothing
         # the resolved candidates among them are labelled below
-        _, hot, ious = _iou_pairs(anchors, gts,
+        _, hot, ious = iou_window(gts.boxes, grid,
                                   np.full(len(gts), cfg.neg_ignore_iou))
         labels[hot[ious > cfg.neg_ignore_iou]] = IGNORED
     # only each resolved (GT, anchor) pair's IoU: (n, 4) against (n, 1, 4)
-    pair_iou = pairwise_iou(gts.boxes[g], boxes[a, None])[:, 0]
+    pair_iou = pairwise_iou(gts.boxes[g], grid.anchors[a, None])[:, 0]
     labels[a] = np.where(pair_iou >= cfg.pos_ignore_iou, g, IGNORED)
     return MatchResult(labels, len(gts))
 
 
-def topk_match(anchors, gts: GroundTruthSet,
+def topk_match(grid: AnchorGrid, gts: GroundTruthSet,
                cfg: TopKConfig = TopKConfig()) -> MatchResult:
     """Pure k-nearest matching: uniform matching with ignore filters off."""
-    return uniform_match(anchors, gts, UniformMatchConfig(
+    return uniform_match(grid, gts, UniformMatchConfig(
         k=cfg.k, pos_ignore_iou=0.0, neg_ignore_iou=1.0))
 
 
-def max_iou_match(anchors, gts: GroundTruthSet,
+def max_iou_match(grid: AnchorGrid, gts: GroundTruthSet,
                   cfg: MaxIoUConfig = MaxIoUConfig()) -> MatchResult:
     """IoU-threshold matching.
 
@@ -302,21 +286,20 @@ def max_iou_match(anchors, gts: GroundTruthSet,
     ``rescue`` on, each GT's best-IoU anchor is forced positive for it
     even below the threshold.
     """
-    anchors, boxes = _anchor_layout(anchors)
     m = len(gts)
     if m == 0:
-        return MatchResult(np.full(len(boxes), NEGATIVE, dtype=np.int64), 0)
+        return MatchResult(np.full(len(grid), NEGATIVE, dtype=np.int64), 0)
     # Only pairs of positive IoU at or above ``low`` are scored.  An anchor
     # with none has every IoU below ``low``: negative, or with neg_iou at 0
     # ignored, or with pos_iou at 0 too positive for GT 0, its first best.
     low = cfg.neg_iou or cfg.pos_iou
     default = NEGATIVE if cfg.neg_iou else IGNORED if cfg.pos_iou else 0
-    labels = np.full(len(boxes), default, dtype=np.int64)
+    labels = np.full(len(grid), default, dtype=np.int64)
     # Each GT's best IoU is at least its rescue floor, so a pair at the
     # floor or above holds it.
-    thresh = np.minimum(_rescue_floor(anchors, gts), low) if cfg.rescue \
+    thresh = np.minimum(_rescue_floor(grid, gts), low) if cfg.rescue \
         else np.full(m, low)
-    g, a, v = _iou_pairs(anchors, gts, thresh)
+    g, a, v = iou_window(gts.boxes, grid, thresh)
 
     # each anchor takes its best GT, the first on a tie
     cost = -v
@@ -335,12 +318,10 @@ def max_iou_match(anchors, gts: GroundTruthSet,
     return MatchResult(labels, m)
 
 
-def _rescue_floor(grid, gts: GroundTruthSet) -> np.ndarray:
+def _rescue_floor(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
     """A lower bound on each GT's best IoU: its best IoU with the slots of
-    the grid position that holds its center, clamped to the grid, or 0 off
-    a grid.  Each IoU is the float :func:`pairwise_iou` gives."""
-    if not isinstance(grid, AnchorGrid):
-        return np.zeros(len(gts))
+    the grid position whose stride-sized cell holds its center, clamped to
+    the grid.  Each IoU is the float :func:`pairwise_iou` gives."""
     boxes = gts.boxes
     cell = (boxes[:, :2] + boxes[:, 2:]) * (0.5 / grid.config.stride)
     np.minimum(cell, (grid.grid_w - 1, grid.grid_h - 1), out=cell)
@@ -356,7 +337,7 @@ def _rescue_floor(grid, gts: GroundTruthSet) -> np.ndarray:
     return (inter / union).max(axis=0)
 
 
-def atss_match(anchors, gts: GroundTruthSet,
+def atss_match(grid: AnchorGrid, gts: GroundTruthSet,
                cfg: ATSSConfig = ATSSConfig()) -> MatchResult:
     """Adaptive matching with a per-GT dynamic IoU threshold (single level).
 
@@ -366,18 +347,17 @@ def atss_match(anchors, gts: GroundTruthSet,
     become positive; conflicts go to the higher IoU (tie: smaller GT
     index).  There is no ignored class.
     """
-    anchors, boxes = _anchor_layout(anchors)
-    cand = nearest_candidates(anchors, gts, cfg.k)
-    labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
+    cand = nearest_candidates(grid, gts, cfg.k)
+    labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult(labels, 0)
 
     # only the candidates' IoUs, each row in (distance, index) order, so it
     # sums as a 1-D pool would
-    cand_ious = pairwise_iou(gts.boxes, boxes[cand])
+    cand_ious = pairwise_iou(gts.boxes, grid.anchors[cand])
     thresh = (cand_ious.mean(axis=1, keepdims=True)
               + cand_ious.std(axis=1, keepdims=True))  # population std
-    cx, cy = np.moveaxis(box_centers(boxes[cand]), -1, 0)
+    cx, cy = np.moveaxis(box_centers(grid.anchors[cand]), -1, 0)
     x1, y1, x2, y2 = gts.boxes.T[:, :, None]
     inside = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
     ok = (cand_ious >= thresh) & inside
@@ -475,18 +455,15 @@ def _shortest_augmenting_paths(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def hungarian_cost(anchors, gts: GroundTruthSet,
-                   iou_scale: float | None = None) -> np.ndarray:
-    """Assignment cost: center distance minus scaled IoU, shape ``(M, N)``."""
-    anchors, _ = _anchor_layout(anchors)
-    if iou_scale is None:
-        iou_scale = float(anchors.config.stride) \
-            if isinstance(anchors, AnchorGrid) else 32.0
-    return (_center_distances(gts.boxes, anchors)
-            - iou_scale * pairwise_iou(gts.boxes, anchors))
+def hungarian_cost(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
+    """Assignment cost: center distance minus stride times IoU, shape
+    ``(M, N)``."""
+    dist = _grid_distances(box_centers(gts.boxes), grid,
+                           len(grid.slot_centers))
+    return dist - float(grid.config.stride) * pairwise_iou(gts.boxes, grid)
 
 
-def hungarian_match(anchors, gts: GroundTruthSet,
+def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
                     cfg: HungarianConfig = HungarianConfig()) -> MatchResult:
     """Optimal one-to-one GT-to-anchor assignment (Kuhn-Munkres).
 
@@ -494,23 +471,21 @@ def hungarian_match(anchors, gts: GroundTruthSet,
     a rectangular assignment does: every anchor goes positive for a
     distinct GT, and the other GTs get no positive.
     """
-    anchors, boxes = _anchor_layout(anchors)
-    labels = np.full(len(boxes), NEGATIVE, dtype=np.int64)
+    labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult(labels, 0)
-    if isinstance(anchors, AnchorGrid):
-        # Each GT's cheapest anchor lies in its nearest window.  Distinct
-        # ones are the assignment, as each row paying its own minimum is a
-        # lower bound; else the solver cuts the full cost.
-        gt, anchor, cost = _hungarian_window(anchors, gts)
-        win = _resolve_claims(gt, anchor, cost)  # each GT's first argmin
-        anchor, gt = anchor[win], gt[win]
-        labels[anchor] = gt
-        if (labels[anchor] == gt).all():  # no GT overwritten
-            return MatchResult(labels, len(gts))
-        labels[anchor] = NEGATIVE
-    cost = hungarian_cost(anchors, gts)
-    if len(gts) > len(boxes):
+    # Each GT's cheapest anchor lies in its nearest window.  Distinct ones
+    # are the assignment, as each row paying its own minimum is a lower
+    # bound; else the solver cuts the full cost.
+    gt, anchor, cost = _hungarian_window(grid, gts)
+    win = _resolve_claims(gt, anchor, cost)  # each GT's first argmin
+    anchor, gt = anchor[win], gt[win]
+    labels[anchor] = gt
+    if (labels[anchor] == gt).all():  # no GT overwritten
+        return MatchResult(labels, len(gts))
+    labels[anchor] = NEGATIVE
+    cost = hungarian_cost(grid, gts)
+    if len(gts) > len(grid):
         anchor, gt, _ = solve_assignment(cost.T)
     else:
         gt, anchor, _ = solve_assignment(cost)

@@ -1,4 +1,4 @@
-"""Score filtering and greedy non-maximum suppression."""
+"""Greedy non-maximum suppression."""
 
 from __future__ import annotations
 
@@ -27,11 +27,6 @@ class Detection:
             raise ValueError(f"score must be finite in [0, 1], got {self.score}")
         if self.class_id < 0:
             raise ValueError("class_id must be non-negative")
-
-
-def _sorted_order(dets) -> list:
-    # descending score, ties by ascending input index
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
 
 
 def detection_columns(dets) -> tuple:
@@ -94,15 +89,3 @@ def nms(boxes, scores, class_ids, iou_threshold: float = 0.6) -> list:
     kept = order[alive]
     return kept[np.lexsort((kept, -scores[kept]))].tolist()
 
-
-def score_filter(dets, min_score: float = 0.0,
-                 max_keep: int | None = None) -> list:
-    """Drop detections below ``min_score``, keep at most ``max_keep`` best."""
-    if not 0.0 <= min_score <= 1.0:
-        raise ValueError("min_score must lie in [0, 1]")
-    if max_keep is not None and max_keep < 0:
-        raise ValueError("max_keep must be >= 0")
-    order = [i for i in _sorted_order(dets) if dets[i].score >= min_score]
-    if max_keep is not None:
-        order = order[:max_keep]
-    return [dets[i] for i in order]

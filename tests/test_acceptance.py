@@ -16,7 +16,8 @@ from yolof_assign.cli import main
 from yolof_assign.encoder import EncoderSpec, impulse_footprint, rf_profile
 from yolof_assign.flops import ConvLayer, DecoderSpec, EncoderTopology, \
     encoder_decoder_flops
-from yolof_assign.geometry import AnchorConfig, ImageSize, generate_anchors
+from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
+                                   generate_anchors)
 from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig, TopKConfig,
                                    hungarian_cost, hungarian_match,
                                    max_iou_match, nearest_candidates,
@@ -102,39 +103,43 @@ def test_criterion_2_uniform_balance():
 
 
 def spread_instance(rng):
-    """GTs each near a distinct well-separated anchor.
+    """GTs each near a distinct one of the first ``n`` well-separated
+    anchors.
 
     Anchor spacing (>= 100px) exceeds the IoU term's 32px scale plus the
     10px placement jitter, so nearest-anchor assignment dominates the
-    Hungarian cost row-wise and no two GTs contest a candidate.
+    Hungarian cost row-wise and no two GTs contest a candidate.  The last
+    row of the lattice is filled, so the anchors pave a grid; its stride,
+    32, is the IoU term's scale.
     """
     m = int(rng.integers(1, 11))
     n = int(rng.integers(max(m, 10), 201))
     cols = int(np.ceil(np.sqrt(n)))
+    rows = -(-n // cols)
     centers = np.array([(100.0 * (i % cols), 100.0 * (i // cols))
-                        for i in range(n)])
+                        for i in range(rows * cols)])
     anchors = np.hstack([centers - 16.0, centers + 16.0])
     chosen = rng.choice(n, size=m, replace=False)
     g_centers = centers[chosen] + rng.uniform(-7, 7, size=(m, 2))
     side = rng.uniform(20, 40, size=(m, 1))
     boxes = np.hstack([g_centers - side / 2, g_centers + side / 2])
-    return anchors, GroundTruthSet(boxes=boxes,
-                                   class_ids=np.zeros(m, dtype=int))
+    grid = AnchorGrid(AnchorConfig(sizes=(32.0,)), rows, cols, anchors)
+    return grid, GroundTruthSet(boxes=boxes, class_ids=np.zeros(m, dtype=int))
 
 
 def test_criterion_3_top1_hungarian_equivalence():
     rng = np.random.default_rng(7)
     oracle_checked = 0
     for _ in range(100):
-        anchors, gts = spread_instance(rng)
-        hung = hungarian_match(anchors, gts)
-        top1 = topk_match(anchors, gts, TopKConfig(k=1))
+        grid, gts = spread_instance(rng)
+        hung = hungarian_match(grid, gts)
+        top1 = topk_match(grid, gts, TopKConfig(k=1))
         np.testing.assert_array_equal(hung.labels >= 0, top1.labels >= 0)
         np.testing.assert_array_equal(
             np.flatnonzero(hung.labels >= 0),
             np.flatnonzero(top1.labels >= 0))
         if len(gts) <= 6:
-            cost = hungarian_cost(anchors, gts)
+            cost = hungarian_cost(grid, gts)
             _, _, total = solve_assignment(cost)
             assert total == assignment_cost_enum(cost)  # tolerance 0
             oracle_checked += 1

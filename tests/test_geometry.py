@@ -197,8 +197,10 @@ odd_boxes = st.lists(st.tuples(odd_coord, odd_coord, odd_coord, odd_coord),
 def test_pairwise_iou_in_unit_interval_and_never_nan(a, b):
     # the uniform matcher skips its neg_ignore_iou test at 1.0 because no
     # IoU exceeds 1, and a NaN never ranks above anything
-    full = pairwise_iou(a, b)
+    rows = np.broadcast_to(np.asarray(b, dtype=float), (len(a), len(b), 4))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf boxes
+        full = pairwise_iou(a, b)
+        gathered = pairwise_iou(a, rows)
     assert not np.isnan(full).any()
     assert ((0.0 <= full) & (full <= 1.0)).all()
-    rows = np.broadcast_to(np.asarray(b, dtype=float), (len(a), len(b), 4))
-    np.testing.assert_array_equal(pairwise_iou(a, rows), full)
+    np.testing.assert_array_equal(gathered, full)

@@ -32,6 +32,10 @@ BASE_DOC = {
     "categories": [{"id": 2, "name": "thing"}],
 }
 
+# bbox values that iterate as four strings: a string of four digits, and
+# an object of four numeric keys
+NOT_ARRAYS = ["1234", {"5": 0, "6": 0, "7": 0, "8": 0}]
+
 # Annotations shuffled across images, ids out of image order; image 4 has
 # none, annotation 8 is degenerate, and 5, 3, 4 and 7 cross an image edge.
 SHUFFLED_DOC = {
@@ -821,6 +825,30 @@ class TestCLI:
             code, out, err = self.run(capsys, command, "--input", str(path))
             assert (code, out) == (2, "")
             assert err.startswith(f"error: bad {record} record {{'id': 1, ")
+
+    @pytest.mark.parametrize("bbox", NOT_ARRAYS, ids=["string", "object"])
+    def test_bbox_not_an_array_exit_2(self, capsys, tmp_path, bbox):
+        # iterated, each would be read as a box from its characters or keys
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["annotations"][0]["bbox"] = bbox
+        path = write_json(tmp_path / "c.json", doc)
+        for argv in (["match-stats"], ["shift", "--max-shift", "0"]):
+            code, out, err = self.run(capsys, *argv, "--input", path)
+            assert (code, out) == (2, "")
+            assert err == (f"error: bad annotation record "
+                           f"{doc['annotations'][0]!r}: bbox must be an "
+                           f"array, got {bbox!r}\n")
+
+    @pytest.mark.parametrize("bbox", NOT_ARRAYS, ids=["string", "object"])
+    def test_detection_bbox_not_an_array_exit_2(self, capsys, tmp_path,
+                                                bbox):
+        dets = [{"bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 0},
+                {"bbox": bbox, "score": 0.5, "category_id": 0}]
+        path = write_json(tmp_path / "dets.json", dets)
+        code, out, err = self.run(capsys, "nms", "--input", path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: bad detection #1: bbox must be an "
+                       f"array, got {bbox!r}\n")
 
     @pytest.mark.parametrize("name,value", [
         ("score", 10 ** 400), ("bbox", [0, 0, 10 ** 400, 1])],

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from yolof_assign import matching
-from yolof_assign.geometry import AnchorConfig, ImageSize, generate_anchors
+from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
+                                   generate_anchors)
 from yolof_assign.matching import (ATSSConfig, GroundTruthSet, IGNORED,
                                    MaxIoUConfig, NEGATIVE, TopKConfig,
                                    UniformMatchConfig,
@@ -24,6 +25,13 @@ def gts(boxes, classes=None):
     if classes is None:
         classes = np.zeros(len(boxes), dtype=int)
     return GroundTruthSet(boxes=boxes, class_ids=classes)
+
+
+def paved(anchors, rows=1, cols=1):
+    """Hand-built anchors, ``rows`` by ``cols`` positions of one slot each,
+    as a grid of stride 32."""
+    anchors = np.asarray(anchors, dtype=float)
+    return AnchorGrid(AnchorConfig(sizes=(32.0,)), rows, cols, anchors)
 
 
 @pytest.fixture
@@ -88,9 +96,9 @@ class TestUniformMatch:
     def test_translation_invariance(self, small_grid):
         g = gts([[8, 8, 24, 24], [30, 30, 60, 62]])
         base = uniform_match(small_grid, g)
-        shifted_anchors = small_grid.anchors + 13.5
-        shifted = uniform_match(
-            shifted_anchors, gts(g.boxes + 13.5))
+        shifted_grid = AnchorGrid(small_grid.config, 2, 2,
+                                  small_grid.anchors + 13.5)
+        shifted = uniform_match(shifted_grid, gts(g.boxes + 13.5))
         np.testing.assert_array_equal(base.labels, shifted.labels)
 
     def test_oversized_k_takes_every_anchor(self, small_grid):
@@ -160,10 +168,28 @@ class TestMaxIoUMatch:
 
     def test_ignore_band(self):
         # IoU 0.45 falls between neg 0.4 and pos 0.5
-        anchors = np.array([[0.0, 0.0, 10.0, 9.0]])
-        result = max_iou_match(anchors, gts([[0, 0, 10, 20]]),
+        grid = paved([[0.0, 0.0, 10.0, 9.0]])
+        result = max_iou_match(grid, gts([[0, 0, 10, 20]]),
                                MaxIoUConfig(rescue=False))
         assert result.labels[0] == IGNORED
+
+    @pytest.mark.parametrize("rescue", [True, False])
+    def test_translated_grid_equals_oracle(self, small_grid, rescue):
+        # Off the stride lattice the rescue floor still looks a GT's cell
+        # up by stride: the cell holding (44, 44) is position 3, centered
+        # at (61.5, 61.5), while position 0 at (29.5, 29.5) is nearer.  Its
+        # IoU is then below the GT's best, a lower bound all the same.
+        grid = AnchorGrid(small_grid.config, 2, 2, small_grid.anchors + 13.5)
+        g = gts([[34, 34, 54, 54], [20, 22, 36, 40], [8, 40, 60, 90],
+                 [50, 4, 90, 30], [0, 0, 100, 100]])
+        ious = [[iou_py(b, a) for a in grid.anchors.tolist()]
+                for b in g.boxes.tolist()]
+        best = np.max(ious, axis=1)
+        floor = matching._rescue_floor(grid, g)
+        assert (floor <= best).all() and floor[0] < best[0]
+        cfg = MaxIoUConfig(rescue=rescue)
+        assert max_iou_match(grid, g, cfg).labels.tolist() \
+            == max_iou_py(ious, cfg.pos_iou, cfg.neg_iou, rescue)
 
     def test_monotone_in_iou(self, small_grid):
         # growing a GT's overlap with an anchor never turns it negative
@@ -181,25 +207,25 @@ class TestMaxIoUMatch:
 
 class TestATSSMatch:
     def test_single_anchor_degenerate(self):
-        anchors = np.array([[0.0, 0.0, 32.0, 32.0]])
-        result = atss_match(anchors, gts([[0, 0, 40, 40]]), ATSSConfig(k=1))
+        grid = paved([[0.0, 0.0, 32.0, 32.0]])
+        result = atss_match(grid, gts([[0, 0, 40, 40]]), ATSSConfig(k=1))
         assert result.labels[0] == 0
 
     def test_two_candidate_threshold_selects_best(self):
         # with two candidates the mean+std threshold equals the larger IoU
-        anchors = np.array([[0.0, 0.0, 10.0, 10.0], [8.0, 0.0, 18.0, 10.0]])
-        result = atss_match(anchors, gts([[0, 0, 10, 20]]), ATSSConfig(k=2))
+        grid = paved([[0.0, 0.0, 10.0, 10.0], [8.0, 0.0, 18.0, 10.0]], cols=2)
+        result = atss_match(grid, gts([[0, 0, 10, 20]]), ATSSConfig(k=2))
         assert result.labels[0] == 0
         assert result.labels[1] == NEGATIVE
 
     def test_center_outside_rejected(self):
-        anchors = np.array([[20.0, 0.0, 40.0, 20.0]])
-        result = atss_match(anchors, gts([[0, 0, 18, 20]]), ATSSConfig(k=1))
+        grid = paved([[20.0, 0.0, 40.0, 20.0]])
+        result = atss_match(grid, gts([[0, 0, 18, 20]]), ATSSConfig(k=1))
         assert result.labels[0] == NEGATIVE
 
     def test_empty_gts(self):
-        anchors = np.array([[0.0, 0.0, 32.0, 32.0]])
-        result = atss_match(anchors, gts(np.zeros((0, 4))), ATSSConfig(k=1))
+        grid = paved([[0.0, 0.0, 32.0, 32.0]])
+        result = atss_match(grid, gts(np.zeros((0, 4))), ATSSConfig(k=1))
         assert np.all(result.labels == NEGATIVE)
 
     def test_no_ignored_class(self):
@@ -219,8 +245,8 @@ class TestATSSMatch:
             assert y1 < centers[a, 1] < y2
 
     def test_oversized_k_takes_every_anchor(self):
-        anchors = np.array([[0.0, 0.0, 32.0, 32.0]])
-        result = atss_match(anchors, gts([[0, 0, 20, 20]]), ATSSConfig(k=2))
+        grid = paved([[0.0, 0.0, 32.0, 32.0]])
+        result = atss_match(grid, gts([[0, 0, 20, 20]]), ATSSConfig(k=2))
         assert result.labels.tolist() == [0]
 
 
@@ -464,20 +490,31 @@ class TestDifferential:
 
     def test_max_iou_equals_oracle_on_tied_ious(self, monkeypatch):
         # IoU matrices drawn from a few values, so that best anchors
-        # collide and tie; pairwise_iou returns them as given
+        # collide and tie, on a 1 x n grid: the IoU window returns the
+        # matrix's positive pairs at or above each GT's threshold, and
+        # the rescue floor is 0, so every positive pair is scored
         rng = np.random.default_rng(0)
         values = [0.0, 0.1, 0.3, 0.4, 0.45, 0.5, 0.8, 1.0]
+        monkeypatch.setattr(matching, "_rescue_floor",
+                            lambda grid, g: np.zeros(len(g)))
         for _ in range(300):
             m, n = rng.integers(1, 7), rng.integers(1, 10)
             ious = rng.choice(values, size=(m, n))
-            monkeypatch.setattr(matching, "pairwise_iou",
-                                lambda a, b, ious=ious: ious.copy())
+
+            def window(a, grid, thresh, ious=ious):
+                gt, anchor = np.nonzero((ious > 0)
+                                        & (ious >= thresh[:, None]))
+                return gt, anchor, ious[gt, anchor]
+
+            monkeypatch.setattr(matching, "iou_window", window)
+            grid = paved([[32.0 * j, 0.0, 32.0 * j + 8.0, 8.0]
+                          for j in range(n)], cols=n)
             g = gts(np.tile([0.0, 0.0, 8.0, 8.0], (m, 1)))
             for rescue in (True, False):
                 cfg = MaxIoUConfig(rescue=rescue)
                 want = max_iou_py(ious.tolist(), cfg.pos_iou, cfg.neg_iou,
                                   rescue)
-                got = max_iou_match(np.zeros((n, 4)), g, cfg)
+                got = max_iou_match(grid, g, cfg)
                 assert got.labels.tolist() == want, (ious, rescue)
 
 

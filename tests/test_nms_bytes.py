@@ -209,8 +209,8 @@ EXPECTED = {
         "error: {path}: bad detection #1: 'int' object is not iterable\n"),
     "bbox-object": (
         2, "",
-        "error: {path}: bad detection #1: could not convert string to "
-        "float: 'x'\n"),
+        "error: {path}: bad detection #1: bbox must be an array, got "
+        "{'x': 1}\n"),
     "bbox-text-value": (
         2, "",
         "error: {path}: bad detection #1: could not convert string to "

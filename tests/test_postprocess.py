@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from yolof_assign import postprocess
-from yolof_assign.postprocess import (Detection, detection_columns, nms,
-                                      score_filter)
+from yolof_assign.postprocess import Detection, detection_columns, nms
 
 from oracles import nms_py
 
@@ -173,22 +172,7 @@ class TestBlockedNMS:
         assert max(sizes) <= postprocess._BLOCK * n
 
 
-class TestScoreFilter:
-    def test_identity(self):
-        dets = [det((0, 0, 1, 1), 0.4), det((1, 1, 2, 2), 0.9)]
-        assert score_filter(dets, 0.0, len(dets)) \
-            == [dets[1], dets[0]]
-
-    def test_min_score(self):
-        dets = [det((0, 0, 1, 1), 0.9), det((0, 0, 1, 1), 0.5),
-                det((0, 0, 1, 1), 0.1)]
-        kept = score_filter(dets, min_score=0.3)
-        assert [d.score for d in kept] == [0.9, 0.5]
-
-    def test_max_keep(self):
-        dets = [det((0, 0, 1, 1), 0.5), det((0, 0, 1, 1), 0.9)]
-        assert score_filter(dets, max_keep=1) == [dets[1]]
-
+class TestDetection:
     def test_invalid_score_rejected(self):
         with pytest.raises(ValueError):
             det((0, 0, 1, 1), 1.5)

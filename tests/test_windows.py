@@ -23,7 +23,7 @@ from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig,
 
 from oracles import iou_py, max_iou_py, uniform_py
 from test_grid_kernels import (CONFIGS, IMAGE, SCENES, TINY,
-                               assert_same_floats, gts_for)
+                               assert_same_floats, gts_for, solved_labels)
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -123,9 +123,9 @@ class TestHungarianWindow:
                                                        grid, kind, seed):
         # every scene repeats a GT, so the argmins collide: the solver
         # gets the columns at or below some GT's M-th cheapest cost of the
-        # flat anchors' cost at the grid's IoU scale, with its floats
+        # full cost, with its floats
         g = gts_for(grid, kind, seed)
-        full = hungarian_cost(grid.anchors, g, float(grid.config.stride))
+        full = hungarian_cost(grid, g)
         kth = np.sort(full, axis=1)[:, len(g) - 1]
         keep = np.flatnonzero((full <= kth[:, None]).any(axis=0))
         solve, seen = matching._shortest_augmenting_paths, []
@@ -158,9 +158,8 @@ class TestMatchersAtTheEdges:
     @pytest.mark.parametrize("kind,seed", SCENES[:4])
     def test_max_iou_thresholds(self, grid, kind, seed, cfg):
         g = gts_for(grid, kind, seed)
-        got = max_iou_match(grid, g, cfg).labels.tolist()
-        assert got == oracle_max_iou(grid, g, cfg)
-        assert got == max_iou_match(grid.anchors, g, cfg).labels.tolist()
+        assert max_iou_match(grid, g, cfg).labels.tolist() \
+            == oracle_max_iou(grid, g, cfg)
 
     def test_max_iou_at_each_threshold(self):
         grid = generate_anchors(AnchorConfig(), IMAGE)
@@ -205,8 +204,9 @@ class TestMatchersAtTheEdges:
                     UniformMatchConfig(k=2, neg_ignore_iou=0.3)):
             assert uniform_match(grid, g, cfg).labels.tolist() == uniform_py(
                 anchors, boxes, cfg.k, cfg.pos_ignore_iou, cfg.neg_ignore_iou)
+        # more GTs than anchors on the 5-anchor grid: the transposed cost
         assert hungarian_match(grid, g).labels.tolist() \
-            == hungarian_match(grid.anchors, g).labels.tolist()
+            == solved_labels(grid, g)
 
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_hungarian_equals_the_full_cost(self, grid, kind, seed):
