@@ -41,8 +41,11 @@ def main():
     print(f"{'matcher':<10} {'small':>8} {'medium':>8} {'large':>8} "
           f"{'zero%(small)':>13} {'imbalance':>10}")
     for name, fn in matchers.items():
-        dist = distribution([(i, len(grid), g, fn(g).positives_per_gt)
+        dist = distribution([(i, len(grid), len(g))
                              for i, g in enumerate(scenes)],
+                            np.concatenate([g.boxes for g in scenes]),
+                            np.concatenate([fn(g).positives_per_gt
+                                            for g in scenes]),
                             name, SizeBuckets())
         means = [dist.mean(b) for b in ("small", "medium", "large")]
         ratio = imbalance_ratio(dist)

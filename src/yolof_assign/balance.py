@@ -81,21 +81,22 @@ class MatchDistribution:
         return int(self.per_gt_counts[:, 1].sum())
 
 
-def distribution(records, matcher: str,
+def distribution(per_image, boxes, positives, matcher: str,
                  buckets: SizeBuckets = SizeBuckets()) -> MatchDistribution:
-    """Aggregate per-image records ``(image_id, num_anchors, gts,
-    positives_per_gt)``, where ``gts`` is a ``GroundTruthSet``."""
-    rows, areas, counts = [], [np.empty(0)], [np.empty(0, np.int64)]
-    for image_id, num_anchors, gts, positives in records:
-        if len(positives) != len(gts):
-            raise ValueError(f"match labels {len(positives)} ground truths "
-                             f"for {len(gts)} boxes")
-        rows.append((image_id, num_anchors, len(gts)))
-        areas.append(box_area(gts.boxes))
-        counts.append(positives)
-    codes = buckets.codes(np.concatenate(areas))
-    return MatchDistribution(matcher, np.stack([codes, np.concatenate(
-        counts)], axis=1), np.array(rows, np.int64).reshape(-1, 3))
+    """Aggregate scenes given as columns: ``per_image`` rows ``(image_id,
+    num_anchors, num_gts)``, then each GT's box ``(N, 4)`` and positive
+    count ``(N,)``, scene after scene."""
+    per_image = np.array(per_image, np.int64).reshape(-1, 3)
+    positives = np.asarray(positives, np.int64)
+    if len(positives) != len(boxes):
+        raise ValueError(f"match labels {len(positives)} ground truths "
+                         f"for {len(boxes)} boxes")
+    if per_image[:, 2].sum() != len(boxes):
+        raise ValueError(f"scenes hold {per_image[:, 2].sum()} ground "
+                         f"truths, not {len(boxes)}")
+    codes = buckets.codes(box_area(boxes))
+    return MatchDistribution(matcher, np.stack([codes, positives], axis=1),
+                             per_image)
 
 
 def merge_distributions(parts: list) -> MatchDistribution:

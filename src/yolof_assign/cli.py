@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (CorpusError, FileNotFoundError, ValueError) as exc:
+    except (CorpusError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     return 0

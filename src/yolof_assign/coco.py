@@ -187,13 +187,17 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
 
 def read_json(path, top: type = dict):
     """Parse a JSON file whose top level is a ``top`` (dict or list); a
-    syntax error is a CorpusError naming its line and column."""
+    syntax error is a CorpusError naming its line and column, and bytes
+    that are not UTF-8 one naming their offset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: parse error at line {exc.lineno} "
                               f"column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text: {exc.reason} at "
+                              f"byte {exc.start}") from exc
     if not isinstance(doc, top):
         raise CorpusError(f"{path}: top level must be an "
                           f"{'object' if top is dict else 'array'}")
@@ -282,23 +286,61 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+# GTs per matcher call at most: the runs of same-size images are cut at
+# whole images to stay within it, and a single larger image runs alone
+_BLOCK = 2048
+
+
+def _runs(members: list, num_gts: list) -> list:
+    """Cut ``members``, image positions in id order, into runs of whole
+    images of at most ``_BLOCK`` GTs each."""
+    runs, total = [], _BLOCK
+    for i in members:
+        if total + num_gts[i] > _BLOCK:
+            runs.append([])
+            total = 0
+        runs[-1].append(i)
+        total += num_gts[i]
+    return runs
+
+
 def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
-                 images: list) -> MatchDistribution:
-    """Match ``images`` in order, then aggregate them in one call; each
-    image's labels are cut to per-GT counts as soon as it is matched."""
-    match = getattr(matching, f"{config.matcher}_match")
-    records = []
-    for image_id, size in images:
-        gts = corpus.ground_truths(image_id)
-        anchors = grids[size]
-        try:
-            result = match(anchors, gts, config.matcher_config)
-        except ValueError as exc:
-            raise ValueError(f"image {image_id}: {exc}") from exc
-        records.append((image_id, len(anchors), gts, result.positives_per_gt))
-    # aggregated after the loop, so each image's time ends at the next
-    # image's GT lookup and aggregation is timed apart from matching
-    return distribution(records, config.matcher, config.buckets)
+                 lo: int, hi: int) -> MatchDistribution:
+    """Match images ``lo:hi`` and aggregate them in one call.
+
+    The images of one size share a grid, so each run of them that
+    :func:`_runs` cuts is matched by one :func:`matching.run_positives`
+    call, and its counts are scattered back to corpus order.
+    """
+    images = corpus.images[lo:hi]
+    offsets = corpus.offsets[lo:hi + 1]
+    num_gts = np.diff(offsets)
+    counts = num_gts.tolist()
+    by_size = {}
+    for i, (_, size) in enumerate(images):
+        if counts[i]:  # an image without GTs has no positives to count
+            by_size.setdefault(size, []).append(i)
+    positives = np.empty(offsets[-1] - offsets[0], dtype=np.int64)
+    failed = None  # (image id, error) of the first failing image
+    for size, members in by_size.items():
+        for run in _runs(members, counts):
+            n = num_gts[run]  # each image's rows, one after the other
+            rows = np.arange(n.sum()) + np.repeat(
+                offsets[run] - (np.cumsum(n) - n), n)
+            try:
+                positives[rows - offsets[0]] = matching.run_positives(
+                    config.matcher, grids[size], corpus.boxes[rows],
+                    np.repeat(np.arange(len(run)), n), config.matcher_config)
+            except matching.ImageError as exc:
+                image_id = images[run[exc.image]][0]
+                if failed is None or image_id < failed[0]:
+                    failed = image_id, exc
+    if failed is not None:
+        raise ValueError(f"image {failed[0]}: {failed[1]}") from failed[1]
+    per_image = [(image_id, len(grids[size]), n)
+                 for (image_id, size), n in zip(images, counts)]
+    return distribution(per_image, corpus.boxes[offsets[0]:offsets[-1]],
+                        positives, config.matcher, config.buckets)
 
 
 # (corpus, config, grids) of the run that forked this worker
@@ -312,7 +354,7 @@ def _inherit(state):
 
 def _forked_chunk(lo: int, hi: int):
     corpus, config, grids = _inherited
-    return _match_chunk(corpus, config, grids, corpus.images[lo:hi])
+    return _match_chunk(corpus, config, grids, lo, hi)
 
 
 def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
@@ -349,6 +391,6 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
             # in chunk order, so a failure names the first failing image
             parts = [f.result() for f in futures]
     else:
-        parts = [_match_chunk(corpus, config, grids, images)]
+        parts = [_match_chunk(corpus, config, grids, 0, len(images))]
 
     return merge_distributions(parts)

@@ -4,10 +4,17 @@ Every matcher takes the :class:`AnchorGrid` of one feature level and
 returns a :class:`MatchResult` whose ``labels`` array tags each anchor as
 positive for one ground-truth box, negative, or ignored.
 All matchers are pure and deterministic.
+
+Each matcher's positive claims come from one kernel over a run of images
+that share a grid, keyed by (image, anchor).  ``<name>_match`` is its
+one-image call, which adds the labels that only it reports;
+:func:`run_positives` is the corpus-wide call, which counts each GT's
+positives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,6 +51,11 @@ class GroundTruthSet:
 
     def __len__(self) -> int:
         return len(self.boxes)
+
+
+def _boxes(gts) -> np.ndarray:
+    """The boxes of a :class:`GroundTruthSet`, or ``gts`` if it is boxes."""
+    return gts.boxes if isinstance(gts, GroundTruthSet) else gts
 
 
 @dataclass
@@ -189,28 +201,71 @@ def _grid_distances(gc: np.ndarray, grid: AnchorGrid, slots: int):
     return np.sqrt(dist, out=dist)
 
 
-def nearest_candidates(grid: AnchorGrid, gts: GroundTruthSet,
-                       k: int) -> np.ndarray:
+def nearest_candidates(grid: AnchorGrid, gts, k: int) -> np.ndarray:
     """The k center-nearest anchors of each GT, shape ``(M, k)``.
 
-    This is the pre-filter candidate set of uniform, top-k and ATSS
-    matching.  Each row is ordered by distance; ties in distance break by
-    ascending anchor index.  An image with fewer than k anchors gives
-    every GT all of them, as ATSS takes ``min(k, anchors on the level)``.
+    ``gts`` is a :class:`GroundTruthSet` or its ``(M, 4)`` boxes.  This is
+    the pre-filter candidate set of uniform, top-k and ATSS matching.
+    Each row is ordered by distance; ties in distance break by ascending
+    anchor index.  An image with fewer than k anchors gives every GT all
+    of them, as ATSS takes ``min(k, anchors on the level)``.
     """
+    boxes = _boxes(gts)
     k = min(k, len(grid))
-    if len(gts) == 0:
+    if len(boxes) == 0:
         return np.empty((0, k), dtype=np.int64)
-    centers = box_centers(gts.boxes)
+    centers = box_centers(boxes)
     per = len(grid.slot_centers)
     if grid.shared_centers:
         # Every slot of a position has the same distance, and its anchors
         # are consecutive, so (distance, index) order over anchors is that
         # order over positions with each expanded into its slots.
-        pos = _k_smallest(_grid_distances(centers, grid, 1), -(-k // per))
+        pos = _nearest_positions(centers, grid, -(-k // per))
         return (pos[:, :, None] * per + np.arange(per)).reshape(
-            len(gts), -1)[:, :k]
+            len(boxes), -1)[:, :k]
     return _k_smallest(_grid_distances(centers, grid, per), k)
+
+
+def _nearest_positions(centers: np.ndarray, grid: AnchorGrid,
+                       k: int) -> np.ndarray:
+    """The k nearest positions of each center, ``(M, k)``: what
+    ``_k_smallest(_grid_distances(centers, grid, 1), k)`` gives, bit for
+    bit.
+
+    Only a square of positions around each center's nearest row and
+    column is scored, with the same float operations.  A position outside
+    the square lies in a row or a column outside it, so its distance is at
+    least that line's offset.  Where the square's k-th distance is below
+    every outside line's offset, nothing outside ties or beats it; the
+    other centers are scored on the full grid.
+    """
+    h, w = grid.grid_h, grid.grid_w
+    side = 3 + 2 * (math.isqrt(k) // 2)
+    sh, sw = min(side, h), min(side, w)
+    if sh * sw < k or (sh, sw) == (h, w):
+        return _k_smallest(_grid_distances(centers, grid, 1), k)
+    # squared offsets of every column and row, as _grid_distances takes them
+    dx = centers[:, :1] - grid.slot_centers[0, 0, :w]
+    dx *= dx
+    dy = centers[:, 1:] - grid.slot_centers[0, 1, :h]
+    dy *= dy
+    row0 = np.clip(dy.argmin(axis=1) - side // 2, 0, h - sh)[:, None]
+    col0 = np.clip(dx.argmin(axis=1) - side // 2, 0, w - sw)[:, None]
+    rows, cols = row0 + np.arange(sh), col0 + np.arange(sw)
+    dist = _grid_outer(np.take_along_axis(dx, cols, 1)[..., None],
+                       np.take_along_axis(dy, rows, 1)[..., None])
+    np.sqrt(dist, out=dist)
+    near = _k_smallest(dist, k)  # row-major in the square, as in the grid
+    kth = np.take_along_axis(dist, near[:, -1:], 1)[:, 0]
+    # the smallest offset of a line outside the square
+    np.put_along_axis(dx, cols, np.inf, 1)
+    np.put_along_axis(dy, rows, np.inf, 1)
+    bound = np.sqrt(np.minimum(dx.min(axis=1), dy.min(axis=1)))
+    pos = (row0 + near // sw) * w + col0 + near % sw
+    full = np.flatnonzero(~(kth < bound))
+    if len(full):
+        pos[full] = _k_smallest(_grid_distances(centers[full], grid, 1), k)
+    return pos
 
 
 def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -229,7 +284,8 @@ def _resolve_claims(anchor: np.ndarray, gt: np.ndarray, cost: np.ndarray):
 
     Each claimed anchor goes to its least-cost claim, ties to the smaller
     GT index.  Returns the index of each winning claim, in ascending order
-    of the claimed anchors.
+    of the claimed anchors.  Over a run of images ``anchor`` is the
+    (image, anchor) key of :func:`_keys`.
     """
     order = np.lexsort((gt, cost, anchor))
     anchor = anchor[order]
@@ -237,6 +293,76 @@ def _resolve_claims(anchor: np.ndarray, gt: np.ndarray, cost: np.ndarray):
     first[:1] = True
     np.not_equal(anchor[1:], anchor[:-1], out=first[1:])
     return order[first]
+
+
+def _first_minima(gt: np.ndarray, anchor: np.ndarray, cost: np.ndarray):
+    """``_resolve_claims(gt, anchor, cost)`` where each GT's claims are
+    consecutive, as the window kernels give them: the index of each GT's
+    least-cost claim, ties to the smaller anchor, in GT order, found
+    without a sort."""
+    if len(gt) == 0:
+        return gt
+    starts = np.flatnonzero(np.diff(gt, prepend=gt[0] - 1))
+    sizes = np.diff(starts, append=len(gt))
+    hit = np.flatnonzero(cost == np.minimum.reduceat(cost, starts).repeat(
+        sizes))
+    starts = np.flatnonzero(np.diff(gt[hit], prepend=gt[0] - 1))
+    sizes = np.diff(starts, append=len(hit))
+    anchor = anchor[hit]
+    return hit[anchor == np.minimum.reduceat(anchor, starts).repeat(sizes)]
+
+
+def _keys(grid: AnchorGrid, image: np.ndarray, anchor: np.ndarray):
+    """One key per (image, anchor) of a run of images on ``grid``; in a
+    one-image call the key is the anchor."""
+    return image * len(grid) + anchor
+
+
+def _first_gts(image: np.ndarray) -> np.ndarray:
+    """The index of each image's first GT in a run's ``image`` column."""
+    return np.flatnonzero(np.diff(image, prepend=-1))
+
+
+class ImageError(ValueError):
+    """A matcher's error on one image of a run; ``image`` is its index in
+    the run."""
+
+    def __init__(self, image: int, message: str):
+        super().__init__(message)
+        self.image = image
+
+
+def run_positives(matcher: str, grid: AnchorGrid, boxes: np.ndarray,
+                  image: np.ndarray, cfg) -> np.ndarray:
+    """Each GT's positive anchor count over a run of images on ``grid``.
+
+    GT ``i`` has the box ``boxes[i]`` and lies in image ``image[i]``, a
+    non-decreasing index from 0 in which every image has a GT.  The boxes
+    are finite with positive area, as :class:`GroundTruthSet` checks.  The
+    counts are each image's ``<matcher>_match(...).positives_per_gt`` in
+    turn; an error on one image raises :class:`ImageError`.
+    """
+    return _RUN_POSITIVES[matcher](grid, boxes, image, cfg)
+
+
+def _one_image(gts: GroundTruthSet) -> np.ndarray:
+    return np.zeros(len(gts), dtype=np.int64)
+
+
+def _uniform_claims(grid: AnchorGrid, boxes, image, cfg: UniformMatchConfig):
+    """``(gt, anchor, positive)`` of uniform matching's resolved candidates
+    over a run: each GT's k nearest anchors, each (image, anchor) to the
+    closest claim (tie: smaller GT index), positive when its IoU reaches
+    ``pos_ignore_iou`` and ignored otherwise."""
+    cand = nearest_candidates(grid, boxes, cfg.k)
+    gt = np.repeat(np.arange(len(boxes)), cand.shape[1])
+    dist = _center_distances(boxes, grid.anchors[cand])
+    cand = cand.ravel()
+    win = _resolve_claims(_keys(grid, image[gt], cand), gt, dist.ravel())
+    a, g = cand[win], gt[win]
+    # only each resolved (GT, anchor) pair's IoU: (n, 4) against (n, 1, 4)
+    pair_iou = pairwise_iou(boxes[g], grid.anchors[a, None])[:, 0]
+    return g, a, pair_iou >= cfg.pos_ignore_iou
 
 
 def uniform_match(grid: AnchorGrid, gts: GroundTruthSet,
@@ -249,32 +375,71 @@ def uniform_match(grid: AnchorGrid, gts: GroundTruthSet,
     ignored rather than positive; a non-candidate whose best IoU over all
     GTs exceeds ``neg_ignore_iou`` is ignored rather than negative.
     """
-    cand = nearest_candidates(grid, gts, cfg.k)
     labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult(labels, 0)
-
-    gt = np.repeat(np.arange(len(gts)), cand.shape[1])
-    dist = _center_distances(gts.boxes, grid.anchors[cand])
-    win = _resolve_claims(cand.ravel(), gt, dist.ravel())
-    a, g = cand.ravel()[win], gt[win]
-
+    g, a, positive = _uniform_claims(grid, gts.boxes, _one_image(gts), cfg)
     if cfg.neg_ignore_iou < 1.0:  # no IoU exceeds 1, so 1 ignores nothing
         # the resolved candidates among them are labelled below
         _, hot, ious = iou_window(gts.boxes, grid,
                                   np.full(len(gts), cfg.neg_ignore_iou))
         labels[hot[ious > cfg.neg_ignore_iou]] = IGNORED
-    # only each resolved (GT, anchor) pair's IoU: (n, 4) against (n, 1, 4)
-    pair_iou = pairwise_iou(gts.boxes[g], grid.anchors[a, None])[:, 0]
-    labels[a] = np.where(pair_iou >= cfg.pos_ignore_iou, g, IGNORED)
+    labels[a] = np.where(positive, g, IGNORED)
     return MatchResult(labels, len(gts))
+
+
+def _uniform_positives(grid, boxes, image, cfg):
+    g, _, positive = _uniform_claims(grid, boxes, image, cfg)
+    return np.bincount(g[positive], minlength=len(boxes))
+
+
+def _as_uniform(cfg: TopKConfig) -> UniformMatchConfig:
+    """Top-k matching is uniform matching with the ignore filters off."""
+    return UniformMatchConfig(k=cfg.k, pos_ignore_iou=0.0, neg_ignore_iou=1.0)
 
 
 def topk_match(grid: AnchorGrid, gts: GroundTruthSet,
                cfg: TopKConfig = TopKConfig()) -> MatchResult:
     """Pure k-nearest matching: uniform matching with ignore filters off."""
-    return uniform_match(grid, gts, UniformMatchConfig(
-        k=cfg.k, pos_ignore_iou=0.0, neg_ignore_iou=1.0))
+    return uniform_match(grid, gts, _as_uniform(cfg))
+
+
+def _max_iou_claims(grid: AnchorGrid, boxes, image, cfg: MaxIoUConfig):
+    """max_iou's labels over a run, as writes over a default label:
+    ``(default, (key, gt, positive), rescued)``.
+
+    Each (image, anchor) with a best IoU of at least ``low`` is labelled
+    for its best GT, the first on a tie: positive at ``pos_iou``, ignored
+    below.  ``rescued`` is ``(key, gt)``, each GT's first best anchor with
+    the higher IoU winning a contested one, written over those labels; it
+    is None with ``rescue`` off.
+    """
+    # Only pairs of positive IoU at or above ``low`` are scored.  An anchor
+    # with none has every IoU below ``low``: negative, or with neg_iou at 0
+    # ignored, or with pos_iou at 0 too positive for GT 0, its first best.
+    low = cfg.neg_iou or cfg.pos_iou
+    default = NEGATIVE if cfg.neg_iou else IGNORED if cfg.pos_iou else 0
+    # Each GT's best IoU is at least its rescue floor, so a pair at the
+    # floor or above holds it.
+    thresh = np.minimum(_rescue_floor(grid, boxes), low) if cfg.rescue \
+        else np.full(len(boxes), low)
+    g, a, v = iou_window(boxes, grid, thresh)
+    key = _keys(grid, image[g], a)
+
+    # each anchor takes its best GT, the first on a tie
+    cost = -v
+    win = _resolve_claims(key, g, cost)
+    win = win[v[win] >= low]
+    labelled = key[win], g[win], v[win] >= cfg.pos_iou
+    if not cfg.rescue:
+        return default, labelled, None
+    # a GT of IoU 0 everywhere has anchor 0 of its image
+    win = _first_minima(g, a, cost)
+    best, best_iou = _keys(grid, image, 0), np.zeros(len(boxes))
+    best[g[win]] += a[win]
+    best_iou[g[win]] = v[win]
+    win = _resolve_claims(best, np.arange(len(boxes)), -best_iou)
+    return default, labelled, (best[win], win)
 
 
 def max_iou_match(grid: AnchorGrid, gts: GroundTruthSet,
@@ -286,43 +451,36 @@ def max_iou_match(grid: AnchorGrid, gts: GroundTruthSet,
     ``rescue`` on, each GT's best-IoU anchor is forced positive for it
     even below the threshold.
     """
-    m = len(gts)
-    if m == 0:
+    if len(gts) == 0:
         return MatchResult(np.full(len(grid), NEGATIVE, dtype=np.int64), 0)
-    # Only pairs of positive IoU at or above ``low`` are scored.  An anchor
-    # with none has every IoU below ``low``: negative, or with neg_iou at 0
-    # ignored, or with pos_iou at 0 too positive for GT 0, its first best.
-    low = cfg.neg_iou or cfg.pos_iou
-    default = NEGATIVE if cfg.neg_iou else IGNORED if cfg.pos_iou else 0
+    default, (key, g, positive), rescued = _max_iou_claims(
+        grid, gts.boxes, _one_image(gts), cfg)
     labels = np.full(len(grid), default, dtype=np.int64)
-    # Each GT's best IoU is at least its rescue floor, so a pair at the
-    # floor or above holds it.
-    thresh = np.minimum(_rescue_floor(grid, gts), low) if cfg.rescue \
-        else np.full(m, low)
-    g, a, v = iou_window(gts.boxes, grid, thresh)
-
-    # each anchor takes its best GT, the first on a tie
-    cost = -v
-    win = _resolve_claims(a, g, cost)
-    win = win[v[win] >= low]
-    labels[a[win]] = np.where(v[win] >= cfg.pos_iou, g[win], IGNORED)
-
-    if cfg.rescue:
-        # force each GT's first best anchor, the higher IoU winning a
-        # contested one; a GT of IoU 0 everywhere has anchor 0
-        win = _resolve_claims(g, a, cost)
-        best, best_iou = np.zeros(m, dtype=np.int64), np.zeros(m)
-        best[g[win]], best_iou[g[win]] = a[win], v[win]
-        win = _resolve_claims(best, np.arange(m), -best_iou)
-        labels[best[win]] = win
-    return MatchResult(labels, m)
+    labels[key] = np.where(positive, g, IGNORED)
+    if rescued is not None:
+        labels[rescued[0]] = rescued[1]
+    return MatchResult(labels, len(gts))
 
 
-def _rescue_floor(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
+def _max_iou_positives(grid, boxes, image, cfg):
+    default, (key, g, positive), rescued = _max_iou_claims(
+        grid, boxes, image, cfg)
+    counts = np.zeros(len(boxes), dtype=np.int64)
+    if rescued is not None:  # a rescue overrides a threshold label
+        positive &= ~np.isin(key, rescued[0])
+        counts += np.bincount(rescued[1], minlength=len(boxes))
+    counts += np.bincount(g[positive], minlength=len(boxes))
+    if default == 0:  # every anchor left is positive for its image's GT 0
+        first = _first_gts(image)
+        counts[first] += len(grid) - np.add.reduceat(counts, first)
+    return counts
+
+
+def _rescue_floor(grid: AnchorGrid, gts) -> np.ndarray:
     """A lower bound on each GT's best IoU: its best IoU with the slots of
     the grid position whose stride-sized cell holds its center, clamped to
     the grid.  Each IoU is the float :func:`pairwise_iou` gives."""
-    boxes = gts.boxes
+    boxes = _boxes(gts)
     cell = (boxes[:, :2] + boxes[:, 2:]) * (0.5 / grid.config.stride)
     np.minimum(cell, (grid.grid_w - 1, grid.grid_h - 1), out=cell)
     cell = np.maximum(cell, 0.0, out=cell).T.astype(np.int64)  # (2, M)
@@ -337,6 +495,23 @@ def _rescue_floor(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
     return (inter / union).max(axis=0)
 
 
+def _atss_claims(grid: AnchorGrid, boxes, image, cfg: ATSSConfig):
+    """``(gt, anchor)`` of ATSS's positives over a run of images."""
+    cand = nearest_candidates(grid, boxes, cfg.k)
+    # only the candidates' IoUs, each row in (distance, index) order, so it
+    # sums as a 1-D pool would
+    cand_ious = pairwise_iou(boxes, grid.anchors[cand])
+    thresh = (cand_ious.mean(axis=1, keepdims=True)
+              + cand_ious.std(axis=1, keepdims=True))  # population std
+    cx, cy = np.moveaxis(box_centers(grid.anchors[cand]), -1, 0)
+    x1, y1, x2, y2 = boxes.T[:, :, None]
+    inside = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
+    ok = (cand_ious >= thresh) & inside
+    a, g = cand[ok], np.nonzero(ok)[0]
+    win = _resolve_claims(_keys(grid, image[g], a), g, -cand_ious[ok])
+    return g[win], a[win]
+
+
 def atss_match(grid: AnchorGrid, gts: GroundTruthSet,
                cfg: ATSSConfig = ATSSConfig()) -> MatchResult:
     """Adaptive matching with a per-GT dynamic IoU threshold (single level).
@@ -347,24 +522,17 @@ def atss_match(grid: AnchorGrid, gts: GroundTruthSet,
     become positive; conflicts go to the higher IoU (tie: smaller GT
     index).  There is no ignored class.
     """
-    cand = nearest_candidates(grid, gts, cfg.k)
     labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult(labels, 0)
-
-    # only the candidates' IoUs, each row in (distance, index) order, so it
-    # sums as a 1-D pool would
-    cand_ious = pairwise_iou(gts.boxes, grid.anchors[cand])
-    thresh = (cand_ious.mean(axis=1, keepdims=True)
-              + cand_ious.std(axis=1, keepdims=True))  # population std
-    cx, cy = np.moveaxis(box_centers(grid.anchors[cand]), -1, 0)
-    x1, y1, x2, y2 = gts.boxes.T[:, :, None]
-    inside = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
-    ok = (cand_ious >= thresh) & inside
-    a, g = cand[ok], np.nonzero(ok)[0]
-    win = _resolve_claims(a, g, -cand_ious[ok])
-    labels[a[win]] = g[win]
+    g, a = _atss_claims(grid, gts.boxes, _one_image(gts), cfg)
+    labels[a] = g
     return MatchResult(labels, len(gts))
+
+
+def _atss_positives(grid, boxes, image, cfg):
+    g, _ = _atss_claims(grid, boxes, image, cfg)
+    return np.bincount(g, minlength=len(boxes))
 
 
 _INFEASIBLE = "cost matrix is infeasible"
@@ -463,6 +631,18 @@ def hungarian_cost(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
     return dist - float(grid.config.stride) * pairwise_iou(gts.boxes, grid)
 
 
+def _hungarian_argmins(grid: AnchorGrid, boxes: np.ndarray):
+    """``(gt, anchor)``: each GT's first cheapest anchor, in GT order.
+
+    It lies in the GT's nearest window.  Where the anchors of an image are
+    distinct they are its assignment, as each row paying its own minimum
+    is a lower bound.
+    """
+    gt, anchor, cost = _hungarian_window(grid, boxes)
+    win = _first_minima(gt, anchor, cost)
+    return gt[win], anchor[win]
+
+
 def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
                     cfg: HungarianConfig = HungarianConfig()) -> MatchResult:
     """Optimal one-to-one GT-to-anchor assignment (Kuhn-Munkres).
@@ -474,16 +654,11 @@ def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
     labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
     if len(gts) == 0:
         return MatchResult(labels, 0)
-    # Each GT's cheapest anchor lies in its nearest window.  Distinct ones
-    # are the assignment, as each row paying its own minimum is a lower
-    # bound; else the solver cuts the full cost.
-    gt, anchor, cost = _hungarian_window(grid, gts)
-    win = _resolve_claims(gt, anchor, cost)  # each GT's first argmin
-    anchor, gt = anchor[win], gt[win]
-    labels[anchor] = gt
-    if (labels[anchor] == gt).all():  # no GT overwritten
+    gt, anchor = _hungarian_argmins(grid, gts.boxes)
+    if len(np.unique(anchor)) == len(anchor):
+        labels[anchor] = gt
         return MatchResult(labels, len(gts))
-    labels[anchor] = NEGATIVE
+    # else the solver cuts the full cost
     cost = hungarian_cost(grid, gts)
     if len(gts) > len(grid):
         anchor, gt, _ = solve_assignment(cost.T)
@@ -493,13 +668,40 @@ def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
     return MatchResult(labels, len(gts))
 
 
-def _hungarian_window(grid: AnchorGrid, gts: GroundTruthSet):
+def _hungarian_positives(grid, boxes, image, cfg):
+    gt, anchor = _hungarian_argmins(grid, boxes)
+    counts = np.bincount(gt, minlength=len(boxes))
+    key = np.sort(_keys(grid, image[gt], anchor))
+    first = _first_gts(image)
+    end = np.append(first[1:], len(boxes))
+    # images where two GTs share an argmin are solved one at a time
+    for i in np.unique(key[1:][key[1:] == key[:-1]] // len(grid)).tolist():
+        rows = slice(first[i], end[i])
+        gts = GroundTruthSet(boxes[rows], np.zeros(end[i] - first[i]))
+        try:
+            counts[rows] = hungarian_match(grid, gts, cfg).positives_per_gt
+        except ValueError as exc:
+            raise ImageError(i, str(exc)) from exc
+    return counts
+
+
+def _hungarian_window(grid: AnchorGrid, gts):
     """``(gt, anchor, cost)`` of every pair whose center distance ``d`` has
     ``d - stride`` at most the GT's nearest distance: a cost lies in
     ``[d - stride, d]``, so these hold each GT's cheapest anchors.  Each
     cost is the float :func:`hungarian_cost` gives.
     """
+    boxes = _boxes(gts)
     stride = float(grid.config.stride)
-    gt, anchor, dist = distance_window(box_centers(gts.boxes), grid, stride)
+    gt, anchor, dist = distance_window(box_centers(boxes), grid, stride)
     return gt, anchor, dist - stride * pairwise_iou(
-        gts.boxes[gt], grid.anchors[anchor, None])[:, 0]
+        boxes[gt], grid.anchors[anchor, None])[:, 0]
+
+
+_RUN_POSITIVES = {
+    "uniform": _uniform_positives,
+    "topk": lambda grid, boxes, image, cfg: _uniform_positives(
+        grid, boxes, image, _as_uniform(cfg)),
+    "max_iou": _max_iou_positives, "atss": _atss_positives,
+    "hungarian": _hungarian_positives,
+}

@@ -73,6 +73,14 @@ def synthetic_scene(index, rng):
                           class_ids=np.zeros(3, dtype=int))
 
 
+def columns(rows):
+    """``distribution``'s per-image, box and positive columns of records
+    ``(image_id, num_anchors, gts, positives_per_gt)``."""
+    return ([(i, n, len(g)) for i, n, g, _ in rows],
+            np.concatenate([g.boxes for *_, g, _ in rows]),
+            np.concatenate([p for *_, p in rows]))
+
+
 def test_criterion_2_uniform_balance():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -85,14 +93,14 @@ def test_criterion_2_uniform_balance():
             assert len(cand) == 4  # pre-filter candidates are uniform
         uniform_rows.append((i, len(grid), gts,
                              uniform_match(grid, gts).positives_per_gt))
-    dist = distribution(uniform_rows, "uniform", SizeBuckets())
+    dist = distribution(*columns(uniform_rows), "uniform", SizeBuckets())
     means = [dist.mean(b) for b in ("small", "medium", "large")]
     assert max(means) - min(means) <= 1.0
 
     maxiou_rows = [(i, len(grid), gts, max_iou_match(
         grid, gts, MaxIoUConfig(rescue=False)).positives_per_gt)
         for i, gts in enumerate(scenes)]
-    mdist = distribution(maxiou_rows, "max_iou", SizeBuckets())
+    mdist = distribution(*columns(maxiou_rows), "max_iou", SizeBuckets())
     assert mdist.zero_fraction("small") >= 0.5
     assert mdist.mean("large") >= 1.0
     elapsed = time.perf_counter() - start

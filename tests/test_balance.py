@@ -35,6 +35,15 @@ def records(pairs):
             for i, (g, m) in enumerate(pairs, 1)]
 
 
+def columns(rows):
+    """``distribution``'s per-image, box and positive columns of records
+    ``(image_id, num_anchors, gts, positives_per_gt)``."""
+    return ([(i, n, len(g)) for i, n, g, _ in rows],
+            np.concatenate([np.empty((0, 4))]
+                           + [g.boxes for *_, g, _ in rows]),
+            np.concatenate([np.empty(0, np.int64)] + [p for *_, p in rows]))
+
+
 def dist_from_means(means):
     """Distribution with one GT per bucket carrying the given counts."""
     boxes = [[0, 0, 10, 10], [0, 0, 70, 70], [0, 0, 400, 50]]
@@ -42,8 +51,8 @@ def dist_from_means(means):
     for g, count in enumerate(means):
         labels += [g] * int(count)
     labels += [-1] * 5
-    return distribution(records([(gts(boxes), fake_match(labels, 3))]),
-                        "uniform")
+    return distribution(
+        *columns(records([(gts(boxes), fake_match(labels, 3))])), "uniform")
 
 
 class TestSizeBuckets:
@@ -69,8 +78,9 @@ class TestDistribution:
     def test_uniform_counts(self):
         boxes = [[0, 0, 10, 10], [0, 0, 70.8, 70.8], [0, 0, 200, 100]]
         labels = [0] * 4 + [1] * 4 + [2] * 4 + [-1] * 3
-        d = distribution(records([(gts(boxes), fake_match(labels, 3))]),
-                         "uniform")
+        d = distribution(
+            *columns(records([(gts(boxes), fake_match(labels, 3))])),
+            "uniform")
         for name in ("small", "medium", "large"):
             assert d.mean(name) == 4.0
         assert imbalance_ratio(d) == 1.0
@@ -78,8 +88,9 @@ class TestDistribution:
     def test_totals_and_counts(self):
         boxes = [[0, 0, 10, 10], [0, 0, 200, 100]]
         labels = [0, 1, 1, -1, -2]
-        d = distribution(records([(gts(boxes), fake_match(labels, 2))]),
-                         "uniform")
+        d = distribution(
+            *columns(records([(gts(boxes), fake_match(labels, 2))])),
+            "uniform")
         assert d.total_gts == 2
         assert d.total_positives == 3
         assert d.counts("small") == (1, 1, 0)
@@ -96,7 +107,7 @@ class TestDistribution:
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
         g = gts([[100, 100, 116, 116], [100, 100, 500, 500]])
         match = max_iou_match(grid, g, MaxIoUConfig(rescue=False))
-        d = distribution(records([(g, match)]), "max_iou")
+        d = distribution(*columns(records([(g, match)])), "max_iou")
         assert d.mean("small") == 0.0
         assert d.mean("large") >= 1.0
 
@@ -111,8 +122,8 @@ class TestDistribution:
         scenes = [gts([[100, 100, 116, 116]]),
                   gts([[64, 64, 364, 364], [300, 32, 350, 90]])]
         pairs = [(g, uniform_match(grid, g)) for g in scenes]
-        a = distribution(records(pairs), "uniform")
-        b = distribution(records(pairs[::-1]), "uniform")
+        a = distribution(*columns(records(pairs)), "uniform")
+        b = distribution(*columns(records(pairs[::-1])), "uniform")
         for name in BUCKET_NAMES:
             assert a.counts(name) == b.counts(name)
 
@@ -122,9 +133,9 @@ class TestDistribution:
                   gts([[64, 64, 364, 364], [300, 32, 350, 90]]),
                   gts([[10, 10, 40, 44], [200, 200, 290, 280]])]
         rows = records([(g, max_iou_match(grid, g)) for g in scenes])
-        whole = distribution(rows, "max_iou")
+        whole = distribution(*columns(rows), "max_iou")
         for cuts in ([4], [0, 4], [1, 2, 4], [2, 2, 3, 4]):
-            parts = [distribution(rows[lo:hi], "max_iou")
+            parts = [distribution(*columns(rows[lo:hi]), "max_iou")
                      for lo, hi in zip([0] + cuts, cuts)]
             merged = merge_distributions(parts)
             assert merged.matcher == whole.matcher
@@ -138,7 +149,7 @@ class TestDistribution:
         scenes = [gts([[10, 10, 40, 44], [64, 64, 364, 364]]),
                   gts([[200, 200, 290, 280]])]
         pairs = [(g, topk_match(grid, g, TopKConfig(k=4))) for g in scenes]
-        d = distribution(records(pairs), "topk")
+        d = distribution(*columns(records(pairs)), "topk")
         assert d.total_positives == sum(int(np.sum(m.labels >= 0))
                                         for _, m in pairs)
 
@@ -146,13 +157,13 @@ class TestDistribution:
         g = gts([[0, 0, 10, 10]])
         bad = fake_match([0, 1, -1], 2)  # labels for two GTs, one box
         with pytest.raises(ValueError, match="2 ground truths for 1 boxes"):
-            distribution(records([(g, bad)]), "uniform")
+            distribution(*columns(records([(g, bad)])), "uniform")
 
     def test_accepts_plain_lists(self):
         g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
         match = MatchResult(labels=[1, -1, 1], num_gts=2)
         assert match.labels.dtype == np.int64
-        assert distribution(records([(g, match)]),
+        assert distribution(*columns(records([(g, match)])),
                             "uniform").total_positives == 2
 
     def test_rejects_out_of_range_label(self):
@@ -229,7 +240,7 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("seed", range(25))
     def test_distribution_equals_per_gt_loop(self, seed):
         pairs = random_scenes(np.random.default_rng(seed))
-        d = distribution(records(pairs), "uniform")
+        d = distribution(*columns(records(pairs)), "uniform")
         scenes = [(g.boxes.tolist(), m.labels.tolist()) for g, m in pairs]
         rows, stats = distribution_py(scenes)
         assert d.matcher == "uniform"
@@ -254,8 +265,9 @@ class TestAgainstOracle:
         want = per_image_py(
             [(g.boxes.tolist(), m.labels.tolist()) for g, m in pairs])
         for cuts in ([len(rows)], [len(rows) // 2, len(rows)]):
-            d = merge_distributions([distribution(rows[lo:hi], "uniform")
-                                     for lo, hi in zip([0] + cuts, cuts)])
+            d = merge_distributions([
+                distribution(*columns(rows[lo:hi]), "uniform")
+                for lo, hi in zip([0] + cuts, cuts)])
             got = distribution_to_dict(d)["per_image"]
             assert [r["image_id"] for r in got] \
                 == list(range(1, len(pairs) + 1))
@@ -296,8 +308,9 @@ class TestTemplateWriter:
         assert '"imbalance_ratio": null' in text
 
     def test_images_without_gts(self):
-        d = distribution(records([(gts([]), fake_match([-1] * 4, 0))] * 3),
-                         "uniform")
+        d = distribution(
+            *columns(records([(gts([]), fake_match([-1] * 4, 0))] * 3)),
+            "uniform")
         text = assert_template_text(d, seed=0, dropped=0)
         assert '"positives_per_gt": []' in text
         assert '"imbalance_ratio": null' in text
@@ -306,8 +319,8 @@ class TestTemplateWriter:
         d = dist_from_means([0, 1, 2])
         assert '"imbalance_ratio": "unbounded"' in assert_template_text(d)
         # only small GTs: the other buckets' means are null
-        d = distribution(records([(gts([[0, 0, 5, 5]]),
-                                   fake_match([0, -1], 1))]), "topk")
+        d = distribution(*columns(records([(gts([[0, 0, 5, 5]]),
+                                   fake_match([0, -1], 1))])), "topk")
         text = assert_template_text(d)
         assert '"positives_mean": null' in text
         assert '"imbalance_ratio": 1.0' in text
@@ -315,7 +328,8 @@ class TestTemplateWriter:
     def test_one_gt_images(self):
         pairs = [(gts([[0, 0, 10 * k, 10 * k]]), fake_match([0] * k, 1))
                  for k in range(1, 6)]
-        text = assert_template_text(distribution(records(pairs), "max_iou"))
+        text = assert_template_text(
+            distribution(*columns(records(pairs)), "max_iou"))
         assert '"positives_per_gt": [\n        5\n      ]' in text
 
     def test_image_ids_at_int64_extremes(self):
@@ -330,8 +344,8 @@ class TestTemplateWriter:
     @pytest.mark.parametrize("seed", range(25))
     def test_random_scenes(self, seed):
         pairs = random_scenes(np.random.default_rng(seed))
-        assert_template_text(distribution(records(pairs), "uniform"),
-                             seed=seed)
+        assert_template_text(
+            distribution(*columns(records(pairs)), "uniform"), seed=seed)
 
 
 class TestImbalanceRatio:

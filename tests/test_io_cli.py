@@ -1,10 +1,8 @@
-import gc
 import json
 import multiprocessing
 import os
 import stat
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -403,29 +401,6 @@ class TestRunMatchStats:
         assert distribution_to_dict(serial) \
             == distribution_to_dict(in_process)
 
-    def test_labels_do_not_outlive_their_match(self, seeded_corpus_path,
-                                               monkeypatch):
-        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
-        results, alive = [], []
-        real_match, real_distribution = matching.uniform_match, \
-            coco.distribution
-
-        def keeping(*args, **kwargs):
-            result = real_match(*args, **kwargs)
-            results.append(weakref.ref(result))
-            return result
-
-        def counting(*args, **kwargs):
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in results))
-            return real_distribution(*args, **kwargs)
-
-        monkeypatch.setattr(matching, "uniform_match", keeping)
-        monkeypatch.setattr(coco, "distribution", counting)
-        run_match_stats(load_corpus(seeded_corpus_path), RunConfig())
-        assert len(results) == 40
-        assert len(alive) == 1 and alive[0] <= 1  # the last image's
-
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "lots")
         with pytest.raises(ValueError):
@@ -548,6 +523,33 @@ class TestCLI:
         code, _, err = self.run(capsys, "match-stats", "--input", str(bad))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("match-stats", "--input"), ("match-stats", "--config"),
+        ("match-stats", "--output"), ("nms", "--input"), ("nms", "--output")])
+    def test_directory_argument_exit_2(self, capsys, tmp_path,
+                                       tiny_corpus_path, command, flag):
+        args = {"--input": str(tiny_corpus_path)} if command == "match-stats" \
+            else {"--input": write_json(tmp_path / "dets.json", [])}
+        args[flag] = str(tmp_path)
+        code, out, err = self.run(capsys, command,
+                                  *[v for kv in args.items() for v in kv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("match-stats", "--input"), ("match-stats", "--config"),
+        ("nms", "--input")])
+    def test_file_not_utf8_exit_2(self, capsys, tmp_path, tiny_corpus_path,
+                                  command, flag):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"name": "café"}'.encode("latin-1"))
+        args = {"--input": str(tiny_corpus_path), flag: str(bad)}
+        code, out, err = self.run(capsys, command,
+                                  *[v for kv in args.items() for v in kv])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {bad}: not UTF-8 text: invalid continuation "
+                       f"byte at byte 13\n")
 
     # 20x20 image 6 has 5 anchors and 6 GTs; it sits in the second of two
     # chunks

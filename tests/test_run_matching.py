@@ -1,0 +1,224 @@
+"""Corpus-wide matching against the one-image matchers it replaces.
+
+``match-stats`` matches each run of same-size images with one
+``matching.run_positives`` call, and ``nearest_candidates`` scores a small
+square of positions before the full grid.  Both must give what the
+per-image, full-grid code gives, bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+import test_io_cli
+from conftest import seeded_corpus
+from yolof_assign import coco, matching
+from yolof_assign.coco import RunConfig, parse_corpus, run_match_stats
+from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
+                                   box_centers, generate_anchors)
+from yolof_assign.matching import (GroundTruthSet, _grid_distances,
+                                   _k_smallest, nearest_candidates)
+
+SLOTS45 = AnchorConfig(scale_multipliers=(1.0, 2 ** (1 / 3), 2 ** (2 / 3)),
+                       aspect_ratios=(0.5, 1.0, 2.0))
+KS = [1, 4, 5, 9, 15, 40]
+
+
+def full_nearest(grid, boxes, k):
+    """The k nearest anchors scored on the full grid."""
+    k = min(k, len(grid))
+    return _k_smallest(_grid_distances(box_centers(boxes), grid,
+                                       len(grid.slot_centers)), k)
+
+
+def centers_to_boxes(centers, rng):
+    half = rng.uniform(0.5, 40.0, (len(centers), 2))
+    return np.concatenate([centers - half, centers + half], axis=1)
+
+
+def probe_centers(grid, rng):
+    """Centers on cell lines and midpoints (ties), at the grid's edges and
+    corners, outside it, and at random."""
+    xs = np.unique(grid.slot_centers[0, 0, :grid.grid_w])
+    ys = np.unique(grid.slot_centers[0, 1, :grid.grid_h])
+    step = grid.config.stride / 2
+    lines_x = np.concatenate([xs, xs + step, xs[:1] - 3 * step,
+                              xs[-1:] + 3 * step])
+    lines_y = np.concatenate([ys, ys + step, ys[:1] - 3 * step,
+                              ys[-1:] + 3 * step])
+    grid_pts = np.stack(np.meshgrid(lines_x, lines_y), -1).reshape(-1, 2)
+    lo = np.array([xs[0], ys[0]]) - 2 * step
+    hi = np.array([xs[-1], ys[-1]]) + 2 * step
+    return np.concatenate([grid_pts, rng.uniform(lo, hi, (60, 2))])
+
+
+class TestWindowedNearest:
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("layout", [
+        ("default", ImageSize(320, 256)), ("default", ImageSize(1280, 800)),
+        ("stride16", ImageSize(200, 136)), ("one-row", ImageSize(640, 32)),
+        ("tiny", ImageSize(20, 20)), ("translated", ImageSize(64, 64))],
+        ids=lambda v: f"{v[0]}-{v[1].width}x{v[1].height}")
+    def test_equals_the_full_grid(self, layout, k):
+        name, size = layout
+        config = AnchorConfig(stride=16, sizes=(24.0, 48.0, 96.0)) \
+            if name == "stride16" else AnchorConfig()
+        grid = generate_anchors(config, size)
+        if name == "translated":
+            grid = AnchorGrid(grid.config, 2, 2, grid.anchors + 13.5)
+        assert grid.shared_centers
+        rng = np.random.default_rng(k)
+        boxes = centers_to_boxes(probe_centers(grid, rng), rng)
+        got = nearest_candidates(grid, boxes, k)
+        assert got.tolist() == full_nearest(grid, boxes, k).tolist()
+        assert got.tolist() == nearest_candidates(
+            grid, GroundTruthSet(boxes, np.zeros(len(boxes))), k).tolist()
+
+    def test_unproven_centers_take_the_full_row(self, monkeypatch):
+        # one row of 20 cells: a center on a cell line ties its 2nd and
+        # 3rd nearest positions with the first one outside the 1x3 square
+        grid = generate_anchors(AnchorConfig(), ImageSize(640, 32))
+        centers = np.array([[320.0, 16.0], [336.0, 16.0], [330.0, 16.0]])
+        boxes = centers_to_boxes(centers, np.random.default_rng(0))
+        scored = []
+        real = matching._grid_distances
+
+        def recording(gc, grid, slots):
+            scored.append(len(gc))
+            return real(gc, grid, slots)
+
+        monkeypatch.setattr(matching, "_grid_distances", recording)
+        got = nearest_candidates(grid, boxes, 15)
+        assert scored == [1]  # only the center on the line
+        assert got.tolist() == full_nearest(grid, boxes, 15).tolist()
+
+    def test_slots_without_shared_centers_keep_the_full_path(self,
+                                                             monkeypatch):
+        grid = generate_anchors(SLOTS45, ImageSize(320, 256))
+        assert not grid.shared_centers
+        rng = np.random.default_rng(3)
+        boxes = centers_to_boxes(probe_centers(grid, rng), rng)
+        scored = []
+        real = matching._grid_distances
+
+        def recording(gc, grid, slots):
+            scored.append((len(gc), slots))
+            return real(gc, grid, slots)
+
+        monkeypatch.setattr(matching, "_grid_distances", recording)
+        for k in KS:
+            got = nearest_candidates(grid, boxes, k)
+            assert got.tolist() == full_nearest(grid, boxes, k).tolist()
+        assert scored == [(len(boxes), 45)] * len(KS)
+
+
+# (matcher, parameters): the defaults, and the settings that reach other
+# branches: uniform's ignore filters, max_iou's default labels of
+# ignored and positive, and ATSS with more candidates than a tiny grid has
+CONFIGS = [
+    ("uniform", {}),
+    ("uniform", {"k": 9, "pos_ignore_iou": 0.3, "neg_ignore_iou": 0.5}),
+    ("topk", {}), ("topk", {"k": 1}),
+    ("max_iou", {}), ("max_iou", {"rescue": False}),
+    ("max_iou", {"pos_iou": 0.3, "neg_iou": 0.0}),
+    ("max_iou", {"pos_iou": 0.0, "neg_iou": 0.0}),
+    ("max_iou", {"pos_iou": 0.0, "neg_iou": 0.0, "rescue": False}),
+    ("atss", {}), ("atss", {"k": 40}),
+    ("hungarian", {}),
+]
+DOCS = {"seeded": seeded_corpus(),
+        "odd-image": test_io_cli.TestCLI.ODD_IMAGE_DOC}
+
+
+def per_image_positives(corpus, config):
+    """Each image's ``<matcher>_match`` counts, concatenated."""
+    match = getattr(matching, f"{config.matcher}_match")
+    return np.concatenate([np.empty(0, np.int64)] + [
+        match(generate_anchors(config.anchors, size),
+              corpus.ground_truths(image_id),
+              config.matcher_config).positives_per_gt
+        for image_id, size in corpus.images]).tolist()
+
+
+class TestRunPositives:
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("shift", [0, 32])
+    @pytest.mark.parametrize("doc", sorted(DOCS))
+    @pytest.mark.parametrize("matcher,params", CONFIGS)
+    def test_equals_the_per_image_matchers(self, monkeypatch, matcher,
+                                           params, doc, shift, block):
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
+        if block is not None:
+            monkeypatch.setattr(coco, "_BLOCK", block)
+        corpus = parse_corpus(DOCS[doc])
+        config = RunConfig(matcher=matcher, matcher_params=params,
+                           shift_max=shift, seed=7)
+        calls = []  # (GTs, images) of each kernel call
+        real = matching.run_positives
+
+        def recording(name, grid, boxes, image, cfg):
+            calls.append((len(boxes), int(image[-1]) + 1))
+            return real(name, grid, boxes, image, cfg)
+
+        monkeypatch.setattr(matching, "run_positives", recording)
+        dist = run_match_stats(corpus, config)
+        if shift:
+            corpus = corpus.shifted(shift, 7)
+        assert dist.per_gt_counts[:, 1].tolist() \
+            == per_image_positives(corpus, config)
+        # memory guard: a call holds at most _BLOCK GTs, or one image
+        assert all(gts <= coco._BLOCK or images == 1
+                   for gts, images in calls)
+        assert sum(gts for gts, _ in calls) == dist.total_gts
+        if block == 1:
+            assert all(images == 1 for _, images in calls)
+        if block is None:  # one call per image size
+            sizes = {size for i, (_, size) in enumerate(corpus.images)
+                     if corpus.offsets[i + 1] > corpus.offsets[i]}
+            assert len(calls) == len(sizes)
+
+    def test_hungarian_collisions_alone_go_to_the_one_image_matcher(
+            self, monkeypatch):
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
+        solved = []
+        real = matching.hungarian_match
+
+        def recording(grid, gts, cfg):
+            solved.append(len(gts))
+            return real(grid, gts, cfg)
+
+        monkeypatch.setattr(matching, "hungarian_match", recording)
+        corpus = parse_corpus(DOCS["odd-image"])
+        run_match_stats(corpus, RunConfig(matcher="hungarian"))
+        assert solved == [6]  # image 6: 6 GTs on 5 anchors
+
+    def test_error_names_the_first_image_by_id(self, monkeypatch):
+        # images 2 and 3 each hold two equal boxes, whose argmins collide;
+        # image 3 shares image 1's size, so its run is matched first
+        box = [40, 40, 20, 20]
+        doc = {"images": [{"id": 1, "width": 320, "height": 256},
+                          {"id": 2, "width": 64, "height": 64},
+                          {"id": 3, "width": 320, "height": 256}],
+               "annotations": [{"id": i, "image_id": image, "bbox": box,
+                                "category_id": 1}
+                               for i, image in enumerate([1, 2, 2, 3, 3])],
+               "categories": [{"id": 1}]}
+
+        def failing(grid, gts, cfg):
+            raise ValueError(f"no assignment for {len(gts)}")
+
+        monkeypatch.setattr(matching, "hungarian_match", failing)
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
+        with pytest.raises(ValueError, match=r"^image 2: no assignment "
+                                             r"for 2$"):
+            run_match_stats(parse_corpus(doc), RunConfig(matcher="hungarian"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_first_minima_equals_the_claim_resolver(seed):
+    # GT-grouped claims of few distinct costs, so minima tie
+    rng = np.random.default_rng(seed)
+    gt = np.sort(rng.integers(0, 12, int(rng.integers(0, 80))))
+    anchor = rng.permutation(200)[:len(gt)]
+    cost = rng.integers(-3, 3, len(gt)).astype(float)
+    assert matching._first_minima(gt, anchor, cost).tolist() \
+        == matching._resolve_claims(gt, anchor, cost).tolist()
