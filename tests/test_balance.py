@@ -159,6 +159,14 @@ class TestDistribution:
         with pytest.raises(ValueError, match="2 ground truths for 1 boxes"):
             distribution(*columns(records([(g, bad)])), "uniform")
 
+    def test_rejects_scenes_that_miscount_their_gts(self):
+        rows, boxes, positives = columns(records([(gts([[0, 0, 10, 10]]),
+                                                   fake_match([0, -1], 1))]))
+        with pytest.raises(ValueError, match="scenes hold 2 ground truths, "
+                                             "not 1"):
+            distribution([(1, 2, 2)], boxes, positives, "uniform")
+        assert distribution(rows, boxes, positives, "uniform").total_gts == 1
+
     def test_accepts_plain_lists(self):
         g = gts([[0, 0, 10, 10], [0, 0, 200, 100]])
         match = MatchResult(labels=[1, -1, 1], num_gts=2)
