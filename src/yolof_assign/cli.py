@@ -40,6 +40,14 @@ def _parse_image(text: str) -> ImageSize:
         raise CorpusError(f"bad --image value {text!r}; expected WxH")
 
 
+def _parse_dilations(text: str) -> tuple:
+    try:
+        return tuple(int(d) for d in text.split(",")) if text else ()
+    except ValueError:
+        raise CorpusError(f"bad --dilations value {text!r}; expected "
+                          f"comma-separated integers")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         reports.write_atomic(output, text)
@@ -77,8 +85,7 @@ def _cmd_match_stats(args) -> None:
 
 
 def _cmd_rf(args) -> None:
-    dilations = tuple(int(d) for d in args.dilations.split(",")) \
-        if args.dilations else ()
+    dilations = _parse_dilations(args.dilations)
     spec = EncoderSpec(num_blocks=len(dilations), dilations=dilations,
                        shortcuts=not args.no_shortcuts)
     profile = rf_profile(spec)

@@ -5,9 +5,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,8 +285,16 @@ def worker_count() -> int:
 
 
 # GTs per matcher call at most: the runs of same-size images are cut at
-# whole images to stay within it, and a single larger image runs alone
-_BLOCK = 2048
+# whole images to stay within it, and a single larger image runs alone.
+# The kernels' temporaries grow with it, and where the corpus is too small
+# to fork they count in this process's peak: at 512 a call on 1280x800
+# images peaks at 1-5 MB (2048: 2-10 MB), and 118k images match as fast
+_BLOCK = 512
+
+# GTs per forked worker at least.  On 2 CPUs, two forked workers matched
+# 2k GTs 10-20 ms slower than one process, broke even near 7k (Hungarian)
+# to 20k (uniform) GTs, and were faster at 70k (README, YOLOF_ASSIGN_THREADS)
+_FORK_GTS = 8192
 
 
 def _runs(members: list, num_gts: list) -> list:
@@ -362,10 +368,11 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
 
     With ``shift_max`` above 0 the whole corpus is shifted first, by
     :meth:`AnnotationCorpus.shifted`.  Returns one ``MatchDistribution``,
-    its rows in image id order, the same for every worker count.  With
-    more than one worker, each forked worker process matches one
-    contiguous chunk of images and sends back only the chunk's
-    distribution.
+    its rows in image id order, the same for every worker count.  The
+    workers are at most ``worker_count()``, one per image and one per
+    ``_FORK_GTS`` GTs; with two or more, each forked worker process
+    matches one contiguous chunk of images and sends back only the
+    chunk's distribution, and otherwise this process matches them all.
     """
     if config.shift_max > 0:  # at 0 the boxes stay unclamped
         corpus = corpus.shifted(config.shift_max, config.seed)
@@ -377,8 +384,14 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
             grids[size] = generate_anchors(config.anchors, size)
             grids[size].anchors.setflags(write=False)
 
-    workers = min(worker_count(), len(images))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    workers = min(worker_count(), len(images), len(corpus.ids) // _FORK_GTS)
+    if workers > 1:
+        # imported here, so that a run that never forks does not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers > 1:
         # fork, not spawn: the workers inherit the corpus, the config and
         # the grids instead of unpickling them, and skip re-importing numpy
         with ProcessPoolExecutor(

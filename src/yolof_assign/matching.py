@@ -623,12 +623,32 @@ def _shortest_augmenting_paths(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
+# cells of the cost matrix whose IoUs are taken in one pairwise_iou call:
+# whole rows where they fit, as contiguous tiles are the fastest to take
+_COST_CELLS = 32768
+
+
 def hungarian_cost(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
     """Assignment cost: center distance minus stride times IoU, shape
-    ``(M, N)``."""
-    dist = _grid_distances(box_centers(gts.boxes), grid,
-                           len(grid.slot_centers))
-    return dist - float(grid.config.stride) * pairwise_iou(gts.boxes, grid)
+    ``(M, N)``.
+
+    The distances are the result's buffer, and the IoUs are subtracted in
+    tiles of at most ``_COST_CELLS`` cells, so no other matrix is built.
+    Every step is elementwise, so each cost is the float of the one-shot
+    ``dist - stride * pairwise_iou(boxes, grid)``.
+    """
+    boxes = gts.boxes
+    cost = _grid_distances(box_centers(boxes), grid, len(grid.slot_centers))
+    stride = float(grid.config.stride)
+    cols = min(len(grid), _COST_CELLS)
+    rows = _COST_CELLS // cols
+    for r in range(0, len(boxes), rows):
+        for c in range(0, len(grid), cols):
+            iou = pairwise_iou(boxes[r:r + rows], grid.anchors[c:c + cols])
+            iou *= stride
+            cost[r:r + rows, c:c + cols] -= iou
+            del iou  # its scratch block, before the next tile builds one
+    return cost
 
 
 def _hungarian_argmins(grid: AnchorGrid, boxes: np.ndarray):

@@ -93,6 +93,25 @@ def _center_distance(box, anchor):
     return math.sqrt(dx * dx + dy * dy)
 
 
+def hungarian_cost_np(anchor_boxes, gt_boxes, stride):
+    """Hungarian's ``(M, N)`` cost in one shot, each matrix built whole:
+    center distance minus ``stride`` times IoU, with the rounding of
+    :func:`_center_distance` and :func:`iou_py`."""
+    a = np.asarray(anchor_boxes, dtype=float)[None]
+    g = np.asarray(gt_boxes, dtype=float)[:, None]
+    offset = (g[..., :2] + g[..., 2:]) / 2.0 - (a[..., :2] + a[..., 2:]) / 2.0
+    offset *= offset
+    dist = np.sqrt(offset[..., 0] + offset[..., 1])
+    sides = np.maximum(np.minimum(g[..., 2:], a[..., 2:])
+                       - np.maximum(g[..., :2], a[..., :2]), 0.0)
+    inter = sides[..., 0] * sides[..., 1]
+    areas = [np.maximum(b[..., 2] - b[..., 0], 0.0)
+             * np.maximum(b[..., 3] - b[..., 1], 0.0) for b in (g, a)]
+    union = areas[0] + areas[1] - inter
+    iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+    return dist - stride * iou
+
+
 def knearest_py(anchor_boxes, gt_box, k):
     """Indices of the k anchors center-nearest to a GT, stable ties."""
     dists = [(_center_distance(gt_box, a), i)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from yolof_assign import matching
+from yolof_assign.coco import parse_corpus
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
                                    box_centers, generate_anchors,
                                    pairwise_iou)
@@ -21,8 +22,9 @@ from yolof_assign.matching import (ATSSConfig, GroundTruthSet, MaxIoUConfig,
                                    hungarian_cost, nearest_candidates,
                                    solve_assignment)
 
-from oracles import (_center_distance, atss_py, iou_py, knearest_py,
-                     max_iou_py, uniform_py)
+import test_io_cli
+from oracles import (_center_distance, atss_py, hungarian_cost_np, iou_py,
+                     knearest_py, max_iou_py, uniform_py)
 
 CONFIGS = {
     "default": AnchorConfig(),
@@ -99,6 +101,64 @@ def test_ground_truths_must_be_finite():
 def grid_distances(boxes, grid):
     """Center distances from ``boxes`` to every anchor of ``grid``."""
     return _grid_distances(box_centers(boxes), grid, len(grid.slot_centers))
+
+
+class TestHungarianCostTiles:
+    """``hungarian_cost`` subtracts its IoUs in tiles of at most
+    ``_COST_CELLS`` cells; every cost is the one-shot oracle's float."""
+
+    def assert_oracle(self, grid, g):
+        assert_same_floats(hungarian_cost(grid, g), hungarian_cost_np(
+            grid.anchors, g.boxes, grid.config.stride))
+
+    # one cell, partial tiles of one row, and tiles of two whole rows on
+    # the 280-anchor grid
+    @pytest.mark.parametrize("cells", [1, 3, 100, 600, matching._COST_CELLS])
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_scenes(self, monkeypatch, grid, kind, seed, cells):
+        monkeypatch.setattr(matching, "_COST_CELLS", cells)
+        self.assert_oracle(grid, gts_for(grid, kind, seed))
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_partial_last_tile(self, monkeypatch, grid, kind, seed):
+        # two tiles of one row, the second narrower than the first
+        g = gts_for(grid, kind, seed)
+        cols = len(grid) // 2 + 1
+        assert len(grid) % cols
+        monkeypatch.setattr(matching, "_COST_CELLS", cols)
+        self.assert_oracle(grid, g)
+
+    @pytest.mark.parametrize("cells", [1, 7, 40, matching._COST_CELLS])
+    def test_translated_grid(self, monkeypatch, cells):
+        monkeypatch.setattr(matching, "_COST_CELLS", cells)
+        grid = generate_anchors(AnchorConfig(), ImageSize(64, 64))
+        grid = AnchorGrid(grid.config, 2, 2, grid.anchors + 13.5)
+        rng = np.random.default_rng(5)
+        corner = rng.uniform(-20.0, 90.0, (9, 2))
+        boxes = np.hstack([corner, corner + rng.uniform(2.0, 200.0, (9, 2))])
+        self.assert_oracle(grid, GroundTruthSet(boxes, np.zeros(9)))
+
+    @pytest.mark.parametrize("cells", [1, 5, matching._COST_CELLS])
+    def test_tied_costs(self, monkeypatch, grid, cells):
+        # boxes centered on cell corners, equally far from four positions
+        # and overlapping them alike, twice each
+        monkeypatch.setattr(matching, "_COST_CELLS", cells)
+        stride = grid.config.stride
+        corners = np.array([[1, 1], [2, 3], [4, 2]] * 2, float) * stride
+        boxes = np.hstack([corners - stride, corners + stride])
+        want = hungarian_cost_np(grid.anchors, boxes, grid.config.stride)
+        assert (np.ptp(np.sort(want, axis=1)[:, :2], axis=1) == 0).any()
+        self.assert_oracle(grid, GroundTruthSet(boxes, np.zeros(6)))
+
+    @pytest.mark.parametrize("cells", [1, 4, 10, matching._COST_CELLS])
+    def test_more_gts_than_anchors(self, monkeypatch, cells):
+        # image 6 of the CLI tests' odd corpus: 6 GTs on 5 anchors
+        monkeypatch.setattr(matching, "_COST_CELLS", cells)
+        corpus = parse_corpus(test_io_cli.TestCLI.ODD_IMAGE_DOC)
+        grid = generate_anchors(AnchorConfig(), ImageSize(20, 20))
+        g = corpus.ground_truths(6)
+        assert (len(g), len(grid)) == (6, 5)
+        self.assert_oracle(grid, g)
 
 
 def solved_labels(grid, g):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -344,6 +345,7 @@ class TestRunMatchStats:
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
         serial = run_match_stats(corpus, config)
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
+        monkeypatch.setattr(coco, "_FORK_GTS", 1)  # fork on any 2 GTs
         assert worker_count() == int(workers)
         aggregated_here = []
         real = coco.distribution
@@ -357,9 +359,44 @@ class TestRunMatchStats:
         monkeypatch.setattr(coco, "distribution", recording)
         threaded = run_match_stats(corpus, config)
         assert distribution_to_dict(serial) == distribution_to_dict(threaded)
-        assert aggregated_here == ([] if len(corpus.images) > 1
-                                   else [os.getpid()])
+        forked = min(len(corpus.images), len(corpus.ids)) > 1
+        assert aggregated_here == ([] if forked else [os.getpid()])
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fork_gts", [1, 3, 5])
+    def test_forks_only_at_fork_gts_per_worker(self, monkeypatch, fork_gts):
+        # one GT per image, at 2n - 1 GTs then at 2n
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "2")
+        monkeypatch.setattr(coco, "_FORK_GTS", fork_gts)
+        pools = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def recording_pool(workers, **kwargs):
+            pools.append(workers)
+            return real_pool(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording_pool)
+        aggregated_here = []
+        real = coco.distribution
+
+        def recording(*args, **kwargs):
+            aggregated_here.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coco, "distribution", recording)
+        for gts, fork in ((2 * fork_gts - 1, []), (2 * fork_gts, [2])):
+            doc = dict(BASE_DOC, images=[
+                {"id": i, "width": 64, "height": 48} for i in range(gts)],
+                annotations=[{"id": i, "image_id": i, "bbox": [3, 3, 10, 12],
+                              "category_id": 2} for i in range(gts)])
+            pools.clear()
+            aggregated_here.clear()
+            dist = run_match_stats(parse_corpus(doc), RunConfig())
+            assert dist.total_gts == gts
+            assert pools == fork
+            assert aggregated_here == ([] if fork else [os.getpid()])
+            assert multiprocessing.active_children() == []
 
     def test_auto_worker_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("YOLOF_ASSIGN_THREADS", raising=False)
@@ -386,6 +423,7 @@ class TestRunMatchStats:
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
         serial = run_match_stats(corpus, config)
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "3")
+        monkeypatch.setattr(coco, "_FORK_GTS", 1)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         aggregated_here = []
@@ -575,6 +613,7 @@ class TestCLI:
         corpus = write_json(tmp_path / "c.json", self.ODD_IMAGE_DOC)
         cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
         runs = []
+        monkeypatch.setattr(coco, "_FORK_GTS", 1)  # image 6 in worker 2
         for workers in ("1", "2"):
             monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
             runs.append(self.run(capsys, "match-stats", "--input", corpus,
@@ -589,6 +628,7 @@ class TestCLI:
         corpus = write_json(tmp_path / "c.json", self.ODD_IMAGE_DOC)
         cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
         runs = []
+        monkeypatch.setattr(coco, "_FORK_GTS", 1)  # image 6 in worker 2
         for workers in ("1", "2"):
             monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
             runs.append(self.run(capsys, "match-stats", "--input", corpus,
@@ -686,6 +726,13 @@ class TestCLI:
         code, out, err = self.run(capsys, *argv)
         assert (code, out) == (2, "")
         assert named in err
+
+    @pytest.mark.parametrize("value", ["a", "2,x", "2,,4", "1.5"])
+    def test_bad_dilations_named_exit_2(self, capsys, value):
+        code, out, err = self.run(capsys, "rf", "--dilations", value)
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad --dilations value {value!r}; expected "
+                       f"comma-separated integers\n")
 
     def test_integer_thresholds_accepted(self, capsys, tmp_path,
                                          tiny_corpus_path):
