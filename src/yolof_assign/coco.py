@@ -288,7 +288,7 @@ def worker_count() -> int:
 # whole images to stay within it, and a single larger image runs alone.
 # The kernels' temporaries grow with it, and where the corpus is too small
 # to fork they count in this process's peak: at 512 a call on 1280x800
-# images peaks at 1-5 MB (2048: 2-10 MB), and 118k images match as fast
+# images peaks at 1-4 MB (2048: 2-10 MB), and 118k images match as fast
 _BLOCK = 512
 
 # GTs per forked worker at least.  On 2 CPUs, two forked workers matched

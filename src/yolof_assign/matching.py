@@ -647,7 +647,7 @@ def hungarian_cost(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
             iou = pairwise_iou(boxes[r:r + rows], grid.anchors[c:c + cols])
             iou *= stride
             cost[r:r + rows, c:c + cols] -= iou
-            del iou  # its scratch block, before the next tile builds one
+            del iou  # frees its block before the next tile allocates one
     return cost
 
 

@@ -111,22 +111,13 @@ class TestHungarianCostTiles:
         assert_same_floats(hungarian_cost(grid, g), hungarian_cost_np(
             grid.anchors, g.boxes, grid.config.stride))
 
-    # one cell, partial tiles of one row, and tiles of two whole rows on
-    # the 280-anchor grid
+    # one cell; tiles of one row, the last one partial on every grid (280,
+    # 624 and 2520 anchors); and tiles of two whole rows on 280 anchors
     @pytest.mark.parametrize("cells", [1, 3, 100, 600, matching._COST_CELLS])
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_scenes(self, monkeypatch, grid, kind, seed, cells):
         monkeypatch.setattr(matching, "_COST_CELLS", cells)
         self.assert_oracle(grid, gts_for(grid, kind, seed))
-
-    @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_partial_last_tile(self, monkeypatch, grid, kind, seed):
-        # two tiles of one row, the second narrower than the first
-        g = gts_for(grid, kind, seed)
-        cols = len(grid) // 2 + 1
-        assert len(grid) % cols
-        monkeypatch.setattr(matching, "_COST_CELLS", cols)
-        self.assert_oracle(grid, g)
 
     @pytest.mark.parametrize("cells", [1, 7, 40, matching._COST_CELLS])
     def test_translated_grid(self, monkeypatch, cells):
