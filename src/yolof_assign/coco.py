@@ -389,9 +389,7 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
         # imported here, so that a run that never forks does not load them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers > 1:
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # fork, not spawn: the workers inherit the corpus, the config and
         # the grids instead of unpickling them, and skip re-importing numpy
         with ProcessPoolExecutor(
