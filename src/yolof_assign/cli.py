@@ -14,8 +14,9 @@ import sys
 import numpy as np
 
 from . import reports
-from .coco import CorpusError, RunConfig, as_int64, bbox_values, \
-    load_corpus, read_json, run_match_stats
+from .coco import (CorpusError, RunConfig, as_int64, bbox_values,
+                   box_column, int_column, load_corpus, number_column,
+                   read_json, record_fields, run_match_stats)
 from .encoder import EncoderSpec, rf_profile, scale_coverage
 from .flops import DecoderSpec, EncoderTopology, encoder_decoder_flops
 from .geometry import ImageSize, generate_anchors
@@ -146,24 +147,12 @@ def _plain_columns(doc: list):
     object whose bbox is an array of 4 finite JSON numbers, whose score is
     a JSON number in [0, 1] and whose category_id a non-negative int64;
     otherwise None."""
-    try:
-        boxes = [row["bbox"] for row in doc]
-        scores = [row["score"] for row in doc]
-        cats = [row["category_id"] for row in doc]
-    except (KeyError, TypeError):
+    fields = record_fields(doc, "bbox", "score", "category_id")
+    if fields is None:
         return None
-    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}
-            and set(map(type, scores)) <= {int, float}
-            and set(map(type, cats)) <= {int}):
-        return None
-    flat = [v for box in boxes for v in box]
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        boxes = np.array(flat, dtype=np.float64).reshape(-1, 4)
-        scores = np.array(scores, dtype=np.float64)
-        cats = np.array(cats, dtype=np.int64)
-    except OverflowError:
+    boxes, scores, cats = (box_column(fields[0]),
+                           number_column(fields[1]), int_column(fields[2]))
+    if boxes is None or scores is None or cats is None:
         return None
     if not (np.isfinite(boxes).all() and (scores >= 0.0).all()
             and (scores <= 1.0).all() and (cats >= 0).all()):

@@ -14,7 +14,7 @@ from . import matching
 from .balance import (MatchDistribution, SizeBuckets, distribution,
                       merge_distributions)
 from .geometry import (AnchorConfig, ImageSize, apply_shift, generate_anchors,
-                       shift_offset)
+                       shift_offsets)
 from .matching import GroundTruthSet
 
 THREADS_ENV = "YOLOF_ASSIGN_THREADS"
@@ -56,20 +56,19 @@ class AnnotationCorpus:
 
     def shifted(self, max_shift: int, seed: int) -> "AnnotationCorpus":
         """This corpus with each image's boxes moved by one offset, drawn
-        by :func:`shift_offset` from ``(seed, image_id)``, and clamped to
+        by :func:`shift_offsets` from ``(seed, image_id)``, and clamped to
         the image; boxes left without area are dropped.  At ``max_shift``
         0 this only clamps."""
-        # shift_offset checks both only per image, and numpy's message
-        # for a negative seed names neither
         if max_shift < 0:
             raise ValueError(f"max_shift must be >= 0, got {max_shift}")
         seed = _count("seed", seed)
-        per_image = np.array(
-            [(*shift_offset(max_shift, (seed, image_id)), size.width,
-              size.height) for image_id, size in self.images],
-            np.int64).reshape(-1, 4)
+        per_image = np.array([(image_id, size.width, size.height)
+                              for image_id, size in self.images],
+                             np.int64).reshape(-1, 3)
+        offsets = shift_offsets(seed, per_image[:, 0], max_shift)
         # one (dx, dy, width, height) row per annotation
-        rows = np.repeat(per_image, np.diff(self.offsets), axis=0)
+        rows = np.repeat(np.column_stack([offsets.T, per_image[:, 1:]]),
+                         np.diff(self.offsets), axis=0)
         boxes, kept = apply_shift(self.boxes, rows[:, 2:], rows[:, 0],
                                   rows[:, 1])
         return AnnotationCorpus(
@@ -115,9 +114,110 @@ def as_int64(value) -> int:
 
 
 def parse_corpus(doc: dict) -> AnnotationCorpus:
+    """The corpus of a COCO document.  A document of plain JSON values is
+    read as columns (:func:`_plain_corpus`); any other, or one that breaks
+    a rule, is read record by record, so the first bad record in document
+    order names the fault."""
     for key in ("images", "annotations", "categories"):
         if key not in doc or not isinstance(doc[key], list):
             raise CorpusError(f"document lacks the {key!r} array")
+    corpus = _plain_corpus(doc)
+    return _row_corpus(doc) if corpus is None else corpus
+
+
+def record_fields(records: list, *keys):
+    """The values of each key over ``records``, one list per key; None if
+    a record is not an object or lacks a key."""
+    try:
+        return [[record[key] for record in records] for key in keys]
+    except (KeyError, TypeError):
+        return None
+
+
+def int_column(values: list):
+    """``values`` as int64 if each is a JSON integer (a bool is not one)
+    that int64 holds; otherwise None."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def number_column(values: list):
+    """``values`` as float64 if each is a JSON number (a bool is not one)
+    that float64 holds; otherwise None."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+
+
+def box_column(values: list):
+    """``values`` as ``(N, 4)`` float64 if each is a JSON array of 4
+    numbers that :func:`number_column` takes; otherwise None."""
+    if not (set(map(type, values)) <= {list}
+            and set(map(len, values)) <= {4}):
+        return None
+    flat = number_column([v for box in values for v in box])
+    return None if flat is None else flat.reshape(-1, 4)
+
+
+def _plain_corpus(doc: dict):
+    """The corpus of ``doc`` read as columns, or None.
+
+    Every id, size and category must be a JSON integer and every bbox an
+    array of 4 JSON numbers; the rules of :func:`_row_corpus` are then
+    checked as arrays.  None stands for anything else, whether the row
+    loop reads it (a string or integral float id, a bool in a bbox) or
+    refuses it.
+    """
+    images = record_fields(doc["images"], "id", "width", "height")
+    anns = record_fields(doc["annotations"], "id", "image_id",
+                         "category_id", "bbox")
+    if images is None or anns is None:
+        return None
+    columns = [*map(int_column, images + anns[:3]), box_column(anns[3])]
+    if any(column is None for column in columns):
+        return None
+    image_ids, widths, heights, ids, ann_images, cats, boxes = columns
+    order = np.argsort(image_ids)
+    known, sizes = image_ids[order], np.column_stack([widths, heights])[order]
+    at = np.searchsorted(known, ann_images)  # each annotation's image
+    if (known[1:] == known[:-1]).any() or (sizes < 1).any() \
+            or (at == len(known)).any() or (known[at] != ann_images).any() \
+            or (cats < 0).any():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes[:, 2:] += boxes[:, :2]  # (x, y, x + w, y + h)
+        if not np.isfinite(boxes).all():
+            return None
+        # a size past 2**53 rounds to float64 here, which can only refuse
+        # more boxes as outside than the row loop's exact comparison
+        x1, y1, x2, y2 = boxes.T
+        w, h = x2 - x1, y2 - y1  # the extent the stored corners keep
+        area = w * h
+        cx, cy = (x1 + x2) * 0.5, (y1 + y2) * 0.5
+        kept = (w > 0) & (h > 0) & (area != 0)
+        bad = (x2 <= 0) | (y2 <= 0) | (x1 >= sizes[at, 0]) \
+            | (y1 >= sizes[at, 1]) | ~np.isfinite(area) \
+            | ~np.isfinite(cx * cx + cy * cy)
+    if (kept & bad).any():
+        return None
+    pairs = list(zip(*sizes.T.tolist()))  # (width, height) in id order
+    size_of = {pair: ImageSize(*pair) for pair in set(pairs)}
+    return _sorted_corpus(
+        [(i, size_of[pair]) for i, pair in zip(known.tolist(), pairs)],
+        ids[kept], ann_images[kept], boxes[kept], cats[kept],
+        doc["categories"], len(kept) - int(kept.sum()))
+
+
+def _row_corpus(doc: dict) -> AnnotationCorpus:
+    """The corpus of ``doc`` read one record at a time; the first bad
+    record in document order raises a CorpusError that names it."""
     sizes = {}
     for img in doc["images"]:
         try:
@@ -171,16 +271,24 @@ def parse_corpus(doc: dict) -> AnnotationCorpus:
         boxes.append(box)
         cats.append(cat)
 
-    image_ids = np.array(image_ids, dtype=np.int64)
-    ids = np.array(ids, dtype=np.int64)
+    return _sorted_corpus(
+        images, np.array(ids, dtype=np.int64),
+        np.array(image_ids, dtype=np.int64),
+        np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        np.array(cats, dtype=np.int64), doc["categories"], dropped)
+
+
+def _sorted_corpus(images: list, ids, image_ids, boxes, cats, categories,
+                   dropped: int) -> AnnotationCorpus:
+    """The corpus of the kept annotations' columns, given in document
+    order, sorted by (image id, id)."""
     order = np.lexsort((ids, image_ids))  # stable: equal ids keep doc order
     offsets = np.append(np.searchsorted(image_ids[order],
                                         [i for i, _ in images]), len(ids))
     return AnnotationCorpus(
-        images=images, ids=ids[order],
-        boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4)[order],
-        category_ids=np.array(cats, dtype=np.int64)[order], offsets=offsets,
-        categories=list(doc["categories"]), dropped=dropped)
+        images=images, ids=ids[order], boxes=boxes[order],
+        category_ids=cats[order], offsets=offsets,
+        categories=list(categories), dropped=dropped)
 
 
 def read_json(path, top: type = dict):

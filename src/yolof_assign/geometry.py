@@ -364,13 +364,118 @@ def apply_shift(boxes, image, dx, dy):
     return shifted[kept], kept
 
 
-def shift_offset(max_shift: int, seed) -> tuple:
-    """Random integer ``(dx, dy)``, uniform in ``[-max_shift, max_shift]^2``,
-    dx drawn first, from ``np.random.default_rng(seed)``."""
+# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32, _LOW64 = 2 ** 32 - 1, 2 ** 64 - 1
+
+
+def shift_offsets(seed: int, image_ids, max_shift: int) -> np.ndarray:
+    """Each image's random integer offset, uniform in
+    ``[-max_shift, max_shift]^2``: a ``(2, N)`` int64 array of dx, then dy.
+
+    An image's offset is the two ``integers(-max_shift, max_shift + 1)``
+    draws, dx first, of ``np.random.default_rng((seed, image_id))``,
+    computed here for every image at once: SeedSequence hashes the seed's
+    and the id's uint32 words into PCG64's seed, PCG64 (O'Neill 2014)
+    gives one 64-bit output, and Lemire's multiply-shift (2019) maps its
+    low, then its high, 32 bits into the range.  ``default_rng`` itself
+    draws the rows where Lemire would reject the dx or the dy and draw
+    again, and every row at ``max_shift`` 2**31 and above, where numpy
+    draws 64 bits.  At ``max_shift`` 0 nothing is drawn; above it, an id
+    must be >= 0.
+    """
     if max_shift < 0:
         raise ValueError(f"max_shift must be >= 0, got {max_shift}")
-    rng = np.random.default_rng(seed)
-    dx = int(rng.integers(-max_shift, max_shift + 1))
-    dy = int(rng.integers(-max_shift, max_shift + 1))
-    return dx, dy
+    ids = np.asarray(image_ids, dtype=np.int64)
+    offsets = np.zeros((2, len(ids)), np.int64)
+    if max_shift == 0:
+        return offsets
+    if len(ids) and ids.min() < 0:
+        raise ValueError(f"image {ids.min()} has a negative id; a shift "
+                         f"above 0 is drawn only for ids >= 0")
+    redraw = np.ones(len(ids), bool)
+    span = 2 * max_shift + 1
+    if span <= _LOW32 and 0 <= seed <= _LOW64:
+        out = _pcg64_output(seed, ids)
+        draws = np.stack([out & _LOW32, out >> 32]) * span
+        offsets = (draws >> 32).astype(np.int64) - max_shift
+        redraw = ((draws & _LOW32) < (_LOW32 - 2 * max_shift) % span).any(0)
+    for i in np.flatnonzero(redraw).tolist():
+        rng = np.random.default_rng((seed, int(ids[i])))
+        offsets[:, i] = [rng.integers(-max_shift, max_shift + 1)
+                         for _ in range(2)]
+    return offsets
 
+
+def _pcg64_output(seed: int, ids: np.ndarray) -> np.ndarray:
+    """The first 64-bit output of ``PCG64(SeedSequence((seed, id)))`` for
+    each id, with 128-bit numbers held as (high, low) uint64 arrays."""
+    # the entropy words, seed's then id's; a one-word id hashes as a
+    # two-word one whose high word is 0, as a missing pool word does
+    words = np.zeros((len(ids), 4), np.uint32)
+    seed_words = [seed & _LOW32, seed >> 32][:1 + (seed > _LOW32)]
+    words[:, :len(seed_words)] = seed_words
+    words[:, len(seed_words)] = ids & _LOW32
+    words[:, len(seed_words) + 1] = ids >> 32
+    v0, v1, v2, v3 = _seed_state(words)
+    # pcg64_set_seed: state (v0, v1) and stream (v2, v3), each (high, low);
+    # one step from state 0 gives the increment, then the seed is added
+    inc = v2 << 1 | v3 >> 63, v3 << 1 | 1
+    state = _add128(*inc, v0, v1)
+    for _ in range(2):  # the seeding's second step, then the draw's
+        state = _add128(*_mul128(*state, _PCG_MULT), *inc)
+    hi, lo = state
+    x, rot = hi ^ lo, hi >> 58  # XSL-RR
+    return x >> rot | x << ((64 - rot) & 63)
+
+
+def _seed_state(words: np.ndarray) -> list:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of
+    4 uint32 entropy words, as 4 uint64 arrays."""
+    a = _hash_consts(_INIT_A, _MULT_A, 16)
+    pool = [_hash(words[:, i], a, i) for i in range(4)]
+    step = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (_MIX_L * pool[dst]
+                         - _MIX_R * _hash(pool[src], a, step))
+                pool[dst] = mixed ^ mixed >> 16
+                step += 1
+    b = _hash_consts(_INIT_B, _MULT_B, 8)
+    half = [_hash(pool[i % 4], b, i).astype(np.uint64) for i in range(8)]
+    return [half[i] | half[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list:
+    """``init`` and its next ``n`` multiples by ``mult``, mod 2**32."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _LOW32)
+    return consts
+
+
+def _hash(value: np.ndarray, consts: list, i: int) -> np.ndarray:
+    """SeedSequence's ``i``-th hash of uint32 words: xor with the hash
+    constant, step the constant, multiply, xor-shift."""
+    value = (value ^ consts[i]) * consts[i + 1]
+    return value ^ value >> 16
+
+
+def _mul128(hi, lo, const: int):
+    """``(hi, lo) * const`` mod 2**128; the high word of ``lo`` times
+    ``const``'s low word is summed from 32-bit limbs."""
+    c_hi, c_lo = const >> 64, const & _LOW64
+    l0, l1, c0, c1 = lo & _LOW32, lo >> 32, c_lo & _LOW32, c_lo >> 32
+    cross0, cross1 = l0 * c1, l1 * c0
+    carry = (l0 * c0 >> 32) + (cross0 & _LOW32) + (cross1 & _LOW32) >> 32
+    return (l1 * c1 + (cross0 >> 32) + (cross1 >> 32) + carry
+            + hi * c_lo + lo * c_hi), lo * c_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo

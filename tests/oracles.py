@@ -44,6 +44,15 @@ def raster_iou(a, b):
     return inter / union if union > 0 else 0.0
 
 
+def shift_offset_py(max_shift, seed, image_id):
+    """One image's random shift ``(dx, dy)``: two draws from
+    ``np.random.default_rng((seed, image_id))``, dx first, each uniform in
+    ``[-max_shift, max_shift]``."""
+    rng = np.random.default_rng((seed, image_id))
+    return tuple(int(rng.integers(-max_shift, max_shift + 1))
+                 for _ in range(2))
+
+
 def nms_py(boxes, scores, class_ids, threshold):
     """Greedy class-wise suppression by direct simulation."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from yolof_assign.geometry import (AnchorConfig, ImageSize, apply_shift,
                                    generate_anchors, iou, pairwise_iou,
-                                   shift_offset)
+                                   shift_offsets)
 
-from oracles import iou_py, raster_iou
+from oracles import iou_py, raster_iou, shift_offset_py
 
 int_boxes = st.tuples(st.integers(-20, 20), st.integers(-20, 20),
                       st.integers(1, 25), st.integers(1, 25)).map(
@@ -95,7 +95,7 @@ class TestGenerateAnchors:
 class TestRandomShift:
     def test_zero_shift_is_identity(self):
         boxes = np.array([[0, 0, 10, 10], [5, 5, 20, 30]], dtype=float)
-        dx, dy = shift_offset(0, 7)
+        (dx,), (dy,) = shift_offsets(7, [3], 0)
         assert (dx, dy) == (0, 0)
         shifted, kept = apply_shift(boxes, ImageSize(100, 100), dx, dy)
         np.testing.assert_array_equal(shifted, boxes)
@@ -125,12 +125,98 @@ class TestRandomShift:
     def test_offset_draws_dx_then_dy(self):
         rng = np.random.default_rng((7, 3))
         want = tuple(int(rng.integers(-32, 33)) for _ in range(2))
-        assert shift_offset(32, (7, 3)) == want
-        assert shift_offset(0, 5) == (0, 0)
+        assert shift_offset_py(32, 7, 3) == want
+        assert tuple(shift_offsets(7, [3], 32)[:, 0].tolist()) == want
+        assert shift_offsets(5, [0, 1], 0).tolist() == [[0, 0], [0, 0]]
 
     def test_offset_rejects_negative_max_shift(self):
         with pytest.raises(ValueError, match="got -1"):
-            shift_offset(-1, 0)
+            shift_offsets(0, [0], -1)
+
+    def test_offset_of_a_negative_id(self):
+        # nothing is drawn at 0; above it, numpy's seeding refuses the id
+        assert shift_offsets(0, [-3, 2], 0).tolist() == [[0, 0], [0, 0]]
+        with pytest.raises(ValueError, match="image -3 has a negative id"):
+            shift_offsets(0, [-3, 2], 4)
+
+
+def rejected(max_shift, seed, image_id) -> bool:
+    """Whether numpy rejects and redraws the dx or dy of ``(seed,
+    image_id)``: Lemire's low product word of the low or the high half of
+    PCG64's first output is below ``(2**32 - span) % span``."""
+    raw = int(np.random.PCG64(np.random.SeedSequence((seed, image_id)))
+        .random_raw())
+    span = 2 * max_shift + 1
+    return any((half * span) % 2 ** 32 < (2 ** 32 - span) % span
+               for half in (raw & 0xFFFFFFFF, raw >> 32))
+
+
+def counting_default_rng(monkeypatch) -> list:
+    """Record the seed of every ``np.random.default_rng`` call from now
+    on; the list is returned."""
+    seeds, real = [], np.random.default_rng
+
+    def counting(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return seeds
+
+
+class TestShiftOffsetsDifferential:
+    """The vectorised draw against one ``default_rng`` per row."""
+
+    SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 6_104_227_930_129, 2 ** 63 - 1)
+
+    @staticmethod
+    def image_ids(n: int) -> np.ndarray:
+        # small ids, ids around the one/two-word boundary, and ids up to
+        # the largest int64
+        rng = np.random.default_rng(n)
+        return np.concatenate([
+            np.arange(n // 5), 2 ** 32 + np.arange(-(n // 10), n // 10),
+            rng.integers(0, 2 ** 63 - 1, n - n // 5 - 2 * (n // 10) - 1,
+                         endpoint=True), [2 ** 63 - 1]])
+
+    # 6 seeds x 2500 ids = 15,000 rows each, 105,000 rows in all
+    @pytest.mark.parametrize("max_shift",
+                             [0, 1, 16, 32, 1000, 2 ** 20, 2 ** 31 - 1])
+    def test_equals_default_rng(self, monkeypatch, max_shift):
+        ids = self.image_ids(2500)
+        want = [[shift_offset_py(max_shift, seed, i) for i in ids.tolist()]
+                for seed in self.SEEDS]
+        drawn = counting_default_rng(monkeypatch)
+        got = [shift_offsets(seed, ids, max_shift).T.tolist()
+               for seed in self.SEEDS]
+        assert got == [[list(row) for row in rows] for rows in want]
+        # numpy draws only the rows whose draw it rejects, and few
+        assert all(rejected(max_shift, *seed) for seed in drawn)
+        assert len(drawn) < len(ids) * len(self.SEEDS) // 100
+
+    @pytest.mark.parametrize("max_shift", [2 ** 31, 2 ** 40, 2 ** 62])
+    def test_64_bit_ranges_drawn_by_numpy(self, monkeypatch, max_shift):
+        ids = self.image_ids(100)
+        want = [[shift_offset_py(max_shift, seed, i) for i in ids.tolist()]
+                for seed in self.SEEDS]
+        drawn = counting_default_rng(monkeypatch)
+        got = [shift_offsets(seed, ids, max_shift).T.tolist()
+               for seed in self.SEEDS]
+        assert got == [[list(row) for row in rows] for rows in want]
+        assert len(drawn) == len(ids) * len(self.SEEDS)
+
+    def test_rejected_row_drawn_by_numpy(self, monkeypatch):
+        # seed 0, image 487 at 2**20: the low 32 bits of PCG64's first
+        # output, times the range, leave a low word under Lemire's
+        # threshold, so numpy rejects that draw and draws again
+        max_shift = 2 ** 20
+        assert rejected(max_shift, 0, 487)
+        assert not rejected(max_shift, 0, 486)
+        want = [shift_offset_py(max_shift, 0, i) for i in (486, 487, 488)]
+        drawn = counting_default_rng(monkeypatch)
+        got = shift_offsets(0, [486, 487, 488], max_shift)
+        assert got.T.tolist() == [list(w) for w in want]
+        assert drawn == [(0, 487)]
 
     @given(dx=st.integers(-30, 30), dy=st.integers(-30, 30))
     @settings(max_examples=40, deadline=None)

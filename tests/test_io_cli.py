@@ -12,10 +12,12 @@ from yolof_assign import coco, matching
 from yolof_assign.cli import main
 from yolof_assign.coco import (CorpusError, RunConfig, load_corpus,
                                parse_corpus, run_match_stats, worker_count)
-from yolof_assign.geometry import apply_shift, shift_offset
+from yolof_assign.geometry import apply_shift
 from yolof_assign.matching import MATCHERS, MaxIoUConfig, UniformMatchConfig
 from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
                                   to_json, write_atomic)
+
+from oracles import shift_offset_py
 
 
 def write_json(path, doc):
@@ -84,7 +86,7 @@ def shifted_by_image(corpus, max_shift, seed):
     ids, boxes, cats, offsets = [], [], [], [0]
     for (image_id, size), lo, hi in zip(corpus.images, corpus.offsets,
                                         corpus.offsets[1:]):
-        dx, dy = shift_offset(max_shift, (seed, image_id))
+        dx, dy = shift_offset_py(max_shift, seed, image_id)
         moved, kept = apply_shift(corpus.boxes[lo:hi], size, dx, dy)
         ids += corpus.ids[lo:hi][kept].tolist()
         boxes += moved.tolist()
@@ -1037,6 +1039,39 @@ class TestCLI:
                                   "--seed", "-1")
         assert (code, out) == (2, "")
         assert err == "error: seed must be a non-negative integer, got -1\n"
+
+    # image -3 is read; only a shift above 0 needs a non-negative id
+    NEGATIVE_ID_DOC = dict(BASE_DOC, images=[
+        {"id": -3, "width": 64, "height": 64},
+        {"id": 1, "width": 64, "height": 64}], annotations=[
+        {"id": 1, "image_id": -3, "bbox": [-5, 20, 30, 40],
+         "category_id": 2}])
+
+    @pytest.mark.parametrize("command", ["match-stats", "shift"])
+    def test_negative_image_id_shifted_exit_2(self, capsys, tmp_path,
+                                              command):
+        path = write_json(tmp_path / "c.json", self.NEGATIVE_ID_DOC)
+        flags = ["--max-shift", "4"] if command == "shift" else [
+            "--config", write_json(tmp_path / "cfg.json", {"shift_max": 32})]
+        code, out, err = self.run(capsys, command, "--input", path, *flags)
+        assert (code, out) == (2, "")
+        assert err == ("error: image -3 has a negative id; a shift above 0 "
+                       "is drawn only for ids >= 0\n")
+
+    def test_negative_image_id_at_max_shift_0_clamps(self, capsys,
+                                                     tmp_path):
+        path = write_json(tmp_path / "c.json", self.NEGATIVE_ID_DOC)
+        code, out, err = self.run(capsys, "shift", "--input", path,
+                                  "--max-shift", "0")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [img["id"] for img in doc["images"]] == [-3, 1]
+        assert doc["annotations"] == [
+            {"id": 1, "image_id": -3, "bbox": [0.0, 20.0, 25.0, 40.0],
+             "category_id": 2}]
+        code, out, err = self.run(capsys, "match-stats", "--input", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total_gts"] == 1
 
     def test_detections_must_be_an_array(self, capsys, tmp_path):
         path = write_json(tmp_path / "dets.json", {"bbox": [0, 0, 1, 1]})
