@@ -139,13 +139,22 @@ class TestRandomShift:
         with pytest.raises(ValueError, match="image -3 has a negative id"):
             shift_offsets(0, [-3, 2], 4)
 
+    @given(dx=st.integers(-30, 30), dy=st.integers(-30, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_interior_shift_roundtrip(self, dx, dy):
+        boxes = [[40, 40, 60, 60]]
+        image = ImageSize(200, 200)
+        once, _ = apply_shift(boxes, image, dx, dy)
+        back, _ = apply_shift(once, image, -dx, -dy)
+        np.testing.assert_allclose(back, boxes)
+
 
 def rejected(max_shift, seed, image_id) -> bool:
     """Whether numpy rejects and redraws the dx or dy of ``(seed,
     image_id)``: Lemire's low product word of the low or the high half of
     PCG64's first output is below ``(2**32 - span) % span``."""
-    raw = int(np.random.PCG64(np.random.SeedSequence((seed, image_id)))
-        .random_raw())
+    bitgen = np.random.PCG64(np.random.SeedSequence((seed, image_id)))
+    raw = int(bitgen.random_raw())
     span = 2 * max_shift + 1
     return any((half * span) % 2 ** 32 < (2 ** 32 - span) % span
                for half in (raw & 0xFFFFFFFF, raw >> 32))
@@ -179,36 +188,29 @@ class TestShiftOffsetsDifferential:
             rng.integers(0, 2 ** 63 - 1, n - n // 5 - 2 * (n // 10) - 1,
                          endpoint=True), [2 ** 63 - 1]])
 
-    # 6 seeds x 2500 ids = 15,000 rows each, 105,000 rows in all
-    @pytest.mark.parametrize("max_shift",
-                             [0, 1, 16, 32, 1000, 2 ** 20, 2 ** 31 - 1])
-    def test_equals_default_rng(self, monkeypatch, max_shift):
-        ids = self.image_ids(2500)
+    # 6 seeds x 2500 ids = 15,000 rows for each range of 32 bits, 105,000
+    # rows in all; numpy draws the 64-bit ranges itself, on fewer rows
+    @pytest.mark.parametrize("max_shift,n", [
+        *((m, 2500) for m in (0, 1, 16, 32, 1000, 2 ** 20, 2 ** 31 - 1)),
+        *((m, 100) for m in (2 ** 31, 2 ** 40, 2 ** 62))])
+    def test_equals_default_rng(self, monkeypatch, max_shift, n):
+        ids = self.image_ids(n)
         want = [[shift_offset_py(max_shift, seed, i) for i in ids.tolist()]
                 for seed in self.SEEDS]
         drawn = counting_default_rng(monkeypatch)
         got = [shift_offsets(seed, ids, max_shift).T.tolist()
                for seed in self.SEEDS]
         assert got == [[list(row) for row in rows] for rows in want]
-        # numpy draws only the rows whose draw it rejects, and few
-        assert all(rejected(max_shift, *seed) for seed in drawn)
-        assert len(drawn) < len(ids) * len(self.SEEDS) // 100
-
-    @pytest.mark.parametrize("max_shift", [2 ** 31, 2 ** 40, 2 ** 62])
-    def test_64_bit_ranges_drawn_by_numpy(self, monkeypatch, max_shift):
-        ids = self.image_ids(100)
-        want = [[shift_offset_py(max_shift, seed, i) for i in ids.tolist()]
-                for seed in self.SEEDS]
-        drawn = counting_default_rng(monkeypatch)
-        got = [shift_offsets(seed, ids, max_shift).T.tolist()
-               for seed in self.SEEDS]
-        assert got == [[list(row) for row in rows] for rows in want]
-        assert len(drawn) == len(ids) * len(self.SEEDS)
+        if max_shift >= 2 ** 31:
+            assert len(drawn) == n * len(self.SEEDS)
+        else:  # only the rows whose draw numpy rejects, and few
+            assert all(rejected(max_shift, *seed) for seed in drawn)
+            assert len(drawn) < n * len(self.SEEDS) // 100
 
     def test_rejected_row_drawn_by_numpy(self, monkeypatch):
-        # seed 0, image 487 at 2**20: the low 32 bits of PCG64's first
-        # output, times the range, leave a low word under Lemire's
-        # threshold, so numpy rejects that draw and draws again
+        # seed 0, image 487 at 2**20: a half of PCG64's first output,
+        # times the range, leaves a low word under Lemire's threshold, so
+        # numpy rejects that draw and draws again
         max_shift = 2 ** 20
         assert rejected(max_shift, 0, 487)
         assert not rejected(max_shift, 0, 486)
@@ -217,15 +219,6 @@ class TestShiftOffsetsDifferential:
         got = shift_offsets(0, [486, 487, 488], max_shift)
         assert got.T.tolist() == [list(w) for w in want]
         assert drawn == [(0, 487)]
-
-    @given(dx=st.integers(-30, 30), dy=st.integers(-30, 30))
-    @settings(max_examples=40, deadline=None)
-    def test_interior_shift_roundtrip(self, dx, dy):
-        boxes = [[40, 40, 60, 60]]
-        image = ImageSize(200, 200)
-        once, _ = apply_shift(boxes, image, dx, dy)
-        back, _ = apply_shift(once, image, -dx, -dy)
-        np.testing.assert_allclose(back, boxes)
 
 
 def test_pairwise_iou_shape_and_agreement():
