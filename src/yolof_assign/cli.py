@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 
 import numpy as np
@@ -249,14 +250,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused.  The command runs
+    with the cyclic GC off, and the caller's GC state is restored when it
+    ends: loading a corpus builds millions of containers, each counting
+    toward a collection, and a command leaves no cycles worth collecting.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args.func(args)
     except (CorpusError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
+    finally:
+        if enabled:
+            gc.enable()
     return 0
 
 

@@ -61,6 +61,7 @@ class AnnotationCorpus:
         0 this only clamps."""
         if max_shift < 0:
             raise ValueError(f"max_shift must be >= 0, got {max_shift}")
+        max_shift = _count("max_shift", max_shift)
         seed = _count("seed", seed)
         per_image = np.array([(image_id, size.width, size.height)
                               for image_id, size in self.images],

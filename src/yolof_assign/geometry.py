@@ -58,18 +58,20 @@ def iou(a, b) -> float:
     return float(pairwise_iou(as_boxes(a), as_boxes(b))[0, 0])
 
 
-def pairwise_iou(a: np.ndarray, b) -> np.ndarray:
+def pairwise_iou(a: np.ndarray, b, b_areas=None) -> np.ndarray:
     """IoU of boxes ``a`` with the boxes of ``b``.
 
     ``b`` is an ``(M, 4)`` box array, giving the ``(N, M)`` matrix; an
     ``(N, k, 4)`` array of k boxes per box of ``a``, giving ``(N, k)``; or
     an :class:`AnchorGrid`, giving the matrix of its anchors.  On a grid,
     :func:`iou_window` scores only the pairs that may pass a threshold.
+    ``b_areas``, when given, are the areas of ``b``'s boxes (a grid's
+    ``areas`` gathered as its anchors are), which are then not recomputed.
     """
     a = as_boxes(a)
     if isinstance(b, AnchorGrid):
-        b = b.anchors
-    inter, union = _inter_union(a, _other_boxes(a, b))
+        b, b_areas = b.anchors, b.areas
+    inter, union = _inter_union(a, _other_boxes(a, b), b_areas)
     return _ratio(inter, union)
 
 
@@ -101,14 +103,15 @@ def _span(a, b, out, scratch) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _inter_union(a: np.ndarray, b: np.ndarray):
+def _inter_union(a: np.ndarray, b: np.ndarray, b_areas=None):
     # one block for every (N, M) buffer: fresh matrices this size are
     # page-faulted in on each call, which costs more than the arithmetic
     shape = (len(a),) + b.shape[-2:-1]  # (N, M), or (N, k) gathered
     inter, union, scratch = np.empty((3,) + shape)
     _span(a[:, None, ::2], b[..., ::2], inter, scratch)
     inter *= _span(a[:, None, 1::2], b[..., 1::2], union, scratch)
-    np.add(box_area(a)[:, None], box_area(b), out=union)
+    np.add(box_area(a)[:, None], box_area(b) if b_areas is None else b_areas,
+           out=union)
     union -= inter
     return inter, union
 

@@ -361,7 +361,8 @@ def _uniform_claims(grid: AnchorGrid, boxes, image, cfg: UniformMatchConfig):
     win = _resolve_claims(_keys(grid, image[gt], cand), gt, dist.ravel())
     a, g = cand[win], gt[win]
     # only each resolved (GT, anchor) pair's IoU: (n, 4) against (n, 1, 4)
-    pair_iou = pairwise_iou(boxes[g], grid.anchors[a, None])[:, 0]
+    pair_iou = pairwise_iou(boxes[g], grid.anchors[a, None],
+                            grid.areas[a, None])[:, 0]
     return g, a, pair_iou >= cfg.pos_ignore_iou
 
 
@@ -467,7 +468,11 @@ def _max_iou_positives(grid, boxes, image, cfg):
         grid, boxes, image, cfg)
     counts = np.zeros(len(boxes), dtype=np.int64)
     if rescued is not None:  # a rescue overrides a threshold label
-        positive &= ~np.isin(key, rescued[0])
+        # np.isin by search, as the rescued keys come sorted (in
+        # _resolve_claims' order); its own sort would load numpy.ma
+        keys = rescued[0]
+        found = keys[np.searchsorted(keys, key).clip(max=len(keys) - 1)]
+        positive &= found != key
         counts += np.bincount(rescued[1], minlength=len(boxes))
     counts += np.bincount(g[positive], minlength=len(boxes))
     if default == 0:  # every anchor left is positive for its image's GT 0
@@ -500,7 +505,7 @@ def _atss_claims(grid: AnchorGrid, boxes, image, cfg: ATSSConfig):
     cand = nearest_candidates(grid, boxes, cfg.k)
     # only the candidates' IoUs, each row in (distance, index) order, so it
     # sums as a 1-D pool would
-    cand_ious = pairwise_iou(boxes, grid.anchors[cand])
+    cand_ious = pairwise_iou(boxes, grid.anchors[cand], grid.areas[cand])
     thresh = (cand_ious.mean(axis=1, keepdims=True)
               + cand_ious.std(axis=1, keepdims=True))  # population std
     cx, cy = np.moveaxis(box_centers(grid.anchors[cand]), -1, 0)
@@ -558,7 +563,7 @@ def solve_assignment(cost: np.ndarray):
     # Each row paying its own minimum is a lower bound, so distinct row
     # argmins are an optimal assignment.
     cols = cost.argmin(axis=1) if m else rows
-    if len(np.unique(cols)) < m:
+    if len(set(cols.tolist())) < m:
         # Some optimal assignment gives every row one of its m cheapest
         # columns: a row on any other column can move to one of those that
         # is free (at most m - 1 are taken) without raising the cost.  The
@@ -644,7 +649,8 @@ def hungarian_cost(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
     rows = _COST_CELLS // cols
     for r in range(0, len(boxes), rows):
         for c in range(0, len(grid), cols):
-            iou = pairwise_iou(boxes[r:r + rows], grid.anchors[c:c + cols])
+            iou = pairwise_iou(boxes[r:r + rows], grid.anchors[c:c + cols],
+                               grid.areas[c:c + cols])
             iou *= stride
             cost[r:r + rows, c:c + cols] -= iou
             del iou  # frees its block before the next tile allocates one
@@ -675,7 +681,7 @@ def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
     if len(gts) == 0:
         return MatchResult(labels, 0)
     gt, anchor = _hungarian_argmins(grid, gts.boxes)
-    if len(np.unique(anchor)) == len(anchor):
+    if len(set(anchor.tolist())) == len(anchor):
         labels[anchor] = gt
         return MatchResult(labels, len(gts))
     # else the solver cuts the full cost
@@ -695,7 +701,8 @@ def _hungarian_positives(grid, boxes, image, cfg):
     first = _first_gts(image)
     end = np.append(first[1:], len(boxes))
     # images where two GTs share an argmin are solved one at a time
-    for i in np.unique(key[1:][key[1:] == key[:-1]] // len(grid)).tolist():
+    shared = key[1:][key[1:] == key[:-1]] // len(grid)
+    for i in sorted(set(shared.tolist())):
         rows = slice(first[i], end[i])
         gts = GroundTruthSet(boxes[rows], np.zeros(end[i] - first[i]))
         try:
@@ -706,16 +713,45 @@ def _hungarian_positives(grid, boxes, image, cfg):
 
 
 def _hungarian_window(grid: AnchorGrid, gts):
-    """``(gt, anchor, cost)`` of every pair whose center distance ``d`` has
-    ``d - stride`` at most the GT's nearest distance: a cost lies in
-    ``[d - stride, d]``, so these hold each GT's cheapest anchors.  Each
-    cost is the float :func:`hungarian_cost` gives.
+    """``(gt, anchor, cost)`` of pairs that hold every anchor of each GT's
+    least cost, those within :func:`_hungarian_margin` of its nearest
+    center distance; each cost is the float :func:`hungarian_cost` gives.
     """
     boxes = _boxes(gts)
+    centers = box_centers(boxes)
     stride = float(grid.config.stride)
-    gt, anchor, dist = distance_window(box_centers(boxes), grid, stride)
+    gt, anchor, dist = distance_window(centers, grid,
+                                       _hungarian_margin(grid, centers))
     return gt, anchor, dist - stride * pairwise_iou(
-        boxes[gt], grid.anchors[anchor, None])[:, 0]
+        boxes[gt], grid.anchors[anchor, None], grid.areas[anchor, None])[:, 0]
+
+
+# units in the last place kept beyond the nearest distance on a grid whose
+# slots share centers, for positions that rounding may tie with it
+_TIE_ULPS = 8
+
+
+def _hungarian_margin(grid: AnchorGrid, centers: np.ndarray) -> float:
+    """How far past a GT's nearest center distance its cheapest anchors
+    may lie.
+
+    A cost lies in ``[d - stride, d]`` for the center distance ``d``, so
+    the stride is always enough.  Where every slot shares slot 0's
+    centers, the nearest positions alone hold the cheapest anchors: a
+    nearest position has the least ``|dx|`` and the least ``|dy|``, and a
+    slot's overlap with a box does not grow as either does, so there each
+    slot has its least distance and its largest IoU.  The margin is then a
+    few units in the last place of a bound on every center, distance and
+    cost.
+    """
+    stride = float(grid.config.stride)
+    if not grid.shared_centers or len(centers) == 0:
+        return stride
+    # a distance is below 3 times the largest coordinate, and a cost lies
+    # within the stride of a distance
+    reach = 4.0 * (max(np.abs(centers).max(), np.abs(grid.anchors).max())
+                   + stride)
+    return _TIE_ULPS * float(np.spacing(reach))
 
 
 _RUN_POSITIVES = {

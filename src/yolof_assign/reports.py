@@ -45,27 +45,19 @@ def _summary(dist: MatchDistribution) -> dict:
     }
 
 
-def _split_rows(dist: MatchDistribution):
-    """``per_gt_counts`` as a list, and each scene's ``(image id, anchors,
-    GTs, positives of its GTs)``."""
-    per_gt = dist.per_gt_counts.tolist()
-    counts = [c for _, c in per_gt]
+def distribution_to_dict(dist: MatchDistribution) -> dict:
+    counts = dist.per_gt_counts[:, 1].tolist()
     ends = np.cumsum(dist.per_image[:, 2]).tolist()
     # image i's n GTs are the rows that end at ends[i]
-    return per_gt, [(i, a, n, counts[end - n:end]) for (i, a, n), end in
-                    zip(dist.per_image.tolist(), ends)]
-
-
-def distribution_to_dict(dist: MatchDistribution) -> dict:
-    per_gt, per_image = _split_rows(dist)
     return {
         **_summary(dist),
         "per_gt_counts": [{"bucket": BUCKET_NAMES[b], "positives": c}
-                          for b, c in per_gt],
+                          for b, c in dist.per_gt_counts.tolist()],
         "per_image": [{"image_id": i, "num_gts": n, "num_anchors": a,
-                       "num_positive": sum(counts),
-                       "positives_per_gt": counts}
-                      for i, a, n, counts in per_image],
+                       "num_positive": sum(counts[end - n:end]),
+                       "positives_per_gt": counts[end - n:end]}
+                      for (i, a, n), end in zip(dist.per_image.tolist(),
+                                                ends)],
     }
 
 
@@ -87,15 +79,35 @@ def _json_list(items: list, indent: str) -> str:
 
 def distribution_to_json(dist: MatchDistribution, **fields) -> str:
     """``to_json({**distribution_to_dict(dist), **fields})``, with the two
-    row sections written from the arrays by template instead of dicts."""
-    per_gt, per_image = _split_rows(dist)
-    bucket = [json.dumps(name) for name in BUCKET_NAMES]
+    row sections written from the arrays by lookup table instead of dicts:
+    each distinct ``(bucket, positives)`` row and each distinct count is
+    formatted once, and the GTs index them."""
+    buckets, counts = dist.per_gt_counts.T
+    width = int(counts.max()) + 1 if len(counts) else 1
+    # one code per (bucket, positives) row
+    codes, row = np.unique(buckets * width + counts, return_inverse=True)
+    names = [json.dumps(name) for name in BUCKET_NAMES]
+    gt_rows = [_GT_ROW % (names[c // width], c % width)
+               for c in codes.tolist()]
+    # each GT's line in its image's positives_per_gt list, comma included
+    # (np.unique without an inverse would import numpy.ma on first use)
+    values, value = np.unique(counts, return_inverse=True)
+    lines = ["\n        %d," % v for v in values.tolist()]
+    line = list(map(lines.__getitem__, value.tolist()))
+    num_gts = dist.per_image[:, 2]
+    ends = np.cumsum(num_gts)
+    totals = np.concatenate([[0], np.cumsum(counts)])
+    # image i's n GTs are the rows that end at ends[i]
+    image_rows = [
+        _IMAGE_ROW % (i, a, n, total,
+                      "[%s\n      ]" % "".join(line[end - n:end])[:-1]
+                      if n else "[]")
+        for (i, a, n), end, total in zip(
+            dist.per_image.tolist(), ends.tolist(),
+            (totals[ends] - totals[ends - num_gts]).tolist())]
     sections = {
-        "per_gt_counts": [_GT_ROW % (bucket[b], c) for b, c in per_gt],
-        "per_image": [
-            _IMAGE_ROW % (i, a, n, sum(counts), _json_list(
-                list(map(str, counts)), "      "))
-            for i, a, n, counts in per_image],
+        "per_gt_counts": list(map(gt_rows.__getitem__, row.tolist())),
+        "per_image": image_rows,
     }
     text = to_json({**_summary(dist), **fields,
                     **{key: [] for key in sections}})

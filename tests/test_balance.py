@@ -8,8 +8,8 @@ from yolof_assign.balance import (BUCKET_NAMES, MatchDistribution,
                                   SizeBuckets, distribution, imbalance_ratio,
                                   merge_distributions)
 from yolof_assign.geometry import AnchorConfig, ImageSize, generate_anchors
-from yolof_assign.matching import (GroundTruthSet, MatchResult, MaxIoUConfig,
-                                   TopKConfig, max_iou_match,
+from yolof_assign.matching import (MATCHERS, GroundTruthSet, MatchResult,
+                                   MaxIoUConfig, TopKConfig, max_iou_match,
                                    nearest_candidates, topk_match,
                                    uniform_match)
 from yolof_assign.reports import (distribution_to_dict, distribution_to_json,
@@ -354,6 +354,50 @@ class TestTemplateWriter:
         pairs = random_scenes(np.random.default_rng(seed))
         assert_template_text(
             distribution(*columns(records(pairs)), "uniform"), seed=seed)
+
+
+class TestTableWriter:
+    """The lookup-table writer, which formats each distinct (bucket,
+    positives) row and each distinct count once, against ``to_json`` of
+    the dict report for every matcher."""
+
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_scenes(self, matcher, seed):
+        pairs = random_scenes(np.random.default_rng(100 + seed))
+        assert_template_text(distribution(*columns(records(pairs)), matcher),
+                             seed=seed, dropped=seed)
+
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
+    def test_empty_corpus(self, matcher):
+        d = MatchDistribution(matcher, np.empty((0, 2), dtype=np.int64),
+                              np.empty((0, 3), dtype=np.int64))
+        assert_template_text(d)
+
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
+    def test_images_without_gts_around_others(self, matcher):
+        # empty images first, between and last: their GT slices are empty
+        # and their sums 0
+        d = MatchDistribution(
+            matcher, np.array([[0, 3], [2, 0], [1, 3]], dtype=np.int64),
+            np.array([[1, 10, 0], [2, 10, 2], [3, 10, 0], [4, 10, 1],
+                      [5, 10, 0]], dtype=np.int64))
+        text = assert_template_text(d)
+        assert text.count('"positives_per_gt": []') == 3
+
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
+    def test_counts_above_a_million(self, matcher):
+        rng = np.random.default_rng(5)
+        n = 400
+        counts = rng.choice([0, 1, 7, 10 ** 6, 10 ** 6 + 1, 2 ** 40], n)
+        per_gt = np.stack([rng.integers(0, len(BUCKET_NAMES), n), counts],
+                          axis=1)
+        sizes = rng.multinomial(n, np.full(60, 1 / 60))
+        per_image = np.stack([np.arange(60), np.full(60, 2 ** 41), sizes],
+                             axis=1)
+        text = assert_template_text(MatchDistribution(matcher, per_gt,
+                                                      per_image))
+        assert f'"positives": {2 ** 40}\n' in text
 
 
 class TestImbalanceRatio:

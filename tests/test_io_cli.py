@@ -1,14 +1,18 @@
 import concurrent.futures
+import gc
 import json
 import multiprocessing
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from yolof_assign import coco, matching
+from yolof_assign import cli, coco, matching
 from yolof_assign.cli import main
 from yolof_assign.coco import (CorpusError, RunConfig, load_corpus,
                                parse_corpus, run_match_stats, worker_count)
@@ -17,6 +21,7 @@ from yolof_assign.matching import MATCHERS, MaxIoUConfig, UniformMatchConfig
 from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
                                   to_json, write_atomic)
 
+from conftest import seeded_corpus
 from oracles import shift_offset_py
 
 
@@ -1089,3 +1094,99 @@ class TestCLI:
                               "--output", str(out_path))
         assert code == 0
         assert json.loads(out_path.read_text())["count"] == 20
+
+    def test_max_shift_past_int64_exit_2(self, capsys, tiny_corpus_path):
+        code, out, err = self.run(capsys, "shift", "--input",
+                                  str(tiny_corpus_path), "--max-shift",
+                                  str(2 ** 63))
+        assert (code, out) == (2, "")
+        assert err == (f"error: max_shift must be a non-negative integer, "
+                       f"got {2 ** 63}\n")
+
+
+class TestMainReuse:
+    """``main`` builds its parser once per process and runs each command
+    with the cyclic GC off, restoring the caller's GC state."""
+
+    @pytest.fixture
+    def gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def outcomes(self, capsys, monkeypatch):
+        """``(exit code, GC on afterwards)`` of a success, a data error, a
+        usage error and an exception raised inside a command."""
+        got = [(main(["anchors", "--image", "64x64"]), gc.isenabled()),
+               (main(["match-stats", "--input", "/nope/x.json"]),
+                gc.isenabled())]
+        with pytest.raises(SystemExit) as usage:
+            main(["match-stats"])
+        got.append((usage.value.code, gc.isenabled()))
+        monkeypatch.setattr(cli, "rf_profile", self.raise_runtime_error)
+        with pytest.raises(RuntimeError):
+            main(["rf"])
+        got.append(("raised", gc.isenabled()))
+        capsys.readouterr()
+        return got
+
+    @staticmethod
+    def raise_runtime_error(*args):
+        raise RuntimeError("from inside a command")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, capsys, monkeypatch, gc_state,
+                               enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert self.outcomes(capsys, monkeypatch) == [
+            (0, enabled), (2, enabled), (1, enabled), ("raised", enabled)]
+
+    def test_gc_off_during_a_command(self, capsys, monkeypatch, gc_state):
+        gc.enable()
+        seen = []
+        profile = cli.rf_profile
+        monkeypatch.setattr(cli, "rf_profile", lambda spec: (
+            seen.append(gc.isenabled()), profile(spec))[1])
+        assert main(["rf"]) == 0
+        assert seen == [False] and gc.isenabled()
+        capsys.readouterr()
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build())
+        for _ in range(3):
+            assert main(["anchors", "--image", "64x64"]) == 0
+        assert built == [1]
+        capsys.readouterr()
+
+    def test_same_bytes_as_separate_processes(self, capsys, tmp_path):
+        corpus = write_json(tmp_path / "c.json", seeded_corpus())
+        config = write_json(tmp_path / "cfg.json",
+                            {"matcher": "atss", "shift_max": 8, "seed": 5})
+        dets = write_json(tmp_path / "dets.json", [
+            {"bbox": [0, 0, 10, 10], "score": 0.9, "category_id": 1},
+            {"bbox": [1, 0, 10, 9], "score": 0.8, "category_id": 1},
+            {"bbox": [30, 30, 40, 45], "score": 0.7, "category_id": 2}])
+        stats = ["match-stats", "--config", config, "--input", corpus]
+        argvs = [stats + ["--seed", "9"], stats,  # the config's seed, 5
+                 ["nms", "--input", dets], stats + ["--format", "csv"],
+                 stats, ["shift", "--input", corpus, "--seed", "3"],
+                 ["shift", "--input", corpus]]
+        in_process = []
+        for argv in argvs:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        separate = [
+            (proc.returncode, proc.stdout) for proc in (
+                subprocess.run([sys.executable, "-m", "yolof_assign.cli",
+                                *argv], capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=str(src)))
+                for argv in argvs)]
+        assert in_process == separate
+        assert in_process[0] != in_process[1]  # --seed is not kept
+        assert in_process[5] != in_process[6]
+        assert in_process[3][1].startswith("matcher,bucket,")

@@ -111,12 +111,45 @@ class TestHungarianWindow:
         # every anchor tied with its GT's cheapest cost
         g = gts_for(grid, kind, seed)
         dist = _center_distances(g.boxes, grid.anchors)
-        window = dist - grid.config.stride <= dist.min(axis=1)[:, None]
+        margin = matching._hungarian_margin(
+            grid, (g.boxes[:, :2] + g.boxes[:, 2:]) * 0.5)
+        window = dist - margin <= dist.min(axis=1)[:, None]
         full = hungarian_cost(grid, g)
         assert as_pairs(*matching._hungarian_window(grid, g)) \
             == full_pairs(window, full)
         cheapest = full <= full.min(axis=1)[:, None]
         assert not (cheapest & ~window).any()
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    @pytest.mark.parametrize("place", ["line", "corner"])
+    def test_keeps_positions_tied_on_cell_lines(self, grid, place, nudge):
+        # GT centers on the line between two columns, or on the corner of
+        # four positions, and an ulp either side: the window holds every
+        # anchor tied with the cheapest, and on a grid whose slots share
+        # centers it holds only the 2 or 4 tied positions
+        stride = grid.config.stride
+        rng = np.random.default_rng(11)
+        cx = rng.integers(1, IMAGE.width // stride, 24) * float(stride)
+        cy = rng.integers(1, IMAGE.height // stride, 24) * float(stride)
+        if place == "line":
+            cy += stride / 2
+        cx, cy = (np.nextafter(c, c + nudge) for c in (cx, cy))
+        half = rng.choice([3.0, 8.0, 16.0, 24.5, 40.0, 96.0], (24, 2))
+        centers = np.stack([cx, cy], axis=1)
+        g = gts(np.hstack([centers - half, centers + half]))
+        full = hungarian_cost(grid, g)
+        gt, anchor, cost = matching._hungarian_window(grid, g)
+        window = np.zeros(full.shape, bool)
+        window[gt, anchor] = True
+        assert as_pairs(gt, anchor, cost) == full_pairs(window, full)
+        cheapest = full <= full.min(axis=1)[:, None]
+        assert not (cheapest & ~window).any()
+        if grid.shared_centers and nudge == 0:
+            ties = 2 if place == "line" else 4
+            assert np.bincount(gt).tolist() \
+                == [ties * len(grid.slot_centers)] * len(g)
+        assert hungarian_match(grid, g).labels.tolist() \
+            == solved_labels(grid, g)
 
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_collision_solves_the_cut_of_the_full_cost(self, monkeypatch,
