@@ -1145,8 +1145,12 @@ class TestMainReuse:
         gc.enable()
         seen = []
         profile = cli.rf_profile
-        monkeypatch.setattr(cli, "rf_profile", lambda spec: (
-            seen.append(gc.isenabled()), profile(spec))[1])
+
+        def spy(spec):
+            seen.append(gc.isenabled())
+            return profile(spec)
+
+        monkeypatch.setattr(cli, "rf_profile", spy)
         assert main(["rf"]) == 0
         assert seen == [False] and gc.isenabled()
         capsys.readouterr()

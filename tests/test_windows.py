@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from yolof_assign import matching
-from yolof_assign.geometry import (AnchorConfig, ImageSize, distance_window,
-                                   generate_anchors, iou_window,
-                                   pairwise_iou)
+from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
+                                   distance_window, generate_anchors,
+                                   iou_window, pairwise_iou)
 from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig,
                                    UniformMatchConfig, _center_distances,
                                    hungarian_cost, hungarian_match,
@@ -119,6 +119,27 @@ class TestHungarianWindow:
             == full_pairs(window, full)
         cheapest = full <= full.min(axis=1)[:, None]
         assert not (cheapest & ~window).any()
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_offset_slots_keep_the_stride_margin(self, kind, seed):
+        # slots whose centers lie a few pixels apart: a GT's cheapest
+        # anchor may sit at another position than its nearest anchor
+        base = generate_anchors(AnchorConfig(), IMAGE)
+        offsets = np.array([[0, 0], [7, -5], [-11, 9], [13, 12], [-6, -14]])
+        anchors = (base.anchors.reshape(-1, 5, 4)
+                   + np.tile(offsets, 2)).reshape(-1, 4)
+        grid = AnchorGrid(base.config, base.grid_h, base.grid_w, anchors)
+        assert not grid.shared_centers
+        g = gts_for(grid, kind, seed)
+        full = hungarian_cost(grid, g)
+        gt, anchor, cost = matching._hungarian_window(grid, g)
+        window = np.zeros(full.shape, bool)
+        window[gt, anchor] = True
+        assert as_pairs(gt, anchor, cost) == full_pairs(window, full)
+        cheapest = full <= full.min(axis=1)[:, None]
+        assert not (cheapest & ~window).any()
+        assert hungarian_match(grid, g).labels.tolist() \
+            == solved_labels(grid, g)
 
     @pytest.mark.parametrize("nudge", [-1, 0, 1])
     @pytest.mark.parametrize("place", ["line", "corner"])
