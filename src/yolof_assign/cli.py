@@ -15,13 +15,13 @@ import sys
 import numpy as np
 
 from . import reports
-from .coco import (CorpusError, RunConfig, as_int64, bbox_values,
-                   box_column, int_column, load_corpus, number_column,
-                   read_json, record_fields, run_match_stats)
+from .coco import (CorpusError, RunConfig, as_int64, as_number,
+                   bbox_values, convert_rows, load_corpus, raise_first,
+                   read_json, run_match_stats, typed_columns)
 from .encoder import EncoderSpec, rf_profile, scale_coverage
 from .flops import DecoderSpec, EncoderTopology, encoder_decoder_flops
 from .geometry import ImageSize, generate_anchors
-from .postprocess import Detection, detection_columns, nms
+from .postprocess import nms
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -136,52 +136,68 @@ def _cmd_flops(args) -> None:
     _emit(reports.to_json(doc), args.output)
 
 
-def _number(value) -> float:
-    """``float(value)``; a bool is refused rather than read as 0 or 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value} is not a number")
-    return float(value)
+def _typed_detections(doc: list):
+    """The columns of ``doc`` (``(N, 4)`` boxes, box lengths, scores, class
+    ids) if every record is an object whose bbox is an array of 4 JSON
+    numbers, whose score is a JSON number and whose category_id a JSON
+    integer that int64 holds; otherwise None."""
+    columns = typed_columns(doc, bbox="box", score="number",
+                            category_id="int")
+    if columns is None:
+        return None
+    boxes, scores, cats = columns
+    return boxes, np.full(len(cats), 4), scores, cats
 
 
-def _plain_columns(doc: list):
-    """The (boxes, scores, class ids) of ``doc`` when every record is an
-    object whose bbox is an array of 4 finite JSON numbers, whose score is
-    a JSON number in [0, 1] and whose category_id a non-negative int64;
-    otherwise None."""
-    fields = record_fields(doc, "bbox", "score", "category_id")
-    if fields is None:
-        return None
-    boxes, scores, cats = (box_column(fields[0]),
-                           number_column(fields[1]), int_column(fields[2]))
-    if boxes is None or scores is None or cats is None:
-        return None
-    if not (np.isfinite(boxes).all() and (scores >= 0.0).all()
-            and (scores <= 1.0).all() and (cats >= 0).all()):
-        return None
+def _converted_detections(doc: list, path) -> tuple:
+    """The columns of :func:`_typed_detections`, converted by
+    :func:`convert_rows` up to the first record that does not convert; and
+    that record's error, or None.  A box of another length than 4 is
+    padded with zeros or cut to 4 values; its length refuses it."""
+    rows, failure = convert_rows(doc, lambda row: (
+        tuple(map(as_number, bbox_values(row["bbox"]))),
+        as_number(row["score"]), as_int64(row["category_id"])),
+        lambda i, row: f"{path}: bad detection #{i}")
+    boxes, scores, cats = zip(*rows) if rows else ((), (), ())
+    return (np.array([(box + (0.0,) * 4)[:4] for box in boxes],
+                     dtype=np.float64).reshape(-1, 4),
+            np.array(list(map(len, boxes)), dtype=np.int64),
+            np.array(scores, dtype=np.float64),
+            np.array(cats, dtype=np.int64)), failure
+
+
+def _checked_detections(path, boxes, lengths, scores, cats,
+                        failure) -> tuple:
+    """The (boxes, scores, class ids) of a detection file's columns, every
+    rule checked here and only here, in this order: a box of 4 finite
+    values, a score in [0, 1] and a class id of at least 0 (see
+    :func:`raise_first`; ``failure`` is the error of the record after the
+    columns)."""
+    def messages(i):
+        return (f"{path}: bad detection #{i}: {fault}" for fault in (
+            f"box must have 4 values, got {lengths[i]}",
+            f"box must be finite, got {tuple(boxes[i].tolist())}",
+            f"score must be finite in [0, 1], got {float(scores[i])}",
+            "class_id must be non-negative"))
+    x1, y1, x2, y2 = boxes.T
+    raise_first([lengths != 4, ~(np.isfinite(x1) & np.isfinite(y1)
+                                 & np.isfinite(x2) & np.isfinite(y2)),
+                 ~((scores >= 0.0) & (scores <= 1.0)), cats < 0],
+                messages, failure)
     return boxes, scores, cats
 
 
 def _load_detections(path) -> tuple:
-    """A detection file's (boxes, scores, class ids) columns.
-
-    Plain files are read as columns.  Any other file (numbers written as
-    strings, or a bad record) is read one :class:`Detection` at a time, so
-    the first bad record in document order names the fault.
-    """
+    """A detection file's (boxes, scores, class ids) columns.  A file of
+    plain JSON values is taken as columns (:func:`_typed_detections`),
+    any other is converted record by record
+    (:func:`_converted_detections`); then :func:`_checked_detections`
+    checks every rule, so the first bad record names the fault."""
     doc = read_json(path, list)
-    plain = _plain_columns(doc)
-    if plain is not None:
-        return plain
-    dets = []
-    for i, row in enumerate(doc):
-        try:
-            box = tuple(map(_number, bbox_values(row["bbox"])))
-            dets.append(Detection(box=box,
-                                  score=_number(row["score"]),
-                                  class_id=as_int64(row["category_id"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CorpusError(f"{path}: bad detection #{i}: {exc}") from exc
-    return detection_columns(dets)
+    columns, failure = _typed_detections(doc), None
+    if columns is None:
+        columns, failure = _converted_detections(doc, path)
+    return _checked_detections(path, *columns, failure)
 
 
 def _cmd_nms(args) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -114,169 +113,178 @@ def as_int64(value) -> int:
     return n
 
 
+def as_number(value) -> float:
+    """``float(value)``; a bool is refused rather than read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value} is not a number")
+    return float(value)
+
+
 def parse_corpus(doc: dict) -> AnnotationCorpus:
     """The corpus of a COCO document.  A document of plain JSON values is
-    read as columns (:func:`_plain_corpus`); any other, or one that breaks
-    a rule, is read record by record, so the first bad record in document
-    order names the fault."""
+    taken as columns (:func:`_typed_corpus`), any other is converted
+    record by record (:func:`_converted_corpus`); then
+    :func:`_checked_corpus` checks every rule, so the first bad record in
+    document order names the fault."""
     for key in ("images", "annotations", "categories"):
         if key not in doc or not isinstance(doc[key], list):
             raise CorpusError(f"document lacks the {key!r} array")
-    corpus = _plain_corpus(doc)
-    return _row_corpus(doc) if corpus is None else corpus
+    columns, failure = _typed_corpus(doc), None
+    if columns is None:
+        columns, failure = _converted_corpus(doc)
+    return _checked_corpus(doc, *columns, failure)
 
 
-def record_fields(records: list, *keys):
-    """The values of each key over ``records``, one list per key; None if
-    a record is not an object or lacks a key."""
+def typed_columns(records: list, **kinds):
+    """Each key's values over ``records`` as a column of its kind: "int",
+    JSON integers as int64; "number", JSON numbers as float64; or "box",
+    arrays of 4 JSON numbers as ``(N, 4)`` float64.  None if a record is
+    not an object or lacks a key, or a value is not exactly of its kind (a
+    bool is not a number) or does not fit its column."""
+    columns = []
     try:
-        return [[record[key] for record in records] for key in keys]
-    except (KeyError, TypeError):
+        for key, kind in kinds.items():
+            values = [record[key] for record in records]
+            if kind == "box":
+                if not (set(map(type, values)) <= {list}
+                        and set(map(len, values)) <= {4}):
+                    return None
+                values = [v for box in values for v in box]
+            types, dtype = ({int}, np.int64) if kind == "int" \
+                else ({int, float}, np.float64)
+            if not set(map(type, values)) <= types:
+                return None
+            column = np.array(values, dtype=dtype)
+            columns.append(column.reshape(-1, 4) if kind == "box" else column)
+    except (KeyError, TypeError, OverflowError):
         return None
+    return columns
 
 
-def int_column(values: list):
-    """``values`` as int64 if each is a JSON integer (a bool is not one)
-    that int64 holds; otherwise None."""
-    if not set(map(type, values)) <= {int}:
-        return None
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return None
+def convert_rows(records: list, convert, name) -> tuple:
+    """``convert(record)`` of each record up to the first one it does not
+    convert, and a CorpusError for that one led by ``name(i, record)``
+    (None if every record converts).  A row converter checks no rule."""
+    rows = []
+    for i, record in enumerate(records):
+        try:
+            rows.append(convert(record))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return rows, CorpusError(f"{name(i, record)}: {exc}")
+    return rows, None
 
 
-def number_column(values: list):
-    """``values`` as float64 if each is a JSON number (a bool is not one)
-    that float64 holds; otherwise None."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        return None
+def raise_first(masks: list, messages, failure=None) -> None:
+    """Raise a CorpusError for the earliest row that breaks a rule, with
+    ``messages(i)[k]`` for the first rule ``k`` row ``i`` breaks; ``masks``
+    hold one row mask per rule, in check order.  With no such row, raise
+    ``failure``, the error of the record after the rows, if there is one."""
+    if any(mask.any() for mask in masks):
+        i = int(np.logical_or.reduce(masks).argmax())
+        raise CorpusError(next(message for message, mask
+                               in zip(messages(i), masks) if mask[i]))
+    if failure is not None:
+        raise failure
 
 
-def box_column(values: list):
-    """``values`` as ``(N, 4)`` float64 if each is a JSON array of 4
-    numbers that :func:`number_column` takes; otherwise None."""
-    if not (set(map(type, values)) <= {list}
-            and set(map(len, values)) <= {4}):
-        return None
-    flat = number_column([v for box in values for v in box])
-    return None if flat is None else flat.reshape(-1, 4)
+def _typed_corpus(doc: dict):
+    """The columns of ``doc`` (image ids, widths, heights, annotation ids,
+    image ids, category ids, ``(x, y, w, h)`` boxes) if every id, size and
+    category is a JSON integer and every bbox an array of 4 JSON numbers;
+    otherwise None."""
+    images = typed_columns(doc["images"], id="int", width="int",
+                           height="int")
+    anns = typed_columns(doc["annotations"], id="int", image_id="int",
+                         category_id="int", bbox="box")
+    return None if images is None or anns is None else images + anns
 
 
-def _plain_corpus(doc: dict):
-    """The corpus of ``doc`` read as columns, or None.
+def _annotation_row(ann) -> tuple:
+    """An annotation's fields, converted id, image_id, bbox, category_id:
+    of two bad fields, the first in that order names the fault."""
+    ann_id, image_id = as_int64(ann["id"]), as_int64(ann["image_id"])
+    x, y, w, h = (as_number(v) for v in bbox_values(ann["bbox"]))
+    return ann_id, image_id, as_int64(ann["category_id"]), x, y, w, h
 
-    Every id, size and category must be a JSON integer and every bbox an
-    array of 4 JSON numbers; the rules of :func:`_row_corpus` are then
-    checked as arrays.  None stands for anything else, whether the row
-    loop reads it (a string or integral float id, a bool in a bbox) or
-    refuses it.
-    """
-    images = record_fields(doc["images"], "id", "width", "height")
-    anns = record_fields(doc["annotations"], "id", "image_id",
-                         "category_id", "bbox")
-    if images is None or anns is None:
-        return None
-    columns = [*map(int_column, images + anns[:3]), box_column(anns[3])]
-    if any(column is None for column in columns):
-        return None
-    image_ids, widths, heights, ids, ann_images, cats, boxes = columns
-    order = np.argsort(image_ids)
-    known, sizes = image_ids[order], np.column_stack([widths, heights])[order]
-    at = np.searchsorted(known, ann_images)  # each annotation's image
-    if (known[1:] == known[:-1]).any() or (sizes < 1).any() \
-            or (at == len(known)).any() or (known[at] != ann_images).any() \
-            or (cats < 0).any():
-        return None
+
+def _converted_corpus(doc: dict) -> tuple:
+    """The columns of :func:`_typed_corpus`, converted by
+    :func:`convert_rows` up to the first record that does not convert,
+    images before annotations; and that record's error, or None."""
+    images, failure = convert_rows(doc["images"], lambda img: tuple(
+        as_int64(img[key]) for key in ("id", "width", "height")),
+        lambda i, img: f"bad image record {img!r}")
+    anns = []
+    if failure is None:
+        anns, failure = convert_rows(doc["annotations"], _annotation_row,
+                                     lambda i, ann: f"bad annotation "
+                                                    f"record {ann!r}")
+    ints = np.array([row[:3] for row in anns], dtype=np.int64)
+    return [*np.array(images, dtype=np.int64).reshape(-1, 3).T,
+            *ints.reshape(-1, 3).T,
+            np.array([row[3:] for row in anns],
+                     dtype=np.float64).reshape(-1, 4)], failure
+
+
+def _checked_corpus(doc: dict, image_ids, widths, heights, ids, ann_images,
+                    cats, boxes, failure) -> AnnotationCorpus:
+    """The corpus of the columns of ``doc``'s first records, every rule
+    checked here and only here, images before annotations (see
+    :func:`raise_first`; ``failure`` is the error of the record after the
+    columns).  A box without extent is dropped after the non-finite check
+    and before the outside check."""
+    order = np.argsort(image_ids, kind="stable")  # a repeat after the first
+    known = image_ids[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:][known[1:] == known[:-1]]] = True
+    raise_first([(widths < 1) | (heights < 1), repeat], lambda i: (
+        f"bad image record {doc['images'][i]!r}: image dimensions must be "
+        f"positive, got {widths[i]}x{heights[i]}",
+        f"duplicate image id {image_ids[i]} in image record "
+        f"{doc['images'][i]!r}"))
+
+    # each annotation's image id, width and height; 0 past the last image
+    at = np.searchsorted(known, ann_images)
+    found, width, height = (np.append(column[order], 0)[at]
+                            for column in (image_ids, widths, heights))
     with np.errstate(over="ignore", invalid="ignore"):
         boxes[:, 2:] += boxes[:, :2]  # (x, y, x + w, y + h)
-        if not np.isfinite(boxes).all():
-            return None
-        # a size past 2**53 rounds to float64 here, which can only refuse
-        # more boxes as outside than the row loop's exact comparison
         x1, y1, x2, y2 = boxes.T
         w, h = x2 - x1, y2 - y1  # the extent the stored corners keep
         area = w * h
         cx, cy = (x1 + x2) * 0.5, (y1 + y2) * 0.5
         kept = (w > 0) & (h > 0) & (area != 0)
-        bad = (x2 <= 0) | (y2 <= 0) | (x1 >= sizes[at, 0]) \
-            | (y1 >= sizes[at, 1]) | ~np.isfinite(area) \
-            | ~np.isfinite(cx * cx + cy * cy)
-    if (kept & bad).any():
-        return None
-    pairs = list(zip(*sizes.T.tolist()))  # (width, height) in id order
+        outside = kept & ((x2 <= 0) | (y2 <= 0) | (x1 >= width)
+                          | (y1 >= height))
+        overflow = kept & ~(np.isfinite(area) & np.isfinite(cx * cx + cy * cy))
+    for i in np.flatnonzero(outside).tolist():
+        # exactly: a size past 2**53 rounds in the float64 comparison
+        outside[i] = x2[i] <= 0 or y2[i] <= 0 \
+            or float(x1[i]) >= int(width[i]) or float(y1[i]) >= int(height[i])
+
+    def messages(i):
+        ann_id, image_id = ids[i], ann_images[i]
+        bbox = doc["annotations"][i]["bbox"]
+        return (f"annotation {ann_id} references missing image_id "
+                f"{image_id}",
+                f"annotation {ann_id} in image {image_id} has a negative "
+                f"category_id {cats[i]}",
+                f"annotation {ann_id} has a non-finite bbox {bbox!r}",
+                f"annotation {ann_id} has a bbox {bbox!r} entirely outside "
+                f"image {image_id} of {width[i]}x{height[i]}",
+                f"annotation {ann_id} in image {image_id} has a bbox "
+                f"{bbox!r} whose area or center overflows float64")
+    raise_first([(at == len(known)) | (found != ann_images), cats < 0,
+                 ~(np.isfinite(x1) & np.isfinite(y1) & np.isfinite(x2)
+                   & np.isfinite(y2)), outside, overflow],
+                messages, failure)
+
+    pairs = list(zip(widths[order].tolist(), heights[order].tolist()))
     size_of = {pair: ImageSize(*pair) for pair in set(pairs)}
     return _sorted_corpus(
         [(i, size_of[pair]) for i, pair in zip(known.tolist(), pairs)],
         ids[kept], ann_images[kept], boxes[kept], cats[kept],
         doc["categories"], len(kept) - int(kept.sum()))
-
-
-def _row_corpus(doc: dict) -> AnnotationCorpus:
-    """The corpus of ``doc`` read one record at a time; the first bad
-    record in document order raises a CorpusError that names it."""
-    sizes = {}
-    for img in doc["images"]:
-        try:
-            image_id = as_int64(img["id"])
-            size = ImageSize(as_int64(img["width"]), as_int64(img["height"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CorpusError(f"bad image record {img!r}: {exc}") from exc
-        if image_id in sizes:
-            raise CorpusError(f"duplicate image id {image_id} in image "
-                              f"record {img!r}")
-        sizes[image_id] = size
-    images = sorted(sizes.items(), key=lambda t: t[0])
-
-    ids, image_ids, boxes, cats = [], [], [], []
-    dropped = 0
-    for ann in doc["annotations"]:
-        try:
-            ann_id = as_int64(ann["id"])
-            image_id = as_int64(ann["image_id"])
-            x, y, w, h = (float(v) for v in bbox_values(ann["bbox"]))
-            cat = as_int64(ann["category_id"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CorpusError(f"bad annotation record {ann!r}: {exc}") from exc
-        size = sizes.get(image_id)
-        if size is None:
-            raise CorpusError(f"annotation {ann_id} references missing "
-                              f"image_id {image_id}")
-        if cat < 0:
-            raise CorpusError(f"annotation {ann_id} in image {image_id} has "
-                              f"a negative category_id {cat}")
-        box = (x, y, x + w, y + h)
-        if not all(map(math.isfinite, box)):
-            raise CorpusError(f"annotation {ann_id} has a non-finite bbox "
-                              f"{ann['bbox']!r}")
-        # the extent the stored corners keep: x + w can round back to x
-        w, h = box[2] - x, box[3] - y
-        if w <= 0 or h <= 0 or w * h == 0:
-            dropped += 1
-            continue
-        if box[2] <= 0 or box[3] <= 0 or x >= size.width or y >= size.height:
-            raise CorpusError(f"annotation {ann_id} has a bbox "
-                              f"{ann['bbox']!r} entirely outside image "
-                              f"{image_id} of {size.width}x{size.height}")
-        cx, cy = (x + box[2]) * 0.5, (y + box[3]) * 0.5
-        if not math.isfinite(w * h) or not math.isfinite(cx * cx + cy * cy):
-            raise CorpusError(f"annotation {ann_id} in image {image_id} has "
-                              f"a bbox {ann['bbox']!r} whose area or center "
-                              f"overflows float64")
-        ids.append(ann_id)
-        image_ids.append(image_id)
-        boxes.append(box)
-        cats.append(cat)
-
-    return _sorted_corpus(
-        images, np.array(ids, dtype=np.int64),
-        np.array(image_ids, dtype=np.int64),
-        np.array(boxes, dtype=np.float64).reshape(-1, 4),
-        np.array(cats, dtype=np.int64), doc["categories"], dropped)
 
 
 def _sorted_corpus(images: list, ids, image_ids, boxes, cats, categories,

@@ -2,40 +2,9 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import as_boxes, pairwise_iou
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One scored prediction box."""
-
-    box: tuple  # (x1, y1, x2, y2)
-    score: float
-    class_id: int
-
-    def __post_init__(self):
-        if len(self.box) != 4:
-            raise ValueError(f"box must have 4 values, got {len(self.box)}")
-        if not all(map(math.isfinite, self.box)):
-            raise ValueError(f"box must be finite, got {self.box}")
-        if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be finite in [0, 1], got {self.score}")
-        if self.class_id < 0:
-            raise ValueError("class_id must be non-negative")
-
-
-def detection_columns(dets) -> tuple:
-    """A sequence of :class:`Detection` as the ``(boxes, scores,
-    class_ids)`` columns :func:`nms` takes."""
-    return (as_boxes([d.box for d in dets]),
-            np.array([d.score for d in dets], dtype=np.float64),
-            np.array([d.class_id for d in dets], dtype=np.int64))
-
 
 # rows of a class compared per pairwise_iou call: memory stays
 # _BLOCK x (class size) floats, and few calls cover a long class
@@ -45,10 +14,9 @@ _BLOCK = 32
 def nms(boxes, scores, class_ids, iou_threshold: float = 0.6) -> list:
     """Class-wise greedy NMS; returns kept input indices in kept order.
 
-    ``boxes`` is ``(N, 4)``, ``scores`` and ``class_ids`` have N entries
-    (see :func:`detection_columns`).  A detection survives iff its IoU
-    with every already-kept same-class detection is at most
-    ``iou_threshold``.
+    ``boxes`` is ``(N, 4)``, ``scores`` and ``class_ids`` have N entries.
+    A detection survives iff its IoU with every already-kept same-class
+    detection is at most ``iou_threshold``.
 
     Each class is walked in descending score, ties by input index, in
     blocks of ``_BLOCK`` rows.  One ``pairwise_iou`` call scores a block's

@@ -4,6 +4,7 @@ Everything here is deliberately naive (pure-python loops, rasterization,
 enumeration) and shares no code with the implementations under test.
 """
 
+import bisect
 import itertools
 import math
 
@@ -263,3 +264,131 @@ def split_positives_np(labels, num_gts):
     pos = pos[np.argsort(labels[pos], kind="stable")]
     ends = np.searchsorted(labels[pos], np.arange(1, num_gts + 1))
     return np.split(pos, ends)[:num_gts]
+
+
+class InputError(Exception):
+    """A malformed document, as the record-by-record readers name it."""
+
+
+def _int64_py(value):
+    n = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ValueError(f"{value!r} is not an integer")
+    if not -2 ** 63 <= n < 2 ** 63:
+        raise ValueError(f"{n} does not fit the int64 columns")
+    return n
+
+
+def _number_py(value):
+    if isinstance(value, bool):
+        raise TypeError(f"{value} is not a number")
+    return float(value)
+
+
+def _bbox_py(value):
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"bbox must be an array, got {value!r}")
+    return value
+
+
+def corpus_py(doc):
+    """A COCO document read one record at a time, every rule checked as
+    the record is read; the first bad record raises an InputError naming
+    it.  Returns the corpus as a dict: ``images`` as (id, (width,
+    height)) sorted by id, the kept annotations' ``ids``, corner
+    ``boxes`` and ``category_ids`` sorted by (image id, id), each image's
+    first row in ``offsets``, ``categories`` and the ``dropped`` count."""
+    sizes = {}
+    for img in doc["images"]:
+        try:
+            image_id = _int64_py(img["id"])
+            size = (_int64_py(img["width"]), _int64_py(img["height"]))
+            if size[0] < 1 or size[1] < 1:
+                raise ValueError(f"image dimensions must be positive, got "
+                                 f"{size[0]}x{size[1]}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad image record {img!r}: {exc}") from exc
+        if image_id in sizes:
+            raise InputError(f"duplicate image id {image_id} in image "
+                             f"record {img!r}")
+        sizes[image_id] = size
+
+    rows, dropped = [], 0
+    for ann in doc["annotations"]:
+        try:
+            ann_id = _int64_py(ann["id"])
+            image_id = _int64_py(ann["image_id"])
+            x, y, w, h = (_number_py(v) for v in _bbox_py(ann["bbox"]))
+            cat = _int64_py(ann["category_id"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad annotation record {ann!r}: {exc}") from exc
+        size = sizes.get(image_id)
+        if size is None:
+            raise InputError(f"annotation {ann_id} references missing "
+                             f"image_id {image_id}")
+        if cat < 0:
+            raise InputError(f"annotation {ann_id} in image {image_id} has "
+                             f"a negative category_id {cat}")
+        box = (x, y, x + w, y + h)
+        if not all(map(math.isfinite, box)):
+            raise InputError(f"annotation {ann_id} has a non-finite bbox "
+                             f"{ann['bbox']!r}")
+        w, h = box[2] - x, box[3] - y  # the extent the corners keep
+        if w <= 0 or h <= 0 or w * h == 0:
+            dropped += 1
+            continue
+        if box[2] <= 0 or box[3] <= 0 or x >= size[0] or y >= size[1]:
+            raise InputError(f"annotation {ann_id} has a bbox "
+                             f"{ann['bbox']!r} entirely outside image "
+                             f"{image_id} of {size[0]}x{size[1]}")
+        cx, cy = (x + box[2]) * 0.5, (y + box[3]) * 0.5
+        if not math.isfinite(w * h) or not math.isfinite(cx * cx + cy * cy):
+            raise InputError(f"annotation {ann_id} in image {image_id} has "
+                             f"a bbox {ann['bbox']!r} whose area or center "
+                             f"overflows float64")
+        rows.append((image_id, ann_id, len(rows), box, cat))
+
+    images = sorted(sizes.items())
+    rows.sort(key=lambda row: row[:3])  # equal ids keep document order
+    row_images = [row[0] for row in rows]
+    offsets = [bisect.bisect_left(row_images, image_id)
+               for image_id, _ in images] + [len(rows)]
+    return {
+        "images": images,
+        "ids": np.array([row[1] for row in rows], dtype=np.int64),
+        "boxes": np.array([row[3] for row in rows],
+                          dtype=np.float64).reshape(-1, 4),
+        "category_ids": np.array([row[4] for row in rows], dtype=np.int64),
+        "offsets": np.array(offsets, dtype=np.int64),
+        "categories": list(doc["categories"]),
+        "dropped": dropped,
+    }
+
+
+def detections_py(doc, path):
+    """A detection list read one record at a time, each record's rules
+    checked as it is read; the first bad record raises an InputError
+    naming it and ``path``.  Returns (boxes, scores, class ids)."""
+    boxes, scores, class_ids = [], [], []
+    for i, row in enumerate(doc):
+        try:
+            box = tuple(map(_number_py, _bbox_py(row["bbox"])))
+            score = _number_py(row["score"])
+            class_id = _int64_py(row["category_id"])
+            if len(box) != 4:
+                raise ValueError(f"box must have 4 values, got {len(box)}")
+            if not all(map(math.isfinite, box)):
+                raise ValueError(f"box must be finite, got {box}")
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score must be finite in [0, 1], got "
+                                 f"{score}")
+            if class_id < 0:
+                raise ValueError("class_id must be non-negative")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"{path}: bad detection #{i}: {exc}") from exc
+        boxes.append(box)
+        scores.append(score)
+        class_ids.append(class_id)
+    return (np.array(boxes, dtype=np.float64).reshape(-1, 4),
+            np.array(scores, dtype=np.float64),
+            np.array(class_ids, dtype=np.int64))

@@ -23,7 +23,7 @@ from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig, TopKConfig,
                                    max_iou_match, nearest_candidates,
                                    solve_assignment, topk_match,
                                    uniform_match)
-from yolof_assign.postprocess import Detection, detection_columns, nms
+from yolof_assign.postprocess import nms
 
 from oracles import assignment_cost_enum, nms_py
 
@@ -201,19 +201,19 @@ def test_criterion_6_nms_oracle():
     rng = np.random.default_rng(99)
     for _ in range(500):
         n = int(rng.integers(1, 51))
-        dets = []
+        boxes, scores, classes = [], [], []
         for _ in range(n):
             x, y = rng.uniform(0, 60, 2)
             w, h = rng.uniform(1, 50, 2)
-            dets.append(Detection(box=(x, y, x + w, y + h),
-                                  score=round(float(rng.uniform()), 3),
-                                  class_id=int(rng.integers(0, 4))))
+            boxes.append((x, y, x + w, y + h))
+            scores.append(round(float(rng.uniform()), 3))
+            classes.append(int(rng.integers(0, 4)))
         thr = float(rng.uniform(0.05, 0.95))
-        kept = nms(*detection_columns(dets), thr)
-        expected = nms_py([d.box for d in dets], [d.score for d in dets],
-                          [d.class_id for d in dets], thr)
+        cols = np.array(boxes), np.array(scores), np.array(classes)
+        kept = nms(*cols, thr)
+        expected = nms_py(boxes, scores, classes, thr)
         assert kept == expected  # exact index-set equality
-        again = nms(*detection_columns([dets[i] for i in kept]), thr)
+        again = nms(*(col[kept] for col in cols), thr)
         assert again == list(range(len(kept)))  # idempotence
     ok("6 NMS: greedy equals simulation oracle on 500 instances, idempotent")
 

@@ -1,8 +1,9 @@
-"""The columnar corpus reader against the record-by-record one.
+"""The corpus reader against the record-by-record reference.
 
-``coco._plain_corpus`` must return None or exactly the columns of
-``coco._row_corpus``, and None wherever the row loop refuses the document,
-so that ``parse_corpus`` keeps the row loop's message.
+``parse_corpus`` must give exactly the columns of ``oracles.corpus_py``,
+or the byte-identical message where the reference refuses the document.
+Of the documents it reads, ``coco._typed_corpus``, the exact-type gate,
+must take every plain one and leave the others to the row converter.
 """
 
 import copy
@@ -14,6 +15,7 @@ import pytest
 from yolof_assign import coco
 from yolof_assign.coco import CorpusError, parse_corpus
 
+from oracles import InputError, corpus_py
 from conftest import DATA_DIR, seeded_corpus
 from test_io_cli import BASE_DOC, NOT_ARRAYS, SHUFFLED_DOC, TestCLI, \
     edge_corpus
@@ -42,9 +44,29 @@ def huge_box_doc(bbox) -> dict:
             "categories": [{"id": 2}]}
 
 
+def huge_image_doc(side: int, x: int, axis: int) -> dict:
+    """One square image of ``side`` px and a 4096 px box at ``x`` on
+    ``axis`` (0 for x, 1 for y)."""
+    bbox = [0, 0, 1, 1]
+    bbox[axis], bbox[axis + 2] = x, 4096
+    return {"images": [{"id": 1, "width": side, "height": side}],
+            "annotations": [{"id": 1, "image_id": 1, "bbox": bbox,
+                             "category_id": 2}],
+            "categories": [{"id": 2}]}
+
+
+# image sides that float64 rounds down (2**53 + 1 to 2**53) and up
+# (2**63 - 1 to 2**63), with the float64 positions just below and at or
+# past the side: a box there must be read, or refused as outside
+HUGE_SIDES = [(2 ** 53 + 1, 2 ** 53, 2 ** 53 + 2),
+              (2 ** 63 - 1, 2 ** 63 - 1024, 2 ** 63)]
+
 # documents whose every value is plain JSON and that pass every rule: the
-# columnar reader must read each of them
+# gate must take each of them and the reader read it
 PLAIN = {
+    **{f"side-{side}-box-at-{inside}-axis-{axis}":
+       huge_image_doc(side, inside, axis)
+       for side, inside, _ in HUGE_SIDES for axis in (0, 1)},
     "base": BASE_DOC,
     "shuffled": SHUFFLED_DOC,
     "odd-image": TestCLI.ODD_IMAGE_DOC,
@@ -71,8 +93,8 @@ PLAIN = {
                       "bbox": [1, 1, 2, 2], "category_id": 2 ** 63 - 1}]),
 }
 
-# documents the row loop reads, but from values that are not plain JSON
-# integers or numbers, or that it refuses
+# documents the row converter reads, from values that are not plain JSON
+# integers or numbers, and documents that the reader refuses
 OTHER = {
     "strings-and-integral-floats": dict(
         BASE_DOC, images=[{"id": 1.0, "width": "64", "height": 64.0}],
@@ -118,6 +140,9 @@ OTHER = {
     **{f"outside-{i}": with_annotation(bbox=bbox) for i, bbox in
        enumerate(([-20, 10, 10, 10], [70, 10, 5, 5], [10, -30, 5, 10],
                   [10, 64.5, 5, 5], [-10, 10, 10, 10], [10, 64, 5, 5]))},
+    **{f"side-{side}-box-at-{outside}-axis-{axis}":
+       huge_image_doc(side, outside, axis)
+       for side, _, outside in HUGE_SIDES for axis in (0, 1)},
     "overflow-area": huge_box_doc([-1.7e308, -1.7e308, 1.75e308, 1.75e308]),
     "overflow-center": huge_box_doc([-1.5e308, 0, 1.5000000000000002e+308,
                                      1e-300]),
@@ -125,30 +150,30 @@ OTHER = {
 
 
 def same_columns(a, b):
-    assert a.images == b.images
+    """``a``, a corpus, holds exactly the columns of ``b``, one that
+    :func:`oracles.corpus_py` gives."""
+    assert [(i, (s.width, s.height)) for i, s in a.images] == b["images"]
     for name in ("ids", "boxes", "category_ids", "offsets"):
-        x, y = getattr(a, name), getattr(b, name)
+        x, y = getattr(a, name), b[name]
         assert (x.dtype, x.shape) == (y.dtype, y.shape)
         assert x.tolist() == y.tolist()
     assert (a.categories, a.dropped, type(a.dropped)) \
-        == (b.categories, b.dropped, int)
+        == (b["categories"], b["dropped"], int)
 
 
 def check(doc: dict):
-    """Compare both readers on ``doc``; the columnar result, or None."""
-    plain = coco._plain_corpus(doc)
+    """Compare ``parse_corpus`` with the reference on ``doc``; the gate's
+    columns if the document is read, None if it is refused or read by the
+    row converter."""
     try:
-        rows = coco._row_corpus(doc)
-    except CorpusError as exc:
-        assert plain is None
+        expected = corpus_py(doc)
+    except InputError as exc:
         with pytest.raises(CorpusError) as got:
             parse_corpus(doc)
         assert str(got.value) == str(exc)
         return None
-    if plain is not None:
-        same_columns(plain, rows)
-    same_columns(parse_corpus(doc), rows)
-    return plain
+    same_columns(parse_corpus(doc), expected)
+    return coco._typed_corpus(doc)
 
 
 @pytest.mark.parametrize("name", sorted(PLAIN))
@@ -159,6 +184,15 @@ def test_plain_document_read_as_columns(name):
 @pytest.mark.parametrize("name", sorted(OTHER))
 def test_other_document_left_to_the_row_loop(name):
     assert check(OTHER[name]) is None
+
+
+@pytest.mark.parametrize("side,outside", [(side, outside) for side, _,
+                                           outside in HUGE_SIDES])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_box_past_a_huge_side_is_outside(side, outside, axis):
+    with pytest.raises(CorpusError, match="entirely outside image 1 of "
+                                          f"{side}x{side}"):
+        parse_corpus(huge_image_doc(side, outside, axis))
 
 
 # replacement values of one field, JSON integers and others

@@ -895,6 +895,22 @@ class TestCLI:
                            f"{doc['annotations'][0]!r}: bbox must be an "
                            f"array, got {bbox!r}\n")
 
+    @pytest.mark.parametrize("bbox,bad", [([True, 0, 10, 10], True),
+                                          ([0, 0, 10, False], False)],
+                             ids=["true", "false"])
+    def test_bool_in_bbox_exit_2(self, capsys, tmp_path, bbox, bad):
+        # float() would read a bool as 1.0 or 0.0: the first box would be
+        # counted, the second dropped for its zero height
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["annotations"][0]["bbox"] = bbox
+        path = write_json(tmp_path / "c.json", doc)
+        for command in ("match-stats", "shift"):
+            code, out, err = self.run(capsys, command, "--input", path)
+            assert (code, out) == (2, "")
+            assert err == (f"error: bad annotation record "
+                           f"{doc['annotations'][0]!r}: {bad} is not a "
+                           f"number\n")
+
     @pytest.mark.parametrize("bbox", NOT_ARRAYS, ids=["string", "object"])
     def test_detection_bbox_not_an_array_exit_2(self, capsys, tmp_path,
                                                 bbox):

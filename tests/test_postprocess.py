@@ -1,14 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
 from yolof_assign import postprocess
-from yolof_assign.postprocess import Detection, detection_columns, nms
+from yolof_assign.cli import _load_detections
+from yolof_assign.coco import CorpusError
+from yolof_assign.postprocess import nms
 
 from oracles import nms_py
 
 
 def det(box, score, class_id=0):
-    return Detection(box=tuple(box), score=score, class_id=class_id)
+    return tuple(box), score, class_id
+
+
+def columns(dets):
+    """The (boxes, scores, class ids) columns :func:`nms` takes, of a list
+    of :func:`det` rows."""
+    boxes, scores, classes = zip(*dets) if dets else ((), (), ())
+    return (np.array(boxes, dtype=np.float64).reshape(-1, 4),
+            np.array(scores, dtype=np.float64),
+            np.array(classes, dtype=np.int64))
 
 
 def random_detections(rng, n):
@@ -24,47 +37,46 @@ def random_detections(rng, n):
 
 class TestNMS:
     def test_single_detection(self):
-        assert nms(*detection_columns([det((0, 0, 10, 10), 0.5)])) == [0]
+        assert nms(*columns([det((0, 0, 10, 10), 0.5)])) == [0]
 
     def test_empty(self):
-        assert nms(*detection_columns([])) == []
+        assert nms(*columns([])) == []
 
     def test_overlapping_same_class(self):
         dets = [det((0, 0, 10, 10), 0.9), det((0, 0, 10, 9), 0.8)]
-        assert nms(*detection_columns(dets), iou_threshold=0.6) == [0]
+        assert nms(*columns(dets), iou_threshold=0.6) == [0]
 
     def test_overlapping_different_class(self):
         dets = [det((0, 0, 10, 10), 0.9, 0), det((0, 0, 10, 9), 0.8, 1)]
-        assert nms(*detection_columns(dets), iou_threshold=0.6) == [0, 1]
+        assert nms(*columns(dets), iou_threshold=0.6) == [0, 1]
 
     def test_score_tie_breaks_by_index(self):
         dets = [det((0, 0, 10, 10), 0.5), det((0, 0, 10, 10), 0.5)]
-        assert nms(*detection_columns(dets), iou_threshold=0.6) == [0]
-        assert nms(*detection_columns(dets[::-1]), iou_threshold=0.6) == [0]
+        assert nms(*columns(dets), iou_threshold=0.6) == [0]
+        assert nms(*columns(dets[::-1]), iou_threshold=0.6) == [0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_simulation_oracle(self, seed):
         rng = np.random.default_rng(seed)
         dets = random_detections(rng, int(rng.integers(1, 50)))
         thr = float(rng.uniform(0.1, 0.9))
-        expected = nms_py([d.box for d in dets], [d.score for d in dets],
-                          [d.class_id for d in dets], thr)
-        assert nms(*detection_columns(dets), thr) == expected
+        expected = nms_py(*map(list, zip(*dets)), thr)
+        assert nms(*columns(dets), thr) == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_threshold_monotone(self, seed):
         rng = np.random.default_rng(seed)
         dets = random_detections(rng, 30)
-        lo = set(nms(*detection_columns(dets), 0.3))
-        hi = set(nms(*detection_columns(dets), 0.7))
+        lo = set(nms(*columns(dets), 0.3))
+        hi = set(nms(*columns(dets), 0.7))
         assert lo <= hi
 
     @pytest.mark.parametrize("seed", range(5))
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         dets = random_detections(rng, 40)
-        kept = nms(*detection_columns(dets), 0.5)
-        again = nms(*detection_columns([dets[i] for i in kept]), 0.5)
+        kept = nms(*columns(dets), 0.5)
+        again = nms(*columns([dets[i] for i in kept]), 0.5)
         assert again == list(range(len(kept)))
 
     def test_matches_oracle_on_large_clustered_input(self):
@@ -82,15 +94,14 @@ class TestNMS:
         # same class, IoU exactly 0.5: at the threshold, so both survive
         dets += [det((500, 500, 510, 510), 1.0, 3),
                  det((500, 500, 510, 505), 1.0, 3)]
-        kept = nms(*detection_columns(dets), 0.5)
-        assert kept == nms_py([d.box for d in dets], [d.score for d in dets],
-                              [d.class_id for d in dets], 0.5)
+        kept = nms(*columns(dets), 0.5)
+        assert kept == nms_py(*map(list, zip(*dets)), 0.5)
         assert {1200, 1201} <= set(kept)
         assert len(kept) < len(dets) // 2
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            nms(*detection_columns([det((0, 0, 1, 1), 0.5)]),
+            nms(*columns([det((0, 0, 1, 1), 0.5)]),
                 iou_threshold=1.5)
 
 
@@ -172,9 +183,13 @@ class TestBlockedNMS:
         assert max(sizes) <= postprocess._BLOCK * n
 
 
-class TestDetection:
-    def test_invalid_score_rejected(self):
-        with pytest.raises(ValueError):
-            det((0, 0, 1, 1), 1.5)
-        with pytest.raises(ValueError):
-            det((0, 0, 1, 1), float("nan"))
+class TestDetectionLoader:
+    @pytest.mark.parametrize("score", [1.5, float("nan")])
+    def test_invalid_score_rejected(self, tmp_path, score):
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([{"bbox": [0, 0, 1, 1], "score": score,
+                                     "category_id": 0}]))
+        with pytest.raises(CorpusError) as got:
+            _load_detections(path)
+        assert str(got.value) == (f"{path}: bad detection #0: score must "
+                                  f"be finite in [0, 1], got {score}")
