@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import box_area
+from .geometry import _check_types, box_area
 
 BUCKET_NAMES = ("small", "medium", "large")
 
@@ -25,6 +25,7 @@ class SizeBuckets:
     medium_max: float = 96.0 ** 2
 
     def __post_init__(self):
+        _check_types(self)
         if not 0 < self.small_max < self.medium_max:
             raise ValueError("need 0 < small_max < medium_max")
 
@@ -97,15 +98,6 @@ def distribution(per_image, boxes, positives, matcher: str,
     codes = buckets.codes(box_area(boxes))
     return MatchDistribution(matcher, np.stack([codes, positives], axis=1),
                              per_image)
-
-
-def merge_distributions(parts: list) -> MatchDistribution:
-    """Combine distributions over disjoint scene sets; rows keep the order
-    of ``parts``, so merging consecutive runs of scenes gives what one
-    ``distribution`` call over all of them gives."""
-    return MatchDistribution(
-        parts[0].matcher, np.concatenate([p.per_gt_counts for p in parts]),
-        np.concatenate([p.per_image for p in parts]))
 
 
 def imbalance_ratio(dist: MatchDistribution) -> float:

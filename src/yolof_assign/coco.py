@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matching
-from .balance import (MatchDistribution, SizeBuckets, distribution,
-                      merge_distributions)
+from .balance import SizeBuckets, distribution
 from .geometry import (AnchorConfig, ImageSize, apply_shift, generate_anchors,
                        shift_offsets)
 from .matching import GroundTruthSet
@@ -428,8 +427,8 @@ def _runs(members: list, num_gts: list) -> list:
 
 
 def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
-                 lo: int, hi: int) -> MatchDistribution:
-    """Match images ``lo:hi`` and aggregate them in one call.
+                 lo: int, hi: int) -> np.ndarray:
+    """The positive count of each GT of images ``lo:hi``, in corpus order.
 
     The images of one size share a grid, so each run of them that
     :func:`_runs` cuts is matched by one :func:`matching.run_positives`
@@ -460,10 +459,7 @@ def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
                     failed = image_id, exc
     if failed is not None:
         raise ValueError(f"image {failed[0]}: {failed[1]}") from failed[1]
-    per_image = [(image_id, len(grids[size]), n)
-                 for (image_id, size), n in zip(images, counts)]
-    return distribution(per_image, corpus.boxes[offsets[0]:offsets[-1]],
-                        positives, config.matcher, config.buckets)
+    return positives
 
 
 # (corpus, config, grids) of the run that forked this worker
@@ -488,8 +484,8 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     its rows in image id order, the same for every worker count.  The
     workers are at most ``worker_count()``, one per image and one per
     ``_FORK_GTS`` GTs; with two or more, each forked worker process
-    matches one contiguous chunk of images and sends back only the
-    chunk's distribution, and otherwise this process matches them all.
+    matches one contiguous chunk of images and sends back only its GTs'
+    positive counts, and otherwise this process matches them all.
     """
     if config.shift_max > 0:  # at 0 the boxes stay unclamped
         corpus = corpus.shifted(config.shift_max, config.seed)
@@ -521,4 +517,7 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     else:
         parts = [_match_chunk(corpus, config, grids, 0, len(images))]
 
-    return merge_distributions(parts)
+    per_image = [(image_id, len(grids[size]), n) for (image_id, size), n
+                 in zip(images, np.diff(corpus.offsets).tolist())]
+    return distribution(per_image, corpus.boxes, np.concatenate(parts),
+                        config.matcher, config.buckets)

@@ -9,9 +9,39 @@ arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+# config field type -> (accepted value types, what the message asks for)
+_FIELD_TYPES = {
+    "int": ((int, np.integer), "an integer"),
+    "bool": ((bool, np.bool_), "a bool"),
+    "float": ((int, float, np.integer, np.floating), "a finite real number"),
+    "tuple": ((tuple,), "a list of finite real numbers"),
+}
+
+
+def _fits(value, kind: str) -> bool:
+    """Whether ``value`` fits the config field type ``kind``: a bool is
+    only a bool (Python counts it as an int), a ``float`` is finite, and a
+    ``tuple`` holds ``float`` values."""
+    if kind == "tuple":
+        return isinstance(value, tuple) and all(_fits(v, "float")
+                                                for v in value)
+    return isinstance(value, _FIELD_TYPES[kind][0]) \
+        and isinstance(value, (bool, np.bool_)) == (kind == "bool") \
+        and (kind != "float" or abs(value) < np.inf)
+
+
+def _check_types(cfg) -> None:
+    """Reject a config field value that does not fit its field's type."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if not _fits(v, f.type):
+            raise ValueError(f"{f.name} must be {_FIELD_TYPES[f.type][1]}, "
+                             f"got {v!r}")
+
 
 @dataclass(frozen=True)
 class ImageSize:
@@ -249,12 +279,17 @@ class AnchorConfig:
     aspect_ratios: tuple = (1.0,)
 
     def __post_init__(self):
+        _check_types(self)
         if self.stride < 1:
             raise ValueError("stride must be a positive integer")
         for name in ("sizes", "scale_multipliers", "aspect_ratios"):
             vals = getattr(self, name)
             if len(vals) == 0 or any(v <= 0 for v in vals):
                 raise ValueError(f"{name} must be non-empty and positive")
+        with np.errstate(over="ignore"):
+            areas = box_area(self.cell_boxes())
+        if not ((0 < areas) & (areas < np.inf)).all():
+            raise ValueError("every anchor area must be positive and finite")
 
     @property
     def anchors_per_position(self) -> int:

@@ -5,22 +5,22 @@ returns a :class:`MatchResult` whose ``labels`` array tags each anchor as
 positive for one ground-truth box, negative, or ignored.
 All matchers are pure and deterministic.
 
-Each matcher's positive claims come from one kernel over a run of images
-that share a grid, keyed by (image, anchor).  ``<name>_match`` is its
-one-image call, which adds the labels that only it reports;
-:func:`run_positives` is the corpus-wide call, which counts each GT's
-positives.
+Each matcher's labels come from one claims kernel over a run of images
+that share a grid, keyed by (image, anchor).  ``<name>_match`` writes
+them for one image, and :func:`run_positives` counts each GT's positives
+over a run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (AnchorGrid, _grid_outer, as_boxes, box_area,
-                       box_centers, distance_window, iou_window, pairwise_iou)
+from .geometry import (AnchorGrid, _check_types, _grid_outer, as_boxes,
+                       box_area, box_centers, distance_window, iou_window,
+                       pairwise_iou)
 
 NEGATIVE = -1
 IGNORED = -2
@@ -87,29 +87,6 @@ class MatchResult:
         pos = np.flatnonzero(self.labels >= 0)
         pos = pos[np.argsort(self.labels[pos], kind="stable")]
         return np.split(pos, np.cumsum(self.positives_per_gt))[:self.num_gts]
-
-
-# parameter type -> (accepted value types, what the message asks for)
-_PARAM_TYPES = {
-    "int": ((int, np.integer), "an integer"),
-    "bool": ((bool, np.bool_), "a bool"),
-    "float": ((int, float, np.integer, np.floating), "a finite real number"),
-}
-
-
-def _check_types(cfg) -> None:
-    """Reject a parameter value that does not fit its field's type.
-
-    A bool is only a bool (Python counts it as an int), and a ``float``
-    parameter must be finite.
-    """
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        types, want = _PARAM_TYPES[f.type]
-        ok = isinstance(v, types) \
-            and isinstance(v, (bool, np.bool_)) == (f.type == "bool")
-        if not ok or (f.type == "float" and not abs(v) < np.inf):
-            raise ValueError(f"{f.name} must be {want}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -342,28 +319,45 @@ def run_positives(matcher: str, grid: AnchorGrid, boxes: np.ndarray,
     counts are each image's ``<matcher>_match(...).positives_per_gt`` in
     turn; an error on one image raises :class:`ImageError`.
     """
-    return _RUN_POSITIVES[matcher](grid, boxes, image, cfg)
+    default, key, label = _CLAIMS[matcher](grid, boxes, image, cfg)
+    counts = np.bincount(label[label >= 0], minlength=len(boxes))
+    if default == 0:  # each image's unclaimed anchors go to its first GT
+        first = _first_gts(image)
+        counts[first] += len(grid) - np.bincount(key // len(grid),
+                                                 minlength=len(first))
+    return counts
 
 
-def _one_image(gts: GroundTruthSet) -> np.ndarray:
-    return np.zeros(len(gts), dtype=np.int64)
+def _labels(claims, grid: AnchorGrid, gts: GroundTruthSet,
+            cfg) -> MatchResult:
+    """One image's labels: the claims of the kernel ``claims`` written
+    over its default label."""
+    if len(gts) == 0:
+        return MatchResult(np.full(len(grid), NEGATIVE, dtype=np.int64), 0)
+    default, key, label = claims(grid, gts.boxes,
+                                 np.zeros(len(gts), dtype=np.int64), cfg)
+    labels = np.full(len(grid), default, dtype=np.int64)
+    labels[key] = label
+    return MatchResult(labels, len(gts))
 
 
 def _uniform_claims(grid: AnchorGrid, boxes, image, cfg: UniformMatchConfig):
-    """``(gt, anchor, positive)`` of uniform matching's resolved candidates
-    over a run: each GT's k nearest anchors, each (image, anchor) to the
-    closest claim (tie: smaller GT index), positive when its IoU reaches
-    ``pos_ignore_iou`` and ignored otherwise."""
+    """Uniform matching's claims over a run: each GT's k nearest anchors,
+    each (image, anchor) to the closest claim (tie: smaller GT index),
+    positive when its IoU reaches ``pos_ignore_iou`` and ignored
+    otherwise."""
     cand = nearest_candidates(grid, boxes, cfg.k)
     gt = np.repeat(np.arange(len(boxes)), cand.shape[1])
     dist = _center_distances(boxes, grid.anchors[cand])
     cand = cand.ravel()
-    win = _resolve_claims(_keys(grid, image[gt], cand), gt, dist.ravel())
+    key = _keys(grid, image[gt], cand)
+    win = _resolve_claims(key, gt, dist.ravel())
     a, g = cand[win], gt[win]
     # only each resolved (GT, anchor) pair's IoU: (n, 4) against (n, 1, 4)
     pair_iou = pairwise_iou(boxes[g], grid.anchors[a, None],
                             grid.areas[a, None])[:, 0]
-    return g, a, pair_iou >= cfg.pos_ignore_iou
+    return NEGATIVE, key[win], np.where(pair_iou >= cfg.pos_ignore_iou, g,
+                                        IGNORED)
 
 
 def uniform_match(grid: AnchorGrid, gts: GroundTruthSet,
@@ -376,44 +370,35 @@ def uniform_match(grid: AnchorGrid, gts: GroundTruthSet,
     ignored rather than positive; a non-candidate whose best IoU over all
     GTs exceeds ``neg_ignore_iou`` is ignored rather than negative.
     """
-    labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
-    if len(gts) == 0:
-        return MatchResult(labels, 0)
-    g, a, positive = _uniform_claims(grid, gts.boxes, _one_image(gts), cfg)
-    if cfg.neg_ignore_iou < 1.0:  # no IoU exceeds 1, so 1 ignores nothing
-        # the resolved candidates among them are labelled below
+    result = _labels(_uniform_claims, grid, gts, cfg)
+    # no IoU exceeds 1, so 1 ignores nothing
+    if len(gts) and cfg.neg_ignore_iou < 1.0:
         _, hot, ious = iou_window(gts.boxes, grid,
                                   np.full(len(gts), cfg.neg_ignore_iou))
-        labels[hot[ious > cfg.neg_ignore_iou]] = IGNORED
-    labels[a] = np.where(positive, g, IGNORED)
-    return MatchResult(labels, len(gts))
+        hot = hot[ious > cfg.neg_ignore_iou]
+        result.labels[hot[result.labels[hot] == NEGATIVE]] = IGNORED
+    return result
 
 
-def _uniform_positives(grid, boxes, image, cfg):
-    g, _, positive = _uniform_claims(grid, boxes, image, cfg)
-    return np.bincount(g[positive], minlength=len(boxes))
-
-
-def _as_uniform(cfg: TopKConfig) -> UniformMatchConfig:
+def _topk_claims(grid: AnchorGrid, boxes, image, cfg: TopKConfig):
     """Top-k matching is uniform matching with the ignore filters off."""
-    return UniformMatchConfig(k=cfg.k, pos_ignore_iou=0.0, neg_ignore_iou=1.0)
+    return _uniform_claims(grid, boxes, image, UniformMatchConfig(
+        k=cfg.k, pos_ignore_iou=0.0, neg_ignore_iou=1.0))
 
 
 def topk_match(grid: AnchorGrid, gts: GroundTruthSet,
                cfg: TopKConfig = TopKConfig()) -> MatchResult:
     """Pure k-nearest matching: uniform matching with ignore filters off."""
-    return uniform_match(grid, gts, _as_uniform(cfg))
+    return _labels(_topk_claims, grid, gts, cfg)
 
 
 def _max_iou_claims(grid: AnchorGrid, boxes, image, cfg: MaxIoUConfig):
-    """max_iou's labels over a run, as writes over a default label:
-    ``(default, (key, gt, positive), rescued)``.
+    """max_iou's claims over a run.
 
     Each (image, anchor) with a best IoU of at least ``low`` is labelled
     for its best GT, the first on a tie: positive at ``pos_iou``, ignored
-    below.  ``rescued`` is ``(key, gt)``, each GT's first best anchor with
-    the higher IoU winning a contested one, written over those labels; it
-    is None with ``rescue`` off.
+    below.  With ``rescue`` on, each GT's first best anchor, the higher IoU
+    winning a contested one, is positive for it instead.
     """
     # Only pairs of positive IoU at or above ``low`` are scored.  An anchor
     # with none has every IoU below ``low``: negative, or with neg_iou at 0
@@ -431,16 +416,25 @@ def _max_iou_claims(grid: AnchorGrid, boxes, image, cfg: MaxIoUConfig):
     cost = -v
     win = _resolve_claims(key, g, cost)
     win = win[v[win] >= low]
-    labelled = key[win], g[win], v[win] >= cfg.pos_iou
+    claimed = key[win]
+    label = np.where(v[win] >= cfg.pos_iou, g[win], IGNORED)
     if not cfg.rescue:
-        return default, labelled, None
+        return default, claimed, label
     # a GT of IoU 0 everywhere has anchor 0 of its image
     win = _first_minima(g, a, cost)
     best, best_iou = _keys(grid, image, 0), np.zeros(len(boxes))
     best[g[win]] += a[win]
     best_iou[g[win]] = v[win]
     win = _resolve_claims(best, np.arange(len(boxes)), -best_iou)
-    return default, labelled, (best[win], win)
+    rescued = best[win]
+    # drop the labels a rescue overrides: np.isin by search, as the rescued
+    # keys come sorted (in _resolve_claims' order); its own sort would load
+    # numpy.ma
+    found = rescued[np.searchsorted(rescued, claimed).clip(
+        max=len(rescued) - 1)]
+    kept = found != claimed
+    return (default, np.concatenate([claimed[kept], rescued]),
+            np.concatenate([label[kept], win]))
 
 
 def max_iou_match(grid: AnchorGrid, gts: GroundTruthSet,
@@ -452,56 +446,25 @@ def max_iou_match(grid: AnchorGrid, gts: GroundTruthSet,
     ``rescue`` on, each GT's best-IoU anchor is forced positive for it
     even below the threshold.
     """
-    if len(gts) == 0:
-        return MatchResult(np.full(len(grid), NEGATIVE, dtype=np.int64), 0)
-    default, (key, g, positive), rescued = _max_iou_claims(
-        grid, gts.boxes, _one_image(gts), cfg)
-    labels = np.full(len(grid), default, dtype=np.int64)
-    labels[key] = np.where(positive, g, IGNORED)
-    if rescued is not None:
-        labels[rescued[0]] = rescued[1]
-    return MatchResult(labels, len(gts))
-
-
-def _max_iou_positives(grid, boxes, image, cfg):
-    default, (key, g, positive), rescued = _max_iou_claims(
-        grid, boxes, image, cfg)
-    counts = np.zeros(len(boxes), dtype=np.int64)
-    if rescued is not None:  # a rescue overrides a threshold label
-        # np.isin by search, as the rescued keys come sorted (in
-        # _resolve_claims' order); its own sort would load numpy.ma
-        keys = rescued[0]
-        found = keys[np.searchsorted(keys, key).clip(max=len(keys) - 1)]
-        positive &= found != key
-        counts += np.bincount(rescued[1], minlength=len(boxes))
-    counts += np.bincount(g[positive], minlength=len(boxes))
-    if default == 0:  # every anchor left is positive for its image's GT 0
-        first = _first_gts(image)
-        counts[first] += len(grid) - np.add.reduceat(counts, first)
-    return counts
+    return _labels(_max_iou_claims, grid, gts, cfg)
 
 
 def _rescue_floor(grid: AnchorGrid, gts) -> np.ndarray:
     """A lower bound on each GT's best IoU: its best IoU with the slots of
     the grid position whose stride-sized cell holds its center, clamped to
-    the grid.  Each IoU is the float :func:`pairwise_iou` gives."""
+    the grid."""
     boxes = _boxes(gts)
     cell = (boxes[:, :2] + boxes[:, 2:]) * (0.5 / grid.config.stride)
     np.minimum(cell, (grid.grid_w - 1, grid.grid_h - 1), out=cell)
-    cell = np.maximum(cell, 0.0, out=cell).T.astype(np.int64)  # (2, M)
-    axis = np.arange(2)[:, None]  # each slot's x, then y, spans: (A, 2, M)
-    span = np.minimum(boxes[:, 2:].T, grid.slot_hi[:, axis, cell])
-    span -= np.maximum(boxes[:, :2].T, grid.slot_lo[:, axis, cell])
-    np.maximum(span, 0.0, out=span)
-    inter = span[:, 0] * span[:, 1]
-    union = box_area(boxes) + grid.areas.reshape(
-        -1, len(grid.slot_lo))[cell[1] * grid.grid_w + cell[0]].T
-    union -= inter
-    return (inter / union).max(axis=0)
+    cell = np.maximum(cell, 0.0, out=cell).astype(np.int64)
+    per = len(grid.slot_lo)
+    near = (cell[:, 1:] * grid.grid_w + cell[:, :1]) * per + np.arange(per)
+    return pairwise_iou(boxes, grid.anchors[near], grid.areas[near]).max(
+        axis=1)
 
 
 def _atss_claims(grid: AnchorGrid, boxes, image, cfg: ATSSConfig):
-    """``(gt, anchor)`` of ATSS's positives over a run of images."""
+    """ATSS's positive claims over a run of images."""
     cand = nearest_candidates(grid, boxes, cfg.k)
     # only the candidates' IoUs, each row in (distance, index) order, so it
     # sums as a 1-D pool would
@@ -512,9 +475,10 @@ def _atss_claims(grid: AnchorGrid, boxes, image, cfg: ATSSConfig):
     x1, y1, x2, y2 = boxes.T[:, :, None]
     inside = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
     ok = (cand_ious >= thresh) & inside
-    a, g = cand[ok], np.nonzero(ok)[0]
-    win = _resolve_claims(_keys(grid, image[g], a), g, -cand_ious[ok])
-    return g[win], a[win]
+    g = np.nonzero(ok)[0]
+    key = _keys(grid, image[g], cand[ok])
+    win = _resolve_claims(key, g, -cand_ious[ok])
+    return NEGATIVE, key[win], g[win]
 
 
 def atss_match(grid: AnchorGrid, gts: GroundTruthSet,
@@ -527,17 +491,7 @@ def atss_match(grid: AnchorGrid, gts: GroundTruthSet,
     become positive; conflicts go to the higher IoU (tie: smaller GT
     index).  There is no ignored class.
     """
-    labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
-    if len(gts) == 0:
-        return MatchResult(labels, 0)
-    g, a = _atss_claims(grid, gts.boxes, _one_image(gts), cfg)
-    labels[a] = g
-    return MatchResult(labels, len(gts))
-
-
-def _atss_positives(grid, boxes, image, cfg):
-    g, _ = _atss_claims(grid, boxes, image, cfg)
-    return np.bincount(g, minlength=len(boxes))
+    return _labels(_atss_claims, grid, gts, cfg)
 
 
 _INFEASIBLE = "cost matrix is infeasible"
@@ -633,16 +587,16 @@ def _shortest_augmenting_paths(cost: np.ndarray) -> np.ndarray:
 _COST_CELLS = 32768
 
 
-def hungarian_cost(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
+def hungarian_cost(grid: AnchorGrid, gts) -> np.ndarray:
     """Assignment cost: center distance minus stride times IoU, shape
-    ``(M, N)``.
+    ``(M, N)``, of a :class:`GroundTruthSet` or its ``(M, 4)`` boxes.
 
     The distances are the result's buffer, and the IoUs are subtracted in
     tiles of at most ``_COST_CELLS`` cells, so no other matrix is built.
     Every step is elementwise, so each cost is the float of the one-shot
     ``dist - stride * pairwise_iou(boxes, grid)``.
     """
-    boxes = gts.boxes
+    boxes = _boxes(gts)
     cost = _grid_distances(box_centers(boxes), grid, len(grid.slot_centers))
     stride = float(grid.config.stride)
     cols = min(len(grid), _COST_CELLS)
@@ -657,16 +611,39 @@ def hungarian_cost(grid: AnchorGrid, gts: GroundTruthSet) -> np.ndarray:
     return cost
 
 
-def _hungarian_argmins(grid: AnchorGrid, boxes: np.ndarray):
-    """``(gt, anchor)``: each GT's first cheapest anchor, in GT order.
+def _hungarian_claims(grid: AnchorGrid, boxes, image, cfg: HungarianConfig):
+    """Hungarian matching's claims over a run: each GT's first cheapest
+    anchor, found in its nearest window.
 
-    It lies in the GT's nearest window.  Where the anchors of an image are
-    distinct they are its assignment, as each row paying its own minimum
-    is a lower bound.
+    Where those anchors are distinct in an image they are its assignment,
+    as each row paying its own minimum is a lower bound.  An image where
+    two GTs share one is solved on its full cost.
     """
     gt, anchor, cost = _hungarian_window(grid, boxes)
-    win = _first_minima(gt, anchor, cost)
-    return gt[win], anchor[win]
+    win = _first_minima(gt, anchor, cost)  # one per GT, in GT order
+    gt = gt[win]
+    key = _keys(grid, image[gt], anchor[win])
+    # images where two GTs share an anchor are solved on their own
+    shared = np.sort(key)
+    bounds = np.append(_first_gts(image), len(boxes))  # each image's GTs
+    solved = np.zeros(len(bounds) - 1, dtype=bool)
+    solved[shared[1:][shared[1:] == shared[:-1]] // len(grid)] = True
+    keep = ~solved[image]
+    keys, labels = [key[keep]], [gt[keep]]
+    for i in np.flatnonzero(solved).tolist():
+        try:
+            full = hungarian_cost(grid, boxes[bounds[i]:bounds[i + 1]])
+            # with more GTs than anchors the transposed cost is solved, as
+            # a rectangular assignment does
+            if len(full) > len(grid):
+                a, g, _ = solve_assignment(full.T)
+            else:
+                g, a, _ = solve_assignment(full)
+        except ValueError as exc:
+            raise ImageError(i, str(exc)) from exc
+        keys.append(_keys(grid, i, a))
+        labels.append(bounds[i] + g)
+    return NEGATIVE, np.concatenate(keys), np.concatenate(labels)
 
 
 def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
@@ -677,39 +654,7 @@ def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
     a rectangular assignment does: every anchor goes positive for a
     distinct GT, and the other GTs get no positive.
     """
-    labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
-    if len(gts) == 0:
-        return MatchResult(labels, 0)
-    gt, anchor = _hungarian_argmins(grid, gts.boxes)
-    if len(set(anchor.tolist())) == len(anchor):
-        labels[anchor] = gt
-        return MatchResult(labels, len(gts))
-    # else the solver cuts the full cost
-    cost = hungarian_cost(grid, gts)
-    if len(gts) > len(grid):
-        anchor, gt, _ = solve_assignment(cost.T)
-    else:
-        gt, anchor, _ = solve_assignment(cost)
-    labels[anchor] = gt
-    return MatchResult(labels, len(gts))
-
-
-def _hungarian_positives(grid, boxes, image, cfg):
-    gt, anchor = _hungarian_argmins(grid, boxes)
-    counts = np.bincount(gt, minlength=len(boxes))
-    key = np.sort(_keys(grid, image[gt], anchor))
-    first = _first_gts(image)
-    end = np.append(first[1:], len(boxes))
-    # images where two GTs share an argmin are solved one at a time
-    shared = key[1:][key[1:] == key[:-1]] // len(grid)
-    for i in sorted(set(shared.tolist())):
-        rows = slice(first[i], end[i])
-        gts = GroundTruthSet(boxes[rows], np.zeros(end[i] - first[i]))
-        try:
-            counts[rows] = hungarian_match(grid, gts, cfg).positives_per_gt
-        except ValueError as exc:
-            raise ImageError(i, str(exc)) from exc
-    return counts
+    return _labels(_hungarian_claims, grid, gts, cfg)
 
 
 def _hungarian_window(grid: AnchorGrid, gts):
@@ -754,10 +699,11 @@ def _hungarian_margin(grid: AnchorGrid, centers: np.ndarray) -> float:
     return _TIE_ULPS * float(np.spacing(reach))
 
 
-_RUN_POSITIVES = {
-    "uniform": _uniform_positives,
-    "topk": lambda grid, boxes, image, cfg: _uniform_positives(
-        grid, boxes, image, _as_uniform(cfg)),
-    "max_iou": _max_iou_positives, "atss": _atss_positives,
-    "hungarian": _hungarian_positives,
-}
+# matcher name -> its claims kernel, ``(grid, boxes, image, cfg) ->
+# (default, key, label)`` over a run of images as run_positives takes them.
+# Each (image, anchor) key of :func:`_keys` appears at most once, and its
+# label is a GT index of the run or ``IGNORED``; every other anchor of the
+# run's images has the label ``default``.
+_CLAIMS = {"uniform": _uniform_claims, "topk": _topk_claims,
+           "max_iou": _max_iou_claims, "atss": _atss_claims,
+           "hungarian": _hungarian_claims}

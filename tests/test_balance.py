@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from yolof_assign.balance import (BUCKET_NAMES, MatchDistribution,
-                                  SizeBuckets, distribution, imbalance_ratio,
-                                  merge_distributions)
+                                  SizeBuckets, distribution, imbalance_ratio)
 from yolof_assign.geometry import AnchorConfig, ImageSize, generate_anchors
 from yolof_assign.matching import (MATCHERS, GroundTruthSet, MatchResult,
                                    MaxIoUConfig, TopKConfig, max_iou_match,
@@ -126,23 +125,6 @@ class TestDistribution:
         b = distribution(*columns(records(pairs[::-1])), "uniform")
         for name in BUCKET_NAMES:
             assert a.counts(name) == b.counts(name)
-
-    def test_merge_of_consecutive_runs_equals_one_call(self):
-        grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
-        scenes = [gts([[100, 100, 116, 116]]), gts([]),
-                  gts([[64, 64, 364, 364], [300, 32, 350, 90]]),
-                  gts([[10, 10, 40, 44], [200, 200, 290, 280]])]
-        rows = records([(g, max_iou_match(grid, g)) for g in scenes])
-        whole = distribution(*columns(rows), "max_iou")
-        for cuts in ([4], [0, 4], [1, 2, 4], [2, 2, 3, 4]):
-            parts = [distribution(*columns(rows[lo:hi]), "max_iou")
-                     for lo, hi in zip([0] + cuts, cuts)]
-            merged = merge_distributions(parts)
-            assert merged.matcher == whole.matcher
-            for have, want in ((merged.per_gt_counts, whole.per_gt_counts),
-                               (merged.per_image, whole.per_image)):
-                np.testing.assert_array_equal(have, want)
-                assert have.dtype == np.int64
 
     def test_totals_match_positive_labels(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
@@ -272,16 +254,11 @@ class TestAgainstOracle:
         rows = records(pairs)
         want = per_image_py(
             [(g.boxes.tolist(), m.labels.tolist()) for g, m in pairs])
-        for cuts in ([len(rows)], [len(rows) // 2, len(rows)]):
-            d = merge_distributions([
-                distribution(*columns(rows[lo:hi]), "uniform")
-                for lo, hi in zip([0] + cuts, cuts)])
-            got = distribution_to_dict(d)["per_image"]
-            assert [r["image_id"] for r in got] \
-                == list(range(1, len(pairs) + 1))
-            keys = ("num_gts", "num_anchors", "num_positive",
-                    "positives_per_gt")
-            assert [{k: r[k] for k in keys} for r in got] == want
+        got = distribution_to_dict(
+            distribution(*columns(rows), "uniform"))["per_image"]
+        assert [r["image_id"] for r in got] == list(range(1, len(pairs) + 1))
+        keys = ("num_gts", "num_anchors", "num_positive", "positives_per_gt")
+        assert [{k: r[k] for k in keys} for r in got] == want
 
     def test_scenes_cover_the_edge_cases(self):
         pairs = [p for seed in range(25)

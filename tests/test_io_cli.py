@@ -21,6 +21,7 @@ from yolof_assign.matching import MATCHERS, MaxIoUConfig, UniformMatchConfig
 from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
                                   to_json, write_atomic)
 
+import test_bench_inputs
 from conftest import seeded_corpus
 from oracles import shift_offset_py
 
@@ -98,6 +99,24 @@ def shifted_by_image(corpus, max_shift, seed):
         cats += corpus.category_ids[lo:hi][kept].tolist()
         offsets.append(len(ids))
     return ids, boxes, cats, offsets
+
+
+def record_calls(monkeypatch):
+    """Lists of the pids that call ``coco._match_chunk`` and
+    ``coco.distribution`` in this process.  A forked worker's call is
+    recorded in the worker's copy of a list, so the chunk list stays
+    empty when the chunks ran in workers."""
+    lists = []
+    for name in ("_match_chunk", "distribution"):
+        pids, real = [], getattr(coco, name)
+
+        def recording(*args, pids=pids, real=real, **kwargs):
+            pids.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coco, name, recording)
+        lists.append(pids)
+    return lists
 
 
 def edge_corpus(rng) -> dict:
@@ -354,20 +373,12 @@ class TestRunMatchStats:
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
         monkeypatch.setattr(coco, "_FORK_GTS", 1)  # fork on any 2 GTs
         assert worker_count() == int(workers)
-        aggregated_here = []
-        real = coco.distribution
-
-        def recording(*args, **kwargs):
-            aggregated_here.append(os.getpid())
-            return real(*args, **kwargs)
-
-        # a forked worker's call is recorded in the worker's copy of the
-        # list, so this one stays empty when the chunks ran in workers
-        monkeypatch.setattr(coco, "distribution", recording)
+        matched_here, aggregated_here = record_calls(monkeypatch)
         threaded = run_match_stats(corpus, config)
         assert distribution_to_dict(serial) == distribution_to_dict(threaded)
         forked = min(len(corpus.images), len(corpus.ids)) > 1
-        assert aggregated_here == ([] if forked else [os.getpid()])
+        assert matched_here == ([] if forked else [os.getpid()])
+        assert aggregated_here == [os.getpid()]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fork_gts", [1, 3, 5])
@@ -384,25 +395,20 @@ class TestRunMatchStats:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             recording_pool)
-        aggregated_here = []
-        real = coco.distribution
-
-        def recording(*args, **kwargs):
-            aggregated_here.append(os.getpid())
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(coco, "distribution", recording)
+        matched_here, aggregated_here = record_calls(monkeypatch)
         for gts, fork in ((2 * fork_gts - 1, []), (2 * fork_gts, [2])):
             doc = dict(BASE_DOC, images=[
                 {"id": i, "width": 64, "height": 48} for i in range(gts)],
                 annotations=[{"id": i, "image_id": i, "bbox": [3, 3, 10, 12],
                               "category_id": 2} for i in range(gts)])
             pools.clear()
+            matched_here.clear()
             aggregated_here.clear()
             dist = run_match_stats(parse_corpus(doc), RunConfig())
             assert dist.total_gts == gts
             assert pools == fork
-            assert aggregated_here == ([] if fork else [os.getpid()])
+            assert matched_here == ([] if fork else [os.getpid()])
+            assert aggregated_here == [os.getpid()]
             assert multiprocessing.active_children() == []
 
     def test_auto_worker_count_follows_cpu_affinity(self, monkeypatch):
@@ -492,6 +498,29 @@ class TestReports:
         write_atomic(str(link), "new")
         assert link.is_symlink()
         assert target.read_text() == "new"
+
+
+# anchor and bucket configs of a wrong type, or whose anchor areas overflow
+# or underflow, with what the error names
+BAD_LAYOUTS = [
+    ({"anchors": {"stride": 1.5}}, "stride must be an integer, got 1.5"),
+    ({"anchors": {"stride": 32.0}}, "stride must be an integer, got 32.0"),
+    ({"anchors": {"stride": True}}, "stride must be an integer, got True"),
+    ({"anchors": {"sizes": [32, "64"]}},
+     "sizes must be a list of finite real numbers, got (32, '64')"),
+    ({"anchors": {"aspect_ratios": [False, 1.0]}},
+     "aspect_ratios must be a list of finite real numbers"),
+    ({"anchors": {"scale_multipliers": 2}},
+     "scale_multipliers must be a list of finite real numbers, got 2"),
+    ({"anchors": {"sizes": [1e308]}},
+     "every anchor area must be positive and finite"),
+    ({"anchors": {"sizes": [1e-170]}},
+     "every anchor area must be positive and finite"),
+    ({"buckets": {"small_max": True, "medium_max": 2}},
+     "small_max must be a finite real number, got True"),
+    ({"buckets": {"medium_max": "9216"}},
+     "medium_max must be a finite real number, got '9216'"),
+]
 
 
 class TestCLI:
@@ -609,14 +638,14 @@ class TestCLI:
 
     def test_image_error_from_a_worker_exit_2(self, capsys, tmp_path,
                                               monkeypatch):
-        hungarian_match = matching.hungarian_match
+        solve_assignment = matching.solve_assignment
 
-        def fail_on_image_6(anchors, gts, cfg):
-            if len(gts) == 6:
+        def fail_on_image_6(cost):
+            if cost.shape == (5, 6):  # 6 GTs on 5 anchors, transposed
                 raise ValueError("no assignment")
-            return hungarian_match(anchors, gts, cfg)
+            return solve_assignment(cost)
 
-        monkeypatch.setattr(matching, "hungarian_match", fail_on_image_6)
+        monkeypatch.setattr(matching, "solve_assignment", fail_on_image_6)
         corpus = write_json(tmp_path / "c.json", self.ODD_IMAGE_DOC)
         cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
         runs = []
@@ -666,6 +695,7 @@ class TestCLI:
          "shift_max must be a non-negative integer, got 1.5"),
         ({"shift_max": -4},
          "shift_max must be a non-negative integer, got -4"),
+        *BAD_LAYOUTS,
     ])
     def test_bad_config_exit_2(self, capsys, tmp_path, tiny_corpus_path,
                                doc, named):
@@ -674,6 +704,15 @@ class TestCLI:
                                   str(tiny_corpus_path), "--config", cfg)
         assert code == 2
         assert out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("doc,named", BAD_LAYOUTS)
+    def test_bad_layout_exit_2_from_anchors(self, capsys, tmp_path, doc,
+                                            named):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code, out, err = self.run(capsys, "anchors", "--config", cfg,
+                                  "--image", "64x64")
+        assert (code, out) == (2, "")
         assert named in err
 
     @pytest.mark.parametrize("matcher,params,named", [
@@ -1210,3 +1249,36 @@ class TestMainReuse:
         assert in_process[0] != in_process[1]  # --seed is not kept
         assert in_process[5] != in_process[6]
         assert in_process[3][1].startswith("matcher,bucket,")
+
+
+# Runs every matcher, nms and shift in one process, with the Hungarian
+# solver wrapped to count the colliding images it solves.
+LAZY_SCRIPT = """
+import sys
+from yolof_assign import matching
+from yolof_assign.cli import main
+
+solved, solve = [], matching.solve_assignment
+matching.solve_assignment = lambda cost: solved.append(1) or solve(cost)
+corpus, dets, *configs = sys.argv[1:]
+argvs = [["match-stats", "--input", corpus, "--config", c] for c in configs]
+argvs += [["nms", "--input", dets], ["shift", "--input", corpus]]
+assert [main(argv) for argv in argvs] == [0] * len(argvs)
+assert solved, "no Hungarian collision"
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_commands_leave_numpy_ma_out(tmp_path):
+    # numpy.ma takes about 11 ms to import; np.isin, among others, loads it
+    inputs = test_bench_inputs.bench_inputs()
+    corpus = write_json(tmp_path / "corpus.json", inputs.sweep_corpus(1))
+    dets = write_json(tmp_path / "dets.json", inputs.detections(1))
+    configs = [write_json(tmp_path / f"{m}.json",
+                          {"matcher": m, "shift_max": 32}) for m in MATCHERS]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCRIPT, corpus, dets, *configs],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src), YOLOF_ASSIGN_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,7 @@
 """The bytes of the ``nms`` command, pinned.
 
-Standard output is hashed and compared with sha256 digests taken from the
-implementation that built one ``Detection`` per row and serialized the
-kept rows with ``reports.to_json``.  Malformed detection files are pinned
+Standard output is hashed and compared with sha256 digests taken from an
+earlier implementation of the command.  Malformed detection files are pinned
 by their exact exit code, standard output and standard error.  Neither
 table is regenerated from the code under test.
 """

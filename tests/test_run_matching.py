@@ -1,9 +1,10 @@
 """Corpus-wide matching against the one-image matchers it replaces.
 
 ``match-stats`` matches each run of same-size images with one
-``matching.run_positives`` call, and ``nearest_candidates`` scores a small
-square of positions before the full grid.  Both must give what the
-per-image, full-grid code gives, bit for bit.
+``matching.run_positives`` call, which counts the claims of the matcher's
+kernel, and ``nearest_candidates`` scores a small square of positions
+before the full grid.  Both must give what the per-image, full-grid code
+gives, bit for bit.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from yolof_assign import coco, matching
 from yolof_assign.coco import RunConfig, parse_corpus, run_match_stats
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
                                    box_centers, generate_anchors)
-from yolof_assign.matching import (GroundTruthSet, _grid_distances,
+from yolof_assign.matching import (IGNORED, MATCHERS, NEGATIVE,
+                                   GroundTruthSet, _grid_distances,
                                    _k_smallest, nearest_candidates)
 
 SLOTS45 = AnchorConfig(scale_multipliers=(1.0, 2 ** (1 / 3), 2 ** (2 / 3)),
@@ -176,20 +178,20 @@ class TestRunPositives:
                      if corpus.offsets[i + 1] > corpus.offsets[i]}
             assert len(calls) == len(sizes)
 
-    def test_hungarian_collisions_alone_go_to_the_one_image_matcher(
-            self, monkeypatch):
+    def test_hungarian_collisions_alone_go_to_the_solver(self, monkeypatch):
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
         solved = []
-        real = matching.hungarian_match
+        real = matching.solve_assignment
 
-        def recording(grid, gts, cfg):
-            solved.append(len(gts))
-            return real(grid, gts, cfg)
+        def recording(cost):
+            solved.append(cost.shape)
+            return real(cost)
 
-        monkeypatch.setattr(matching, "hungarian_match", recording)
+        monkeypatch.setattr(matching, "solve_assignment", recording)
         corpus = parse_corpus(DOCS["odd-image"])
         run_match_stats(corpus, RunConfig(matcher="hungarian"))
-        assert solved == [6]  # image 6: 6 GTs on 5 anchors
+        # image 6: 6 GTs on 5 anchors, solved once and transposed
+        assert solved == [(5, 6)]
 
     def test_error_names_the_first_image_by_id(self, monkeypatch):
         # images 2 and 3 each hold two equal boxes, whose argmins collide;
@@ -203,14 +205,58 @@ class TestRunPositives:
                                for i, image in enumerate([1, 2, 2, 3, 3])],
                "categories": [{"id": 1}]}
 
-        def failing(grid, gts, cfg):
-            raise ValueError(f"no assignment for {len(gts)}")
+        def failing(cost):
+            raise ValueError(f"no assignment for {len(cost)}")
 
-        monkeypatch.setattr(matching, "hungarian_match", failing)
+        monkeypatch.setattr(matching, "solve_assignment", failing)
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
         with pytest.raises(ValueError, match=r"^image 2: no assignment "
                                              r"for 2$"):
             run_match_stats(parse_corpus(doc), RunConfig(matcher="hungarian"))
+
+
+@pytest.mark.parametrize("anchors", [AnchorConfig(), SLOTS45],
+                         ids=["5-slot", "45-slot"])
+@pytest.mark.parametrize("doc", sorted(DOCS))
+@pytest.mark.parametrize("matcher,params", CONFIGS)
+def test_claims_write_each_images_labels(matcher, params, doc, anchors):
+    """Each size's images as one run: its claims hold unique keys and run
+    GT labels, and written over the default they give each image's
+    ``<matcher>_match`` labels, but for uniform's ``neg_ignore_iou`` band,
+    which only the one-image call reports."""
+    cfg = MATCHERS[matcher](**params)
+    match = getattr(matching, f"{matcher}_match")
+    corpus = parse_corpus(DOCS[doc]).shifted(32, 7)
+    by_size = {}
+    for i, (_, size) in enumerate(corpus.images):
+        if corpus.offsets[i + 1] > corpus.offsets[i]:
+            by_size.setdefault(size, []).append(i)
+    for size, members in by_size.items():
+        grid = generate_anchors(anchors, size)
+        n = np.diff(corpus.offsets)[members]
+        first = np.cumsum(n) - n  # each image's first run GT
+        rows = np.concatenate([np.arange(corpus.offsets[i],
+                                         corpus.offsets[i + 1])
+                               for i in members])
+        default, key, label = matching._CLAIMS[matcher](
+            grid, corpus.boxes[rows], np.repeat(np.arange(len(members)), n),
+            cfg)
+        assert len(np.unique(key)) == len(key)
+        assert ((0 <= key) & (key < len(members) * len(grid))).all()
+        assert ((label == IGNORED)
+                | ((0 <= label) & (label < len(rows)))).all()
+        # default 0 is each image's first GT
+        labels = np.full((len(members), len(grid)), default, dtype=np.int64)
+        if default == 0:
+            labels[:] = first[:, None]
+        labels.reshape(-1)[key] = label
+        for j, i in enumerate(members):
+            got = np.where(labels[j] >= 0, labels[j] - first[j], labels[j])
+            want = match(grid, corpus.ground_truths(corpus.images[i][0]),
+                         cfg).labels
+            outside = ~((got == NEGATIVE) & (want == IGNORED)) \
+                if matcher == "uniform" else slice(None)
+            assert got[outside].tolist() == want[outside].tolist()
 
 
 @pytest.mark.parametrize("seed", range(20))
