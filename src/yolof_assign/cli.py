@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``anchors``, ``match-stats``, ``rf``, ``flops``, ``nms``,
-``shift``.  Exit codes: 0 success, 1 usage error, 2 data error.  Output
-goes to ``--output`` (written atomically) or standard output.
+``shift``.  Exit codes: 0 success, 1 usage error, 2 data error (an
+input too large for memory among them).  Output goes to ``--output``
+(written atomically) or standard output.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ import dataclasses
 import gc
 import sys
 
-import numpy as np
-
 from . import reports
-from .coco import (CorpusError, RunConfig, as_int64, as_number,
-                   bbox_values, convert_rows, load_corpus, raise_first,
-                   read_json, run_match_stats, typed_columns)
+from .coco import (CorpusError, RunConfig, load_corpus, load_detections,
+                   run_match_stats)
 from .encoder import EncoderSpec, rf_profile, scale_coverage
 from .flops import DecoderSpec, EncoderTopology, encoder_decoder_flops
 from .geometry import ImageSize, generate_anchors
@@ -136,72 +134,8 @@ def _cmd_flops(args) -> None:
     _emit(reports.to_json(doc), args.output)
 
 
-def _typed_detections(doc: list):
-    """The columns of ``doc`` (``(N, 4)`` boxes, box lengths, scores, class
-    ids) if every record is an object whose bbox is an array of 4 JSON
-    numbers, whose score is a JSON number and whose category_id a JSON
-    integer that int64 holds; otherwise None."""
-    columns = typed_columns(doc, bbox="box", score="number",
-                            category_id="int")
-    if columns is None:
-        return None
-    boxes, scores, cats = columns
-    return boxes, np.full(len(cats), 4), scores, cats
-
-
-def _converted_detections(doc: list, path) -> tuple:
-    """The columns of :func:`_typed_detections`, converted by
-    :func:`convert_rows` up to the first record that does not convert; and
-    that record's error, or None.  A box of another length than 4 is
-    padded with zeros or cut to 4 values; its length refuses it."""
-    rows, failure = convert_rows(doc, lambda row: (
-        tuple(map(as_number, bbox_values(row["bbox"]))),
-        as_number(row["score"]), as_int64(row["category_id"])),
-        lambda i, row: f"{path}: bad detection #{i}")
-    boxes, scores, cats = zip(*rows) if rows else ((), (), ())
-    return (np.array([(box + (0.0,) * 4)[:4] for box in boxes],
-                     dtype=np.float64).reshape(-1, 4),
-            np.array(list(map(len, boxes)), dtype=np.int64),
-            np.array(scores, dtype=np.float64),
-            np.array(cats, dtype=np.int64)), failure
-
-
-def _checked_detections(path, boxes, lengths, scores, cats,
-                        failure) -> tuple:
-    """The (boxes, scores, class ids) of a detection file's columns, every
-    rule checked here and only here, in this order: a box of 4 finite
-    values, a score in [0, 1] and a class id of at least 0 (see
-    :func:`raise_first`; ``failure`` is the error of the record after the
-    columns)."""
-    def messages(i):
-        return (f"{path}: bad detection #{i}: {fault}" for fault in (
-            f"box must have 4 values, got {lengths[i]}",
-            f"box must be finite, got {tuple(boxes[i].tolist())}",
-            f"score must be finite in [0, 1], got {float(scores[i])}",
-            "class_id must be non-negative"))
-    x1, y1, x2, y2 = boxes.T
-    raise_first([lengths != 4, ~(np.isfinite(x1) & np.isfinite(y1)
-                                 & np.isfinite(x2) & np.isfinite(y2)),
-                 ~((scores >= 0.0) & (scores <= 1.0)), cats < 0],
-                messages, failure)
-    return boxes, scores, cats
-
-
-def _load_detections(path) -> tuple:
-    """A detection file's (boxes, scores, class ids) columns.  A file of
-    plain JSON values is taken as columns (:func:`_typed_detections`),
-    any other is converted record by record
-    (:func:`_converted_detections`); then :func:`_checked_detections`
-    checks every rule, so the first bad record names the fault."""
-    doc = read_json(path, list)
-    columns, failure = _typed_detections(doc), None
-    if columns is None:
-        columns, failure = _converted_detections(doc, path)
-    return _checked_detections(path, *columns, failure)
-
-
 def _cmd_nms(args) -> None:
-    boxes, scores, class_ids = _load_detections(args.input)
+    boxes, scores, class_ids = load_detections(args.input)
     kept = nms(boxes, scores, class_ids, iou_threshold=args.iou)
     _emit(reports.detections_to_json(boxes[kept], scores[kept],
                                      class_ids[kept]), args.output)
@@ -285,7 +219,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args.func(args)
-    except (CorpusError, OSError, ValueError) as exc:
+    except (CorpusError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     finally:

@@ -120,57 +120,91 @@ def as_number(value) -> float:
 
 
 def parse_corpus(doc: dict) -> AnnotationCorpus:
-    """The corpus of a COCO document.  A document of plain JSON values is
-    taken as columns (:func:`_typed_corpus`), any other is converted
-    record by record (:func:`_converted_corpus`); then
-    :func:`_checked_corpus` checks every rule, so the first bad record in
+    """The corpus of a COCO document: its images' and then its
+    annotations' columns by :func:`record_columns`, every rule then
+    checked by :func:`_checked_corpus`, so the first bad record in
     document order names the fault."""
     for key in ("images", "annotations", "categories"):
         if key not in doc or not isinstance(doc[key], list):
             raise CorpusError(f"document lacks the {key!r} array")
-    columns, failure = _typed_corpus(doc), None
-    if columns is None:
-        columns, failure = _converted_corpus(doc)
-    return _checked_corpus(doc, *columns, failure)
+    images, failure = record_columns(
+        doc["images"], lambda i, img: f"bad image record {img!r}",
+        id="int", width="int", height="int")
+    anns, ann_failure = record_columns(
+        doc["annotations"] if failure is None else [],
+        lambda i, ann: f"bad annotation record {ann!r}",
+        id="int", image_id="int", bbox="box", category_id="int")
+    return _checked_corpus(doc, *images, *anns, failure or ann_failure)
 
 
-def typed_columns(records: list, **kinds):
+def _box(value) -> tuple:
+    """A ``bbox`` of 4 numbers; its values are converted only as far as
+    the unpacking takes them."""
+    x, y, w, h = (as_number(v) for v in bbox_values(value))
+    return x, y, w, h
+
+
+def record_columns(records: list, name, **kinds) -> tuple:
     """Each key's values over ``records`` as a column of its kind: "int",
-    JSON integers as int64; "number", JSON numbers as float64; or "box",
-    arrays of 4 JSON numbers as ``(N, 4)`` float64.  None if a record is
-    not an object or lacks a key, or a value is not exactly of its kind (a
-    bool is not a number) or does not fit its column."""
-    columns = []
+    JSON integers as int64; "number", JSON numbers as float64; "box",
+    arrays of 4 JSON numbers as ``(N, 4)`` float64; or "numbers", arrays
+    of JSON numbers of any length, cut or padded with zeros to ``(N, 4)``
+    float64 and followed by a column of their lengths.
+
+    Keys go in ``kinds`` order.  A key whose every value is plain JSON of
+    its kind (a bool is not a number) that fits its column is taken at
+    once; any other is converted value by value, by :func:`as_int64` or
+    :func:`as_number`, over the records before the earliest that failed
+    so far.  Returns the columns of the records before the earliest that
+    does not convert, and a CorpusError for that one, led by ``name(i,
+    record)`` and naming the first of its keys that fails (None if every
+    record converts).  No rule is checked here."""
+    columns, end, failure = [], len(records), None
+    for key, kind in kinds.items():
+        column, lengths = _typed_column(records, key, kind), None
+        if column is None:
+            convert = {"int": as_int64, "number": as_number, "box": _box,
+                       "numbers": lambda v: tuple(map(as_number,
+                                                      bbox_values(v)))}[kind]
+            values = []
+            for i, record in enumerate(records[:end]):
+                try:
+                    values.append(convert(record[key]))
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    end, failure = i, CorpusError(f"{name(i, record)}: {exc}")
+                    break
+            if kind == "numbers":
+                lengths = np.fromiter(map(len, values), np.int64, len(values))
+                values = [(box + (0.0,) * 4)[:4] for box in values]
+            column = np.array(values, np.int64 if kind == "int"
+                              else np.float64)
+        columns.append(column.reshape(-1, 4) if kind in ("box", "numbers")
+                       else column)
+        if kind == "numbers":
+            columns.append(np.full(len(records), 4) if lengths is None
+                           else lengths)
+    return [column[:end] for column in columns], failure
+
+
+def _typed_column(records: list, key: str, kind: str):
+    """The values of ``key`` over ``records`` as a flat column, if each
+    record is an object holding the key and every value is plain JSON of
+    ``kind`` (see :func:`record_columns`; "numbers" as arrays of 4) that
+    fits the column; otherwise None."""
     try:
-        for key, kind in kinds.items():
-            values = [record[key] for record in records]
-            if kind == "box":
-                if not (set(map(type, values)) <= {list}
-                        and set(map(len, values)) <= {4}):
-                    return None
-                values = [v for box in values for v in box]
-            types, dtype = ({int}, np.int64) if kind == "int" \
-                else ({int, float}, np.float64)
-            if not set(map(type, values)) <= types:
+        values = [record[key] for record in records]
+        if kind in ("box", "numbers"):
+            if not (set(map(type, values)) <= {list}
+                    and set(map(len, values)) <= {4}):
                 return None
-            column = np.array(values, dtype=dtype)
-            columns.append(column.reshape(-1, 4) if kind == "box" else column)
+            values = [v for box in values for v in box]
+        types, dtype = ({int}, np.int64) if kind == "int" \
+            else ({int, float}, np.float64)
+        if not set(map(type, values)) <= types:
+            return None
+        return np.array(values, dtype=dtype)
     except (KeyError, TypeError, OverflowError):
         return None
-    return columns
-
-
-def convert_rows(records: list, convert, name) -> tuple:
-    """``convert(record)`` of each record up to the first one it does not
-    convert, and a CorpusError for that one led by ``name(i, record)``
-    (None if every record converts).  A row converter checks no rule."""
-    rows = []
-    for i, record in enumerate(records):
-        try:
-            rows.append(convert(record))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            return rows, CorpusError(f"{name(i, record)}: {exc}")
-    return rows, None
 
 
 def raise_first(masks: list, messages, failure=None) -> None:
@@ -186,47 +220,8 @@ def raise_first(masks: list, messages, failure=None) -> None:
         raise failure
 
 
-def _typed_corpus(doc: dict):
-    """The columns of ``doc`` (image ids, widths, heights, annotation ids,
-    image ids, category ids, ``(x, y, w, h)`` boxes) if every id, size and
-    category is a JSON integer and every bbox an array of 4 JSON numbers;
-    otherwise None."""
-    images = typed_columns(doc["images"], id="int", width="int",
-                           height="int")
-    anns = typed_columns(doc["annotations"], id="int", image_id="int",
-                         category_id="int", bbox="box")
-    return None if images is None or anns is None else images + anns
-
-
-def _annotation_row(ann) -> tuple:
-    """An annotation's fields, converted id, image_id, bbox, category_id:
-    of two bad fields, the first in that order names the fault."""
-    ann_id, image_id = as_int64(ann["id"]), as_int64(ann["image_id"])
-    x, y, w, h = (as_number(v) for v in bbox_values(ann["bbox"]))
-    return ann_id, image_id, as_int64(ann["category_id"]), x, y, w, h
-
-
-def _converted_corpus(doc: dict) -> tuple:
-    """The columns of :func:`_typed_corpus`, converted by
-    :func:`convert_rows` up to the first record that does not convert,
-    images before annotations; and that record's error, or None."""
-    images, failure = convert_rows(doc["images"], lambda img: tuple(
-        as_int64(img[key]) for key in ("id", "width", "height")),
-        lambda i, img: f"bad image record {img!r}")
-    anns = []
-    if failure is None:
-        anns, failure = convert_rows(doc["annotations"], _annotation_row,
-                                     lambda i, ann: f"bad annotation "
-                                                    f"record {ann!r}")
-    ints = np.array([row[:3] for row in anns], dtype=np.int64)
-    return [*np.array(images, dtype=np.int64).reshape(-1, 3).T,
-            *ints.reshape(-1, 3).T,
-            np.array([row[3:] for row in anns],
-                     dtype=np.float64).reshape(-1, 4)], failure
-
-
 def _checked_corpus(doc: dict, image_ids, widths, heights, ids, ann_images,
-                    cats, boxes, failure) -> AnnotationCorpus:
+                    boxes, cats, failure) -> AnnotationCorpus:
     """The corpus of the columns of ``doc``'s first records, every rule
     checked here and only here, images before annotations (see
     :func:`raise_first`; ``failure`` is the error of the record after the
@@ -320,6 +315,31 @@ def read_json(path, top: type = dict):
 
 def load_corpus(path) -> AnnotationCorpus:
     return parse_corpus(read_json(path))
+
+
+def load_detections(path) -> tuple:
+    """A detection file's (boxes, scores, class ids) columns, read by
+    :func:`record_columns`; then every rule is checked, in this order: a
+    box of 4 finite values, a score in [0, 1] and a class id of at least
+    0, so the first bad record names the fault (see :func:`raise_first`).
+    A box of another length than 4 is cut or padded to 4 values, and its
+    length refuses it."""
+    (boxes, lengths, scores, cats), failure = record_columns(
+        read_json(path, list), lambda i, row: f"{path}: bad detection #{i}",
+        bbox="numbers", score="number", category_id="int")
+
+    def messages(i):
+        return (f"{path}: bad detection #{i}: {fault}" for fault in (
+            f"box must have 4 values, got {lengths[i]}",
+            f"box must be finite, got {tuple(boxes[i].tolist())}",
+            f"score must be finite in [0, 1], got {float(scores[i])}",
+            "class_id must be non-negative"))
+    x1, y1, x2, y2 = boxes.T
+    raise_first([lengths != 4, ~(np.isfinite(x1) & np.isfinite(y1)
+                                 & np.isfinite(x2) & np.isfinite(y2)),
+                 ~((scores >= 0.0) & (scores <= 1.0)), cats < 0],
+                messages, failure)
+    return boxes, scores, cats
 
 
 @dataclass(frozen=True)
@@ -492,9 +512,12 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     images = corpus.images
     # one read-only grid per image size, shared by every chunk
     grids = {}
-    for _, size in images:
+    for image_id, size in images:
         if size not in grids:
-            grids[size] = generate_anchors(config.anchors, size)
+            try:
+                grids[size] = generate_anchors(config.anchors, size)
+            except MemoryError as exc:  # a grid too large to hold
+                raise MemoryError(f"image {image_id}: {exc}") from exc
             grids[size].anchors.setflags(write=False)
 
     workers = min(worker_count(), len(images), len(corpus.ids) // _FORK_GTS)

@@ -9,7 +9,6 @@ kernel support, so the pass has no batch norm and no training.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,20 +69,17 @@ def _check_stride(stride: int) -> None:
 
 
 def rf_profile(spec: EncoderSpec) -> RFProfile:
-    """Enumerate receptive-field extents over all shortcut path subsets.
+    """Receptive-field extents over all shortcut path subsets, built as
+    the distinct subset sums of the dilations, one block at a time.
 
     The projector's 3x3 contributes extent 3; a traversed block's dilated
     3x3 adds ``2 * d``; 1x1 layers add nothing.  Without shortcuts only
     the all-through path exists.
     """
-    if spec.shortcuts:
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(spec.dilations, r)
-            for r in range(spec.num_blocks + 1))
-        extents = {3 + 2 * sum(s) for s in subsets}
-    else:
-        extents = {3 + 2 * sum(spec.dilations)}
-    return RFProfile(extents=tuple(sorted(extents)))
+    sums = {0}  # the distinct dilation sums of the paths so far
+    for d in spec.dilations:
+        sums = {s + d for s in sums} | (sums if spec.shortcuts else set())
+    return RFProfile(extents=tuple(sorted(3 + 2 * s for s in sums)))
 
 
 def scale_coverage(profile: RFProfile, stride: int):

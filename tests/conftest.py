@@ -1,8 +1,11 @@
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
+
+from yolof_assign import coco
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -46,3 +49,15 @@ def seeded_corpus_path(tmp_path):
     path = tmp_path / "seeded.json"
     path.write_text(json.dumps(seeded_corpus()))
     return path
+
+
+def converted_values(read, *args):
+    """``read(*args)``, and the values that the reader's converters,
+    ``coco.as_int64`` and ``coco.as_number``, took one at a time while it
+    ran: the first values of each call, in call order."""
+    with mock.patch.object(coco, "as_int64", wraps=coco.as_int64) as ints, \
+            mock.patch.object(coco, "as_number",
+                              wraps=coco.as_number) as numbers:
+        result = read(*args)
+    return result, [c.args[0] for c in ints.call_args_list
+                    + numbers.call_args_list]

@@ -54,6 +54,16 @@ def shift_offset_py(max_shift, seed, image_id):
                  for _ in range(2))
 
 
+def rf_extents_py(dilations, shortcuts=True):
+    """Receptive-field extents by enumerating every shortcut path: 3 from
+    the projector plus ``2 * d`` for each block a path goes through; with
+    shortcuts off, only the path through every block."""
+    paths = itertools.chain.from_iterable(
+        itertools.combinations(dilations, r)
+        for r in range(len(dilations) + 1)) if shortcuts else [dilations]
+    return tuple(sorted({3 + 2 * sum(path) for path in paths}))
+
+
 def nms_py(boxes, scores, class_ids, threshold):
     """Greedy class-wise suppression by direct simulation."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))

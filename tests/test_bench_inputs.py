@@ -1,15 +1,17 @@
-"""The benchmark's inputs take the readers' exact-type gate.
+"""The benchmark's inputs take the reader's per-column gate.
 
 ``perfbench/inputs.py`` is compiled from its source, and nothing under
-``perfbench/`` is written.  A rule change that sent its corpus or its
-detections to the row converter would make match-sweep and nms-4k time
-the slow path; these tests fail first.
+``perfbench/`` is written.  A rule change that sent a column of its
+corpus or of its detections to the value converters would make
+match-sweep and nms-4k time the slow path; these tests fail first.
 """
 
 import pathlib
 import types
 
-from yolof_assign import cli, coco
+import pytest
+
+from yolof_assign import coco
 
 INPUTS = pathlib.Path(__file__).parents[1] / "perfbench" / "inputs.py"
 
@@ -21,21 +23,23 @@ def bench_inputs():
 
 
 def no_converter(*args):
-    raise AssertionError("the row converter ran")
+    raise AssertionError("a value converter ran")
 
 
-def test_sweep_corpus_takes_the_gate(monkeypatch):
+@pytest.fixture
+def gate_only(monkeypatch):
+    for name in ("as_int64", "as_number", "bbox_values"):
+        monkeypatch.setattr(coco, name, no_converter)
+
+
+def test_sweep_corpus_takes_the_gate(gate_only):
     doc = bench_inputs().sweep_corpus(1)
-    assert coco._typed_corpus(doc) is not None
-    monkeypatch.setattr(coco, "_converted_corpus", no_converter)
     assert len(coco.parse_corpus(doc).ids) == len(doc["annotations"])
 
 
-def test_detections_take_the_gate(monkeypatch, tmp_path):
+def test_detections_take_the_gate(gate_only, tmp_path):
     inputs = bench_inputs()
     dets = inputs.detections(1)
-    assert cli._typed_detections(dets) is not None
     path = tmp_path / "dets.json"
     inputs.write_json(path, dets)
-    monkeypatch.setattr(cli, "_converted_detections", no_converter)
-    assert len(cli._load_detections(path)[0]) == len(dets)
+    assert len(coco.load_detections(path)[0]) == len(dets)

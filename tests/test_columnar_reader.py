@@ -2,8 +2,9 @@
 
 ``parse_corpus`` must give exactly the columns of ``oracles.corpus_py``,
 or the byte-identical message where the reference refuses the document.
-Of the documents it reads, ``coco._typed_corpus``, the exact-type gate,
-must take every plain one and leave the others to the row converter.
+Of the documents it reads, the per-column gate of
+``coco.record_columns`` must take every plain one whole, and leave each
+other one's odd columns, and only those, to the value converters.
 """
 
 import copy
@@ -12,11 +13,10 @@ import json
 import numpy as np
 import pytest
 
-from yolof_assign import coco
-from yolof_assign.coco import CorpusError, parse_corpus
+from yolof_assign.coco import CorpusError, parse_corpus, record_columns
 
 from oracles import InputError, corpus_py
-from conftest import DATA_DIR, seeded_corpus
+from conftest import DATA_DIR, converted_values, seeded_corpus
 from test_io_cli import BASE_DOC, NOT_ARRAYS, SHUFFLED_DOC, TestCLI, \
     edge_corpus
 
@@ -162,9 +162,9 @@ def same_columns(a, b):
 
 
 def check(doc: dict):
-    """Compare ``parse_corpus`` with the reference on ``doc``; the gate's
-    columns if the document is read, None if it is refused or read by the
-    row converter."""
+    """Compare ``parse_corpus`` with the reference on ``doc``; the corpus
+    if the gate read every column, None if the document is refused or a
+    column was converted value by value."""
     try:
         expected = corpus_py(doc)
     except InputError as exc:
@@ -172,8 +172,9 @@ def check(doc: dict):
             parse_corpus(doc)
         assert str(got.value) == str(exc)
         return None
-    same_columns(parse_corpus(doc), expected)
-    return coco._typed_corpus(doc)
+    corpus, converted = converted_values(parse_corpus, doc)
+    same_columns(corpus, expected)
+    return None if converted else corpus
 
 
 @pytest.mark.parametrize("name", sorted(PLAIN))
@@ -184,6 +185,31 @@ def test_plain_document_read_as_columns(name):
 @pytest.mark.parametrize("name", sorted(OTHER))
 def test_other_document_left_to_the_row_loop(name):
     assert check(OTHER[name]) is None
+
+
+def test_only_the_odd_column_is_converted():
+    doc = copy.deepcopy(SHUFFLED_DOC)
+    for ann in doc["annotations"]:
+        ann["id"] = str(ann["id"])
+    corpus, converted = converted_values(parse_corpus, doc)
+    assert converted == [ann["id"] for ann in doc["annotations"]]
+    same_columns(corpus, corpus_py(SHUFFLED_DOC))
+
+
+@pytest.mark.parametrize("records,message", [
+    # of two bad keys of one record, the first in kinds order is named
+    ([{"a": 1, "b": 2}, {"a": "x", "b": None}], "#1: invalid literal"),
+    ([{"a": 1, "b": 2}, {"b": None}], "#1: 'a'"),
+    # an earlier record's fault in a later key is named first
+    ([{"a": 1, "b": None}, {"a": "x", "b": 2}], "#0: int() argument"),
+    ([{"a": 1, "b": "2"}, {"a": "x", "b": 2}, 5], "#1: invalid literal"),
+])
+def test_earliest_record_named(records, message):
+    columns, failure = record_columns(records, lambda i, r: f"#{i}",
+                                      a="int", b="int")
+    assert str(failure).startswith(message)
+    end = int(message[1])
+    assert [c.tolist() for c in columns] == [[1, 1][:end], [2, 2][:end]]
 
 
 @pytest.mark.parametrize("side,outside", [(side, outside) for side, _,

@@ -1,6 +1,6 @@
 """The ``nms`` detection reader against the record-by-record reference.
 
-``cli._load_detections`` must give exactly the columns and dtypes of
+``coco.load_detections`` must give exactly the columns and dtypes of
 ``oracles.detections_py``, or the byte-identical message where the
 reference refuses the list.
 """
@@ -11,16 +11,17 @@ import json
 import numpy as np
 import pytest
 
-from yolof_assign import cli
-from yolof_assign.coco import CorpusError
+from yolof_assign.coco import CorpusError, load_detections
 
+from conftest import converted_values
 from oracles import InputError, detections_py
 from test_nms_bytes import MALFORMED, OK, clustered
 
 
 def check(tmp_path, text: str):
     """Compare both readers on a file holding ``text``: "refused", or the
-    path that read it, "gate" or "converter"."""
+    path that read it, "gate" for every column or "converter" for one
+    column or more."""
     path = tmp_path / "dets.json"
     path.write_text(text)
     doc = json.loads(text)
@@ -28,13 +29,14 @@ def check(tmp_path, text: str):
         expected = detections_py(doc, path)
     except InputError as exc:
         with pytest.raises(CorpusError) as got:
-            cli._load_detections(path)
+            load_detections(path)
         assert str(got.value) == str(exc)
         return "refused"
-    for got, want in zip(cli._load_detections(path), expected, strict=True):
+    columns, converted = converted_values(load_detections, path)
+    for got, want in zip(columns, expected, strict=True):
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
-    return "converter" if cli._typed_detections(doc) is None else "gate"
+    return "converter" if converted else "gate"
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -47,7 +49,7 @@ def test_malformed_files(tmp_path, name):
         path = tmp_path / "dets.json"
         path.write_text(text)
         with pytest.raises(CorpusError, match="parse error|top level"):
-            cli._load_detections(path)
+            load_detections(path)
 
 
 # replacement values of a score, a class id or one box value

@@ -5,19 +5,13 @@ from yolof_assign.encoder import (EncoderSpec, WeightSet, conv2d, forward,
                                   impulse_footprint, rf_profile,
                                   scale_coverage)
 
+from oracles import rf_extents_py
+
 
 def small_spec(**kwargs):
     kwargs.setdefault("in_channels", 4)
     kwargs.setdefault("mid_channels", 4)
     return EncoderSpec(**kwargs)
-
-
-def subset_sum_extents(dilations):
-    # independent enumeration: 3 from the projector plus 2*d per block taken
-    extents = {3}
-    for d in dilations:
-        extents |= {e + 2 * d for e in extents}
-    return tuple(sorted(extents))
 
 
 class TestRFProfile:
@@ -40,7 +34,22 @@ class TestRFProfile:
     ])
     def test_matches_subset_sum_oracle(self, dilations):
         spec = EncoderSpec(num_blocks=len(dilations), dilations=dilations)
-        assert rf_profile(spec).extents == subset_sum_extents(dilations)
+        assert rf_profile(spec).extents == rf_extents_py(dilations)
+
+    def test_random_specs_match_path_enumeration(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            dilations = tuple(rng.integers(1, 13, rng.integers(0, 10)).tolist())
+            for shortcuts in (True, False):
+                spec = EncoderSpec(num_blocks=len(dilations),
+                                   dilations=dilations, shortcuts=shortcuts)
+                assert rf_profile(spec).extents \
+                    == rf_extents_py(dilations, shortcuts)
+
+    def test_many_blocks(self):
+        # 2**64 shortcut paths, 65 distinct extents
+        profile = rf_profile(EncoderSpec(num_blocks=64, dilations=(1,) * 64))
+        assert profile.extents == tuple(range(3, 3 + 2 * 65, 2))
 
     def test_shortcuts_off_single_path(self):
         profile = rf_profile(EncoderSpec(shortcuts=False))

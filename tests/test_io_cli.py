@@ -658,6 +658,33 @@ class TestCLI:
         assert runs[0] == runs[1] == (2, "",
                                       "error: image 6: no assignment\n")
 
+    @staticmethod
+    def no_memory_past(width):
+        """``generate_anchors`` that raises MemoryError, as numpy does, for
+        an image wider than ``width``, allocating nothing."""
+        generate_anchors = coco.generate_anchors
+
+        def fake(anchors, size):
+            if size.width > width:
+                raise MemoryError("Unable to allocate 7.45 GiB for an array")
+            return generate_anchors(anchors, size)
+        return fake
+
+    def test_grid_too_large_exit_2(self, capsys, tmp_path, monkeypatch):
+        doc = dict(BASE_DOC, images=[
+            {"id": 3, "width": 3_200_000, "height": 320_000},
+            {"id": 1, "width": 64, "height": 64},
+            {"id": 2, "width": 3_200_000, "height": 320_000}])
+        monkeypatch.setattr(coco, "generate_anchors",
+                            self.no_memory_past(64))
+        assert self.run(capsys, "match-stats", "--input",
+                        write_json(tmp_path / "c.json", doc)) == (
+            2, "", "error: image 2: Unable to allocate 7.45 GiB for an "
+                   "array\n")
+        monkeypatch.setattr(cli, "generate_anchors", self.no_memory_past(64))
+        assert self.run(capsys, "anchors", "--image", "3200000x320000") == (
+            2, "", "error: Unable to allocate 7.45 GiB for an array\n")
+
     def test_hungarian_on_more_gts_than_anchors(self, capsys, tmp_path,
                                                 monkeypatch):
         # every anchor of image 6 goes to a distinct GT, one GT gets none

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from yolof_assign import postprocess
-from yolof_assign.cli import _load_detections
-from yolof_assign.coco import CorpusError
+from yolof_assign.coco import CorpusError, load_detections
 from yolof_assign.postprocess import nms
 
 from oracles import nms_py
@@ -190,6 +189,6 @@ class TestDetectionLoader:
         path.write_text(json.dumps([{"bbox": [0, 0, 1, 1], "score": score,
                                      "category_id": 0}]))
         with pytest.raises(CorpusError) as got:
-            _load_detections(path)
+            load_detections(path)
         assert str(got.value) == (f"{path}: bad detection #0: score must "
                                   f"be finite in [0, 1], got {score}")
