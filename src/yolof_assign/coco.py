@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import json
 import os
 from dataclasses import dataclass, field
@@ -26,13 +25,15 @@ class CorpusError(Exception):
 class AnnotationCorpus:
     """Parsed COCO-style corpus, held as columns.
 
-    Annotations are sorted by (image id, annotation id).  ``ids``,
-    ``boxes`` (``(N, 4)``, corner form) and ``category_ids`` are parallel
-    read-only columns, and the annotations of ``images[i]`` are rows
-    ``offsets[i]:offsets[i + 1]``.
+    Images are sorted by id, annotations by (image id, annotation id).
+    Each is held as parallel read-only columns: ``image_ids`` and
+    ``sizes`` (``(K, 2)`` int64 width and height); ``ids``, ``boxes``
+    (``(N, 4)``, corner form) and ``category_ids``.  The annotations of
+    image ``i`` are rows ``offsets[i]:offsets[i + 1]``.
     """
 
-    images: list  # (image_id, ImageSize), sorted by id
+    image_ids: np.ndarray
+    sizes: np.ndarray
     ids: np.ndarray
     boxes: np.ndarray
     category_ids: np.ndarray
@@ -41,14 +42,15 @@ class AnnotationCorpus:
     dropped: int = 0  # annotations discarded for non-positive extent
 
     def __post_init__(self):
-        for column in (self.ids, self.boxes, self.category_ids, self.offsets):
+        for column in (self.image_ids, self.sizes, self.ids, self.boxes,
+                       self.category_ids, self.offsets):
             column.setflags(write=False)
 
     def ground_truths(self, image_id: int) -> GroundTruthSet:
-        i = bisect.bisect_left(self.images, image_id, key=lambda t: t[0])
-        rows = slice(0, 0)
-        if i < len(self.images) and self.images[i][0] == image_id:
-            rows = slice(self.offsets[i], self.offsets[i + 1])
+        # ids are unique: hi is lo + 1 for a known id, lo for another
+        lo, hi = (np.searchsorted(self.image_ids, image_id, side)
+                  for side in ("left", "right"))
+        rows = slice(self.offsets[lo], self.offsets[hi])
         return GroundTruthSet(boxes=self.boxes[rows],
                               class_ids=self.category_ids[rows])
 
@@ -56,34 +58,30 @@ class AnnotationCorpus:
         """This corpus with each image's boxes moved by one offset, drawn
         by :func:`shift_offsets` from ``(seed, image_id)``, and clamped to
         the image; boxes left without area are dropped.  At ``max_shift``
-        0 this only clamps."""
+        0 this only clamps.  The image columns are shared, not copied."""
         if max_shift < 0:
             raise ValueError(f"max_shift must be >= 0, got {max_shift}")
         max_shift = _count("max_shift", max_shift)
         seed = _count("seed", seed)
-        per_image = np.array([(image_id, size.width, size.height)
-                              for image_id, size in self.images],
-                             np.int64).reshape(-1, 3)
-        offsets = shift_offsets(seed, per_image[:, 0], max_shift)
+        offsets = shift_offsets(seed, self.image_ids, max_shift)
         # one (dx, dy, width, height) row per annotation
-        rows = np.repeat(np.column_stack([offsets.T, per_image[:, 1:]]),
+        rows = np.repeat(np.column_stack([offsets.T, self.sizes]),
                          np.diff(self.offsets), axis=0)
         boxes, kept = apply_shift(self.boxes, rows[:, 2:], rows[:, 0],
                                   rows[:, 1])
         return AnnotationCorpus(
-            self.images, self.ids[kept], boxes, self.category_ids[kept],
-            np.searchsorted(kept, self.offsets), self.categories,
-            self.dropped)
+            self.image_ids, self.sizes, self.ids[kept], boxes,
+            self.category_ids[kept], np.searchsorted(kept, self.offsets),
+            self.categories, self.dropped)
 
     def to_dict(self) -> dict:
         """The corpus as a COCO document, annotations in column order."""
-        image_ids = np.repeat([i for i, _ in self.images],
-                              np.diff(self.offsets))
+        image_ids = np.repeat(self.image_ids, np.diff(self.offsets))
         xywh = self.boxes.copy()
         xywh[:, 2:] -= self.boxes[:, :2]
         return {
-            "images": [{"id": i, "width": s.width, "height": s.height}
-                       for i, s in self.images],
+            "images": [{"id": i, "width": w, "height": h} for i, (w, h)
+                       in zip(self.image_ids.tolist(), self.sizes.tolist())],
             "annotations": [
                 {"id": a, "image_id": i, "bbox": b, "category_id": c}
                 for a, i, b, c in zip(self.ids.tolist(), image_ids.tolist(),
@@ -273,25 +271,14 @@ def _checked_corpus(doc: dict, image_ids, widths, heights, ids, ann_images,
                    & np.isfinite(y2)), outside, overflow],
                 messages, failure)
 
-    pairs = list(zip(widths[order].tolist(), heights[order].tolist()))
-    size_of = {pair: ImageSize(*pair) for pair in set(pairs)}
-    return _sorted_corpus(
-        [(i, size_of[pair]) for i, pair in zip(known.tolist(), pairs)],
-        ids[kept], ann_images[kept], boxes[kept], cats[kept],
-        doc["categories"], len(kept) - int(kept.sum()))
-
-
-def _sorted_corpus(images: list, ids, image_ids, boxes, cats, categories,
-                   dropped: int) -> AnnotationCorpus:
-    """The corpus of the kept annotations' columns, given in document
-    order, sorted by (image id, id)."""
-    order = np.lexsort((ids, image_ids))  # stable: equal ids keep doc order
-    offsets = np.append(np.searchsorted(image_ids[order],
-                                        [i for i, _ in images]), len(ids))
+    # the kept rows by (image id, id), equal ids in document order
+    rows = np.flatnonzero(kept)[np.lexsort((ids[kept], ann_images[kept]))]
     return AnnotationCorpus(
-        images=images, ids=ids[order], boxes=boxes[order],
-        category_ids=cats[order], offsets=offsets,
-        categories=list(categories), dropped=dropped)
+        image_ids=known, sizes=np.column_stack([widths, heights])[order],
+        ids=ids[rows], boxes=boxes[rows], category_ids=cats[rows],
+        offsets=np.append(np.searchsorted(ann_images[rows], known),
+                          len(rows)),
+        categories=list(doc["categories"]), dropped=len(kept) - len(rows))
 
 
 def read_json(path, top: type = dict):
@@ -433,56 +420,54 @@ _BLOCK = 512
 _FORK_GTS = 8192
 
 
-def _runs(members: list, num_gts: list) -> list:
-    """Cut ``members``, image positions in id order, into runs of whole
-    images of at most ``_BLOCK`` GTs each."""
-    runs, total = [], _BLOCK
-    for i in members:
-        if total + num_gts[i] > _BLOCK:
+def _runs(members: list, codes: list, num_gts: list) -> list:
+    """Cut ``members``, image positions grouped by size ``codes``, into
+    runs of whole images of one size and at most ``_BLOCK`` GTs each."""
+    runs, total, last = [], _BLOCK, None
+    for i, code in zip(members, codes):
+        if total + num_gts[i] > _BLOCK or code != last:
             runs.append([])
-            total = 0
+            total, last = 0, code
         runs[-1].append(i)
         total += num_gts[i]
     return runs
 
 
-def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: dict,
-                 lo: int, hi: int) -> np.ndarray:
+def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: list,
+                 codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The positive count of each GT of images ``lo:hi``, in corpus order.
 
-    The images of one size share a grid, so each run of them that
-    :func:`_runs` cuts is matched by one :func:`matching.run_positives`
+    The images of one size code share ``grids[code]``, so each run of them
+    that :func:`_runs` cuts is matched by one :func:`matching.run_positives`
     call, and its counts are scattered back to corpus order.
     """
-    images = corpus.images[lo:hi]
     offsets = corpus.offsets[lo:hi + 1]
     num_gts = np.diff(offsets)
-    counts = num_gts.tolist()
-    by_size = {}
-    for i, (_, size) in enumerate(images):
-        if counts[i]:  # an image without GTs has no positives to count
-            by_size.setdefault(size, []).append(i)
+    # the images with GTs (others have no positives to count), by size
+    # code, in id order within a code
+    codes = codes[lo:hi]
+    held = np.flatnonzero(num_gts)
+    held = held[np.argsort(codes[held], kind="stable")]
     positives = np.empty(offsets[-1] - offsets[0], dtype=np.int64)
     failed = None  # (image id, error) of the first failing image
-    for size, members in by_size.items():
-        for run in _runs(members, counts):
-            n = num_gts[run]  # each image's rows, one after the other
-            rows = np.arange(n.sum()) + np.repeat(
-                offsets[run] - (np.cumsum(n) - n), n)
-            try:
-                positives[rows - offsets[0]] = matching.run_positives(
-                    config.matcher, grids[size], corpus.boxes[rows],
-                    np.repeat(np.arange(len(run)), n), config.matcher_config)
-            except matching.ImageError as exc:
-                image_id = images[run[exc.image]][0]
-                if failed is None or image_id < failed[0]:
-                    failed = image_id, exc
+    for run in _runs(held.tolist(), codes[held].tolist(), num_gts.tolist()):
+        n = num_gts[run]  # each image's rows, one after the other
+        rows = np.arange(n.sum()) + np.repeat(
+            offsets[run] - (np.cumsum(n) - n), n)
+        try:
+            positives[rows - offsets[0]] = matching.run_positives(
+                config.matcher, grids[codes[run[0]]], corpus.boxes[rows],
+                np.repeat(np.arange(len(run)), n), config.matcher_config)
+        except matching.ImageError as exc:
+            image_id = int(corpus.image_ids[lo + run[exc.image]])
+            if failed is None or image_id < failed[0]:
+                failed = image_id, exc
     if failed is not None:
         raise ValueError(f"image {failed[0]}: {failed[1]}") from failed[1]
     return positives
 
 
-# (corpus, config, grids) of the run that forked this worker
+# (corpus, config, grids, codes) of the run that forked this worker
 _inherited = None
 
 
@@ -492,8 +477,7 @@ def _inherit(state):
 
 
 def _forked_chunk(lo: int, hi: int):
-    corpus, config, grids = _inherited
-    return _match_chunk(corpus, config, grids, lo, hi)
+    return _match_chunk(*_inherited, lo, hi)
 
 
 def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
@@ -509,38 +493,46 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     """
     if config.shift_max > 0:  # at 0 the boxes stay unclamped
         corpus = corpus.shifted(config.shift_max, config.seed)
-    images = corpus.images
-    # one read-only grid per image size, shared by every chunk
-    grids = {}
-    for image_id, size in images:
-        if size not in grids:
-            try:
-                grids[size] = generate_anchors(config.anchors, size)
-            except MemoryError as exc:  # a grid too large to hold
-                raise MemoryError(f"image {image_id}: {exc}") from exc
-            grids[size].anchors.setflags(write=False)
+    # one read-only grid per distinct image size, indexed by each image's
+    # size code and built in order of each size's first image, so that
+    # the first grid too large to hold names the first such image
+    _, first, codes = np.unique(corpus.sizes, axis=0, return_index=True,
+                                return_inverse=True)
+    codes = codes.reshape(-1)  # its shape varies across numpy 2.x
+    grids = [None] * len(first)
+    for code in np.argsort(first).tolist():
+        i = first[code]
+        try:
+            grids[code] = generate_anchors(
+                config.anchors, ImageSize(*corpus.sizes[i].tolist()))
+        except MemoryError as exc:  # a grid too large to hold
+            raise MemoryError(f"image {corpus.image_ids[i]}: {exc}") from exc
+        grids[code].anchors.setflags(write=False)
 
-    workers = min(worker_count(), len(images), len(corpus.ids) // _FORK_GTS)
+    images = len(corpus.image_ids)
+    workers = min(worker_count(), images, len(corpus.ids) // _FORK_GTS)
     if workers > 1:
         # imported here, so that a run that never forks does not load them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # fork, not spawn: the workers inherit the corpus, the config and
-        # the grids instead of unpickling them, and skip re-importing numpy
+        # fork, not spawn: the workers inherit the corpus, the config, the
+        # grids and the codes instead of unpickling them, and skip
+        # re-importing numpy
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_inherit,
-                initargs=((corpus, config, grids),)) as pool:
-            futures = [pool.submit(_forked_chunk, len(images) * i // workers,
-                                   len(images) * (i + 1) // workers)
+                initargs=((corpus, config, grids, codes),)) as pool:
+            futures = [pool.submit(_forked_chunk, images * i // workers,
+                                   images * (i + 1) // workers)
                        for i in range(workers)]
             # in chunk order, so a failure names the first failing image
             parts = [f.result() for f in futures]
     else:
-        parts = [_match_chunk(corpus, config, grids, 0, len(images))]
+        parts = [_match_chunk(corpus, config, grids, codes, 0, images)]
 
-    per_image = [(image_id, len(grids[size]), n) for (image_id, size), n
-                 in zip(images, np.diff(corpus.offsets).tolist())]
+    anchors = np.array([len(grid) for grid in grids], np.int64)
+    per_image = np.column_stack([corpus.image_ids, anchors[codes],
+                                 np.diff(corpus.offsets)])
     return distribution(per_image, corpus.boxes, np.concatenate(parts),
                         config.matcher, config.buckets)

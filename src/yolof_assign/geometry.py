@@ -91,16 +91,12 @@ def iou(a, b) -> float:
 def pairwise_iou(a: np.ndarray, b, b_areas=None) -> np.ndarray:
     """IoU of boxes ``a`` with the boxes of ``b``.
 
-    ``b`` is an ``(M, 4)`` box array, giving the ``(N, M)`` matrix; an
-    ``(N, k, 4)`` array of k boxes per box of ``a``, giving ``(N, k)``; or
-    an :class:`AnchorGrid`, giving the matrix of its anchors.  On a grid,
-    :func:`iou_window` scores only the pairs that may pass a threshold.
+    ``b`` is an ``(M, 4)`` box array, giving the ``(N, M)`` matrix, or an
+    ``(N, k, 4)`` array of k boxes per box of ``a``, giving ``(N, k)``.
     ``b_areas``, when given, are the areas of ``b``'s boxes (a grid's
     ``areas`` gathered as its anchors are), which are then not recomputed.
     """
     a = as_boxes(a)
-    if isinstance(b, AnchorGrid):
-        b, b_areas = b.anchors, b.areas
     inter, union = _inter_union(a, _other_boxes(a, b), b_areas)
     return _ratio(inter, union)
 

@@ -594,7 +594,7 @@ def hungarian_cost(grid: AnchorGrid, gts) -> np.ndarray:
     The distances are the result's buffer, and the IoUs are subtracted in
     tiles of at most ``_COST_CELLS`` cells, so no other matrix is built.
     Every step is elementwise, so each cost is the float of the one-shot
-    ``dist - stride * pairwise_iou(boxes, grid)``.
+    ``dist - stride * pairwise_iou(boxes, grid.anchors, grid.areas)``.
     """
     boxes = _boxes(gts)
     cost = _grid_distances(box_centers(boxes), grid, len(grid.slot_centers))

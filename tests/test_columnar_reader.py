@@ -152,7 +152,8 @@ OTHER = {
 def same_columns(a, b):
     """``a``, a corpus, holds exactly the columns of ``b``, one that
     :func:`oracles.corpus_py` gives."""
-    assert [(i, (s.width, s.height)) for i, s in a.images] == b["images"]
+    assert list(zip(a.image_ids.tolist(), map(tuple, a.sizes.tolist()))) \
+        == b["images"]
     for name in ("ids", "boxes", "category_ids", "offsets"):
         x, y = getattr(a, name), b[name]
         assert (x.dtype, x.shape) == (y.dtype, y.shape)

@@ -214,7 +214,7 @@ class TestKernelsExact:
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_iou_grid_equals_flat(self, grid, kind, seed):
         boxes = boxes_for(grid, kind, seed)
-        assert_same_floats(pairwise_iou(boxes, grid),
+        assert_same_floats(pairwise_iou(boxes, grid.anchors, grid.areas),
                            pairwise_iou(boxes, grid.anchors))
 
     @pytest.mark.parametrize("kind,seed", SCENES)
@@ -227,9 +227,9 @@ class TestKernelsExact:
     # no GT: a (0, N) matrix, as the flat anchors give
     def test_iou_without_gts(self, grid):
         none = np.empty((0, 4))
-        assert_same_floats(pairwise_iou(none, grid),
-                           pairwise_iou(none, grid.anchors))
-        assert pairwise_iou(none, grid).shape == (0, len(grid))
+        got = pairwise_iou(none, grid.anchors, grid.areas)
+        assert_same_floats(got, pairwise_iou(none, grid.anchors))
+        assert got.shape == (0, len(grid))
 
     def test_center_distances_without_gts(self, grid):
         none = np.empty((0, 4))
@@ -259,7 +259,8 @@ class TestKernelsExact:
         anchors = grid.anchors.tolist()
         want = np.array([[iou_py(b, a) for a in anchors]
                          for b in g.boxes.tolist()])
-        assert_same_floats(pairwise_iou(g.boxes, grid), want)
+        assert_same_floats(pairwise_iou(g.boxes, grid.anchors, grid.areas),
+                           want)
 
     @pytest.mark.parametrize("k", [1, 4, 5, 9, 15])
     @pytest.mark.parametrize("kind,seed", SCENES)

@@ -16,7 +16,7 @@ from yolof_assign import cli, coco, matching
 from yolof_assign.cli import main
 from yolof_assign.coco import (CorpusError, RunConfig, load_corpus,
                                parse_corpus, run_match_stats, worker_count)
-from yolof_assign.geometry import apply_shift
+from yolof_assign.geometry import ImageSize, apply_shift
 from yolof_assign.matching import MATCHERS, MaxIoUConfig, UniformMatchConfig
 from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
                                   to_json, write_atomic)
@@ -90,10 +90,12 @@ def shifted_by_image(corpus, max_shift, seed):
     """``AnnotationCorpus.shifted`` redone one image at a time with the
     scalar ``apply_shift``: ``(ids, boxes, category ids, offsets)``."""
     ids, boxes, cats, offsets = [], [], [], [0]
-    for (image_id, size), lo, hi in zip(corpus.images, corpus.offsets,
-                                        corpus.offsets[1:]):
+    for image_id, size, lo, hi in zip(corpus.image_ids.tolist(),
+                                      corpus.sizes.tolist(), corpus.offsets,
+                                      corpus.offsets[1:]):
         dx, dy = shift_offset_py(max_shift, seed, image_id)
-        moved, kept = apply_shift(corpus.boxes[lo:hi], size, dx, dy)
+        moved, kept = apply_shift(corpus.boxes[lo:hi], ImageSize(*size),
+                                  dx, dy)
         ids += corpus.ids[lo:hi][kept].tolist()
         boxes += moved.tolist()
         cats += corpus.category_ids[lo:hi][kept].tolist()
@@ -153,7 +155,8 @@ class TestShift:
         assert got.offsets.tolist() == offsets
         assert (got.ids.dtype, got.boxes.dtype, got.category_ids.dtype) \
             == (np.int64, np.float64, np.int64)
-        assert got.images == corpus.images
+        assert got.image_ids.tolist() == corpus.image_ids.tolist()
+        assert got.sizes.tolist() == corpus.sizes.tolist()
         assert got.dropped == corpus.dropped
         if max_shift == 0:  # only clamps: every box stays
             assert ids == corpus.ids.tolist()
@@ -163,7 +166,7 @@ class TestShift:
         for seed in range(6):
             corpus = parse_corpus(edge_corpus(np.random.default_rng(seed)))
             assert (np.diff(corpus.offsets) == 0).any()
-            assert len({s for _, s in corpus.images}) > 1
+            assert len(set(map(tuple, corpus.sizes.tolist()))) > 1
         assert len(corpus.shifted(32, 0).ids) < len(corpus.ids)
 
     def test_shuffled_doc_and_empty_corpus(self):
@@ -175,6 +178,23 @@ class TestShift:
             assert (got.ids.tolist(), got.boxes.tolist(),
                     got.category_ids.tolist(), got.offsets.tolist()) \
                 == (ids, boxes, cats, offsets)
+
+    def test_image_columns_shared_and_read_only(self):
+        for doc in (seeded_corpus(), dict(BASE_DOC, images=[],
+                                          annotations=[])):
+            corpus = parse_corpus(doc)
+            k = len(doc["images"])
+            assert (corpus.image_ids.dtype, corpus.image_ids.shape) \
+                == (np.int64, (k,))
+            assert (corpus.sizes.dtype, corpus.sizes.shape) \
+                == (np.int64, (k, 2))
+            got = corpus.shifted(32, 0)
+            assert got.image_ids is corpus.image_ids
+            assert got.sizes is corpus.sizes
+        corpus = parse_corpus(seeded_corpus())
+        for column in (corpus.image_ids, corpus.sizes):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
 
     def test_match_stats_matches_the_shifted_corpus(self):
         corpus = parse_corpus(edge_corpus(np.random.default_rng(9)))
@@ -230,8 +250,8 @@ class TestLoadCorpus:
                                  "bbox": [10, 20, 30, 40],
                                  "category_id": 2.0}])
         corpus = parse_corpus(doc)
-        assert [(i, s.width, s.height) for i, s in corpus.images] \
-            == [(1, 64, 64)]
+        assert np.column_stack([corpus.image_ids, corpus.sizes]).tolist() \
+            == [[1, 64, 64]]
         assert corpus.ids.tolist() == [5]
         assert corpus.category_ids.tolist() == [2]
 
@@ -376,7 +396,7 @@ class TestRunMatchStats:
         matched_here, aggregated_here = record_calls(monkeypatch)
         threaded = run_match_stats(corpus, config)
         assert distribution_to_dict(serial) == distribution_to_dict(threaded)
-        forked = min(len(corpus.images), len(corpus.ids)) > 1
+        forked = min(len(corpus.image_ids), len(corpus.ids)) > 1
         assert matched_here == ([] if forked else [os.getpid()])
         assert aggregated_here == [os.getpid()]
         assert multiprocessing.active_children() == []
@@ -681,9 +701,37 @@ class TestCLI:
                         write_json(tmp_path / "c.json", doc)) == (
             2, "", "error: image 2: Unable to allocate 7.45 GiB for an "
                    "array\n")
+        # image 2's size sorts before image 1's, and both are too large
+        doc = dict(BASE_DOC, images=[
+            {"id": 1, "width": 3_200_000, "height": 320_000},
+            {"id": 2, "width": 1_000_000, "height": 10}])
+        assert self.run(capsys, "match-stats", "--input",
+                        write_json(tmp_path / "c.json", doc)) == (
+            2, "", "error: image 1: Unable to allocate 7.45 GiB for an "
+                   "array\n")
         monkeypatch.setattr(cli, "generate_anchors", self.no_memory_past(64))
         assert self.run(capsys, "anchors", "--image", "3200000x320000") == (
             2, "", "error: Unable to allocate 7.45 GiB for an array\n")
+
+    def test_one_grid_per_size_and_anchors_for_every_image(
+            self, capsys, tmp_path, monkeypatch):
+        doc = seeded_corpus()  # three sizes; image 17 holds no GT
+        sizes, real = [], coco.generate_anchors
+
+        def spy(config, size):
+            sizes.append((size.width, size.height))
+            return real(config, size)
+
+        monkeypatch.setattr(coco, "generate_anchors", spy)
+        code, out, err = self.run(capsys, "match-stats", "--input",
+                                  write_json(tmp_path / "c.json", doc))
+        assert (code, err) == (0, "")
+        firsts = dict.fromkeys((img["width"], img["height"])
+                               for img in doc["images"])
+        assert sizes == list(firsts)  # once each, by first image
+        row = json.loads(out)["per_image"][16]
+        assert (row["image_id"], row["num_gts"]) == (17, 0)
+        assert row["num_anchors"] == 16 * 12 * 5  # 500x375 at stride 32
 
     def test_hungarian_on_more_gts_than_anchors(self, capsys, tmp_path,
                                                 monkeypatch):

@@ -135,10 +135,11 @@ def per_image_positives(corpus, config):
     """Each image's ``<matcher>_match`` counts, concatenated."""
     match = getattr(matching, f"{config.matcher}_match")
     return np.concatenate([np.empty(0, np.int64)] + [
-        match(generate_anchors(config.anchors, size),
+        match(generate_anchors(config.anchors, ImageSize(*size)),
               corpus.ground_truths(image_id),
               config.matcher_config).positives_per_gt
-        for image_id, size in corpus.images]).tolist()
+        for image_id, size in zip(corpus.image_ids.tolist(),
+                                  corpus.sizes.tolist())]).tolist()
 
 
 class TestRunPositives:
@@ -174,7 +175,8 @@ class TestRunPositives:
         if block == 1:
             assert all(images == 1 for _, images in calls)
         if block is None:  # one call per image size
-            sizes = {size for i, (_, size) in enumerate(corpus.images)
+            sizes = {tuple(size) for i, size
+                     in enumerate(corpus.sizes.tolist())
                      if corpus.offsets[i + 1] > corpus.offsets[i]}
             assert len(calls) == len(sizes)
 
@@ -228,9 +230,9 @@ def test_claims_write_each_images_labels(matcher, params, doc, anchors):
     match = getattr(matching, f"{matcher}_match")
     corpus = parse_corpus(DOCS[doc]).shifted(32, 7)
     by_size = {}
-    for i, (_, size) in enumerate(corpus.images):
+    for i, size in enumerate(corpus.sizes.tolist()):
         if corpus.offsets[i + 1] > corpus.offsets[i]:
-            by_size.setdefault(size, []).append(i)
+            by_size.setdefault(ImageSize(*size), []).append(i)
     for size, members in by_size.items():
         grid = generate_anchors(anchors, size)
         n = np.diff(corpus.offsets)[members]
@@ -252,7 +254,7 @@ def test_claims_write_each_images_labels(matcher, params, doc, anchors):
         labels.reshape(-1)[key] = label
         for j, i in enumerate(members):
             got = np.where(labels[j] >= 0, labels[j] - first[j], labels[j])
-            want = match(grid, corpus.ground_truths(corpus.images[i][0]),
+            want = match(grid, corpus.ground_truths(corpus.image_ids[i]),
                          cfg).labels
             outside = ~((got == NEGATIVE) & (want == IGNORED)) \
                 if matcher == "uniform" else slice(None)
