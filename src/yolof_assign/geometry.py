@@ -199,36 +199,6 @@ def _reaches(inter, total, t) -> np.ndarray:
     return inter / (total - inter) >= t
 
 
-def distance_window(centers, grid: "AnchorGrid", margin: float):
-    """``(gt, anchor, distance)`` of every anchor of ``grid`` whose center
-    distance ``d`` from ``centers[gt]`` has ``d - margin`` at most that
-    center's nearest distance.
-
-    ``d`` is ``sqrt(dy * dy + dx * dx)`` of the center offsets, the float
-    the distance kernels of ``matching`` compute.  A column is in the
-    window when its squared x offset plus its slot's smallest squared y
-    offset passes, a row likewise; no other anchor is nearer.  Where every
-    slot shares slot 0's centers, only slot 0 is scored, and each anchor
-    found stands for its whole position.
-    """
-    slots = 1 if grid.shared_centers else len(grid.slot_centers)
-    gt, slot = np.divmod(np.arange(len(centers) * slots), slots)
-    sq = centers[:, None, :, None] - grid.slot_centers[:slots]
-    sq *= sq
-    sq = sq.reshape(len(gt), 2, -1)  # (P, 2, L)
-    nearest = sq.min(axis=2)
-    b = np.sqrt((nearest[:, 1] + nearest[:, 0]).reshape(
-        -1, slots).min(axis=1))[gt]
-    ok = np.sqrt(sq + nearest[:, ::-1, None]) - margin <= b[:, None, None]
-    p, i, j = _window(ok)
-    dist = np.sqrt(sq[p, 1, i] + sq[p, 0, j])
-    keep = dist - margin <= b[p]
-    p, i, j, dist = p[keep], i[keep], j[keep], dist[keep]
-    per = len(grid.slot_centers) // slots  # the slots each anchor stands for
-    anchor = grid.anchor_index(i, j, slot[p])[:, None] + np.arange(per)
-    return gt[p].repeat(per), anchor.ravel(), dist.repeat(per)
-
-
 def _window(ok: np.ndarray):
     """``(p, row, col)`` of the anchors in the windows of ``ok``.
 
@@ -278,6 +248,14 @@ class AnchorConfig:
         _check_types(self)
         if self.stride < 1:
             raise ValueError("stride must be a positive integer")
+        # Below 2**428 an anchor center of an image of int64 side, rounded
+        # from its corners, lies within 2**430.  Subtracting it leaves a
+        # box coordinate of 2**484 or more no larger and squares a smaller
+        # offset below 2**970, half an ulp of the largest float, so every
+        # center distance of a box the reader accepts (its center's squares
+        # sum to a finite float) is finite.
+        if self.stride >= 2 ** 428:
+            raise ValueError(f"stride must be below 2**428, got {self.stride}")
         for name in ("sizes", "scale_multipliers", "aspect_ratios"):
             vals = getattr(self, name)
             if len(vals) == 0 or any(v <= 0 for v in vals):

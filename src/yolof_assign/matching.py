@@ -5,10 +5,13 @@ returns a :class:`MatchResult` whose ``labels`` array tags each anchor as
 positive for one ground-truth box, negative, or ignored.
 All matchers are pure and deterministic.
 
-Each matcher's labels come from one claims kernel over a run of images
-that share a grid, keyed by (image, anchor).  ``<name>_match`` writes
-them for one image, and :func:`run_positives` counts each GT's positives
-over a run.
+Each matcher but Hungarian takes its labels from one claims kernel over
+a run of images that share a grid, keyed by (image, anchor).
+``<name>_match`` writes them for one image, and :func:`run_positives`
+counts each GT's positives over a run.  Hungarian matching solves one
+image's full cost; its counts need a solve only for images with more GTs
+than anchors, as a one-to-one assignment of finite costs gives every GT
+of any other image one anchor.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (AnchorGrid, _check_types, _grid_outer, as_boxes,
-                       box_area, box_centers, distance_window, iou_window,
-                       pairwise_iou)
+                       box_area, box_centers, iou_window, pairwise_iou)
 
 NEGATIVE = -1
 IGNORED = -2
@@ -319,6 +321,8 @@ def run_positives(matcher: str, grid: AnchorGrid, boxes: np.ndarray,
     counts are each image's ``<matcher>_match(...).positives_per_gt`` in
     turn; an error on one image raises :class:`ImageError`.
     """
+    if matcher == "hungarian":
+        return _hungarian_positives(grid, boxes, image)
     default, key, label = _CLAIMS[matcher](grid, boxes, image, cfg)
     counts = np.bincount(label[label >= 0], minlength=len(boxes))
     if default == 0:  # each image's unclaimed anchors go to its first GT
@@ -611,39 +615,16 @@ def hungarian_cost(grid: AnchorGrid, gts) -> np.ndarray:
     return cost
 
 
-def _hungarian_claims(grid: AnchorGrid, boxes, image, cfg: HungarianConfig):
-    """Hungarian matching's claims over a run: each GT's first cheapest
-    anchor, found in its nearest window.
-
-    Where those anchors are distinct in an image they are its assignment,
-    as each row paying its own minimum is a lower bound.  An image where
-    two GTs share one is solved on its full cost.
-    """
-    gt, anchor, cost = _hungarian_window(grid, boxes)
-    win = _first_minima(gt, anchor, cost)  # one per GT, in GT order
-    gt = gt[win]
-    key = _keys(grid, image[gt], anchor[win])
-    # images where two GTs share an anchor are solved on their own
-    shared = np.sort(key)
-    bounds = np.append(_first_gts(image), len(boxes))  # each image's GTs
-    solved = np.zeros(len(bounds) - 1, dtype=bool)
-    solved[shared[1:][shared[1:] == shared[:-1]] // len(grid)] = True
-    keep = ~solved[image]
-    keys, labels = [key[keep]], [gt[keep]]
-    for i in np.flatnonzero(solved).tolist():
-        try:
-            full = hungarian_cost(grid, boxes[bounds[i]:bounds[i + 1]])
-            # with more GTs than anchors the transposed cost is solved, as
-            # a rectangular assignment does
-            if len(full) > len(grid):
-                a, g, _ = solve_assignment(full.T)
-            else:
-                g, a, _ = solve_assignment(full)
-        except ValueError as exc:
-            raise ImageError(i, str(exc)) from exc
-        keys.append(_keys(grid, i, a))
-        labels.append(bounds[i] + g)
-    return NEGATIVE, np.concatenate(keys), np.concatenate(labels)
+def _hungarian_pairs(grid: AnchorGrid, boxes: np.ndarray):
+    """``(gt, anchor)`` of one image's minimum-cost assignment on its
+    :func:`hungarian_cost`; with more GTs than anchors the transposed cost
+    is solved, as a rectangular assignment does."""
+    cost = hungarian_cost(grid, boxes)
+    if len(cost) > len(grid):
+        anchor, gt, _ = solve_assignment(cost.T)
+    else:
+        gt, anchor, _ = solve_assignment(cost)
+    return gt, anchor
 
 
 def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
@@ -652,51 +633,35 @@ def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
 
     With more GTs than anchors the transposed cost is solved instead, as
     a rectangular assignment does: every anchor goes positive for a
-    distinct GT, and the other GTs get no positive.
+    distinct GT, and the other GTs get no positive.  A cost that
+    overflows to ``+inf`` forbids its pair, so a GT whose every cost
+    overflows raises ``ValueError``.
     """
-    return _labels(_hungarian_claims, grid, gts, cfg)
+    labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
+    gt, anchor = _hungarian_pairs(grid, gts.boxes)
+    labels[anchor] = gt
+    return MatchResult(labels, len(gts))
 
 
-def _hungarian_window(grid: AnchorGrid, gts):
-    """``(gt, anchor, cost)`` of pairs that hold every anchor of each GT's
-    least cost, those within :func:`_hungarian_margin` of its nearest
-    center distance; each cost is the float :func:`hungarian_cost` gives.
+def _hungarian_positives(grid: AnchorGrid, boxes: np.ndarray,
+                         image: np.ndarray) -> np.ndarray:
+    """Each GT's Hungarian positive count over a run, as
+    :func:`run_positives` takes it.
+
+    Where every cost is finite, a one-to-one assignment gives each GT of
+    an image with no more GTs than anchors exactly one anchor, whichever
+    it is; so only images with more GTs than anchors are solved.
     """
-    boxes = _boxes(gts)
-    centers = box_centers(boxes)
-    stride = float(grid.config.stride)
-    gt, anchor, dist = distance_window(centers, grid,
-                                       _hungarian_margin(grid, centers))
-    return gt, anchor, dist - stride * pairwise_iou(
-        boxes[gt], grid.anchors[anchor, None], grid.areas[anchor, None])[:, 0]
-
-
-# units in the last place kept beyond the nearest distance on a grid whose
-# slots share centers, for positions that rounding may tie with it
-_TIE_ULPS = 8
-
-
-def _hungarian_margin(grid: AnchorGrid, centers: np.ndarray) -> float:
-    """How far past a GT's nearest center distance its cheapest anchors
-    may lie.
-
-    A cost lies in ``[d - stride, d]`` for the center distance ``d``, so
-    the stride is always enough.  Where every slot shares slot 0's
-    centers, the nearest positions alone hold the cheapest anchors: a
-    nearest position has the least ``|dx|`` and the least ``|dy|``, and a
-    slot's overlap with a box does not grow as either does, so there each
-    slot has its least distance and its largest IoU.  The margin is then a
-    few units in the last place of a bound on every center, distance and
-    cost.
-    """
-    stride = float(grid.config.stride)
-    if not grid.shared_centers or len(centers) == 0:
-        return stride
-    # a distance is below 3 times the largest coordinate, and a cost lies
-    # within the stride of a distance
-    reach = 4.0 * (max(np.abs(centers).max(), np.abs(grid.anchors).max())
-                   + stride)
-    return _TIE_ULPS * float(np.spacing(reach))
+    counts = np.ones(len(boxes), dtype=np.int64)
+    bounds = np.append(_first_gts(image), len(boxes))  # each image's GTs
+    for i in np.flatnonzero(np.diff(bounds) > len(grid)).tolist():
+        try:
+            gt, _ = _hungarian_pairs(grid, boxes[bounds[i]:bounds[i + 1]])
+        except ValueError as exc:
+            raise ImageError(i, str(exc)) from exc
+        counts[bounds[i]:bounds[i + 1]] = 0
+        counts[bounds[i] + gt] = 1
+    return counts
 
 
 # matcher name -> its claims kernel, ``(grid, boxes, image, cfg) ->
@@ -705,5 +670,4 @@ def _hungarian_margin(grid: AnchorGrid, centers: np.ndarray) -> float:
 # label is a GT index of the run or ``IGNORED``; every other anchor of the
 # run's images has the label ``default``.
 _CLAIMS = {"uniform": _uniform_claims, "topk": _topk_claims,
-           "max_iou": _max_iou_claims, "atss": _atss_claims,
-           "hungarian": _hungarian_claims}
+           "max_iou": _max_iou_claims, "atss": _atss_claims}

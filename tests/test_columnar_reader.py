@@ -17,8 +17,8 @@ from yolof_assign.coco import CorpusError, parse_corpus, record_columns
 
 from oracles import InputError, corpus_py
 from conftest import DATA_DIR, converted_values, seeded_corpus
-from test_io_cli import BASE_DOC, NOT_ARRAYS, SHUFFLED_DOC, TestCLI, \
-    edge_corpus
+from test_io_cli import BASE_DOC, NEGATIVE_ID_DOC, NOT_ARRAYS, \
+    ODD_IMAGE_DOC, SHUFFLED_DOC, edge_corpus
 
 
 def with_annotation(**fields) -> dict:
@@ -69,8 +69,8 @@ PLAIN = {
        for side, inside, _ in HUGE_SIDES for axis in (0, 1)},
     "base": BASE_DOC,
     "shuffled": SHUFFLED_DOC,
-    "odd-image": TestCLI.ODD_IMAGE_DOC,
-    "negative-image-id": TestCLI.NEGATIVE_ID_DOC,
+    "odd-image": ODD_IMAGE_DOC,
+    "negative-image-id": NEGATIVE_ID_DOC,
     "no-annotations": dict(BASE_DOC, annotations=[]),
     "empty": dict(BASE_DOC, images=[], annotations=[]),
     "seeded": seeded_corpus(),

@@ -145,7 +145,7 @@ class TestHungarianCostTiles:
     def test_more_gts_than_anchors(self, monkeypatch, cells):
         # image 6 of the CLI tests' odd corpus: 6 GTs on 5 anchors
         monkeypatch.setattr(matching, "_COST_CELLS", cells)
-        corpus = parse_corpus(test_io_cli.TestCLI.ODD_IMAGE_DOC)
+        corpus = parse_corpus(test_io_cli.ODD_IMAGE_DOC)
         grid = generate_anchors(AnchorConfig(), ImageSize(20, 20))
         g = corpus.ground_truths(6)
         assert (len(g), len(grid)) == (6, 5)

@@ -60,6 +60,32 @@ SHUFFLED_DOC = {
     "categories": [{"id": c} for c in (1, 2, 3)],
 }
 
+# 20x20 image 6 has 5 anchors and 6 GTs; it sits in the second of two
+# chunks
+ODD_IMAGE_DOC = dict(BASE_DOC, images=[
+    {"id": i, "width": 320, "height": 256} for i in range(1, 6)]
+    + [{"id": 6, "width": 20, "height": 20},
+       {"id": 7, "width": 320, "height": 256}],
+    annotations=[{"id": i, "image_id": i, "bbox": [3, 3, 10, 12],
+                  "category_id": 2} for i in range(1, 8)]
+    + [{"id": 10 + i, "image_id": 6, "bbox": [i, i, 6, 6],
+        "category_id": 2} for i in range(5)])
+
+# 64x64 images (20 anchors) of whole-image boxes, which keep overlapping
+# through any shift up to 32: image 1 holds 3 equal GTs, whose Hungarian
+# argmins collide, and image 2 holds 21 GTs, more than its anchors
+OVER_FULL_DOC = dict(BASE_DOC, images=[
+    {"id": i, "width": 64, "height": 64} for i in (1, 2)], annotations=[
+    {"id": i, "image_id": 1 if i < 3 else 2, "bbox": [0, 0, 64, 64],
+     "category_id": 2} for i in range(24)])
+
+# image -3 is read; only a shift above 0 needs a non-negative id
+NEGATIVE_ID_DOC = dict(BASE_DOC, images=[
+    {"id": -3, "width": 64, "height": 64},
+    {"id": 1, "width": 64, "height": 64}], annotations=[
+    {"id": 1, "image_id": -3, "bbox": [-5, 20, 30, 40],
+     "category_id": 2}])
+
 
 def replay_shift(doc, seed, max_shift):
     """``shift``'s output redone box by box: each image's offset drawn from
@@ -520,8 +546,9 @@ class TestReports:
         assert target.read_text() == "new"
 
 
-# anchor and bucket configs of a wrong type, or whose anchor areas overflow
-# or underflow, with what the error names
+# anchor and bucket configs of a wrong type, whose anchor areas overflow
+# or underflow, or whose stride is far past the largest that keeps every
+# squared center distance finite, with what the error names
 BAD_LAYOUTS = [
     ({"anchors": {"stride": 1.5}}, "stride must be an integer, got 1.5"),
     ({"anchors": {"stride": 32.0}}, "stride must be an integer, got 32.0"),
@@ -540,6 +567,8 @@ BAD_LAYOUTS = [
      "small_max must be a finite real number, got True"),
     ({"buckets": {"medium_max": "9216"}},
      "medium_max must be a finite real number, got '9216'"),
+    ({"anchors": {"stride": 10 ** 400}},
+     f"stride must be below 2**428, got {10 ** 400}"),
 ]
 
 
@@ -645,17 +674,6 @@ class TestCLI:
         assert err == (f"error: {bad}: not UTF-8 text: invalid continuation "
                        f"byte at byte 13\n")
 
-    # 20x20 image 6 has 5 anchors and 6 GTs; it sits in the second of two
-    # chunks
-    ODD_IMAGE_DOC = dict(BASE_DOC, images=[
-        {"id": i, "width": 320, "height": 256} for i in range(1, 6)]
-        + [{"id": 6, "width": 20, "height": 20},
-           {"id": 7, "width": 320, "height": 256}],
-        annotations=[{"id": i, "image_id": i, "bbox": [3, 3, 10, 12],
-                      "category_id": 2} for i in range(1, 8)]
-        + [{"id": 10 + i, "image_id": 6, "bbox": [i, i, 6, 6],
-            "category_id": 2} for i in range(5)])
-
     def test_image_error_from_a_worker_exit_2(self, capsys, tmp_path,
                                               monkeypatch):
         solve_assignment = matching.solve_assignment
@@ -666,7 +684,7 @@ class TestCLI:
             return solve_assignment(cost)
 
         monkeypatch.setattr(matching, "solve_assignment", fail_on_image_6)
-        corpus = write_json(tmp_path / "c.json", self.ODD_IMAGE_DOC)
+        corpus = write_json(tmp_path / "c.json", ODD_IMAGE_DOC)
         cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
         runs = []
         monkeypatch.setattr(coco, "_FORK_GTS", 1)  # image 6 in worker 2
@@ -736,7 +754,7 @@ class TestCLI:
     def test_hungarian_on_more_gts_than_anchors(self, capsys, tmp_path,
                                                 monkeypatch):
         # every anchor of image 6 goes to a distinct GT, one GT gets none
-        corpus = write_json(tmp_path / "c.json", self.ODD_IMAGE_DOC)
+        corpus = write_json(tmp_path / "c.json", ODD_IMAGE_DOC)
         cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
         runs = []
         monkeypatch.setattr(coco, "_FORK_GTS", 1)  # image 6 in worker 2
@@ -789,6 +807,23 @@ class TestCLI:
                                   "--image", "64x64")
         assert (code, out) == (2, "")
         assert named in err
+
+    @pytest.mark.parametrize("matcher", ["uniform", "atss", "hungarian"])
+    def test_stride_at_the_edge(self, capsys, tmp_path, tiny_corpus_path,
+                                matcher):
+        # the largest stride squares no center distance to inf (a numpy
+        # overflow warning would fail the test); one more exits 2
+        runs = []
+        for stride in (2 ** 428 - 1, 2 ** 428):
+            cfg = write_json(tmp_path / "cfg.json", {
+                "matcher": matcher, "anchors": {"stride": stride}})
+            runs.append(self.run(capsys, "match-stats", "--input",
+                                 str(tiny_corpus_path), "--config", cfg))
+        code, out, err = runs[0]
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total_gts"] == 6
+        assert runs[1] == (2, "", f"error: {cfg}: stride must be below "
+                                  f"2**428, got {2 ** 428}\n")
 
     @pytest.mark.parametrize("matcher,params,named", [
         ("uniform", {"k": 4.5}, "k must be an integer, got 4.5"),
@@ -1175,17 +1210,10 @@ class TestCLI:
         assert (code, out) == (2, "")
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
-    # image -3 is read; only a shift above 0 needs a non-negative id
-    NEGATIVE_ID_DOC = dict(BASE_DOC, images=[
-        {"id": -3, "width": 64, "height": 64},
-        {"id": 1, "width": 64, "height": 64}], annotations=[
-        {"id": 1, "image_id": -3, "bbox": [-5, 20, 30, 40],
-         "category_id": 2}])
-
     @pytest.mark.parametrize("command", ["match-stats", "shift"])
     def test_negative_image_id_shifted_exit_2(self, capsys, tmp_path,
                                               command):
-        path = write_json(tmp_path / "c.json", self.NEGATIVE_ID_DOC)
+        path = write_json(tmp_path / "c.json", NEGATIVE_ID_DOC)
         flags = ["--max-shift", "4"] if command == "shift" else [
             "--config", write_json(tmp_path / "cfg.json", {"shift_max": 32})]
         code, out, err = self.run(capsys, command, "--input", path, *flags)
@@ -1195,7 +1223,7 @@ class TestCLI:
 
     def test_negative_image_id_at_max_shift_0_clamps(self, capsys,
                                                      tmp_path):
-        path = write_json(tmp_path / "c.json", self.NEGATIVE_ID_DOC)
+        path = write_json(tmp_path / "c.json", NEGATIVE_ID_DOC)
         code, out, err = self.run(capsys, "shift", "--input", path,
                                   "--max-shift", "0")
         assert (code, err) == (0, "")
@@ -1326,8 +1354,8 @@ class TestMainReuse:
         assert in_process[3][1].startswith("matcher,bucket,")
 
 
-# Runs every matcher, nms and shift in one process, with the Hungarian
-# solver wrapped to count the colliding images it solves.
+# Runs every matcher on two corpora, nms and shift in one process, with
+# the Hungarian solver wrapped to count the images it solves.
 LAZY_SCRIPT = """
 import sys
 from yolof_assign import matching
@@ -1335,11 +1363,12 @@ from yolof_assign.cli import main
 
 solved, solve = [], matching.solve_assignment
 matching.solve_assignment = lambda cost: solved.append(1) or solve(cost)
-corpus, dets, *configs = sys.argv[1:]
-argvs = [["match-stats", "--input", corpus, "--config", c] for c in configs]
+corpus, over_full, dets, *configs = sys.argv[1:]
+argvs = [["match-stats", "--input", path, "--config", c]
+         for path in (corpus, over_full) for c in configs]
 argvs += [["nms", "--input", dets], ["shift", "--input", corpus]]
 assert [main(argv) for argv in argvs] == [0] * len(argvs)
-assert solved, "no Hungarian collision"
+assert solved, "no Hungarian solve"
 assert "numpy.ma" not in sys.modules
 """
 
@@ -1348,12 +1377,14 @@ def test_commands_leave_numpy_ma_out(tmp_path):
     # numpy.ma takes about 11 ms to import; np.isin, among others, loads it
     inputs = test_bench_inputs.bench_inputs()
     corpus = write_json(tmp_path / "corpus.json", inputs.sweep_corpus(1))
+    over_full = write_json(tmp_path / "over_full.json", OVER_FULL_DOC)
     dets = write_json(tmp_path / "dets.json", inputs.detections(1))
     configs = [write_json(tmp_path / f"{m}.json",
                           {"matcher": m, "shift_max": 32}) for m in MATCHERS]
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_SCRIPT, corpus, dets, *configs],
+        [sys.executable, "-c", LAZY_SCRIPT, corpus, over_full, dets,
+         *configs],
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src), YOLOF_ASSIGN_THREADS="1"))
     assert proc.returncode == 0, proc.stderr

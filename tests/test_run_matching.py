@@ -2,10 +2,14 @@
 
 ``match-stats`` matches each run of same-size images with one
 ``matching.run_positives`` call, which counts the claims of the matcher's
-kernel, and ``nearest_candidates`` scores a small square of positions
+kernel, or for Hungarian solves only the images of more GTs than
+anchors, and ``nearest_candidates`` scores a small square of positions
 before the full grid.  Both must give what the per-image, full-grid code
 gives, bit for bit.
 """
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +17,8 @@ import pytest
 import test_io_cli
 from conftest import seeded_corpus
 from yolof_assign import coco, matching
-from yolof_assign.coco import RunConfig, parse_corpus, run_match_stats
+from yolof_assign.coco import (CorpusError, RunConfig, parse_corpus,
+                               run_match_stats)
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
                                    box_centers, generate_anchors)
 from yolof_assign.matching import (IGNORED, MATCHERS, NEGATIVE,
@@ -128,7 +133,33 @@ CONFIGS = [
     ("hungarian", {}),
 ]
 DOCS = {"seeded": seeded_corpus(),
-        "odd-image": test_io_cli.TestCLI.ODD_IMAGE_DOC}
+        "odd-image": test_io_cli.ODD_IMAGE_DOC,
+        "over-full": test_io_cli.OVER_FULL_DOC}
+
+
+def edge_doc(c: float) -> dict:
+    """A 64x64 image of one box and, twice, a box from -2c to one ulp past
+    0 in x and from 5 to 25 in y, whose center lies near (-c, 15)."""
+    w = 2 * c + math.ulp(2 * c)
+    boxes = [[5, 5, 20, 20]] + [[-2 * c, 5, w, 20]] * 2
+    return {"images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": i, "image_id": 1, "bbox": box,
+                             "category_id": 1}
+                            for i, box in enumerate(boxes)],
+            "categories": [{"id": 1}]}
+
+
+def reader_edge() -> float:
+    """The largest ``c`` of :func:`edge_doc` whose boxes the reader takes:
+    the squares of its center sum to a finite float."""
+    c = math.sqrt(sys.float_info.max) * (1 + 1e-15)
+    while True:
+        try:
+            parse_corpus(edge_doc(c))
+            return c
+        except CorpusError as exc:
+            assert "overflows float64" in str(exc)
+            c = math.nextafter(c, 0)
 
 
 def per_image_positives(corpus, config):
@@ -180,7 +211,12 @@ class TestRunPositives:
                      if corpus.offsets[i + 1] > corpus.offsets[i]}
             assert len(calls) == len(sizes)
 
-    def test_hungarian_collisions_alone_go_to_the_solver(self, monkeypatch):
+    @pytest.mark.parametrize("doc,want", [
+        ("odd-image", [(5, 6)]),  # image 6: 6 GTs on 5 anchors
+        ("over-full", [(20, 21)]),  # not image 1, whose argmins collide
+        ("seeded", [])])
+    def test_only_images_of_more_gts_than_anchors_are_solved(
+            self, monkeypatch, doc, want):
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
         solved = []
         real = matching.solve_assignment
@@ -190,37 +226,56 @@ class TestRunPositives:
             return real(cost)
 
         monkeypatch.setattr(matching, "solve_assignment", recording)
-        corpus = parse_corpus(DOCS["odd-image"])
+        corpus = parse_corpus(DOCS[doc])
         run_match_stats(corpus, RunConfig(matcher="hungarian"))
-        # image 6: 6 GTs on 5 anchors, solved once and transposed
-        assert solved == [(5, 6)]
+        assert solved == want  # each solved once and transposed
+
+    @pytest.mark.parametrize("matcher,params", CONFIGS)
+    def test_reader_edge_boxes_at_the_largest_stride(self, monkeypatch,
+                                                     matcher, params):
+        # boxes at the reader's center limit, far from the one anchor
+        # position, near 2**427: every distance is finite (an overflow
+        # warning fails the test), so Hungarian still gives each of the
+        # two equal GTs, whose argmins collide, one positive
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
+        c = reader_edge()
+        with pytest.raises(CorpusError, match="overflows float64"):
+            parse_corpus(edge_doc(math.nextafter(c, math.inf)))
+        corpus = parse_corpus(edge_doc(c))
+        config = RunConfig(matcher=matcher, matcher_params=params,
+                           anchors=AnchorConfig(stride=2 ** 428 - 1))
+        assert run_match_stats(corpus, config).per_gt_counts[:, 1].tolist() \
+            == per_image_positives(corpus, config)
 
     def test_error_names_the_first_image_by_id(self, monkeypatch):
-        # images 2 and 3 each hold two equal boxes, whose argmins collide;
+        # images 2 and 3 hold more GTs than anchors, so both are solved;
         # image 3 shares image 1's size, so its run is matched first
-        box = [40, 40, 20, 20]
-        doc = {"images": [{"id": 1, "width": 320, "height": 256},
-                          {"id": 2, "width": 64, "height": 64},
-                          {"id": 3, "width": 320, "height": 256}],
+        box = [0, 0, 20, 20]
+        doc = {"images": [{"id": 1, "width": 64, "height": 64},
+                          {"id": 2, "width": 20, "height": 20},
+                          {"id": 3, "width": 64, "height": 64}],
                "annotations": [{"id": i, "image_id": image, "bbox": box,
                                 "category_id": 1}
-                               for i, image in enumerate([1, 2, 2, 3, 3])],
+                               for i, image in enumerate(
+                                   [1] + [2] * 6 + [3] * 21)],
                "categories": [{"id": 1}]}
 
-        def failing(cost):
+        def failing(cost):  # the transposed cost: one row per anchor
             raise ValueError(f"no assignment for {len(cost)}")
 
         monkeypatch.setattr(matching, "solve_assignment", failing)
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
         with pytest.raises(ValueError, match=r"^image 2: no assignment "
-                                             r"for 2$"):
+                                             r"for 5$"):
             run_match_stats(parse_corpus(doc), RunConfig(matcher="hungarian"))
 
 
 @pytest.mark.parametrize("anchors", [AnchorConfig(), SLOTS45],
                          ids=["5-slot", "45-slot"])
 @pytest.mark.parametrize("doc", sorted(DOCS))
-@pytest.mark.parametrize("matcher,params", CONFIGS)
+@pytest.mark.parametrize("matcher,params", [
+    (matcher, params) for matcher, params in CONFIGS
+    if matcher in matching._CLAIMS])
 def test_claims_write_each_images_labels(matcher, params, doc, anchors):
     """Each size's images as one run: its claims hold unique keys and run
     GT labels, and written over the default they give each image's

@@ -1,11 +1,11 @@
-"""The window kernels against the full matrices and the naive oracles.
+"""The window kernel against the full matrices and the naive oracles.
 
-``iou_window`` and ``distance_window`` score only the anchors of a grid
-that may pass a threshold.  Every pair they return must carry the full
-matrix's float, and no passing pair of the full matrix may be missing.
-The matchers built on them must keep the oracles' labels at the edges:
-thresholds at 0 or equal, IoUs exactly at a threshold, GTs off the grid
-or larger than the image, and grids with fewer anchors than GTs.
+``iou_window`` scores only the anchors of a grid that may pass a
+threshold.  Every pair it returns must carry the full matrix's float,
+and no passing pair of the full matrix may be missing.  The matchers must
+keep the oracles' labels at the edges: thresholds at 0 or equal, IoUs
+exactly at a threshold, GTs off the grid or larger than the image, ties
+in Hungarian's cost, and grids with fewer anchors than GTs.
 """
 
 import numpy as np
@@ -13,13 +13,11 @@ import pytest
 
 from yolof_assign import matching
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
-                                   distance_window, generate_anchors,
-                                   iou_window, pairwise_iou)
+                                   generate_anchors, iou_window, pairwise_iou)
 from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig,
-                                   UniformMatchConfig, _center_distances,
-                                   hungarian_cost, hungarian_match,
-                                   max_iou_match, solve_assignment,
-                                   uniform_match)
+                                   UniformMatchConfig, hungarian_cost,
+                                   hungarian_match, max_iou_match,
+                                   solve_assignment, uniform_match)
 
 from oracles import iou_py, max_iou_py, uniform_py
 from test_grid_kernels import (CONFIGS, IMAGE, SCENES, TINY,
@@ -90,38 +88,19 @@ class TestIoUWindow:
         assert [len(x) for x in got] == [0, 0, 0]
 
 
-class TestDistanceWindow:
-    # the margin in strides: 0 keeps only each center's nearest anchors,
-    # 1 is Hungarian's window
-    @pytest.mark.parametrize("strides", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_equals_the_full_matrix(self, grid, kind, seed, strides):
-        g = gts_for(grid, kind, seed)
-        dist = _center_distances(g.boxes, grid.anchors)
-        margin = strides * grid.config.stride
-        centers = (g.boxes[:, :2] + g.boxes[:, 2:]) * 0.5
-        want = full_pairs(dist - margin <= dist.min(axis=1)[:, None], dist)
-        assert as_pairs(*distance_window(centers, grid, margin)) == want
+def assert_one_positive_each(grid, g):
+    """Hungarian's labels are the solver's on the full cost, and with no
+    more GTs than anchors each GT has exactly one positive, the count
+    ``run_positives`` gives without a solve."""
+    labels = hungarian_match(grid, g).labels
+    assert labels.tolist() == solved_labels(grid, g)
+    assert np.bincount(labels[labels >= 0], minlength=len(g)).tolist() \
+        == [1] * len(g)
 
 
-class TestHungarianWindow:
+class TestHungarianTies:
     @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_holds_each_gts_cheapest_anchors(self, grid, kind, seed):
-        # the nearest window carries the full cost's floats and holds
-        # every anchor tied with its GT's cheapest cost
-        g = gts_for(grid, kind, seed)
-        dist = _center_distances(g.boxes, grid.anchors)
-        margin = matching._hungarian_margin(
-            grid, (g.boxes[:, :2] + g.boxes[:, 2:]) * 0.5)
-        window = dist - margin <= dist.min(axis=1)[:, None]
-        full = hungarian_cost(grid, g)
-        assert as_pairs(*matching._hungarian_window(grid, g)) \
-            == full_pairs(window, full)
-        cheapest = full <= full.min(axis=1)[:, None]
-        assert not (cheapest & ~window).any()
-
-    @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_offset_slots_keep_the_stride_margin(self, kind, seed):
+    def test_offset_slots(self, kind, seed):
         # slots whose centers lie a few pixels apart: a GT's cheapest
         # anchor may sit at another position than its nearest anchor
         base = generate_anchors(AnchorConfig(), IMAGE)
@@ -130,24 +109,14 @@ class TestHungarianWindow:
                    + np.tile(offsets, 2)).reshape(-1, 4)
         grid = AnchorGrid(base.config, base.grid_h, base.grid_w, anchors)
         assert not grid.shared_centers
-        g = gts_for(grid, kind, seed)
-        full = hungarian_cost(grid, g)
-        gt, anchor, cost = matching._hungarian_window(grid, g)
-        window = np.zeros(full.shape, bool)
-        window[gt, anchor] = True
-        assert as_pairs(gt, anchor, cost) == full_pairs(window, full)
-        cheapest = full <= full.min(axis=1)[:, None]
-        assert not (cheapest & ~window).any()
-        assert hungarian_match(grid, g).labels.tolist() \
-            == solved_labels(grid, g)
+        assert_one_positive_each(grid, gts_for(grid, kind, seed))
 
     @pytest.mark.parametrize("nudge", [-1, 0, 1])
     @pytest.mark.parametrize("place", ["line", "corner"])
-    def test_keeps_positions_tied_on_cell_lines(self, grid, place, nudge):
+    def test_positions_tied_on_cell_lines(self, grid, place, nudge):
         # GT centers on the line between two columns, or on the corner of
-        # four positions, and an ulp either side: the window holds every
-        # anchor tied with the cheapest, and on a grid whose slots share
-        # centers it holds only the 2 or 4 tied positions
+        # four positions, and an ulp either side: costs tie, or nearly
+        # tie, across the 2 or 4 nearest positions
         stride = grid.config.stride
         rng = np.random.default_rng(11)
         cx = rng.integers(1, IMAGE.width // stride, 24) * float(stride)
@@ -157,20 +126,8 @@ class TestHungarianWindow:
         cx, cy = (np.nextafter(c, c + nudge) for c in (cx, cy))
         half = rng.choice([3.0, 8.0, 16.0, 24.5, 40.0, 96.0], (24, 2))
         centers = np.stack([cx, cy], axis=1)
-        g = gts(np.hstack([centers - half, centers + half]))
-        full = hungarian_cost(grid, g)
-        gt, anchor, cost = matching._hungarian_window(grid, g)
-        window = np.zeros(full.shape, bool)
-        window[gt, anchor] = True
-        assert as_pairs(gt, anchor, cost) == full_pairs(window, full)
-        cheapest = full <= full.min(axis=1)[:, None]
-        assert not (cheapest & ~window).any()
-        if grid.shared_centers and nudge == 0:
-            ties = 2 if place == "line" else 4
-            assert np.bincount(gt).tolist() \
-                == [ties * len(grid.slot_centers)] * len(g)
-        assert hungarian_match(grid, g).labels.tolist() \
-            == solved_labels(grid, g)
+        assert_one_positive_each(
+            grid, gts(np.hstack([centers - half, centers + half])))
 
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_collision_solves_the_cut_of_the_full_cost(self, monkeypatch,
@@ -274,12 +231,10 @@ class TestMatchersAtTheEdges:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_no_full_grid_matrix(monkeypatch, name):
-    """Max-IoU and Hungarian on a 1280x800 grid never build an IoU or
-    distance matrix over every anchor or every position, and uniform's
-    ignore test builds no IoU matrix.  Uniform's k-nearest candidates
-    still score every position, or every anchor where the slots' centers
-    differ.  The GTs' Hungarian argmins are distinct: on a collision
-    Hungarian solves the full cost."""
+    """Max-IoU on a 1280x800 grid never builds an IoU or distance matrix
+    over every anchor or every position, and uniform's ignore test builds
+    no IoU matrix.  Uniform's k-nearest candidates still score every
+    position, or every anchor where the slots' centers differ."""
     grid = generate_anchors(CONFIGS[name], ImageSize(1280, 800))
     full = {len(grid), grid.grid_h * grid.grid_w}
     spied = ("pairwise_iou", "_center_distances", "_grid_distances")
@@ -296,17 +251,15 @@ def test_no_full_grid_matrix(monkeypatch, name):
     rng = np.random.default_rng(3)
     xy = rng.uniform(0, 1000, (9, 2))
     g = gts(np.hstack([xy, xy + rng.uniform(8, 300, (9, 2))]))
-    assert len(np.unique(hungarian_cost(grid, g).argmin(axis=1))) == len(g)
     for fn in spied:
         monkeypatch.setattr(matching, fn, spy(fn))
     seen = 0
     for match, checked in ((matching.uniform_match, spied[:1]),
-                           (matching.max_iou_match, spied),
-                           (matching.hungarian_match, spied)):
+                           (matching.max_iou_match, spied)):
         for fn in spied:
             shapes[fn].clear()
         match(grid, g, matching.MATCHERS[match.__name__[:-6]]())
         got = [s for fn in checked for s in shapes[fn]]
         assert all(s[-1] not in full for s in got), (match.__name__, got)
         seen += len(got)
-    assert seen  # uniform's pair IoUs and Hungarian's window costs
+    assert seen  # uniform's pair IoUs and max_iou's rescue floors
