@@ -91,6 +91,20 @@ class TestGenerateAnchors:
         with pytest.raises(ValueError):
             ImageSize(0, 100)
 
+    # below 2**428 every squared center distance of a box the reader
+    # takes is finite; 10**173 and 10**400 once gave overflow warnings
+    # and an OverflowError traceback
+    @pytest.mark.parametrize("stride", [1, 2 ** 427, 10 ** 128, 2 ** 428 - 1])
+    def test_takes_a_stride_below_2_to_the_428(self, stride):
+        assert AnchorConfig(stride=stride).stride == stride
+
+    @pytest.mark.parametrize("stride", [2 ** 428, 2 ** 428 + 1, 10 ** 129,
+                                        10 ** 173, 10 ** 400])
+    def test_refuses_a_stride_of_2_to_the_428_or_more(self, stride):
+        with pytest.raises(ValueError, match=rf"^stride must be below "
+                                             rf"2\*\*428, got {stride}$"):
+            AnchorConfig(stride=stride)
+
 
 class TestRandomShift:
     def test_zero_shift_is_identity(self):

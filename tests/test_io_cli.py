@@ -808,7 +808,7 @@ class TestCLI:
         assert (code, out) == (2, "")
         assert named in err
 
-    @pytest.mark.parametrize("matcher", ["uniform", "atss", "hungarian"])
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
     def test_stride_at_the_edge(self, capsys, tmp_path, tiny_corpus_path,
                                 matcher):
         # the largest stride squares no center distance to inf (a numpy

@@ -137,11 +137,22 @@ DOCS = {"seeded": seeded_corpus(),
         "over-full": test_io_cli.OVER_FULL_DOC}
 
 
-def edge_doc(c: float) -> dict:
-    """A 64x64 image of one box and, twice, a box from -2c to one ulp past
-    0 in x and from 5 to 25 in y, whose center lies near (-c, 15)."""
-    w = 2 * c + math.ulp(2 * c)
-    boxes = [[5, 5, 20, 20]] + [[-2 * c, 5, w, 20]] * 2
+# (axis, sign) of the side of the image on which edge_doc's far boxes lie
+EDGES = {"-x": (0, -1), "+x": (0, 1), "-y": (1, -1), "+y": (1, 1)}
+
+
+def edge_doc(c: float, edge: str = "-x") -> dict:
+    """A 64x64 image of one box and, twice, a far box on the side ``edge``
+    of the image, whose center lies near ``sign * c`` on that axis and near
+    15 on the other.  Across the axis the far box spans 5 to 25; along it,
+    it runs from -2c to one ulp past 0, or from 63 to about 2c."""
+    axis, sign = EDGES[edge]
+    if sign < 0:
+        lo, extent = -2 * c, 2 * c + math.ulp(2 * c)
+    else:
+        lo, extent = 63, 2 * c - 63
+    far = [lo, 5, extent, 20] if axis == 0 else [5, lo, 20, extent]
+    boxes = [[5, 5, 20, 20]] + [far] * 2
     return {"images": [{"id": 1, "width": 64, "height": 64}],
             "annotations": [{"id": i, "image_id": 1, "bbox": box,
                              "category_id": 1}
@@ -149,17 +160,34 @@ def edge_doc(c: float) -> dict:
             "categories": [{"id": 1}]}
 
 
-def reader_edge() -> float:
+def reader_edge(edge: str = "-x") -> float:
     """The largest ``c`` of :func:`edge_doc` whose boxes the reader takes:
     the squares of its center sum to a finite float."""
     c = math.sqrt(sys.float_info.max) * (1 + 1e-15)
     while True:
         try:
-            parse_corpus(edge_doc(c))
+            parse_corpus(edge_doc(c, edge))
             return c
         except CorpusError as exc:
             assert "overflows float64" in str(exc)
             c = math.nextafter(c, 0)
+
+
+def far_box(dx: int, dy: int) -> np.ndarray:
+    """A box of side 2 whose center lies on the ray ``(dx, dy)`` as far out
+    as the reader takes: its center's squares sum to a finite float, and
+    one ulp further out they overflow."""
+    start = r = math.sqrt(sys.float_info.max / (dx * dx + dy * dy)) \
+        * (1 + 1e-15)
+    with np.errstate(over="ignore"):
+        while True:
+            center = np.array([dx * r, dy * r])
+            box = np.concatenate([center - 1, center + 1])
+            cx, cy = box_centers(box[None])[0]
+            if np.isfinite(cx * cx + cy * cy):
+                assert r < start  # the ulp further out overflowed
+                return box
+            r = math.nextafter(r, 0)
 
 
 def per_image_positives(corpus, config):
@@ -230,22 +258,44 @@ class TestRunPositives:
         run_match_stats(corpus, RunConfig(matcher="hungarian"))
         assert solved == want  # each solved once and transposed
 
+    @pytest.mark.parametrize("edge", sorted(EDGES))
     @pytest.mark.parametrize("matcher,params", CONFIGS)
     def test_reader_edge_boxes_at_the_largest_stride(self, monkeypatch,
-                                                     matcher, params):
-        # boxes at the reader's center limit, far from the one anchor
-        # position, near 2**427: every distance is finite (an overflow
-        # warning fails the test), so Hungarian still gives each of the
-        # two equal GTs, whose argmins collide, one positive
+                                                     matcher, params, edge):
+        # boxes at the reader's center limit on each side of the image,
+        # far from the one anchor position, near 2**427: every distance is
+        # finite (an overflow warning fails the test), so Hungarian still
+        # gives each of the two equal GTs, whose argmins collide, one
+        # positive
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
-        c = reader_edge()
+        c = reader_edge(edge)
         with pytest.raises(CorpusError, match="overflows float64"):
-            parse_corpus(edge_doc(math.nextafter(c, math.inf)))
-        corpus = parse_corpus(edge_doc(c))
+            parse_corpus(edge_doc(math.nextafter(c, math.inf), edge))
+        corpus = parse_corpus(edge_doc(c, edge))
         config = RunConfig(matcher=matcher, matcher_params=params,
                            anchors=AnchorConfig(stride=2 ** 428 - 1))
         assert run_match_stats(corpus, config).per_gt_counts[:, 1].tolist() \
             == per_image_positives(corpus, config)
+
+    # (stride, image side): the largest stride on the largest and a small
+    # image, one cell of a huge stride, four cells of an int64 side, and
+    # the default stride
+    @pytest.mark.parametrize("stride,side", [
+        (2 ** 428 - 1, 2 ** 63 - 1), (2 ** 428 - 1, 64), (2 ** 300, 1),
+        (2 ** 61, 2 ** 63 - 1), (32, 64)])
+    @pytest.mark.parametrize("dx,dy", [(dx, dy) for dx in (-1, 0, 1)
+                                       for dy in (-1, 0, 1) if dx or dy])
+    def test_far_centers_keep_finite_distances(self, stride, side, dx, dy):
+        # below 2**428 no anchor center moves a center the reader takes,
+        # on one axis or on both, far enough to square its distance to
+        # inf (an overflow warning fails the test): every matcher's
+        # distances and Hungarian's costs are finite
+        grid = generate_anchors(AnchorConfig(stride=stride),
+                                ImageSize(side, side))
+        boxes = far_box(dx, dy)[None]
+        assert np.isfinite(_grid_distances(
+            box_centers(boxes), grid, len(grid.slot_centers))).all()
+        assert np.isfinite(matching.hungarian_cost(grid, boxes)).all()
 
     def test_error_names_the_first_image_by_id(self, monkeypatch):
         # images 2 and 3 hold more GTs than anchors, so both are solved;

@@ -14,7 +14,7 @@ import pytest
 from yolof_assign import matching
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
                                    generate_anchors, iou_window, pairwise_iou)
-from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig,
+from yolof_assign.matching import (MATCHERS, GroundTruthSet, MaxIoUConfig,
                                    UniformMatchConfig, hungarian_cost,
                                    hungarian_match, max_iou_match,
                                    solve_assignment, uniform_match)
@@ -129,6 +129,16 @@ class TestHungarianTies:
         assert_one_positive_each(
             grid, gts(np.hstack([centers - half, centers + half])))
 
+    @pytest.mark.parametrize("finite", [0, 2])
+    def test_a_gt_of_overflowing_costs_raises(self, grid, finite):
+        # a box whose center's squares overflow, alone or after finite
+        # GTs: its every cost is +inf, so no assignment has a finite cost
+        boxes = [[10, 10, 40, 30], [100, 60, 150, 90]][:finite] \
+            + [[1e200, 1e200, 2e200, 2e200]]
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="infeasible"):
+            hungarian_match(grid, gts(boxes))
+
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_collision_solves_the_cut_of_the_full_cost(self, monkeypatch,
                                                        grid, kind, seed):
@@ -149,6 +159,69 @@ class TestHungarianTies:
         hungarian_match(grid, g)
         assert len(seen) == 1
         assert_same_floats(seen[0], full[:, keep])
+
+
+def hungarian_positives(grid, groups):
+    """``run_positives``' Hungarian counts over one run of the images whose
+    GT boxes are ``groups``."""
+    image = np.repeat(np.arange(len(groups)), [len(b) for b in groups])
+    return matching.run_positives("hungarian", grid, np.vstack(groups),
+                                  image, MATCHERS["hungarian"]()).tolist()
+
+
+def label_counts(grid, g):
+    """Each GT's positive count in ``hungarian_match``'s labels."""
+    labels = hungarian_match(grid, g).labels
+    return np.bincount(labels[labels >= 0], minlength=len(g)).tolist()
+
+
+class TestHungarianCount:
+    """``run_positives`` gives each GT of an image with no more GTs than
+    anchors one positive without a solve; its counts are the labels'."""
+
+    @pytest.mark.parametrize("image", [IMAGE, TINY],
+                             ids=["256x200", "20x20"])
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_scenes(self, name, kind, seed, image):
+        # 7, 8 or 11 GTs, one of them repeated: only the tiny grid of 5
+        # anchors has fewer anchors than GTs
+        grid = generate_anchors(CONFIGS[name], image)
+        g = gts_for(grid, kind, seed)
+        want = label_counts(grid, g)
+        assert sum(want) == min(len(g), len(grid))
+        assert hungarian_positives(grid, [g.boxes]) == want
+
+    @pytest.mark.parametrize("image", [TINY, ImageSize(64, 40)],
+                             ids=["20x20", "64x40"])
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["spread", "stacked"])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_a_run_across_the_anchor_count(self, monkeypatch, name, stacked,
+                                           image):
+        # one run of images of one GT fewer than anchors, twice as many,
+        # as many, one and one more, their boxes spread over the image or
+        # all one box: only the two images of more GTs are solved
+        grid = generate_anchors(CONFIGS[name], image)
+        n = len(grid)
+        rng = np.random.default_rng(n)
+        groups = []
+        for m in (n - 1, 2 * n, n, 1, n + 1):
+            corner = rng.uniform(-8.0, [image.width, image.height],
+                                 (1 if stacked else m, 2))
+            box = np.hstack([corner, corner + rng.uniform(2.0, 40.0,
+                                                          corner.shape)])
+            groups.append(np.repeat(box, m // len(box), axis=0))
+        want = [c for b in groups for c in label_counts(grid, gts(b))]
+        solved, solve = [], matching.solve_assignment
+
+        def recording(cost):
+            solved.append(cost.shape)
+            return solve(cost)
+
+        monkeypatch.setattr(matching, "solve_assignment", recording)
+        assert hungarian_positives(grid, groups) == want
+        assert solved == [(n, 2 * n), (n, n + 1)]  # transposed
 
 
 def oracle_max_iou(grid, g, cfg):
