@@ -19,8 +19,7 @@ def show(spec, label):
     print(f"  max extent {profile.max_extent} "
           f"-> {profile.pixel_coverage(STRIDE)} px at stride {STRIDE}")
     footprint = impulse_footprint(
-        EncoderSpec(in_channels=3, mid_channels=4,
-                    num_blocks=spec.num_blocks, dilations=spec.dilations,
+        EncoderSpec(in_channels=3, mid_channels=4, dilations=spec.dilations,
                     shortcuts=spec.shortcuts), 96)
     print(f"  impulse footprint on a 96x96 grid: {footprint}")
 

@@ -17,7 +17,8 @@ from . import reports
 from .coco import (CorpusError, RunConfig, load_corpus, load_detections,
                    run_match_stats)
 from .encoder import EncoderSpec, rf_profile, scale_coverage
-from .flops import DecoderSpec, EncoderTopology, encoder_decoder_flops
+from .flops import (COST_NOTES, DecoderSpec, EncoderTopology,
+                    encoder_decoder_flops)
 from .geometry import ImageSize, generate_anchors
 from .postprocess import nms
 
@@ -86,8 +87,7 @@ def _cmd_match_stats(args) -> None:
 
 def _cmd_rf(args) -> None:
     dilations = _parse_dilations(args.dilations)
-    spec = EncoderSpec(num_blocks=len(dilations), dilations=dilations,
-                       shortcuts=not args.no_shortcuts)
+    spec = EncoderSpec(dilations=dilations, shortcuts=not args.no_shortcuts)
     profile = rf_profile(spec)
     bands, union, gaps = scale_coverage(profile, args.stride)
     doc = {
@@ -129,7 +129,7 @@ def _cmd_flops(args) -> None:
         "decoder_layers": [
             {"name": n, "level": l, "macs": m}
             for n, l, m in report.decoder_layers],
-        "notes": report.notes,
+        "notes": COST_NOTES,
     }
     _emit(reports.to_json(doc), args.output)
 

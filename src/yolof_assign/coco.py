@@ -414,9 +414,9 @@ def worker_count() -> int:
 # images peaks at 1-4 MB (2048: 2-10 MB), and 118k images match as fast
 _BLOCK = 512
 
-# GTs per forked worker at least.  On 2 CPUs, two forked workers matched
-# 2k GTs 10-20 ms slower than one process, broke even near 7k (Hungarian)
-# to 20k (uniform) GTs, and were faster at 70k (README, YOLOF_ASSIGN_THREADS)
+# GTs per forked worker at least.  On 2 CPUs two forked workers matched
+# uniform's 2k GTs 10-20 ms slower than one process, broke even near 20k
+# and were faster at 70k; Hungarian's were slower up to 70k (README)
 _FORK_GTS = 8192
 
 

@@ -21,7 +21,8 @@ FEATURE_LEVEL_STRIDES = {
 
 @dataclass(frozen=True)
 class EncoderSpec:
-    """Projector (1x1 then 3x3 conv) followed by dilated residual blocks.
+    """Projector (1x1 then 3x3 conv) followed by dilated residual blocks,
+    one per dilation.
 
     Each block is 1x1 reduce (rate 4), 3x3 dilated, 1x1 expand, with an
     identity shortcut that can be disabled.
@@ -29,18 +30,18 @@ class EncoderSpec:
 
     in_channels: int = 2048
     mid_channels: int = 512
-    num_blocks: int = 4
     dilations: tuple = (2, 4, 6, 8)
     shortcuts: bool = True
 
     def __post_init__(self):
-        if len(self.dilations) != self.num_blocks:
-            raise ValueError(f"{len(self.dilations)} dilations for "
-                             f"{self.num_blocks} blocks")
         if any(d < 1 for d in self.dilations):
             raise ValueError("dilations must be positive integers")
         if self.mid_channels % 4:
             raise ValueError("mid_channels must be divisible by 4")
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.dilations)
 
     @property
     def block_channels(self) -> int:

@@ -54,7 +54,6 @@ class EncoderTopology:
     """Layer inventory of one encoder variant plus its output levels."""
 
     kind: str
-    channels: int
     input_levels: tuple
     output_levels: tuple
     layers: list
@@ -65,7 +64,7 @@ class EncoderTopology:
             ConvLayer("lateral_c5", BACKBONE_CHANNELS["C5"], channels, 1, "C5"),
             ConvLayer("out_p5", channels, channels, 3, "P5"),
         ]
-        return cls("SiSo", channels, ("C5",), ("P5",), layers)
+        return cls("SiSo", ("C5",), ("P5",), layers)
 
     @classmethod
     def simo(cls, channels: int = 256) -> "EncoderTopology":
@@ -77,8 +76,7 @@ class EncoderTopology:
             ConvLayer("down_p6", BACKBONE_CHANNELS["C5"], channels, 3, "P6"),
             ConvLayer("down_p7", channels, channels, 3, "P7"),
         ]
-        return cls("SiMo", channels, ("C5",), ("P3", "P4", "P5", "P6", "P7"),
-                   layers)
+        return cls("SiMo", ("C5",), ("P3", "P4", "P5", "P6", "P7"), layers)
 
     @classmethod
     def miso(cls, channels: int = 256) -> "EncoderTopology":
@@ -93,7 +91,7 @@ class EncoderTopology:
             ConvLayer("down_c4_c5", channels, channels, 3, "C5"),
             ConvLayer("out_p5", channels, channels, 3, "P5"),
         ]
-        return cls("MiSo", channels, ("C3", "C4", "C5"), ("P5",), layers)
+        return cls("MiSo", ("C3", "C4", "C5"), ("P5",), layers)
 
     @classmethod
     def mimo(cls, channels: int = 256) -> "EncoderTopology":
@@ -107,8 +105,8 @@ class EncoderTopology:
             ConvLayer("down_p6", BACKBONE_CHANNELS["C5"], channels, 3, "P6"),
             ConvLayer("down_p7", channels, channels, 3, "P7"),
         ]
-        return cls("MiMo", channels, ("C3", "C4", "C5"),
-                   ("P3", "P4", "P5", "P6", "P7"), layers)
+        return cls("MiMo", ("C3", "C4", "C5"), ("P3", "P4", "P5", "P6", "P7"),
+                   layers)
 
     @classmethod
     def from_encoder_spec(cls, spec: EncoderSpec,
@@ -126,7 +124,7 @@ class EncoderTopology:
                 ConvLayer(f"block{i}_dilated", b, b, 3, level),
                 ConvLayer(f"block{i}_expand", b, m, 1, level),
             ]
-        return cls("DilatedEncoder", m, ("C5",), (level,), layers)
+        return cls("DilatedEncoder", ("C5",), (level,), layers)
 
     @classmethod
     def by_name(cls, name: str, channels: int = 256) -> "EncoderTopology":
@@ -178,10 +176,8 @@ class FlopsReport:
     """Per-layer MAC breakdown with encoder and decoder totals."""
 
     topology: str
-    image: ImageSize
     encoder_layers: list  # (layer name, level, macs)
     decoder_layers: list
-    notes: str = COST_NOTES
 
     @property
     def encoder_total(self) -> int:
@@ -213,5 +209,5 @@ def encoder_decoder_flops(topology: EncoderTopology, decoder: DecoderSpec,
             raise ValueError(f"unknown level name {level!r}")
         dec += [(l.name, level, l.flops(image))
                 for l in decoder.layers(level)]
-    return FlopsReport(topology=topology.kind, image=image,
-                       encoder_layers=enc, decoder_layers=dec)
+    return FlopsReport(topology=topology.kind, encoder_layers=enc,
+                       decoder_layers=dec)

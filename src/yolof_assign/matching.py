@@ -55,11 +55,6 @@ class GroundTruthSet:
         return len(self.boxes)
 
 
-def _boxes(gts) -> np.ndarray:
-    """The boxes of a :class:`GroundTruthSet`, or ``gts`` if it is boxes."""
-    return gts.boxes if isinstance(gts, GroundTruthSet) else gts
-
-
 @dataclass
 class MatchResult:
     """Per-anchor assignment labels, from which every per-GT count follows.
@@ -148,21 +143,6 @@ MATCHERS = {"uniform": UniformMatchConfig, "topk": TopKConfig,
             "hungarian": HungarianConfig}
 
 
-def _center_distances(gt_boxes: np.ndarray, anchors) -> np.ndarray:
-    """Euclidean center distances from each GT box to ``anchors``:
-    ``(N, 4)`` boxes give the ``(M, N)`` matrix, ``(M, k, 4)`` gathered
-    anchors the ``(M, k)`` rows.
-    """
-    gc = box_centers(gt_boxes)
-    ac = box_centers(anchors)
-    dist = gc[:, None, 0] - ac[..., 0]
-    dist *= dist
-    dy = gc[:, None, 1] - ac[..., 1]
-    dy *= dy
-    dist += dy
-    return np.sqrt(dist, out=dist)
-
-
 def _grid_distances(gc: np.ndarray, grid: AnchorGrid, slots: int):
     """Distances from centers ``gc`` ``(M, 2)`` to the anchors of the first
     ``slots`` slots of every position of ``grid``, as ``(M, H*W*slots)``:
@@ -180,36 +160,32 @@ def _grid_distances(gc: np.ndarray, grid: AnchorGrid, slots: int):
     return np.sqrt(dist, out=dist)
 
 
-def nearest_candidates(grid: AnchorGrid, gts, k: int) -> np.ndarray:
-    """The k center-nearest anchors of each GT, shape ``(M, k)``.
+def nearest_candidates(grid: AnchorGrid, boxes: np.ndarray, k: int):
+    """The k center-nearest anchors of each of the ``(M, 4)`` GT boxes,
+    and their center distances: two ``(M, k)`` arrays.
 
-    ``gts`` is a :class:`GroundTruthSet` or its ``(M, 4)`` boxes.  This is
-    the pre-filter candidate set of uniform, top-k and ATSS matching.
-    Each row is ordered by distance; ties in distance break by ascending
-    anchor index.  An image with fewer than k anchors gives every GT all
-    of them, as ATSS takes ``min(k, anchors on the level)``.
+    This is the pre-filter candidate set of uniform, top-k and ATSS
+    matching.  Each row is ordered by distance; ties in distance break by
+    ascending anchor index.  An image with fewer than k anchors gives every
+    GT all of them, as ATSS takes ``min(k, anchors on the level)``.
     """
-    boxes = _boxes(gts)
     k = min(k, len(grid))
-    if len(boxes) == 0:
-        return np.empty((0, k), dtype=np.int64)
     centers = box_centers(boxes)
     per = len(grid.slot_centers)
-    if grid.shared_centers:
-        # Every slot of a position has the same distance, and its anchors
-        # are consecutive, so (distance, index) order over anchors is that
-        # order over positions with each expanded into its slots.
-        pos = _nearest_positions(centers, grid, -(-k // per))
-        return (pos[:, :, None] * per + np.arange(per)).reshape(
-            len(boxes), -1)[:, :k]
-    return _k_smallest(_grid_distances(centers, grid, per), k)
+    if not grid.shared_centers:
+        return _k_smallest(_grid_distances(centers, grid, per), k)
+    # Every slot of a position has the same distance, and its anchors are
+    # consecutive, so (distance, index) order over anchors is that order
+    # over positions with each expanded into its slots.
+    pos, dist = _nearest_positions(centers, grid, -(-k // per))
+    return ((pos[:, :, None] * per + np.arange(per)).reshape(
+        -1, pos.shape[1] * per)[:, :k], np.repeat(dist, per, axis=1)[:, :k])
 
 
-def _nearest_positions(centers: np.ndarray, grid: AnchorGrid,
-                       k: int) -> np.ndarray:
-    """The k nearest positions of each center, ``(M, k)``: what
-    ``_k_smallest(_grid_distances(centers, grid, 1), k)`` gives, bit for
-    bit.
+def _nearest_positions(centers: np.ndarray, grid: AnchorGrid, k: int):
+    """The k nearest positions of each center and their distances, each
+    ``(M, k)``: what ``_k_smallest(_grid_distances(centers, grid, 1), k)``
+    gives, bit for bit.
 
     Only a square of positions around each center's nearest row and
     column is scored, with the same float operations.  A position outside
@@ -231,31 +207,32 @@ def _nearest_positions(centers: np.ndarray, grid: AnchorGrid,
     row0 = np.clip(dy.argmin(axis=1) - side // 2, 0, h - sh)[:, None]
     col0 = np.clip(dx.argmin(axis=1) - side // 2, 0, w - sw)[:, None]
     rows, cols = row0 + np.arange(sh), col0 + np.arange(sw)
-    dist = _grid_outer(np.take_along_axis(dx, cols, 1)[..., None],
-                       np.take_along_axis(dy, rows, 1)[..., None])
-    np.sqrt(dist, out=dist)
-    near = _k_smallest(dist, k)  # row-major in the square, as in the grid
-    kth = np.take_along_axis(dist, near[:, -1:], 1)[:, 0]
+    square = _grid_outer(np.take_along_axis(dx, cols, 1)[..., None],
+                         np.take_along_axis(dy, rows, 1)[..., None])
+    np.sqrt(square, out=square)
+    near, dist = _k_smallest(square, k)  # row-major, as in the grid
     # the smallest offset of a line outside the square
     np.put_along_axis(dx, cols, np.inf, 1)
     np.put_along_axis(dy, rows, np.inf, 1)
     bound = np.sqrt(np.minimum(dx.min(axis=1), dy.min(axis=1)))
     pos = (row0 + near // sw) * w + col0 + near % sw
-    full = np.flatnonzero(~(kth < bound))
+    full = np.flatnonzero(~(dist[:, -1] < bound))
     if len(full):
-        pos[full] = _k_smallest(_grid_distances(centers[full], grid, 1), k)
-    return pos
+        pos[full], dist[full] = _k_smallest(
+            _grid_distances(centers[full], grid, 1), k)
+    return pos, dist
 
 
-def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k smallest values, ``(M, k)``, ordered
-    by (value, index)."""
+def _k_smallest(dist: np.ndarray, k: int):
+    """Column indices of each row's k smallest values, ordered by (value,
+    index), and those values: two ``(M, k)`` arrays."""
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
     near = np.flatnonzero(dist <= kth)
     rows, cols = np.divmod(near, dist.shape[1])
-    order = np.lexsort((cols, dist.ravel()[near], rows))
-    starts = np.searchsorted(rows, np.arange(len(dist)))
-    return cols[order][starts[:, None] + np.arange(k)]
+    values = dist.ravel()[near]
+    order = np.lexsort((cols, values, rows))
+    at = np.searchsorted(rows, np.arange(len(dist)))[:, None] + np.arange(k)
+    return cols[order][at], values[order][at]
 
 
 def _resolve_claims(anchor: np.ndarray, gt: np.ndarray, cost: np.ndarray):
@@ -350,9 +327,8 @@ def _uniform_claims(grid: AnchorGrid, boxes, image, cfg: UniformMatchConfig):
     each (image, anchor) to the closest claim (tie: smaller GT index),
     positive when its IoU reaches ``pos_ignore_iou`` and ignored
     otherwise."""
-    cand = nearest_candidates(grid, boxes, cfg.k)
+    cand, dist = nearest_candidates(grid, boxes, cfg.k)
     gt = np.repeat(np.arange(len(boxes)), cand.shape[1])
-    dist = _center_distances(boxes, grid.anchors[cand])
     cand = cand.ravel()
     key = _keys(grid, image[gt], cand)
     win = _resolve_claims(key, gt, dist.ravel())
@@ -453,11 +429,10 @@ def max_iou_match(grid: AnchorGrid, gts: GroundTruthSet,
     return _labels(_max_iou_claims, grid, gts, cfg)
 
 
-def _rescue_floor(grid: AnchorGrid, gts) -> np.ndarray:
-    """A lower bound on each GT's best IoU: its best IoU with the slots of
-    the grid position whose stride-sized cell holds its center, clamped to
-    the grid."""
-    boxes = _boxes(gts)
+def _rescue_floor(grid: AnchorGrid, boxes: np.ndarray) -> np.ndarray:
+    """A lower bound on each GT box's best IoU: its best IoU with the
+    slots of the grid position whose stride-sized cell holds its center,
+    clamped to the grid."""
     cell = (boxes[:, :2] + boxes[:, 2:]) * (0.5 / grid.config.stride)
     np.minimum(cell, (grid.grid_w - 1, grid.grid_h - 1), out=cell)
     cell = np.maximum(cell, 0.0, out=cell).astype(np.int64)
@@ -469,7 +444,7 @@ def _rescue_floor(grid: AnchorGrid, gts) -> np.ndarray:
 
 def _atss_claims(grid: AnchorGrid, boxes, image, cfg: ATSSConfig):
     """ATSS's positive claims over a run of images."""
-    cand = nearest_candidates(grid, boxes, cfg.k)
+    cand, _ = nearest_candidates(grid, boxes, cfg.k)
     # only the candidates' IoUs, each row in (distance, index) order, so it
     # sums as a 1-D pool would
     cand_ious = pairwise_iou(boxes, grid.anchors[cand], grid.areas[cand])
@@ -586,32 +561,29 @@ def _shortest_augmenting_paths(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-# cells of the cost matrix whose IoUs are taken in one pairwise_iou call:
-# whole rows where they fit, as contiguous tiles are the fastest to take
+# cells of the cost matrix whose IoUs are taken in one pairwise_iou call,
+# in whole rows: contiguous tiles are the fastest to take
 _COST_CELLS = 32768
 
 
-def hungarian_cost(grid: AnchorGrid, gts) -> np.ndarray:
+def hungarian_cost(grid: AnchorGrid, boxes: np.ndarray) -> np.ndarray:
     """Assignment cost: center distance minus stride times IoU, shape
-    ``(M, N)``, of a :class:`GroundTruthSet` or its ``(M, 4)`` boxes.
+    ``(M, N)``, of the ``(M, 4)`` GT boxes.
 
     The distances are the result's buffer, and the IoUs are subtracted in
-    tiles of at most ``_COST_CELLS`` cells, so no other matrix is built.
-    Every step is elementwise, so each cost is the float of the one-shot
+    tiles of whole rows, as many as fit in ``_COST_CELLS`` cells and at
+    least one, so no other matrix is built.  Every step is elementwise, so
+    each cost is the float of the one-shot
     ``dist - stride * pairwise_iou(boxes, grid.anchors, grid.areas)``.
     """
-    boxes = _boxes(gts)
     cost = _grid_distances(box_centers(boxes), grid, len(grid.slot_centers))
     stride = float(grid.config.stride)
-    cols = min(len(grid), _COST_CELLS)
-    rows = _COST_CELLS // cols
+    rows = max(1, _COST_CELLS // len(grid))
     for r in range(0, len(boxes), rows):
-        for c in range(0, len(grid), cols):
-            iou = pairwise_iou(boxes[r:r + rows], grid.anchors[c:c + cols],
-                               grid.areas[c:c + cols])
-            iou *= stride
-            cost[r:r + rows, c:c + cols] -= iou
-            del iou  # frees its block before the next tile allocates one
+        iou = pairwise_iou(boxes[r:r + rows], grid.anchors, grid.areas)
+        iou *= stride
+        cost[r:r + rows] -= iou
+        del iou  # frees its block before the next tile allocates one
     return cost
 
 

@@ -88,7 +88,7 @@ def test_criterion_2_uniform_balance():
 
     uniform_rows = []
     for i, gts in enumerate(scenes):
-        for cand in nearest_candidates(grid, gts, 4):
+        for cand in nearest_candidates(grid, gts.boxes, 4)[0]:
             assert len(cand) == 4  # pre-filter candidates are uniform
         uniform_rows.append((i, len(grid), gts,
                              uniform_match(grid, gts).positives_per_gt))
@@ -146,7 +146,7 @@ def test_criterion_3_top1_hungarian_equivalence():
             np.flatnonzero(hung.labels >= 0),
             np.flatnonzero(top1.labels >= 0))
         if len(gts) <= 6:
-            cost = hungarian_cost(grid, gts)
+            cost = hungarian_cost(grid, gts.boxes)
             _, _, total = solve_assignment(cost)
             assert total == assignment_cost_enum(cost)  # tolerance 0
             oracle_checked += 1
@@ -170,11 +170,11 @@ def test_criterion_4_receptive_field():
     start = time.perf_counter()
     for dilations, expected in RF_SPECS:
         spec = EncoderSpec(in_channels=3, mid_channels=4,
-                           num_blocks=4, dilations=dilations)
+                           dilations=dilations)
         assert rf_profile(spec).max_extent == expected
         assert impulse_footprint(spec, 96) == expected
     for blocks in BLOCK_COUNTS:
-        spec = EncoderSpec(in_channels=3, mid_channels=4, num_blocks=blocks,
+        spec = EncoderSpec(in_channels=3, mid_channels=4,
                            dilations=(1,) * blocks)
         analytic = rf_profile(spec).max_extent
         assert analytic == 3 + 2 * blocks
@@ -229,7 +229,7 @@ def test_criterion_7_flops_monotonicity_and_ratio():
     # additivity and quadratic channel scaling on a synthetic stack
     def stack(c):
         layers = [ConvLayer(f"l{i}", c, c, 3, "P5") for i in range(4)]
-        topo = EncoderTopology("stack", c, ("C5",), ("P5",), layers)
+        topo = EncoderTopology("stack", ("C5",), ("P5",), layers)
         report = encoder_decoder_flops(
             topo, DecoderSpec(cls_convs=0, reg_convs=0,
                               anchors_per_position=0), IMAGE)

@@ -113,7 +113,7 @@ class TestDistribution:
     def test_uniform_candidates_balanced(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(640, 640))
         g = gts([[100, 100, 116, 116], [100, 100, 500, 500]])
-        cands = nearest_candidates(grid, g, 4)
+        cands, _ = nearest_candidates(grid, g.boxes, 4)
         assert all(len(c) == 4 for c in cands)
 
     def test_scene_permutation_invariant(self):

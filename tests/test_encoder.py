@@ -26,14 +26,14 @@ class TestRFProfile:
         assert profile.max_extent == 11
 
     def test_projector_only(self):
-        profile = rf_profile(EncoderSpec(num_blocks=0, dilations=()))
+        profile = rf_profile(EncoderSpec(dilations=()))
         assert profile.extents == (3,)
 
     @pytest.mark.parametrize("dilations", [
         (2, 4, 6, 8), (1, 2, 3, 4), (5,), (1, 1, 2), (3, 6, 9, 12),
     ])
     def test_matches_subset_sum_oracle(self, dilations):
-        spec = EncoderSpec(num_blocks=len(dilations), dilations=dilations)
+        spec = EncoderSpec(dilations=dilations)
         assert rf_profile(spec).extents == rf_extents_py(dilations)
 
     def test_random_specs_match_path_enumeration(self):
@@ -41,14 +41,13 @@ class TestRFProfile:
         for _ in range(300):
             dilations = tuple(rng.integers(1, 13, rng.integers(0, 10)).tolist())
             for shortcuts in (True, False):
-                spec = EncoderSpec(num_blocks=len(dilations),
-                                   dilations=dilations, shortcuts=shortcuts)
+                spec = EncoderSpec(dilations=dilations, shortcuts=shortcuts)
                 assert rf_profile(spec).extents \
                     == rf_extents_py(dilations, shortcuts)
 
     def test_many_blocks(self):
         # 2**64 shortcut paths, 65 distinct extents
-        profile = rf_profile(EncoderSpec(num_blocks=64, dilations=(1,) * 64))
+        profile = rf_profile(EncoderSpec(dilations=(1,) * 64))
         assert profile.extents == tuple(range(3, 3 + 2 * 65, 2))
 
     def test_shortcuts_off_single_path(self):
@@ -66,14 +65,12 @@ class TestRFProfile:
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            EncoderSpec(num_blocks=3, dilations=(1, 2))
-        with pytest.raises(ValueError):
             EncoderSpec(mid_channels=510)
 
 
 class TestScaleCoverage:
     def test_single_extent_band(self):
-        profile = rf_profile(EncoderSpec(num_blocks=0, dilations=()))
+        profile = rf_profile(EncoderSpec(dilations=()))
         bands, union, gaps = scale_coverage(profile, 32)
         assert bands == [(48.0, 96.0)]
         assert union == [(48.0, 96.0)]
@@ -135,8 +132,8 @@ class TestForward:
         np.testing.assert_array_equal(out, 0.0)
 
     def test_constant_weight_shortcut_adds_projector_output(self):
-        on = small_spec(num_blocks=1, dilations=(2,))
-        off = small_spec(num_blocks=1, dilations=(2,), shortcuts=False)
+        on = small_spec(dilations=(2,))
+        off = small_spec(dilations=(2,), shortcuts=False)
         weights = WeightSet.constant(on)
         x = np.random.default_rng(3).normal(size=(4, 9, 9))
         projected = conv2d(conv2d(x, weights.proj_reduce),

@@ -103,7 +103,7 @@ class TestMonotonicity:
         # synthetic stack whose every layer scales both ends with C
         def stack(c):
             layers = [ConvLayer(f"l{i}", c, c, 3, "P5") for i in range(6)]
-            topo = EncoderTopology("stack", c, ("C5",), ("P5",), layers)
+            topo = EncoderTopology("stack", ("C5",), ("P5",), layers)
             dec = DecoderSpec(cls_convs=0, reg_convs=0,
                               anchors_per_position=0, channels=c)
             return encoder_decoder_flops(topo, dec, IMAGE).total

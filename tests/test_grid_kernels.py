@@ -2,14 +2,17 @@
 
 Every matcher computes its IoUs and center distances from a grid's thin
 per-slot column and row arrays; here each kernel result must equal, float
-for float, the one computed from ``grid.anchors`` as a plain box array,
-and the labels must equal the scalar oracles'.  The kernels take raw box
-arrays, non-finite ones too; the matchers take a ``GroundTruthSet``,
-which refuses a non-finite box.
+for float, the one computed from ``grid.anchors`` as a plain box array or
+by the scalar oracles, and the labels must equal the oracles'.  The
+kernels take raw box arrays, non-finite ones too; the matchers take a
+``GroundTruthSet``, which refuses a non-finite box.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from yolof_assign import matching
 from yolof_assign.coco import parse_corpus
@@ -18,9 +21,8 @@ from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
                                    pairwise_iou)
 from yolof_assign.matching import (ATSSConfig, GroundTruthSet, MaxIoUConfig,
                                    NEGATIVE, TopKConfig, UniformMatchConfig,
-                                   _center_distances, _grid_distances,
-                                   hungarian_cost, nearest_candidates,
-                                   solve_assignment)
+                                   _grid_distances, hungarian_cost,
+                                   hungarian_match, nearest_candidates)
 
 import test_io_cli
 from oracles import (_center_distance, atss_py, hungarian_cost_np, iou_py,
@@ -103,21 +105,29 @@ def grid_distances(boxes, grid):
     return _grid_distances(box_centers(boxes), grid, len(grid.slot_centers))
 
 
+def oracle_distances(boxes, anchors):
+    """The scalar oracle's center distance of every (box, anchor) pair."""
+    return np.array([[_center_distance(b, a) for a in anchors.tolist()]
+                     for b in boxes.tolist()]).reshape(len(boxes),
+                                                       len(anchors))
+
+
 class TestHungarianCostTiles:
-    """``hungarian_cost`` subtracts its IoUs in tiles of at most
-    ``_COST_CELLS`` cells; every cost is the one-shot oracle's float."""
+    """``hungarian_cost`` subtracts its IoUs in tiles of whole rows, as
+    many as fit in ``_COST_CELLS`` cells and at least one; every cost is
+    the one-shot oracle's float."""
 
-    def assert_oracle(self, grid, g):
-        assert_same_floats(hungarian_cost(grid, g), hungarian_cost_np(
-            grid.anchors, g.boxes, grid.config.stride))
+    def assert_oracle(self, grid, boxes):
+        assert_same_floats(hungarian_cost(grid, boxes), hungarian_cost_np(
+            grid.anchors, boxes, grid.config.stride))
 
-    # one cell; tiles of one row, the last one partial on every grid (280,
-    # 624 and 2520 anchors); and tiles of two whole rows on 280 anchors
+    # tiles of one row on every grid (280, 624 and 2520 anchors), of two
+    # rows on 280 anchors, and the whole cost in one tile
     @pytest.mark.parametrize("cells", [1, 3, 100, 600, matching._COST_CELLS])
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_scenes(self, monkeypatch, grid, kind, seed, cells):
         monkeypatch.setattr(matching, "_COST_CELLS", cells)
-        self.assert_oracle(grid, gts_for(grid, kind, seed))
+        self.assert_oracle(grid, gts_for(grid, kind, seed).boxes)
 
     @pytest.mark.parametrize("cells", [1, 7, 40, matching._COST_CELLS])
     def test_translated_grid(self, monkeypatch, cells):
@@ -127,7 +137,7 @@ class TestHungarianCostTiles:
         rng = np.random.default_rng(5)
         corner = rng.uniform(-20.0, 90.0, (9, 2))
         boxes = np.hstack([corner, corner + rng.uniform(2.0, 200.0, (9, 2))])
-        self.assert_oracle(grid, GroundTruthSet(boxes, np.zeros(9)))
+        self.assert_oracle(grid, boxes)
 
     @pytest.mark.parametrize("cells", [1, 5, matching._COST_CELLS])
     def test_tied_costs(self, monkeypatch, grid, cells):
@@ -139,7 +149,7 @@ class TestHungarianCostTiles:
         boxes = np.hstack([corners - stride, corners + stride])
         want = hungarian_cost_np(grid.anchors, boxes, grid.config.stride)
         assert (np.ptp(np.sort(want, axis=1)[:, :2], axis=1) == 0).any()
-        self.assert_oracle(grid, GroundTruthSet(boxes, np.zeros(6)))
+        self.assert_oracle(grid, boxes)
 
     @pytest.mark.parametrize("cells", [1, 4, 10, matching._COST_CELLS])
     def test_more_gts_than_anchors(self, monkeypatch, cells):
@@ -149,20 +159,50 @@ class TestHungarianCostTiles:
         grid = generate_anchors(AnchorConfig(), ImageSize(20, 20))
         g = corpus.ground_truths(6)
         assert (len(g), len(grid)) == (6, 5)
-        self.assert_oracle(grid, g)
+        self.assert_oracle(grid, g.boxes)
 
 
-def solved_labels(grid, g):
-    """Hungarian's labels from the solver run on the full cost, or on its
-    transpose when the GTs outnumber the anchors."""
-    cost = hungarian_cost(grid, g)
-    labels = np.full(len(grid), NEGATIVE)
+def unique_optimum(cost, rows, cols):
+    """Whether ``(rows, cols)`` is the only minimum-cost assignment: any
+    other one leaves some pair of it out, so it is unique when forbidding
+    each pair in turn raises the optimum."""
+    best = math.fsum(cost[rows, cols])
+    for r, c in zip(rows, cols):
+        forbidden = cost.copy()
+        forbidden[r, c] = np.inf
+        try:
+            other = linear_sum_assignment(forbidden)
+        except ValueError:  # no assignment is left
+            continue
+        if not math.fsum(forbidden[other]) > best:
+            return False
+    return True
+
+
+def assert_hungarian_optimal(grid, g):
+    """Hungarian's labels against scipy's solve of the oracle cost.
+
+    Each GT has one positive, or, where the GTs outnumber the anchors,
+    each anchor is positive for a distinct GT; the labels' total cost is
+    scipy's optimum; and where that optimum is unique the labels are
+    scipy's.  Returns whether it was unique.
+    """
+    labels = hungarian_match(grid, g).labels
+    cost = hungarian_cost_np(grid.anchors, g.boxes, grid.config.stride)
+    rows, cols = linear_sum_assignment(cost)
+    pos = np.flatnonzero(labels >= 0)
     if len(g) > len(grid):
-        anchor, gt, _ = solve_assignment(cost.T)
+        assert len(pos) == len(grid) == len(set(labels.tolist()))
     else:
-        gt, anchor, _ = solve_assignment(cost)
-    labels[anchor] = gt
-    return labels.tolist()
+        assert np.bincount(labels[pos], minlength=len(g)).tolist() \
+            == [1] * len(g)
+    assert math.fsum(cost[labels[pos], pos]) == math.fsum(cost[rows, cols])
+    unique = unique_optimum(cost, rows, cols)
+    if unique:
+        want = np.full(len(grid), NEGATIVE)
+        want[cols] = rows
+        assert labels.tolist() == want.tolist()
+    return unique
 
 
 def assert_same_floats(got, want):
@@ -218,11 +258,11 @@ class TestKernelsExact:
                            pairwise_iou(boxes, grid.anchors))
 
     @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_center_distances_grid_equals_flat(self, grid, kind, seed):
+    def test_center_distances_equal_scalar_oracle(self, grid, kind, seed):
         boxes = boxes_for(grid, kind, seed)
         with np.errstate(invalid="ignore"):  # the inf boxes' centers
             assert_same_floats(grid_distances(boxes, grid),
-                               _center_distances(boxes, grid.anchors))
+                               oracle_distances(boxes, grid.anchors))
 
     # no GT: a (0, N) matrix, as the flat anchors give
     def test_iou_without_gts(self, grid):
@@ -234,11 +274,15 @@ class TestKernelsExact:
     def test_center_distances_without_gts(self, grid):
         none = np.empty((0, 4))
         assert_same_floats(grid_distances(none, grid),
-                           _center_distances(none, grid.anchors))
+                           oracle_distances(none, grid.anchors))
         assert grid_distances(none, grid).shape == (0, len(grid))
 
+    def test_nearest_candidates_without_gts(self, grid):
+        cand, dist = nearest_candidates(grid, np.empty((0, 4)), 4)
+        assert cand.shape == dist.shape == (0, 4)
+
     def test_hungarian_cost_without_gts(self, grid):
-        none = GroundTruthSet(boxes=np.empty((0, 4)), class_ids=[])
+        none = np.empty((0, 4))
         assert hungarian_cost(grid, none).shape == (0, len(grid))
 
     @pytest.mark.parametrize("kind,seed", SCENES)
@@ -249,10 +293,6 @@ class TestKernelsExact:
         rows = grid.anchors[cand]
         assert_same_floats(pairwise_iou(boxes, rows), np.take_along_axis(
             pairwise_iou(boxes, grid.anchors), cand, axis=1))
-        with np.errstate(invalid="ignore"):  # the inf boxes' centers
-            assert_same_floats(_center_distances(boxes, rows),
-                               np.take_along_axis(_center_distances(
-                                   boxes, grid.anchors), cand, axis=1))
 
     def test_iou_equals_scalar_oracle(self, grid):
         g = gts_for(grid, "edge", 0)
@@ -266,7 +306,7 @@ class TestKernelsExact:
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_nearest_candidates(self, grid, kind, seed, k):
         g = gts_for(grid, kind, seed)
-        got = nearest_candidates(grid, g, k)
+        got, _ = nearest_candidates(grid, g.boxes, k)
         anchors = grid.anchors.tolist()
         assert got.tolist() == [knearest_py(anchors, b, k)
                                 for b in g.boxes.tolist()]
@@ -306,8 +346,8 @@ class TestMatchersDifferential:
         """Uniform, top-k and ATSS take every anchor when k exceeds them."""
         g = gts_for(tiny_grid, kind, seed)
         k = len(tiny_grid) + 2
-        assert nearest_candidates(tiny_grid, g, k).shape \
-            == (len(g), len(tiny_grid))
+        cand, dist = nearest_candidates(tiny_grid, g.boxes, k)
+        assert cand.shape == dist.shape == (len(g), len(tiny_grid))
         anchors, boxes = tiny_grid.anchors.tolist(), g.boxes.tolist()
         for match, cfg, want in (
                 (matching.uniform_match, UniformMatchConfig(k=k),
@@ -332,10 +372,9 @@ class TestMatchersDifferential:
     def test_hungarian(self, grid, kind, seed):
         g = gts_for(grid, kind, seed)
         stride = grid.config.stride
-        cost = hungarian_cost(grid, g)
+        cost = hungarian_cost(grid, g.boxes)
         anchors = grid.anchors.tolist()
         assert_same_floats(cost, np.array([
             [_center_distance(b, a) - stride * iou_py(b, a) for a in anchors]
             for b in g.boxes.tolist()]))
-        assert matching.hungarian_match(grid, g).labels.tolist() \
-            == solved_labels(grid, g)
+        assert_hungarian_optimal(grid, g)

@@ -86,7 +86,7 @@ class TestUniformMatch:
 
     def test_candidate_counts_pre_filter(self, small_grid):
         g = gts([[8, 8, 24, 24], [40, 40, 60, 60]])
-        cands = nearest_candidates(small_grid, g, 4)
+        cands, _ = nearest_candidates(small_grid, g.boxes, 4)
         assert all(len(c) == 4 for c in cands)
         # agrees with a naive nearest-k oracle
         for i in range(len(g)):
@@ -103,7 +103,8 @@ class TestUniformMatch:
 
     def test_oversized_k_takes_every_anchor(self, small_grid):
         g = gts([[0, 0, 10, 10], [40, 20, 90, 60]])
-        assert nearest_candidates(small_grid, g, 21).shape == (2, 20)
+        cands, dist = nearest_candidates(small_grid, g.boxes, 21)
+        assert cands.shape == dist.shape == (2, 20)
         got = uniform_match(small_grid, g, UniformMatchConfig(k=21))
         np.testing.assert_array_equal(
             got.labels,
@@ -185,7 +186,7 @@ class TestMaxIoUMatch:
         ious = [[iou_py(b, a) for a in grid.anchors.tolist()]
                 for b in g.boxes.tolist()]
         best = np.max(ious, axis=1)
-        floor = matching._rescue_floor(grid, g)
+        floor = matching._rescue_floor(grid, g.boxes)
         assert (floor <= best).all() and floor[0] < best[0]
         cfg = MaxIoUConfig(rescue=rescue)
         assert max_iou_match(grid, g, cfg).labels.tolist() \
@@ -280,7 +281,7 @@ class TestHungarianMatch:
             labels = hungarian_match(grid, g).labels
             assert sorted(np.bincount(labels, minlength=m)) \
                 == [0] * (m - 5) + [1] * 5
-            cost = matching.hungarian_cost(grid, g)
+            cost = matching.hungarian_cost(grid, g.boxes)
             assert cost[labels, np.arange(5)].sum() == pytest.approx(
                 assignment_cost_enum(cost.T), abs=1e-9)
 
@@ -442,7 +443,7 @@ class TestDifferential:
     @pytest.mark.parametrize("seed", range(3))
     def test_nearest_candidates_on_tied_centers(self, diff_grid, k, seed):
         g = aligned_scene(np.random.default_rng(seed), DIFF_IMAGE, 9)
-        cands = nearest_candidates(diff_grid, g, k)
+        cands, _ = nearest_candidates(diff_grid, g.boxes, k)
         assert cands.shape == (len(g), k)
         anchors = diff_grid.anchors.tolist()
         for i, box in enumerate(g.boxes.tolist()):

@@ -16,14 +16,16 @@ import pytest
 
 import test_io_cli
 from conftest import seeded_corpus
+from oracles import _center_distance
+from test_grid_kernels import assert_same_floats
 from yolof_assign import coco, matching
 from yolof_assign.coco import (CorpusError, RunConfig, parse_corpus,
                                run_match_stats)
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
                                    box_centers, generate_anchors)
 from yolof_assign.matching import (IGNORED, MATCHERS, NEGATIVE,
-                                   GroundTruthSet, _grid_distances,
-                                   _k_smallest, nearest_candidates)
+                                   _grid_distances, _k_smallest,
+                                   nearest_candidates)
 
 SLOTS45 = AnchorConfig(scale_multipliers=(1.0, 2 ** (1 / 3), 2 ** (2 / 3)),
                        aspect_ratios=(0.5, 1.0, 2.0))
@@ -31,10 +33,17 @@ KS = [1, 4, 5, 9, 15, 40]
 
 
 def full_nearest(grid, boxes, k):
-    """The k nearest anchors scored on the full grid."""
+    """The k nearest anchors and their distances, scored on the full
+    grid."""
     k = min(k, len(grid))
     return _k_smallest(_grid_distances(box_centers(boxes), grid,
                                        len(grid.slot_centers)), k)
+
+
+def assert_same_nearest(got, want):
+    """Equal candidates, and distances equal bit for bit."""
+    assert got[0].tolist() == want[0].tolist()
+    assert_same_floats(got[1], want[1])
 
 
 def centers_to_boxes(centers, rng):
@@ -58,27 +67,62 @@ def probe_centers(grid, rng):
     return np.concatenate([grid_pts, rng.uniform(lo, hi, (60, 2))])
 
 
+# (name, image size): shared-center grids, and one whose slots do not
+# share centers
+LAYOUTS = [("default", ImageSize(320, 256)), ("default", ImageSize(1280, 800)),
+           ("stride16", ImageSize(200, 136)), ("one-row", ImageSize(640, 32)),
+           ("tiny", ImageSize(20, 20)), ("translated", ImageSize(64, 64)),
+           ("slots45", ImageSize(320, 256))]
+
+
+def layout_grid(layout):
+    name, size = layout
+    config = {"stride16": AnchorConfig(stride=16, sizes=(24.0, 48.0, 96.0)),
+              "slots45": SLOTS45}.get(name, AnchorConfig())
+    grid = generate_anchors(config, size)
+    if name == "translated":
+        grid = AnchorGrid(grid.config, 2, 2, grid.anchors + 13.5)
+    return grid
+
+
+def layout_id(layout):
+    return f"{layout[0]}-{layout[1].width}x{layout[1].height}"
+
+
 class TestWindowedNearest:
     @pytest.mark.parametrize("k", KS)
-    @pytest.mark.parametrize("layout", [
-        ("default", ImageSize(320, 256)), ("default", ImageSize(1280, 800)),
-        ("stride16", ImageSize(200, 136)), ("one-row", ImageSize(640, 32)),
-        ("tiny", ImageSize(20, 20)), ("translated", ImageSize(64, 64))],
-        ids=lambda v: f"{v[0]}-{v[1].width}x{v[1].height}")
+    @pytest.mark.parametrize("layout", LAYOUTS[:-1], ids=layout_id)
     def test_equals_the_full_grid(self, layout, k):
-        name, size = layout
-        config = AnchorConfig(stride=16, sizes=(24.0, 48.0, 96.0)) \
-            if name == "stride16" else AnchorConfig()
-        grid = generate_anchors(config, size)
-        if name == "translated":
-            grid = AnchorGrid(grid.config, 2, 2, grid.anchors + 13.5)
+        grid = layout_grid(layout)
         assert grid.shared_centers
         rng = np.random.default_rng(k)
         boxes = centers_to_boxes(probe_centers(grid, rng), rng)
-        got = nearest_candidates(grid, boxes, k)
-        assert got.tolist() == full_nearest(grid, boxes, k).tolist()
-        assert got.tolist() == nearest_candidates(
-            grid, GroundTruthSet(boxes, np.zeros(len(boxes))), k).tolist()
+        assert_same_nearest(nearest_candidates(grid, boxes, k),
+                            full_nearest(grid, boxes, k))
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=layout_id)
+    def test_distances_equal_the_scalar_oracle(self, monkeypatch, layout, k):
+        # every distance is the scalar oracle's float for its candidate:
+        # from the square, and from the full grid, where a row falls back
+        # to it or the slots do not share centers
+        grid = layout_grid(layout)
+        rng = np.random.default_rng(k)
+        boxes = centers_to_boxes(probe_centers(grid, rng), rng)
+        scored = []
+        real = matching._grid_distances
+
+        def recording(gc, grid, slots):
+            scored.append(len(gc))
+            return real(gc, grid, slots)
+
+        monkeypatch.setattr(matching, "_grid_distances", recording)
+        cand, dist = nearest_candidates(grid, boxes, k)
+        assert scored  # some rows, or all, scored on the full grid
+        anchors = grid.anchors.tolist()
+        assert_same_floats(dist, np.array([
+            [_center_distance(box, anchors[a]) for a in row]
+            for box, row in zip(boxes.tolist(), cand.tolist())]))
 
     def test_unproven_centers_take_the_full_row(self, monkeypatch):
         # one row of 20 cells: a center on a cell line ties its 2nd and
@@ -96,7 +140,7 @@ class TestWindowedNearest:
         monkeypatch.setattr(matching, "_grid_distances", recording)
         got = nearest_candidates(grid, boxes, 15)
         assert scored == [1]  # only the center on the line
-        assert got.tolist() == full_nearest(grid, boxes, 15).tolist()
+        assert_same_nearest(got, full_nearest(grid, boxes, 15))
 
     def test_slots_without_shared_centers_keep_the_full_path(self,
                                                              monkeypatch):
@@ -113,8 +157,8 @@ class TestWindowedNearest:
 
         monkeypatch.setattr(matching, "_grid_distances", recording)
         for k in KS:
-            got = nearest_candidates(grid, boxes, k)
-            assert got.tolist() == full_nearest(grid, boxes, k).tolist()
+            assert_same_nearest(nearest_candidates(grid, boxes, k),
+                                full_nearest(grid, boxes, k))
         assert scored == [(len(boxes), 45)] * len(KS)
 
 

@@ -21,7 +21,8 @@ from yolof_assign.matching import (MATCHERS, GroundTruthSet, MaxIoUConfig,
 
 from oracles import iou_py, max_iou_py, uniform_py
 from test_grid_kernels import (CONFIGS, IMAGE, SCENES, TINY,
-                               assert_same_floats, gts_for, solved_labels)
+                               assert_hungarian_optimal, assert_same_floats,
+                               gts_for)
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -88,16 +89,6 @@ class TestIoUWindow:
         assert [len(x) for x in got] == [0, 0, 0]
 
 
-def assert_one_positive_each(grid, g):
-    """Hungarian's labels are the solver's on the full cost, and with no
-    more GTs than anchors each GT has exactly one positive, the count
-    ``run_positives`` gives without a solve."""
-    labels = hungarian_match(grid, g).labels
-    assert labels.tolist() == solved_labels(grid, g)
-    assert np.bincount(labels[labels >= 0], minlength=len(g)).tolist() \
-        == [1] * len(g)
-
-
 class TestHungarianTies:
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_offset_slots(self, kind, seed):
@@ -109,7 +100,7 @@ class TestHungarianTies:
                    + np.tile(offsets, 2)).reshape(-1, 4)
         grid = AnchorGrid(base.config, base.grid_h, base.grid_w, anchors)
         assert not grid.shared_centers
-        assert_one_positive_each(grid, gts_for(grid, kind, seed))
+        assert_hungarian_optimal(grid, gts_for(grid, kind, seed))
 
     @pytest.mark.parametrize("nudge", [-1, 0, 1])
     @pytest.mark.parametrize("place", ["line", "corner"])
@@ -126,7 +117,7 @@ class TestHungarianTies:
         cx, cy = (np.nextafter(c, c + nudge) for c in (cx, cy))
         half = rng.choice([3.0, 8.0, 16.0, 24.5, 40.0, 96.0], (24, 2))
         centers = np.stack([cx, cy], axis=1)
-        assert_one_positive_each(
+        assert_hungarian_optimal(
             grid, gts(np.hstack([centers - half, centers + half])))
 
     @pytest.mark.parametrize("finite", [0, 2])
@@ -146,7 +137,7 @@ class TestHungarianTies:
         # gets the columns at or below some GT's M-th cheapest cost of the
         # full cost, with its floats
         g = gts_for(grid, kind, seed)
-        full = hungarian_cost(grid, g)
+        full = hungarian_cost(grid, g.boxes)
         kth = np.sort(full, axis=1)[:, len(g) - 1]
         keep = np.flatnonzero((full <= kth[:, None]).any(axis=0))
         solve, seen = matching._shortest_augmenting_paths, []
@@ -288,16 +279,16 @@ class TestMatchersAtTheEdges:
                     UniformMatchConfig(k=2, neg_ignore_iou=0.3)):
             assert uniform_match(grid, g, cfg).labels.tolist() == uniform_py(
                 anchors, boxes, cfg.k, cfg.pos_ignore_iou, cfg.neg_ignore_iou)
-        # more GTs than anchors on the 5-anchor grid: the transposed cost
-        assert hungarian_match(grid, g).labels.tolist() \
-            == solved_labels(grid, g)
+        # more GTs than anchors on the 5-anchor grid: the transposed cost,
+        # whose optimum is unique but on the stride-16 grid's 12 anchors
+        assert assert_hungarian_optimal(grid, g) == (name != "stride16")
 
     @pytest.mark.parametrize("kind,seed", SCENES)
     def test_hungarian_equals_the_full_cost(self, grid, kind, seed):
         # every scene repeats a GT, so the row argmins collide
         g = gts_for(grid, kind, seed)
         labels = hungarian_match(grid, g).labels
-        _, cols, _ = solve_assignment(hungarian_cost(grid, g))
+        _, cols, _ = solve_assignment(hungarian_cost(grid, g.boxes))
         assert labels[cols].tolist() == list(range(len(g)))
         assert np.count_nonzero(labels >= 0) == len(g)
 
@@ -310,7 +301,7 @@ def test_no_full_grid_matrix(monkeypatch, name):
     position, or every anchor where the slots' centers differ."""
     grid = generate_anchors(CONFIGS[name], ImageSize(1280, 800))
     full = {len(grid), grid.grid_h * grid.grid_w}
-    spied = ("pairwise_iou", "_center_distances", "_grid_distances")
+    spied = ("pairwise_iou", "_grid_distances")
     shapes = {fn: [] for fn in spied}
     originals = {fn: getattr(matching, fn) for fn in spied}
 
