@@ -421,8 +421,8 @@ _FORK_GTS = 8192
 
 
 def _runs(members: list, codes: list, num_gts: list) -> list:
-    """Cut ``members``, image positions grouped by size ``codes``, into
-    runs of whole images of one size and at most ``_BLOCK`` GTs each."""
+    """Cut ``members``, image positions grouped by shape ``codes``, into
+    runs of whole images of one shape and at most ``_BLOCK`` GTs each."""
     runs, total, last = [], _BLOCK, None
     for i, code in zip(members, codes):
         if total + num_gts[i] > _BLOCK or code != last:
@@ -437,13 +437,13 @@ def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: list,
                  codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The positive count of each GT of images ``lo:hi``, in corpus order.
 
-    The images of one size code share ``grids[code]``, so each run of them
+    The images of one shape code share ``grids[code]``, so each run of them
     that :func:`_runs` cuts is matched by one :func:`matching.run_positives`
     call, and its counts are scattered back to corpus order.
     """
     offsets = corpus.offsets[lo:hi + 1]
     num_gts = np.diff(offsets)
-    # the images with GTs (others have no positives to count), by size
+    # the images with GTs (others have no positives to count), by shape
     # code, in id order within a code
     codes = codes[lo:hi]
     held = np.flatnonzero(num_gts)
@@ -493,10 +493,12 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     """
     if config.shift_max > 0:  # at 0 the boxes stay unclamped
         corpus = corpus.shifted(config.shift_max, config.seed)
-    # one read-only grid per distinct image size, indexed by each image's
-    # size code and built in order of each size's first image, so that
-    # the first grid too large to hold names the first such image
-    _, first, codes = np.unique(corpus.sizes, axis=0, return_index=True,
+    # one read-only grid per feature-map shape, indexed by each image's
+    # shape code and built in order of each shape's first image, so that
+    # the first grid too large to hold names the first such image.  Every
+    # side is below 2**63, so a larger stride divides it as 2**63 - 1 does
+    shapes = -(-corpus.sizes // min(config.anchors.stride, 2 ** 63 - 1))
+    _, first, codes = np.unique(shapes, axis=0, return_index=True,
                                 return_inverse=True)
     codes = codes.reshape(-1)  # its shape varies across numpy 2.x
     grids = [None] * len(first)

@@ -359,14 +359,12 @@ def generate_anchors(config: AnchorConfig, image: ImageSize) -> AnchorGrid:
 def apply_shift(boxes, image, dx, dy):
     """Translate boxes by ``(dx, dy)``, clamp to the image, drop empties.
 
-    ``image`` is one ``ImageSize``, or an ``(N, 2)`` array of each box's
-    image ``(width, height)``; ``dx`` and ``dy`` are numbers, or length-N
-    arrays of each box's offset.  Returns ``(shifted, kept)`` where
-    ``kept`` holds the input indices of the surviving boxes.
+    ``image`` is one ``(width, height)``, or an ``(N, 2)`` array of each
+    box's; ``dx`` and ``dy`` are numbers, or length-N arrays of each box's
+    offset.  Returns ``(shifted, kept)`` where ``kept`` holds the input
+    indices of the surviving boxes.
     """
     boxes = as_boxes(boxes)
-    if isinstance(image, ImageSize):
-        image = (image.width, image.height)
     # rows of (dx, dy, dx, dy) and (width, height, width, height)
     offset = np.tile(np.column_stack(np.broadcast_arrays(dx, dy)), 2)
     bounds = np.tile(np.reshape(image, (-1, 2)), 2)

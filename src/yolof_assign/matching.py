@@ -479,34 +479,30 @@ _INFEASIBLE = "cost matrix is infeasible"
 def solve_assignment(cost: np.ndarray):
     """Minimum-cost one-to-one assignment on an arbitrary cost matrix.
 
-    Rows must not outnumber columns.  Returns ``(rows, cols, total_cost)``
-    with ``rows == arange(M)`` and one distinct column per row.  A ``+inf``
-    entry forbids its pair; NaN or ``-inf`` entries, and a matrix that no
-    assignment of finite cost fits, raise ``ValueError``.
+    As ``scipy.optimize.linear_sum_assignment`` does, it assigns every row
+    or, with more rows than columns, every column, and returns ``(rows,
+    cols, total_cost)`` with ``rows`` ascending and distinct partners.  A
+    ``+inf`` entry forbids its pair; NaN or ``-inf`` entries, and a matrix
+    that no assignment of finite cost fits, raise ``ValueError``.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
-    m, n = cost.shape
-    if m > n:
-        raise ValueError(f"cannot assign {m} rows to {n} columns")
     if not (cost > -np.inf).all():
         raise ValueError("matrix contains invalid numeric entries")
-    rows = np.arange(m)
+    tall = len(cost) > cost.shape[1]
+    wide = cost.T if tall else cost  # no more rows than columns
+    rows = np.arange(len(wide))
     # Each row paying its own minimum is a lower bound, so distinct row
     # argmins are an optimal assignment.
-    cols = cost.argmin(axis=1) if m else rows
-    if len(set(cols.tolist())) < m:
-        # Some optimal assignment gives every row one of its m cheapest
-        # columns: a row on any other column can move to one of those that
-        # is free (at most m - 1 are taken) without raising the cost.  The
-        # cut keeps every column tied with a row's m-th cheapest, so it
-        # depends on the cost values alone.
-        kth = np.partition(cost, m - 1, axis=1)[:, m - 1:m]
-        keep = np.flatnonzero((cost <= kth).any(axis=0))
-        cols = keep[_shortest_augmenting_paths(cost[:, keep])]
+    cols = wide.argmin(axis=1) if len(rows) else rows
+    if len(set(cols.tolist())) < len(rows):
+        cols = _shortest_augmenting_paths(wide)
+    if tall:
+        order = np.argsort(cols)
+        rows, cols = cols[order], rows[order]
     total = float(cost[rows, cols].sum())
-    if total == np.inf:  # a row of +inf only
+    if total == np.inf:  # a row of ``wide`` is +inf only
         raise ValueError(_INFEASIBLE)
     return rows, cols, total
 
@@ -561,56 +557,26 @@ def _shortest_augmenting_paths(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-# cells of the cost matrix whose IoUs are taken in one pairwise_iou call,
-# in whole rows: contiguous tiles are the fastest to take
-_COST_CELLS = 32768
-
-
 def hungarian_cost(grid: AnchorGrid, boxes: np.ndarray) -> np.ndarray:
     """Assignment cost: center distance minus stride times IoU, shape
-    ``(M, N)``, of the ``(M, 4)`` GT boxes.
-
-    The distances are the result's buffer, and the IoUs are subtracted in
-    tiles of whole rows, as many as fit in ``_COST_CELLS`` cells and at
-    least one, so no other matrix is built.  Every step is elementwise, so
-    each cost is the float of the one-shot
-    ``dist - stride * pairwise_iou(boxes, grid.anchors, grid.areas)``.
-    """
+    ``(M, N)``, of the ``(M, 4)`` GT boxes."""
     cost = _grid_distances(box_centers(boxes), grid, len(grid.slot_centers))
-    stride = float(grid.config.stride)
-    rows = max(1, _COST_CELLS // len(grid))
-    for r in range(0, len(boxes), rows):
-        iou = pairwise_iou(boxes[r:r + rows], grid.anchors, grid.areas)
-        iou *= stride
-        cost[r:r + rows] -= iou
-        del iou  # frees its block before the next tile allocates one
+    cost -= float(grid.config.stride) * pairwise_iou(boxes, grid.anchors,
+                                                     grid.areas)
     return cost
-
-
-def _hungarian_pairs(grid: AnchorGrid, boxes: np.ndarray):
-    """``(gt, anchor)`` of one image's minimum-cost assignment on its
-    :func:`hungarian_cost`; with more GTs than anchors the transposed cost
-    is solved, as a rectangular assignment does."""
-    cost = hungarian_cost(grid, boxes)
-    if len(cost) > len(grid):
-        anchor, gt, _ = solve_assignment(cost.T)
-    else:
-        gt, anchor, _ = solve_assignment(cost)
-    return gt, anchor
 
 
 def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
                     cfg: HungarianConfig = HungarianConfig()) -> MatchResult:
     """Optimal one-to-one GT-to-anchor assignment (Kuhn-Munkres).
 
-    With more GTs than anchors the transposed cost is solved instead, as
-    a rectangular assignment does: every anchor goes positive for a
-    distinct GT, and the other GTs get no positive.  A cost that
-    overflows to ``+inf`` forbids its pair, so a GT whose every cost
-    overflows raises ``ValueError``.
+    With more GTs than anchors every anchor goes positive for a distinct
+    GT, as a rectangular assignment does, and the other GTs get no
+    positive.  A cost that overflows to ``+inf`` forbids its pair, so a
+    GT whose every cost overflows raises ``ValueError``.
     """
     labels = np.full(len(grid), NEGATIVE, dtype=np.int64)
-    gt, anchor = _hungarian_pairs(grid, gts.boxes)
+    gt, anchor, _ = solve_assignment(hungarian_cost(grid, gts.boxes))
     labels[anchor] = gt
     return MatchResult(labels, len(gts))
 
@@ -628,7 +594,8 @@ def _hungarian_positives(grid: AnchorGrid, boxes: np.ndarray,
     bounds = np.append(_first_gts(image), len(boxes))  # each image's GTs
     for i in np.flatnonzero(np.diff(bounds) > len(grid)).tolist():
         try:
-            gt, _ = _hungarian_pairs(grid, boxes[bounds[i]:bounds[i + 1]])
+            gt, _, _ = solve_assignment(
+                hungarian_cost(grid, boxes[bounds[i]:bounds[i + 1]]))
         except ValueError as exc:
             raise ImageError(i, str(exc)) from exc
         counts[bounds[i]:bounds[i + 1]] = 0

@@ -44,6 +44,35 @@ def seeded_corpus() -> dict:
             "categories": [{"id": c} for c in (1, 2, 3)]}
 
 
+def mixed_size_corpus(images: int = 200, seed: int = 0) -> dict:
+    """``images`` images of many sizes, 0-14 GTs each from 4 to 400 px a
+    side.
+
+    The long side is 640, 500 or 480 px and the short side uniform in
+    240-640 px, at most the long one; a quarter of the images are
+    portrait.  So most sizes are distinct, but at stride 32 many of them
+    share one feature-map shape.  Boxes may cross the right or bottom
+    edge.
+    """
+    rng = np.random.default_rng(seed)
+    out, annotations = [], []
+    for image_id in range(1, images + 1):
+        long = int(rng.choice([640, 500, 480]))
+        short = int(rng.integers(240, long + 1))
+        w, h = (short, long) if rng.uniform() < 0.25 else (long, short)
+        out.append({"id": image_id, "width": w, "height": h})
+        for _ in range(int(rng.integers(0, 15))):
+            side = np.exp(rng.uniform(np.log(4.0), np.log(400.0), 2))
+            x, y = rng.uniform(0, [w - 1, h - 1])
+            annotations.append({"id": len(annotations) + 1,
+                                "image_id": image_id,
+                                "bbox": [round(float(v), 2)
+                                         for v in (x, y, *side)],
+                                "category_id": int(rng.integers(1, 4))})
+    return {"images": out, "annotations": annotations,
+            "categories": [{"id": c} for c in (1, 2, 3)]}
+
+
 @pytest.fixture
 def seeded_corpus_path(tmp_path):
     path = tmp_path / "seeded.json"

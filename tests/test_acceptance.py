@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from yolof_assign.balance import SizeBuckets, distribution
 from yolof_assign.cli import main

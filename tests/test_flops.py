@@ -1,9 +1,9 @@
 import pytest
 
 from yolof_assign.encoder import EncoderSpec
-from yolof_assign.flops import (BACKBONE_CHANNELS, ConvLayer, DecoderSpec,
-                                EncoderTopology, conv_flops,
-                                encoder_decoder_flops, level_size)
+from yolof_assign.flops import (ConvLayer, DecoderSpec, EncoderTopology,
+                                conv_flops, encoder_decoder_flops,
+                                level_size)
 from yolof_assign.geometry import ImageSize
 
 IMAGE = ImageSize(1280, 800)

@@ -111,24 +111,22 @@ class TestRandomShift:
         boxes = np.array([[0, 0, 10, 10], [5, 5, 20, 30]], dtype=float)
         (dx,), (dy,) = shift_offsets(7, [3], 0)
         assert (dx, dy) == (0, 0)
-        shifted, kept = apply_shift(boxes, ImageSize(100, 100), dx, dy)
+        shifted, kept = apply_shift(boxes, (100, 100), dx, dy)
         np.testing.assert_array_equal(shifted, boxes)
         np.testing.assert_array_equal(kept, [0, 1])
 
     def test_forced_translation(self):
-        shifted, kept = apply_shift([[0, 0, 10, 10]], ImageSize(100, 100),
-                                    5, 5)
+        shifted, kept = apply_shift([[0, 0, 10, 10]], (100, 100), 5, 5)
         np.testing.assert_allclose(shifted, [[5, 5, 15, 15]])
         np.testing.assert_array_equal(kept, [0])
 
     def test_degenerate_after_clamp_dropped(self):
-        shifted, kept = apply_shift([[0, 0, 10, 10]], ImageSize(100, 100),
-                                    -20, 0)
+        shifted, kept = apply_shift([[0, 0, 10, 10]], (100, 100), -20, 0)
         assert len(shifted) == 0 and len(kept) == 0
 
     def test_clamps_x_to_width_and_y_to_height(self):
         boxes = [[80, 10, 95, 30], [-5, 30, 20, 45.5], [1, 2, 3, 4]]
-        image = ImageSize(100, 40)  # not square, so the axes cannot swap
+        image = (100, 40)  # not square, so the axes cannot swap
         shifted, kept = apply_shift(boxes, image, 10.5, 3)
         want = [[min(max(v + d, 0.0), hi) for v, d, hi in
                  zip(box, (10.5, 3, 10.5, 3), (100, 40, 100, 40))]
@@ -157,7 +155,7 @@ class TestRandomShift:
     @settings(max_examples=40, deadline=None)
     def test_interior_shift_roundtrip(self, dx, dy):
         boxes = [[40, 40, 60, 60]]
-        image = ImageSize(200, 200)
+        image = (200, 200)
         once, _ = apply_shift(boxes, image, dx, dy)
         back, _ = apply_shift(once, image, -dx, -dy)
         np.testing.assert_allclose(back, boxes)

@@ -112,26 +112,18 @@ def oracle_distances(boxes, anchors):
                                                        len(anchors))
 
 
-class TestHungarianCostTiles:
-    """``hungarian_cost`` subtracts its IoUs in tiles of whole rows, as
-    many as fit in ``_COST_CELLS`` cells and at least one; every cost is
-    the one-shot oracle's float."""
+class TestHungarianCost:
+    """Every cost of ``hungarian_cost`` is the naive oracle's float."""
 
     def assert_oracle(self, grid, boxes):
         assert_same_floats(hungarian_cost(grid, boxes), hungarian_cost_np(
             grid.anchors, boxes, grid.config.stride))
 
-    # tiles of one row on every grid (280, 624 and 2520 anchors), of two
-    # rows on 280 anchors, and the whole cost in one tile
-    @pytest.mark.parametrize("cells", [1, 3, 100, 600, matching._COST_CELLS])
     @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_scenes(self, monkeypatch, grid, kind, seed, cells):
-        monkeypatch.setattr(matching, "_COST_CELLS", cells)
+    def test_scenes(self, grid, kind, seed):
         self.assert_oracle(grid, gts_for(grid, kind, seed).boxes)
 
-    @pytest.mark.parametrize("cells", [1, 7, 40, matching._COST_CELLS])
-    def test_translated_grid(self, monkeypatch, cells):
-        monkeypatch.setattr(matching, "_COST_CELLS", cells)
+    def test_translated_grid(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(64, 64))
         grid = AnchorGrid(grid.config, 2, 2, grid.anchors + 13.5)
         rng = np.random.default_rng(5)
@@ -139,11 +131,9 @@ class TestHungarianCostTiles:
         boxes = np.hstack([corner, corner + rng.uniform(2.0, 200.0, (9, 2))])
         self.assert_oracle(grid, boxes)
 
-    @pytest.mark.parametrize("cells", [1, 5, matching._COST_CELLS])
-    def test_tied_costs(self, monkeypatch, grid, cells):
+    def test_tied_costs(self, grid):
         # boxes centered on cell corners, equally far from four positions
         # and overlapping them alike, twice each
-        monkeypatch.setattr(matching, "_COST_CELLS", cells)
         stride = grid.config.stride
         corners = np.array([[1, 1], [2, 3], [4, 2]] * 2, float) * stride
         boxes = np.hstack([corners - stride, corners + stride])
@@ -151,10 +141,8 @@ class TestHungarianCostTiles:
         assert (np.ptp(np.sort(want, axis=1)[:, :2], axis=1) == 0).any()
         self.assert_oracle(grid, boxes)
 
-    @pytest.mark.parametrize("cells", [1, 4, 10, matching._COST_CELLS])
-    def test_more_gts_than_anchors(self, monkeypatch, cells):
+    def test_more_gts_than_anchors(self):
         # image 6 of the CLI tests' odd corpus: 6 GTs on 5 anchors
-        monkeypatch.setattr(matching, "_COST_CELLS", cells)
         corpus = parse_corpus(test_io_cli.ODD_IMAGE_DOC)
         grid = generate_anchors(AnchorConfig(), ImageSize(20, 20))
         g = corpus.ground_truths(6)

@@ -16,7 +16,7 @@ from yolof_assign import cli, coco, matching
 from yolof_assign.cli import main
 from yolof_assign.coco import (CorpusError, RunConfig, load_corpus,
                                parse_corpus, run_match_stats, worker_count)
-from yolof_assign.geometry import ImageSize, apply_shift
+from yolof_assign.geometry import apply_shift
 from yolof_assign.matching import MATCHERS, MaxIoUConfig, UniformMatchConfig
 from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
                                   to_json, write_atomic)
@@ -120,8 +120,7 @@ def shifted_by_image(corpus, max_shift, seed):
                                       corpus.sizes.tolist(), corpus.offsets,
                                       corpus.offsets[1:]):
         dx, dy = shift_offset_py(max_shift, seed, image_id)
-        moved, kept = apply_shift(corpus.boxes[lo:hi], ImageSize(*size),
-                                  dx, dy)
+        moved, kept = apply_shift(corpus.boxes[lo:hi], size, dx, dy)
         ids += corpus.ids[lo:hi][kept].tolist()
         boxes += moved.tolist()
         cats += corpus.category_ids[lo:hi][kept].tolist()
@@ -679,7 +678,7 @@ class TestCLI:
         solve_assignment = matching.solve_assignment
 
         def fail_on_image_6(cost):
-            if cost.shape == (5, 6):  # 6 GTs on 5 anchors, transposed
+            if cost.shape == (6, 5):  # 6 GTs on 5 anchors
                 raise ValueError("no assignment")
             return solve_assignment(cost)
 

@@ -334,6 +334,24 @@ class TestSolveAssignment:
             assert total == pytest.approx(float(cost[r, c].sum()),
                                           rel=1e-12, abs=1e-9)
 
+    @pytest.mark.parametrize("seed,kind", enumerate(["random", "tied",
+                                                     "inf"]))
+    def test_tall_matches_scipy(self, seed, kind):
+        # more rows than columns: every column gets one distinct row, the
+        # rows ascending, at scipy's total
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(40):
+            cost = solver_case(kind, rng).T.copy()
+            rows, cols, total = solve_assignment(cost)
+            assert sorted(cols.tolist()) == list(range(cost.shape[1]))
+            assert rows.tolist() == sorted(set(rows.tolist()))
+            assert len(rows) == len(cols)
+            assert total == float(cost[rows, cols].sum())
+            r, c = optimize.linear_sum_assignment(cost)
+            assert total == pytest.approx(float(cost[r, c].sum()),
+                                          rel=1e-12, abs=1e-9)
+
     def test_distinct_argmins_taken_as_they_are(self, monkeypatch):
         def no_search(cost):
             raise AssertionError("the augmenting-path search ran")
@@ -346,7 +364,7 @@ class TestSolveAssignment:
         assert total == 0.5
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_cut_depends_on_cost_values_only(self, seed):
+    def test_dearer_columns_change_nothing(self, seed):
         # integer-tied costs whose argmins collide: columns dearer than
         # every row's m-th cheapest change nothing, wherever they go
         rng = np.random.default_rng(seed)
@@ -373,14 +391,15 @@ class TestSolveAssignment:
         assert total == 4.0
 
     def test_empty(self):
-        for shape in ((0, 0), (0, 3)):
+        for shape in ((0, 0), (0, 3), (3, 0)):
             rows, cols, total = solve_assignment(np.zeros(shape))
             assert (len(rows), len(cols), total) == (0, 0, 0.0)
 
     @pytest.mark.parametrize("cost,message", [
         (np.ones(3), "2-D"),
         (np.ones((2, 2, 2)), "2-D"),
-        (np.ones((3, 2)), "cannot assign 3 rows to 2 columns"),
+        # more rows than columns, and a column of +inf only
+        ([[np.inf, 1.0], [np.inf, 2.0], [np.inf, 3.0]], "infeasible"),
         ([[1.0, np.nan], [2.0, 3.0]], "invalid numeric entries"),
         ([[1.0, 2.0], [-np.inf, 3.0]], "invalid numeric entries"),
         # a row of +inf only, found on the distinct-argmin path

@@ -1,6 +1,6 @@
 """Corpus-wide matching against the one-image matchers it replaces.
 
-``match-stats`` matches each run of same-size images with one
+``match-stats`` matches each run of same-shape images with one
 ``matching.run_positives`` call, which counts the claims of the matcher's
 kernel, or for Hungarian solves only the images of more GTs than
 anchors, and ``nearest_candidates`` scores a small square of positions
@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 import test_io_cli
-from conftest import seeded_corpus
+from conftest import mixed_size_corpus, seeded_corpus
 from oracles import _center_distance
 from test_grid_kernels import assert_same_floats
 from yolof_assign import coco, matching
+from yolof_assign.balance import distribution
 from yolof_assign.coco import (CorpusError, RunConfig, parse_corpus,
                                run_match_stats)
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
@@ -26,6 +27,7 @@ from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
 from yolof_assign.matching import (IGNORED, MATCHERS, NEGATIVE,
                                    _grid_distances, _k_smallest,
                                    nearest_candidates)
+from yolof_assign.reports import distribution_to_csv, distribution_to_json
 
 SLOTS45 = AnchorConfig(scale_multipliers=(1.0, 2 ** (1 / 3), 2 ** (2 / 3)),
                        aspect_ratios=(0.5, 1.0, 2.0))
@@ -277,15 +279,15 @@ class TestRunPositives:
         assert sum(gts for gts, _ in calls) == dist.total_gts
         if block == 1:
             assert all(images == 1 for _, images in calls)
-        if block is None:  # one call per image size
-            sizes = {tuple(size) for i, size
-                     in enumerate(corpus.sizes.tolist())
-                     if corpus.offsets[i + 1] > corpus.offsets[i]}
-            assert len(calls) == len(sizes)
+        if block is None:  # one call per feature-map shape
+            shapes = {(-(-w // 32), -(-h // 32)) for i, (w, h)
+                      in enumerate(corpus.sizes.tolist())
+                      if corpus.offsets[i + 1] > corpus.offsets[i]}
+            assert len(calls) == len(shapes)
 
     @pytest.mark.parametrize("doc,want", [
-        ("odd-image", [(5, 6)]),  # image 6: 6 GTs on 5 anchors
-        ("over-full", [(20, 21)]),  # not image 1, whose argmins collide
+        ("odd-image", [(6, 5)]),  # image 6: 6 GTs on 5 anchors
+        ("over-full", [(21, 20)]),  # not image 1, whose argmins collide
         ("seeded", [])])
     def test_only_images_of_more_gts_than_anchors_are_solved(
             self, monkeypatch, doc, want):
@@ -300,7 +302,7 @@ class TestRunPositives:
         monkeypatch.setattr(matching, "solve_assignment", recording)
         corpus = parse_corpus(DOCS[doc])
         run_match_stats(corpus, RunConfig(matcher="hungarian"))
-        assert solved == want  # each solved once and transposed
+        assert solved == want  # each solved once
 
     @pytest.mark.parametrize("edge", sorted(EDGES))
     @pytest.mark.parametrize("matcher,params", CONFIGS)
@@ -354,14 +356,61 @@ class TestRunPositives:
                                    [1] + [2] * 6 + [3] * 21)],
                "categories": [{"id": 1}]}
 
-        def failing(cost):  # the transposed cost: one row per anchor
+        def failing(cost):  # one row per GT
             raise ValueError(f"no assignment for {len(cost)}")
 
         monkeypatch.setattr(matching, "solve_assignment", failing)
         monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
         with pytest.raises(ValueError, match=r"^image 2: no assignment "
-                                             r"for 5$"):
+                                             r"for 6$"):
             run_match_stats(parse_corpus(doc), RunConfig(matcher="hungarian"))
+
+
+MIXED = mixed_size_corpus()
+
+
+class TestGridsByShape:
+    """Images of one feature-map shape share one grid and one kernel run:
+    on a corpus of many sizes, ``run_match_stats`` builds one grid per
+    shape, and its reports equal, byte for byte, those of the per-image
+    matchers on each image's own grid."""
+
+    @pytest.mark.parametrize("shift", [0, 32])
+    @pytest.mark.parametrize("matcher,params", CONFIGS)
+    def test_reports_equal_a_per_image_loop(self, monkeypatch, matcher,
+                                            params, shift):
+        monkeypatch.setenv("YOLOF_ASSIGN_THREADS", "1")
+        corpus = parse_corpus(MIXED)
+        config = RunConfig(matcher=matcher, matcher_params=params,
+                           shift_max=shift, seed=7)
+        built, real = [], coco.generate_anchors
+
+        def spy(anchors, size):
+            built.append(real(anchors, size))
+            return built[-1]
+
+        monkeypatch.setattr(coco, "generate_anchors", spy)
+        got = run_match_stats(corpus, config)
+        shapes = {(-(-w // 32), -(-h // 32))
+                  for w, h in corpus.sizes.tolist()}
+        assert len(shapes) < len(np.unique(corpus.sizes, axis=0))
+        assert sorted((g.grid_w, g.grid_h) for g in built) == sorted(shapes)
+
+        if shift:
+            corpus = corpus.shifted(shift, 7)
+        match = getattr(matching, f"{matcher}_match")
+        per_image, counts = [], [np.empty(0, np.int64)]
+        for image_id, size in zip(corpus.image_ids.tolist(),
+                                  corpus.sizes.tolist()):
+            grid = real(config.anchors, ImageSize(*size))
+            gts = corpus.ground_truths(image_id)
+            per_image.append((image_id, len(grid), len(gts)))
+            counts.append(match(grid, gts, config.matcher_config)
+                          .positives_per_gt)
+        want = distribution(per_image, corpus.boxes, np.concatenate(counts),
+                            matcher)
+        assert distribution_to_json(got) == distribution_to_json(want)
+        assert distribution_to_csv(got) == distribution_to_csv(want)
 
 
 @pytest.mark.parametrize("anchors", [AnchorConfig(), SLOTS45],

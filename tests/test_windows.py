@@ -21,8 +21,7 @@ from yolof_assign.matching import (MATCHERS, GroundTruthSet, MaxIoUConfig,
 
 from oracles import iou_py, max_iou_py, uniform_py
 from test_grid_kernels import (CONFIGS, IMAGE, SCENES, TINY,
-                               assert_hungarian_optimal, assert_same_floats,
-                               gts_for)
+                               assert_hungarian_optimal, gts_for)
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -130,27 +129,6 @@ class TestHungarianTies:
                 pytest.raises(ValueError, match="infeasible"):
             hungarian_match(grid, gts(boxes))
 
-    @pytest.mark.parametrize("kind,seed", SCENES)
-    def test_collision_solves_the_cut_of_the_full_cost(self, monkeypatch,
-                                                       grid, kind, seed):
-        # every scene repeats a GT, so the argmins collide: the solver
-        # gets the columns at or below some GT's M-th cheapest cost of the
-        # full cost, with its floats
-        g = gts_for(grid, kind, seed)
-        full = hungarian_cost(grid, g.boxes)
-        kth = np.sort(full, axis=1)[:, len(g) - 1]
-        keep = np.flatnonzero((full <= kth[:, None]).any(axis=0))
-        solve, seen = matching._shortest_augmenting_paths, []
-
-        def spy(cost):
-            seen.append(cost.copy())
-            return solve(cost)
-
-        monkeypatch.setattr(matching, "_shortest_augmenting_paths", spy)
-        hungarian_match(grid, g)
-        assert len(seen) == 1
-        assert_same_floats(seen[0], full[:, keep])
-
 
 def hungarian_positives(grid, groups):
     """``run_positives``' Hungarian counts over one run of the images whose
@@ -212,7 +190,7 @@ class TestHungarianCount:
 
         monkeypatch.setattr(matching, "solve_assignment", recording)
         assert hungarian_positives(grid, groups) == want
-        assert solved == [(n, 2 * n), (n, n + 1)]  # transposed
+        assert solved == [(2 * n, n), (n + 1, n)]
 
 
 def oracle_max_iou(grid, g, cfg):
