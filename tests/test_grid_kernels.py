@@ -123,6 +123,14 @@ class TestHungarianCost:
     def test_scenes(self, grid, kind, seed):
         self.assert_oracle(grid, gts_for(grid, kind, seed).boxes)
 
+    # one GT up to more GTs than the 280 anchors of the default grid
+    @pytest.mark.parametrize("n", [1, 2, 40, 300])
+    def test_gt_counts(self, grid, n):
+        rng = np.random.default_rng(n)
+        corner = rng.uniform(-40.0, 260.0, (n, 2))
+        boxes = np.hstack([corner, corner + rng.uniform(1.0, 300.0, (n, 2))])
+        self.assert_oracle(grid, boxes)
+
     def test_translated_grid(self):
         grid = generate_anchors(AnchorConfig(), ImageSize(64, 64))
         grid = AnchorGrid(grid.config, 2, 2, grid.anchors + 13.5)

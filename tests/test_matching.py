@@ -299,6 +299,10 @@ SOLVER_KINDS = ["random", "tied", "square", "one_row", "tall", "collide",
                 "inf"]
 
 
+# the kinds whose transpose has more rows than columns, or as many
+TALL_KINDS = [k for k in SOLVER_KINDS if k != "square"]
+
+
 def solver_case(kind, rng):
     """One cost matrix of the given kind, at most 40 rows."""
     m = 1 if kind == "one_row" else int(rng.integers(1, 41))
@@ -334,8 +338,7 @@ class TestSolveAssignment:
             assert total == pytest.approx(float(cost[r, c].sum()),
                                           rel=1e-12, abs=1e-9)
 
-    @pytest.mark.parametrize("seed,kind", enumerate(["random", "tied",
-                                                     "inf"]))
+    @pytest.mark.parametrize("seed,kind", enumerate(TALL_KINDS))
     def test_tall_matches_scipy(self, seed, kind):
         # more rows than columns: every column gets one distinct row, the
         # rows ascending, at scipy's total
@@ -351,6 +354,48 @@ class TestSolveAssignment:
             r, c = optimize.linear_sum_assignment(cost)
             assert total == pytest.approx(float(cost[r, c].sum()),
                                           rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("seed,kind", enumerate(SOLVER_KINDS))
+    def test_transpose_mirrors_the_pairs(self, seed, kind):
+        # a tall cost is solved as its transpose: the pairs are the wide
+        # cost's, mirrored, whatever the ties (a square cost's transpose
+        # is solved as it is, so only its total must agree)
+        rng = np.random.default_rng(200 + seed)
+        for _ in range(40):
+            cost = solver_case(kind, rng)
+            rows, cols, total = solve_assignment(cost)
+            t_rows, t_cols, t_total = solve_assignment(cost.T)
+            assert t_rows.tolist() == sorted(set(t_rows.tolist()))
+            if cost.shape[0] < cost.shape[1]:
+                assert sorted(zip(t_cols.tolist(), t_rows.tolist())) \
+                    == list(zip(rows.tolist(), cols.tolist()))
+            assert t_total == pytest.approx(total, rel=1e-12, abs=1e-9)
+
+    def test_tall_cost_is_one_call(self, monkeypatch):
+        # the transpose is solved inside the call: a spy on the module
+        # attribute sees the tall cost once, and the search its transpose
+        solve, search = matching.solve_assignment, \
+            matching._shortest_augmenting_paths
+        calls, searched = [], []
+
+        def spy(cost):
+            calls.append(np.array(cost))
+            return solve(cost)
+
+        def search_spy(cost):
+            searched.append(cost.copy())
+            return search(cost)
+
+        monkeypatch.setattr(matching, "solve_assignment", spy)
+        monkeypatch.setattr(matching, "_shortest_augmenting_paths",
+                            search_spy)
+        # both columns' cheapest row is row 1
+        cost = np.array([[1.0, 4.0], [0.0, 0.0], [2.0, 3.0]])
+        rows, cols, total = matching.solve_assignment(cost)
+        assert (rows.tolist(), cols.tolist(), total) == ([0, 1], [0, 1], 1.0)
+        assert len(calls) == 1 and calls[0].shape == (3, 2)
+        assert len(searched) == 1
+        assert searched[0].tolist() == cost.T.tolist()
 
     def test_distinct_argmins_taken_as_they_are(self, monkeypatch):
         def no_search(cost):

@@ -21,7 +21,8 @@ from yolof_assign.matching import (MATCHERS, GroundTruthSet, MaxIoUConfig,
 
 from oracles import iou_py, max_iou_py, uniform_py
 from test_grid_kernels import (CONFIGS, IMAGE, SCENES, TINY,
-                               assert_hungarian_optimal, gts_for)
+                               assert_hungarian_optimal, assert_same_floats,
+                               gts_for)
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -118,6 +119,25 @@ class TestHungarianTies:
         centers = np.stack([cx, cy], axis=1)
         assert_hungarian_optimal(
             grid, gts(np.hstack([centers - half, centers + half])))
+
+    @pytest.mark.parametrize("kind,seed", SCENES)
+    def test_collision_solves_the_full_cost(self, monkeypatch, grid, kind,
+                                            seed):
+        # every scene repeats a GT, so the argmins collide: the search
+        # gets the whole cost, with its floats, once, and its labels are
+        # optimal
+        g = gts_for(grid, kind, seed)
+        full = hungarian_cost(grid, g.boxes)
+        solve, seen = matching._shortest_augmenting_paths, []
+
+        def spy(cost):
+            seen.append(cost.copy())
+            return solve(cost)
+
+        monkeypatch.setattr(matching, "_shortest_augmenting_paths", spy)
+        assert_hungarian_optimal(grid, g)
+        assert len(seen) == 1
+        assert_same_floats(seen[0], full)
 
     @pytest.mark.parametrize("finite", [0, 2])
     def test_a_gt_of_overflowing_costs_raises(self, grid, finite):
