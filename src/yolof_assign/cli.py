@@ -35,10 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_image(text: str) -> ImageSize:
     try:
-        w, h = text.lower().split("x")
-        return ImageSize(int(w), int(h))
+        w, h = map(int, text.lower().split("x"))
     except ValueError:
         raise CorpusError(f"bad --image value {text!r}; expected WxH")
+    return ImageSize(w, h)  # a size below 1 is refused with its own message
 
 
 def _parse_dilations(text: str) -> tuple:
@@ -179,9 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default="siso",
                    help="mimo | simo | miso | siso | yolof")
     p.add_argument("--image", default="800x1280", help="image size as WxH")
-    p.add_argument("--channels", type=int, default=256)
-    p.add_argument("--head-convs", type=int, default=4)
-    p.add_argument("--anchors-per-position", type=int, default=9)
+    p.add_argument("--channels", type=int, default=256,
+                   help="encoder and decoder width (ignored by yolof)")
+    p.add_argument("--head-convs", type=int, default=4,
+                   help="convs per decoder branch (ignored by yolof)")
+    p.add_argument("--anchors-per-position", type=int, default=9,
+                   help="anchors per position (ignored by yolof)")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_flops)
 

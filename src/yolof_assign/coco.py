@@ -416,7 +416,8 @@ _BLOCK = 512
 
 # GTs per forked worker at least.  On 2 CPUs two forked workers matched
 # uniform's 2k GTs 10-20 ms slower than one process, broke even near 20k
-# and were faster at 70k; Hungarian's were slower up to 70k (README)
+# and were faster at 70k (README).  Hungarian never forks: its counts
+# solve only the images of more GTs than anchors, in this process
 _FORK_GTS = 8192
 
 
@@ -449,21 +450,13 @@ def _match_chunk(corpus: AnnotationCorpus, config: RunConfig, grids: list,
     held = np.flatnonzero(num_gts)
     held = held[np.argsort(codes[held], kind="stable")]
     positives = np.empty(offsets[-1] - offsets[0], dtype=np.int64)
-    failed = None  # (image id, error) of the first failing image
     for run in _runs(held.tolist(), codes[held].tolist(), num_gts.tolist()):
         n = num_gts[run]  # each image's rows, one after the other
         rows = np.arange(n.sum()) + np.repeat(
             offsets[run] - (np.cumsum(n) - n), n)
-        try:
-            positives[rows - offsets[0]] = matching.run_positives(
-                config.matcher, grids[codes[run[0]]], corpus.boxes[rows],
-                np.repeat(np.arange(len(run)), n), config.matcher_config)
-        except matching.ImageError as exc:
-            image_id = int(corpus.image_ids[lo + run[exc.image]])
-            if failed is None or image_id < failed[0]:
-                failed = image_id, exc
-    if failed is not None:
-        raise ValueError(f"image {failed[0]}: {failed[1]}") from failed[1]
+        positives[rows - offsets[0]] = matching.run_positives(
+            config.matcher, grids[codes[run[0]]], corpus.boxes[rows],
+            np.repeat(np.arange(len(run)), n), config.matcher_config)
     return positives
 
 
@@ -480,6 +473,53 @@ def _forked_chunk(lo: int, hi: int):
     return _match_chunk(*_inherited, lo, hi)
 
 
+def _forked_positives(corpus: AnnotationCorpus, config: RunConfig,
+                      grids: list, codes: np.ndarray,
+                      workers: int) -> np.ndarray:
+    """:func:`_match_chunk` over the whole corpus, each of ``workers``
+    forked worker processes matching one contiguous chunk of images; in
+    this process on a platform without ``fork``."""
+    # imported here, so that a run that never forks does not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    images = len(corpus.image_ids)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return _match_chunk(corpus, config, grids, codes, 0, images)
+    # fork, not spawn: the workers inherit the corpus, the config, the
+    # grids and the codes instead of unpickling them, and skip re-importing
+    # numpy
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_inherit,
+            initargs=((corpus, config, grids, codes),)) as pool:
+        futures = [pool.submit(_forked_chunk, images * i // workers,
+                               images * (i + 1) // workers)
+                   for i in range(workers)]
+        return np.concatenate([f.result() for f in futures])
+
+
+def _hungarian_positives(corpus: AnnotationCorpus, grids: list,
+                         codes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Each GT's Hungarian positive count, in corpus order; ``anchors``
+    holds each image's anchor count.
+
+    Where every cost is finite, a one-to-one assignment gives each GT of
+    an image with no more GTs than anchors exactly one anchor, whichever
+    it is; so only the images of more GTs than anchors are solved, by
+    :func:`matching.hungarian_match`, in id order.
+    """
+    positives = np.ones(len(corpus.ids), dtype=np.int64)
+    for i in np.flatnonzero(np.diff(corpus.offsets) > anchors).tolist():
+        rows = slice(corpus.offsets[i], corpus.offsets[i + 1])
+        gts = GroundTruthSet(corpus.boxes[rows], corpus.category_ids[rows])
+        try:
+            positives[rows] = matching.hungarian_match(
+                grids[codes[i]], gts).positives_per_gt
+        except ValueError as exc:
+            raise ValueError(f"image {corpus.image_ids[i]}: {exc}") from exc
+    return positives
+
+
 def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     """Match every corpus image and aggregate per-bucket statistics.
 
@@ -490,6 +530,7 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
     ``_FORK_GTS`` GTs; with two or more, each forked worker process
     matches one contiguous chunk of images and sends back only its GTs'
     positive counts, and otherwise this process matches them all.
+    Hungarian counts are always taken in this process.
     """
     if config.shift_max > 0:  # at 0 the boxes stay unclamped
         corpus = corpus.shifted(config.shift_max, config.seed)
@@ -511,30 +552,16 @@ def run_match_stats(corpus: AnnotationCorpus, config: RunConfig):
             raise MemoryError(f"image {corpus.image_ids[i]}: {exc}") from exc
         grids[code].anchors.setflags(write=False)
 
+    anchors = np.array([len(grid) for grid in grids], np.int64)[codes]
     images = len(corpus.image_ids)
     workers = min(worker_count(), images, len(corpus.ids) // _FORK_GTS)
-    if workers > 1:
-        # imported here, so that a run that never forks does not load them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # fork, not spawn: the workers inherit the corpus, the config, the
-        # grids and the codes instead of unpickling them, and skip
-        # re-importing numpy
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_inherit,
-                initargs=((corpus, config, grids, codes),)) as pool:
-            futures = [pool.submit(_forked_chunk, images * i // workers,
-                                   images * (i + 1) // workers)
-                       for i in range(workers)]
-            # in chunk order, so a failure names the first failing image
-            parts = [f.result() for f in futures]
+    if config.matcher == "hungarian":
+        positives = _hungarian_positives(corpus, grids, codes, anchors)
+    elif workers > 1:
+        positives = _forked_positives(corpus, config, grids, codes, workers)
     else:
-        parts = [_match_chunk(corpus, config, grids, codes, 0, images)]
-
-    anchors = np.array([len(grid) for grid in grids], np.int64)
-    per_image = np.column_stack([corpus.image_ids, anchors[codes],
+        positives = _match_chunk(corpus, config, grids, codes, 0, images)
+    per_image = np.column_stack([corpus.image_ids, anchors,
                                  np.diff(corpus.offsets)])
-    return distribution(per_image, corpus.boxes, np.concatenate(parts),
-                        config.matcher, config.buckets)
+    return distribution(per_image, corpus.boxes, positives, config.matcher,
+                        config.buckets)

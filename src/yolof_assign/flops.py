@@ -109,22 +109,22 @@ class EncoderTopology:
                    layers)
 
     @classmethod
-    def from_encoder_spec(cls, spec: EncoderSpec,
-                          level: str = "P5") -> "EncoderTopology":
-        """Adapter: the dilated single-level encoder as a layer inventory."""
+    def from_encoder_spec(cls, spec: EncoderSpec) -> "EncoderTopology":
+        """Adapter: the dilated single-level encoder as a layer inventory
+        on P5."""
         b = spec.block_channels
         m = spec.mid_channels
         layers = [
-            ConvLayer("proj_reduce", spec.in_channels, m, 1, level),
-            ConvLayer("proj_refine", m, m, 3, level),
+            ConvLayer("proj_reduce", spec.in_channels, m, 1, "P5"),
+            ConvLayer("proj_refine", m, m, 3, "P5"),
         ]
         for i in range(spec.num_blocks):
             layers += [
-                ConvLayer(f"block{i}_reduce", m, b, 1, level),
-                ConvLayer(f"block{i}_dilated", b, b, 3, level),
-                ConvLayer(f"block{i}_expand", b, m, 1, level),
+                ConvLayer(f"block{i}_reduce", m, b, 1, "P5"),
+                ConvLayer(f"block{i}_dilated", b, b, 3, "P5"),
+                ConvLayer(f"block{i}_expand", b, m, 1, "P5"),
             ]
-        return cls("DilatedEncoder", ("C5",), (level,), layers)
+        return cls("DilatedEncoder", ("C5",), ("P5",), layers)
 
     @classmethod
     def by_name(cls, name: str, channels: int = 256) -> "EncoderTopology":

@@ -9,9 +9,7 @@ Each matcher but Hungarian takes its labels from one claims kernel over
 a run of images that share a grid, keyed by (image, anchor).
 ``<name>_match`` writes them for one image, and :func:`run_positives`
 counts each GT's positives over a run.  Hungarian matching solves one
-image's full cost; its counts need a solve only for images with more GTs
-than anchors, as a one-to-one assignment of finite costs gives every GT
-of any other image one anchor.
+image's full cost.
 """
 
 from __future__ import annotations
@@ -279,27 +277,17 @@ def _first_gts(image: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(image, prepend=-1))
 
 
-class ImageError(ValueError):
-    """A matcher's error on one image of a run; ``image`` is its index in
-    the run."""
-
-    def __init__(self, image: int, message: str):
-        super().__init__(message)
-        self.image = image
-
-
 def run_positives(matcher: str, grid: AnchorGrid, boxes: np.ndarray,
                   image: np.ndarray, cfg) -> np.ndarray:
-    """Each GT's positive anchor count over a run of images on ``grid``.
+    """Each GT's positive count over a run of images on ``grid``, for any
+    matcher of ``_CLAIMS`` (all but Hungarian).
 
     GT ``i`` has the box ``boxes[i]`` and lies in image ``image[i]``, a
     non-decreasing index from 0 in which every image has a GT.  The boxes
     are finite with positive area, as :class:`GroundTruthSet` checks.  The
     counts are each image's ``<matcher>_match(...).positives_per_gt`` in
-    turn; an error on one image raises :class:`ImageError`.
+    turn.
     """
-    if matcher == "hungarian":
-        return _hungarian_positives(grid, boxes, image)
     default, key, label = _CLAIMS[matcher](grid, boxes, image, cfg)
     counts = np.bincount(label[label >= 0], minlength=len(boxes))
     if default == 0:  # each image's unclaimed anchors go to its first GT
@@ -579,28 +567,6 @@ def hungarian_match(grid: AnchorGrid, gts: GroundTruthSet,
     gt, anchor, _ = solve_assignment(hungarian_cost(grid, gts.boxes))
     labels[anchor] = gt
     return MatchResult(labels, len(gts))
-
-
-def _hungarian_positives(grid: AnchorGrid, boxes: np.ndarray,
-                         image: np.ndarray) -> np.ndarray:
-    """Each GT's Hungarian positive count over a run, as
-    :func:`run_positives` takes it.
-
-    Where every cost is finite, a one-to-one assignment gives each GT of
-    an image with no more GTs than anchors exactly one anchor, whichever
-    it is; so only images with more GTs than anchors are solved.
-    """
-    counts = np.ones(len(boxes), dtype=np.int64)
-    bounds = np.append(_first_gts(image), len(boxes))  # each image's GTs
-    for i in np.flatnonzero(np.diff(bounds) > len(grid)).tolist():
-        try:
-            gt, _, _ = solve_assignment(
-                hungarian_cost(grid, boxes[bounds[i]:bounds[i + 1]]))
-        except ValueError as exc:
-            raise ImageError(i, str(exc)) from exc
-        counts[bounds[i]:bounds[i + 1]] = 0
-        counts[bounds[i] + gt] = 1
-    return counts
 
 
 # matcher name -> its claims kernel, ``(grid, boxes, image, cfg) ->

@@ -73,6 +73,27 @@ def mixed_size_corpus(images: int = 200, seed: int = 0) -> dict:
             "categories": [{"id": c} for c in (1, 2, 3)]}
 
 
+def over_full_corpus(images: int = 2400, seed: int = 5) -> dict:
+    """:func:`mixed_size_corpus` of ``images`` images, their ids doubled,
+    and after every 50th of them a 20x20 image (5 anchors at stride 32)
+    of 6-9 GTs, so more GTs than anchors, its id the next odd number."""
+    doc = mixed_size_corpus(images, seed)
+    rng = np.random.default_rng(seed)
+    for img in doc["images"]:
+        img["id"] *= 2
+    for ann in doc["annotations"]:
+        ann["image_id"] *= 2
+    for image_id in range(101, 2 * images + 2, 100):
+        doc["images"].append({"id": image_id, "width": 20, "height": 20})
+        for _ in range(int(rng.integers(6, 10))):
+            x, y = rng.uniform(0, 15, 2)
+            doc["annotations"].append({
+                "id": len(doc["annotations"]) + 1, "image_id": image_id,
+                "bbox": [round(float(v), 2) for v in (x, y, 4, 5)],
+                "category_id": 1})
+    return doc
+
+
 @pytest.fixture
 def seeded_corpus_path(tmp_path):
     path = tmp_path / "seeded.json"

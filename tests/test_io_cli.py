@@ -22,7 +22,7 @@ from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
                                   to_json, write_atomic)
 
 import test_bench_inputs
-from conftest import seeded_corpus
+from conftest import over_full_corpus, seeded_corpus
 from oracles import shift_offset_py
 
 
@@ -583,6 +583,16 @@ class TestCLI:
         assert code == 0
         assert json.loads(out)["count"] == 5000
 
+    @pytest.mark.parametrize("command,image,message", [
+        ("anchors", "0x5", "image dimensions must be positive, got 0x5"),
+        ("flops", "5x-3", "image dimensions must be positive, got 5x-3"),
+        *[(command, image, f"bad --image value {image!r}; expected WxH")
+          for command in ("anchors", "flops")
+          for image in ("abc", "5x", "1x2x3")]])
+    def test_bad_image_exit_2(self, capsys, command, image, message):
+        assert self.run(capsys, command, "--image", image) == (
+            2, "", f"error: {message}\n")
+
     def test_rf_output(self, capsys):
         code, out, _ = self.run(capsys, "rf", "--dilations", "2,4,6,8")
         doc = json.loads(out)
@@ -673,11 +683,14 @@ class TestCLI:
         assert err == (f"error: {bad}: not UTF-8 text: invalid continuation "
                        f"byte at byte 13\n")
 
-    def test_image_error_from_a_worker_exit_2(self, capsys, tmp_path,
-                                              monkeypatch):
-        solve_assignment = matching.solve_assignment
+    def test_image_error_exit_2_at_any_worker_count(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # image 6 would lie in worker 2 of a forked run, but Hungarian is
+        # solved in this process at every worker count
+        solve_assignment, solved_here = matching.solve_assignment, []
 
         def fail_on_image_6(cost):
+            solved_here.append(os.getpid())
             if cost.shape == (6, 5):  # 6 GTs on 5 anchors
                 raise ValueError("no assignment")
             return solve_assignment(cost)
@@ -686,11 +699,13 @@ class TestCLI:
         corpus = write_json(tmp_path / "c.json", ODD_IMAGE_DOC)
         cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
         runs = []
-        monkeypatch.setattr(coco, "_FORK_GTS", 1)  # image 6 in worker 2
+        monkeypatch.setattr(coco, "_FORK_GTS", 1)  # fork on any 2 GTs
         for workers in ("1", "2"):
             monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
+            solved_here.clear()
             runs.append(self.run(capsys, "match-stats", "--input", corpus,
                                  "--config", cfg))
+            assert solved_here == [os.getpid()]
             assert multiprocessing.active_children() == []
         assert runs[0] == runs[1] == (2, "",
                                       "error: image 6: no assignment\n")
@@ -756,7 +771,7 @@ class TestCLI:
         corpus = write_json(tmp_path / "c.json", ODD_IMAGE_DOC)
         cfg = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
         runs = []
-        monkeypatch.setattr(coco, "_FORK_GTS", 1)  # image 6 in worker 2
+        monkeypatch.setattr(coco, "_FORK_GTS", 1)  # fork on any 2 GTs
         for workers in ("1", "2"):
             monkeypatch.setenv("YOLOF_ASSIGN_THREADS", workers)
             runs.append(self.run(capsys, "match-stats", "--input", corpus,
@@ -1387,3 +1402,42 @@ def test_commands_leave_numpy_ma_out(tmp_path):
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src), YOLOF_ASSIGN_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
+
+
+# Runs Hungarian match-stats at each worker count given, each report to
+# its own file, then prints whether any child process is left and
+# whether concurrent.futures was imported.
+NO_FORK_SCRIPT = """
+import multiprocessing, os, sys
+from yolof_assign.cli import main
+
+corpus, config, out, *workers = sys.argv[1:]
+for n in workers:
+    os.environ["YOLOF_ASSIGN_THREADS"] = n
+    assert main(["match-stats", "--input", corpus, "--config", config,
+                 "--output", f"{out}.{n}"]) == 0
+print(len(multiprocessing.active_children()),
+      "concurrent.futures" in sys.modules)
+"""
+
+
+def test_hungarian_never_forks(tmp_path):
+    # enough GTs for 2 forked workers, and images of more GTs than
+    # anchors, which Hungarian solves
+    doc = over_full_corpus()
+    assert len(doc["annotations"]) >= 2 * coco._FORK_GTS
+    corpus = write_json(tmp_path / "corpus.json", doc)
+    config = write_json(tmp_path / "cfg.json", {"matcher": "hungarian"})
+    out = tmp_path / "report"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_FORK_SCRIPT, corpus, config, str(out),
+         "1", "2", "3"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0 False\n"
+    reports = [pathlib.Path(f"{out}.{n}").read_bytes() for n in "123"]
+    assert reports[0] == reports[1] == reports[2]
+    rows = json.loads(reports[0])["per_image"]
+    assert sum(row["num_gts"] > row["num_anchors"] for row in rows) == 48

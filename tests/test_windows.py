@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from yolof_assign import matching
+from yolof_assign.coco import AnnotationCorpus, RunConfig, run_match_stats
 from yolof_assign.geometry import (AnchorConfig, AnchorGrid, ImageSize,
                                    generate_anchors, iou_window, pairwise_iou)
-from yolof_assign.matching import (MATCHERS, GroundTruthSet, MaxIoUConfig,
+from yolof_assign.matching import (GroundTruthSet, MaxIoUConfig,
                                    UniformMatchConfig, hungarian_cost,
                                    hungarian_match, max_iou_match,
                                    solve_assignment, uniform_match)
@@ -150,12 +151,18 @@ class TestHungarianTies:
             hungarian_match(grid, gts(boxes))
 
 
-def hungarian_positives(grid, groups):
-    """``run_positives``' Hungarian counts over one run of the images whose
-    GT boxes are ``groups``."""
-    image = np.repeat(np.arange(len(groups)), [len(b) for b in groups])
-    return matching.run_positives("hungarian", grid, np.vstack(groups),
-                                  image, MATCHERS["hungarian"]()).tolist()
+def hungarian_positives(anchors, image, groups):
+    """``run_match_stats``' Hungarian counts on a corpus of images of size
+    ``image`` whose GT boxes are ``groups``, taken as they are."""
+    ids = np.arange(sum(len(b) for b in groups))
+    corpus = AnnotationCorpus(
+        image_ids=np.arange(len(groups)),
+        sizes=np.tile([image.width, image.height], (len(groups), 1)),
+        ids=ids, boxes=np.vstack(groups), category_ids=np.zeros_like(ids),
+        offsets=np.cumsum([0] + [len(b) for b in groups]), categories=[])
+    dist = run_match_stats(corpus, RunConfig(matcher="hungarian",
+                                             anchors=anchors))
+    return dist.per_gt_counts[:, 1].tolist()
 
 
 def label_counts(grid, g):
@@ -165,7 +172,7 @@ def label_counts(grid, g):
 
 
 class TestHungarianCount:
-    """``run_positives`` gives each GT of an image with no more GTs than
+    """``run_match_stats`` gives each GT of an image with no more GTs than
     anchors one positive without a solve; its counts are the labels'."""
 
     @pytest.mark.parametrize("image", [IMAGE, TINY],
@@ -179,7 +186,7 @@ class TestHungarianCount:
         g = gts_for(grid, kind, seed)
         want = label_counts(grid, g)
         assert sum(want) == min(len(g), len(grid))
-        assert hungarian_positives(grid, [g.boxes]) == want
+        assert hungarian_positives(CONFIGS[name], image, [g.boxes]) == want
 
     @pytest.mark.parametrize("image", [TINY, ImageSize(64, 40)],
                              ids=["20x20", "64x40"])
@@ -188,9 +195,9 @@ class TestHungarianCount:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_a_run_across_the_anchor_count(self, monkeypatch, name, stacked,
                                            image):
-        # one run of images of one GT fewer than anchors, twice as many,
-        # as many, one and one more, their boxes spread over the image or
-        # all one box: only the two images of more GTs are solved
+        # images of one GT fewer than anchors, twice as many, as many, one
+        # and one more, their boxes spread over the image or all one box:
+        # only the two images of more GTs are solved, in id order
         grid = generate_anchors(CONFIGS[name], image)
         n = len(grid)
         rng = np.random.default_rng(n)
@@ -209,7 +216,7 @@ class TestHungarianCount:
             return solve(cost)
 
         monkeypatch.setattr(matching, "solve_assignment", recording)
-        assert hungarian_positives(grid, groups) == want
+        assert hungarian_positives(CONFIGS[name], image, groups) == want
         assert solved == [(2 * n, n), (n + 1, n)]
 
 
