@@ -402,3 +402,60 @@ def detections_py(doc, path):
     return (np.array(boxes, dtype=np.float64).reshape(-1, 4),
             np.array(scores, dtype=np.float64),
             np.array(class_ids, dtype=np.int64))
+
+
+# Backbone widths the feature-pyramid encoders read, written out again
+BACKBONE_WIDTHS_PY = {"C3": 512, "C4": 1024, "C5": 2048}
+
+
+def fpn_layers_py(kind, c):
+    """The ``(name, in, out, kernel, level)`` of each conv of one of the
+    four feature-pyramid encoders of width ``c``, written out by hand."""
+    c3, c4, c5 = (BACKBONE_WIDTHS_PY[l] for l in ("C3", "C4", "C5"))
+    return {
+        "siso": [
+            ("lateral_c5", c5, c, 1, "C5"),
+            ("out_p5", c, c, 3, "P5"),
+        ],
+        "simo": [
+            ("lateral_c5", c5, c, 1, "C5"),
+            ("out_p3", c, c, 3, "P3"),
+            ("out_p4", c, c, 3, "P4"),
+            ("out_p5", c, c, 3, "P5"),
+            ("down_p6", c5, c, 3, "P6"),
+            ("down_p7", c, c, 3, "P7"),
+        ],
+        "miso": [
+            ("lateral_c3", c3, c, 1, "C3"),
+            ("lateral_c4", c4, c, 1, "C4"),
+            ("lateral_c5", c5, c, 1, "C5"),
+            ("merge_c3", c, c, 3, "C3"),
+            ("merge_c4", c, c, 3, "C4"),
+            ("down_c3_c4", c, c, 3, "C4"),
+            ("down_c4_c5", c, c, 3, "C5"),
+            ("out_p5", c, c, 3, "P5"),
+        ],
+        "mimo": [
+            ("lateral_c3", c3, c, 1, "C3"),
+            ("lateral_c4", c4, c, 1, "C4"),
+            ("lateral_c5", c5, c, 1, "C5"),
+            ("out_p3", c, c, 3, "P3"),
+            ("out_p4", c, c, 3, "P4"),
+            ("out_p5", c, c, 3, "P5"),
+            ("down_p6", c5, c, 3, "P6"),
+            ("down_p7", c, c, 3, "P7"),
+        ],
+    }[kind]
+
+
+def dilated_encoder_convs_py(in_ch, mid, num_blocks):
+    """The ``(name, in, out, kernel)`` of each conv of the dilated encoder:
+    the 1x1 and 3x3 projector, then per block a 1x1 reduce to ``mid / 4``,
+    a 3x3 dilated conv and a 1x1 expand back to ``mid``."""
+    b = mid // 4
+    convs = [("proj_reduce", in_ch, mid, 1), ("proj_refine", mid, mid, 3)]
+    for i in range(num_blocks):
+        convs.append((f"block{i}_reduce", mid, b, 1))
+        convs.append((f"block{i}_dilated", b, b, 3))
+        convs.append((f"block{i}_expand", b, mid, 1))
+    return convs

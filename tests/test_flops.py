@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
+
 import pytest
 
-from yolof_assign.encoder import EncoderSpec
+from yolof_assign.encoder import EncoderSpec, WeightSet
 from yolof_assign.flops import (ConvLayer, DecoderSpec, EncoderTopology,
                                 conv_flops, encoder_decoder_flops,
                                 level_size)
 from yolof_assign.geometry import ImageSize
+
+from oracles import dilated_encoder_convs_py, fpn_layers_py
 
 IMAGE = ImageSize(1280, 800)
 
@@ -49,6 +54,37 @@ class TestTopologies:
         # projector 1x1 alone costs 2048*512 MACs per position
         assert report.encoder_total > conv_flops(2048, 512, 1, 25, 40)
         assert len(topo.layers) == 2 + 3 * 4
+
+
+class TestLayerInventories:
+    @pytest.mark.parametrize("channels", [1, 7, 256, 512])
+    @pytest.mark.parametrize("kind", ["siso", "simo", "miso", "mimo"])
+    def test_fpn_layers_equal_the_written_out_lists(self, kind, channels):
+        for name in (kind, kind.upper()):
+            topo = EncoderTopology.by_name(name, channels)
+            assert [dataclasses.astuple(l) for l in topo.layers] \
+                == fpn_layers_py(kind, channels)
+
+    @pytest.mark.parametrize("num_blocks", range(6))
+    @pytest.mark.parametrize("mid_channels", [4, 8, 12, 64, 256, 512])
+    @pytest.mark.parametrize("in_channels", [3, 2048])
+    def test_dilated_encoder_convs(self, in_channels, mid_channels,
+                                   num_blocks):
+        spec = EncoderSpec(in_channels=in_channels, mid_channels=mid_channels,
+                           dilations=tuple(range(1, num_blocks + 1)))
+        convs = dilated_encoder_convs_py(in_channels, mid_channels,
+                                         num_blocks)
+        topo = EncoderTopology.from_encoder_spec(spec)
+        assert (topo.kind, topo.input_levels, topo.output_levels) \
+            == ("DilatedEncoder", ("C5",), ("P5",))
+        assert [dataclasses.astuple(l) for l in topo.layers] \
+            == [(*conv, "P5") for conv in convs]
+        weights = WeightSet.constant(spec)
+        kernels = [weights.proj_reduce, weights.proj_refine,
+                   *itertools.chain.from_iterable(weights.blocks)]
+        assert [w.shape for w in kernels] \
+            == [(out, inp, k, k) for _, inp, out, k in convs]
+        assert len(weights.blocks) == num_blocks
 
 
 class TestReports:
