@@ -17,7 +17,7 @@ from . import reports
 from .coco import (CorpusError, RunConfig, load_corpus, load_detections,
                    run_match_stats)
 from .encoder import EncoderSpec, rf_profile, scale_coverage
-from .flops import (COST_NOTES, DecoderSpec, EncoderTopology,
+from .flops import (COST_NOTES, FPN_ENCODERS, DecoderSpec, EncoderTopology,
                     encoder_decoder_flops)
 from .geometry import ImageSize, generate_anchors
 from .postprocess import nms
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", help="encoder+decoder MAC accounting")
     p.add_argument("--topology", default="siso",
-                   help="mimo | simo | miso | siso | yolof")
+                   help=" | ".join([*FPN_ENCODERS, "yolof"]))
     p.add_argument("--image", default="800x1280", help="image size as WxH")
     p.add_argument("--channels", type=int, default=256,
                    help="encoder and decoder width (ignored by yolof)")

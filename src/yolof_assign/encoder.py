@@ -34,6 +34,10 @@ class EncoderSpec:
     shortcuts: bool = True
 
     def __post_init__(self):
+        for name in ("in_channels", "mid_channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
         if any(d < 1 for d in self.dilations):
             raise ValueError("dilations must be positive integers")
         if self.mid_channels % 4:
@@ -46,6 +50,18 @@ class EncoderSpec:
     @property
     def block_channels(self) -> int:
         return self.mid_channels // 4
+
+    def convs(self) -> list:
+        """Every conv in forward order, as ``(name, in, out, kernel)``: the
+        projector pair, then each block's reduce, dilated and expand."""
+        b, m = self.block_channels, self.mid_channels
+        convs = [("proj_reduce", self.in_channels, m, 1),
+                 ("proj_refine", m, m, 3)]
+        for i in range(self.num_blocks):
+            convs += [(f"block{i}_reduce", m, b, 1),
+                      (f"block{i}_dilated", b, b, 3),
+                      (f"block{i}_expand", b, m, 1)]
+        return convs
 
 
 @dataclass(frozen=True)
@@ -116,10 +132,8 @@ class WeightSet:
     @classmethod
     def constant(cls, spec: EncoderSpec, value: float = 0.05) -> "WeightSet":
         """All-positive constant kernels."""
-        b, m = spec.block_channels, spec.mid_channels
-        shapes = [(m, spec.in_channels, 1), (m, m, 3)] \
-            + [(b, m, 1), (b, b, 3), (m, b, 1)] * spec.num_blocks
-        convs = [np.full((out, inp, k, k), value) for out, inp, k in shapes]
+        convs = [np.full((out, inp, k, k), value)
+                 for _, inp, out, k in spec.convs()]
         return cls(proj_reduce=convs[0], proj_refine=convs[1],
                    blocks=[tuple(convs[i:i + 3])
                            for i in range(2, len(convs), 3)])

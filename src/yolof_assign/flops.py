@@ -15,6 +15,15 @@ from .geometry import ImageSize
 # ResNet-style backbone output channels feeding the encoder
 BACKBONE_CHANNELS = {"C3": 512, "C4": 1024, "C5": 2048, "DC5": 2048}
 
+# name -> (kind, input levels, output levels) of the four feature-pyramid
+# encoders: one or several backbone levels in, one or several levels out
+FPN_ENCODERS = {
+    "mimo": ("MiMo", ("C3", "C4", "C5"), ("P3", "P4", "P5", "P6", "P7")),
+    "simo": ("SiMo", ("C5",), ("P3", "P4", "P5", "P6", "P7")),
+    "miso": ("MiSo", ("C3", "C4", "C5"), ("P5",)),
+    "siso": ("SiSo", ("C5",), ("P5",)),
+}
+
 COST_NOTES = (
     "MAC counted as 1 FLOP; bias/BN/ReLU/interpolation/addition excluded; "
     "encoder and decoder only, no backbone"
@@ -59,81 +68,37 @@ class EncoderTopology:
     layers: list
 
     @classmethod
-    def siso(cls, channels: int = 256) -> "EncoderTopology":
-        layers = [
-            ConvLayer("lateral_c5", BACKBONE_CHANNELS["C5"], channels, 1, "C5"),
-            ConvLayer("out_p5", channels, channels, 3, "P5"),
-        ]
-        return cls("SiSo", ("C5",), ("P5",), layers)
-
-    @classmethod
-    def simo(cls, channels: int = 256) -> "EncoderTopology":
-        layers = [
-            ConvLayer("lateral_c5", BACKBONE_CHANNELS["C5"], channels, 1, "C5"),
-            ConvLayer("out_p3", channels, channels, 3, "P3"),
-            ConvLayer("out_p4", channels, channels, 3, "P4"),
-            ConvLayer("out_p5", channels, channels, 3, "P5"),
-            ConvLayer("down_p6", BACKBONE_CHANNELS["C5"], channels, 3, "P6"),
-            ConvLayer("down_p7", channels, channels, 3, "P7"),
-        ]
-        return cls("SiMo", ("C5",), ("P3", "P4", "P5", "P6", "P7"), layers)
-
-    @classmethod
-    def miso(cls, channels: int = 256) -> "EncoderTopology":
-        # bottom-up aggregation of C3-C5 into a single P5 output
-        layers = [
-            ConvLayer("lateral_c3", BACKBONE_CHANNELS["C3"], channels, 1, "C3"),
-            ConvLayer("lateral_c4", BACKBONE_CHANNELS["C4"], channels, 1, "C4"),
-            ConvLayer("lateral_c5", BACKBONE_CHANNELS["C5"], channels, 1, "C5"),
-            ConvLayer("merge_c3", channels, channels, 3, "C3"),
-            ConvLayer("merge_c4", channels, channels, 3, "C4"),
-            ConvLayer("down_c3_c4", channels, channels, 3, "C4"),
-            ConvLayer("down_c4_c5", channels, channels, 3, "C5"),
-            ConvLayer("out_p5", channels, channels, 3, "P5"),
-        ]
-        return cls("MiSo", ("C3", "C4", "C5"), ("P5",), layers)
-
-    @classmethod
-    def mimo(cls, channels: int = 256) -> "EncoderTopology":
-        layers = [
-            ConvLayer("lateral_c3", BACKBONE_CHANNELS["C3"], channels, 1, "C3"),
-            ConvLayer("lateral_c4", BACKBONE_CHANNELS["C4"], channels, 1, "C4"),
-            ConvLayer("lateral_c5", BACKBONE_CHANNELS["C5"], channels, 1, "C5"),
-            ConvLayer("out_p3", channels, channels, 3, "P3"),
-            ConvLayer("out_p4", channels, channels, 3, "P4"),
-            ConvLayer("out_p5", channels, channels, 3, "P5"),
-            ConvLayer("down_p6", BACKBONE_CHANNELS["C5"], channels, 3, "P6"),
-            ConvLayer("down_p7", channels, channels, 3, "P7"),
-        ]
-        return cls("MiMo", ("C3", "C4", "C5"), ("P3", "P4", "P5", "P6", "P7"),
-                   layers)
-
-    @classmethod
     def from_encoder_spec(cls, spec: EncoderSpec) -> "EncoderTopology":
         """Adapter: the dilated single-level encoder as a layer inventory
         on P5."""
-        b = spec.block_channels
-        m = spec.mid_channels
-        layers = [
-            ConvLayer("proj_reduce", spec.in_channels, m, 1, "P5"),
-            ConvLayer("proj_refine", m, m, 3, "P5"),
-        ]
-        for i in range(spec.num_blocks):
-            layers += [
-                ConvLayer(f"block{i}_reduce", m, b, 1, "P5"),
-                ConvLayer(f"block{i}_dilated", b, b, 3, "P5"),
-                ConvLayer(f"block{i}_expand", b, m, 1, "P5"),
-            ]
-        return cls("DilatedEncoder", ("C5",), ("P5",), layers)
+        return cls("DilatedEncoder", ("C5",), ("P5",),
+                   [ConvLayer(*conv, "P5") for conv in spec.convs()])
 
     @classmethod
     def by_name(cls, name: str, channels: int = 256) -> "EncoderTopology":
-        builders = {"mimo": cls.mimo, "simo": cls.simo, "miso": cls.miso,
-                    "siso": cls.siso}
+        """One of the four feature-pyramid encoders of ``FPN_ENCODERS``:
+        a 1x1 lateral conv per input level, MiSo's bottom-up aggregation,
+        a 3x3 output conv per output level up to P5, then RetinaNet's P6
+        (from C5) and P7 when the outputs reach them."""
         try:
-            return builders[name.lower()](channels)
+            kind, inputs, outputs = FPN_ENCODERS[name.lower()]
         except KeyError:
             raise ValueError(f"unknown topology {name!r}") from None
+        c = channels
+        layers = [ConvLayer(f"lateral_{level.lower()}",
+                            BACKBONE_CHANNELS[level], c, 1, level)
+                  for level in inputs]
+        if kind == "MiSo":  # bottom-up aggregation of C3-C5 into P5
+            layers += [ConvLayer(conv, c, c, 3, level) for conv, level in (
+                ("merge_c3", "C3"), ("merge_c4", "C4"),
+                ("down_c3_c4", "C4"), ("down_c4_c5", "C5"))]
+        layers += [ConvLayer(f"out_{level.lower()}", c, c, 3, level)
+                   for level in outputs if level not in ("P6", "P7")]
+        if "P6" in outputs:
+            layers += [ConvLayer("down_p6", BACKBONE_CHANNELS["C5"], c, 3,
+                                 "P6"),
+                       ConvLayer("down_p7", c, c, 3, "P7")]
+        return cls(kind, inputs, outputs, layers)
 
 
 @dataclass(frozen=True)
@@ -149,9 +114,10 @@ class DecoderSpec:
 
     def __post_init__(self):
         for name in ("cls_convs", "reg_convs", "anchors_per_position",
-                     "num_classes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got "
+                     "num_classes", "channels"):
+            least = int(name == "channels")
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got "
                                  f"{getattr(self, name)}")
 
     def layers(self, level: str) -> list:

@@ -67,6 +67,14 @@ class TestRFProfile:
         with pytest.raises(ValueError):
             EncoderSpec(mid_channels=510)
 
+    @pytest.mark.parametrize("field,width", [
+        ("in_channels", 0), ("in_channels", -1), ("mid_channels", 0),
+        ("mid_channels", -8)])
+    def test_width_below_1_refused(self, field, width):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be >= 1, got {width}$"):
+            small_spec(**{field: width})
+
 
 class TestScaleCoverage:
     def test_single_extent_band(self):

@@ -39,11 +39,11 @@ class TestLevelSizes:
 
 class TestTopologies:
     def test_kind_level_sets(self):
-        assert EncoderTopology.mimo().output_levels \
+        assert EncoderTopology.by_name("mimo").output_levels \
             == ("P3", "P4", "P5", "P6", "P7")
-        assert EncoderTopology.simo().input_levels == ("C5",)
-        assert EncoderTopology.miso().output_levels == ("P5",)
-        assert EncoderTopology.siso().input_levels == ("C5",)
+        assert EncoderTopology.by_name("simo").input_levels == ("C5",)
+        assert EncoderTopology.by_name("miso").output_levels == ("P5",)
+        assert EncoderTopology.by_name("siso").input_levels == ("C5",)
         with pytest.raises(ValueError):
             EncoderTopology.by_name("mi-mo")
 
@@ -89,7 +89,7 @@ class TestLayerInventories:
 
 class TestReports:
     def test_additivity(self):
-        topo = EncoderTopology.mimo()
+        topo = EncoderTopology.by_name("mimo")
         dec = DecoderSpec(cls_convs=4, reg_convs=4, anchors_per_position=9)
         report = encoder_decoder_flops(topo, dec, IMAGE)
         manual = sum(l.flops(IMAGE) for l in topo.layers)
@@ -99,7 +99,8 @@ class TestReports:
 
     def test_zero_decoder(self):
         dec = DecoderSpec(cls_convs=0, reg_convs=0, anchors_per_position=0)
-        report = encoder_decoder_flops(EncoderTopology.siso(), dec, IMAGE)
+        report = encoder_decoder_flops(EncoderTopology.by_name("siso"), dec,
+                                       IMAGE)
         assert report.decoder_total == 0
 
     @pytest.mark.parametrize("field", ["cls_convs", "reg_convs",
@@ -109,8 +110,15 @@ class TestReports:
             DecoderSpec(**{field: -3})
         assert DecoderSpec(**{field: 0}).layers("P5")  # 0 stays allowed
 
+    @pytest.mark.parametrize("channels", [0, -8])
+    def test_width_below_1_refused(self, channels):
+        with pytest.raises(ValueError,
+                           match=f"^channels must be >= 1, got {channels}$"):
+            DecoderSpec(channels=channels)
+        assert DecoderSpec(channels=1).layers("P5")
+
     def test_rejects_unknown_level(self):
-        topo = EncoderTopology.siso()
+        topo = EncoderTopology.by_name("siso")
         topo.output_levels = ("P9",)
         with pytest.raises(ValueError):
             encoder_decoder_flops(topo, DecoderSpec(), IMAGE)

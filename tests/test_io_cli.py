@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import os
 import pathlib
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -24,6 +26,15 @@ from yolof_assign.reports import (distribution_to_csv, distribution_to_dict,
 import test_bench_inputs
 from conftest import over_full_corpus, seeded_corpus
 from oracles import shift_offset_py
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+# every ``yolof-assign`` command line of the README's ``sh`` blocks
+README_SH_LINES = [
+    line.strip()
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    for line in block.splitlines()
+    if line.strip().startswith("yolof-assign ")]
 
 
 def write_json(path, doc):
@@ -891,11 +902,43 @@ class TestCLI:
         (["flops", "--anchors-per-position", "-3"],
          "anchors_per_position must be >= 0, got -3"),
         (["flops", "--head-convs", "-1"], "cls_convs must be >= 0, got -1"),
+        (["flops", "--channels", "0"], "channels must be >= 1, got 0"),
+        (["flops", "--channels", "-8"], "channels must be >= 1, got -8"),
     ])
     def test_negative_model_size_exit_2(self, capsys, argv, named):
         code, out, err = self.run(capsys, *argv)
         assert (code, out) == (2, "")
         assert named in err
+
+    @pytest.mark.parametrize("channels", ["0", "-8"])
+    def test_yolof_ignores_channels(self, capsys, channels):
+        assert self.run(capsys, "flops", "--topology", "yolof",
+                        "--channels", channels) \
+            == self.run(capsys, "flops", "--topology", "yolof")
+
+    def test_every_documented_topology_runs(self, capsys):
+        flops = cli.build_parser()._subparsers._group_actions[0] \
+            .choices["flops"]
+        helped = next(a.help for a in flops._actions
+                      if a.dest == "topology").split(" | ")
+        comment = next(line for line in README_SH_LINES
+                       if line.startswith("yolof-assign flops")) \
+            .split("#", 1)[1]  # "or simo / miso / ..."
+        documented = {*helped, *re.findall(r"\w+", comment)} - {"or"}
+        assert {"mimo", "simo", "miso", "siso", "yolof"} <= documented
+        for name in sorted(documented):
+            code, out, err = self.run(capsys, "flops", "--topology", name)
+            assert (code, err) == (0, ""), name
+            assert json.loads(out)["total_macs"] > 0
+        assert self.run(capsys, "flops", "--topology", "fpn") \
+            == (2, "", "error: unknown topology 'fpn'\n")
+
+    @pytest.mark.parametrize("line", README_SH_LINES)
+    def test_readme_commands_parse(self, line):
+        argv = shlex.split(line.split("#")[0])
+        assert argv[0] == "yolof-assign"
+        args = cli.build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
 
     @pytest.mark.parametrize("value", ["a", "2,x", "2,,4", "1.5"])
     def test_bad_dilations_named_exit_2(self, capsys, value):
