@@ -115,7 +115,7 @@ class DecoderSpec:
     def __post_init__(self):
         for name in ("cls_convs", "reg_convs", "anchors_per_position",
                      "num_classes", "channels"):
-            least = int(name == "channels")
+            least = 1 if name == "channels" else 0  # a conv has a width
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got "
                                  f"{getattr(self, name)}")
