@@ -2,9 +2,12 @@
 
 Builds a batch of synthetic scenes with one small, one medium, and one
 large ground-truth box each, runs every matcher over the same anchor
-grid, and prints per-bucket positive counts. Uniform matching hands each
-box the same number of positives regardless of size; IoU-thresholded
-matchers starve the small boxes.
+grid, and prints per-bucket positive counts. IoU-thresholded matchers
+starve the small boxes. Uniform matching gives every box its k nearest
+anchors whatever its size, but its ``pos_ignore_iou`` filter then drops
+the candidates of low IoU, which small boxes have most, so the filter
+makes its gap: on these scenes its small-to-large ratio is 4.01 at the
+default 0.15, and 3.26, 1.98 and 1.01 at 0.1, 0.05 and 0.
 """
 
 import numpy as np
@@ -22,8 +25,7 @@ def make_scene(rng):
         cy = rng.uniform(side, 640 - side)
         boxes.append((cx - side / 2, cy - side / 2,
                       cx + side / 2, cy + side / 2))
-    return GroundTruthSet(boxes=np.array(boxes),
-                          class_ids=np.zeros(3, dtype=int))
+    return GroundTruthSet(boxes=np.array(boxes))
 
 
 def main():

@@ -18,7 +18,7 @@ from .coco import (CorpusError, RunConfig, load_corpus, load_detections,
                    run_match_stats)
 from .encoder import EncoderSpec, rf_profile, scale_coverage
 from .flops import (COST_NOTES, FPN_ENCODERS, DecoderSpec, EncoderTopology,
-                    encoder_decoder_flops)
+                    MAX_HEAD_CONVS, encoder_decoder_flops)
 from .geometry import ImageSize, generate_anchors
 from .postprocess import nms
 
@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=256,
                    help="encoder and decoder width (ignored by yolof)")
     p.add_argument("--head-convs", type=int, default=4,
-                   help="convs per decoder branch (ignored by yolof)")
+                   help=f"convs per decoder branch, at most {MAX_HEAD_CONVS} "
+                   "(ignored by yolof)")
     p.add_argument("--anchors-per-position", type=int, default=9,
                    help="anchors per position (ignored by yolof)")
     p.add_argument("--output")

@@ -51,8 +51,7 @@ class AnnotationCorpus:
         lo, hi = (np.searchsorted(self.image_ids, image_id, side)
                   for side in ("left", "right"))
         rows = slice(self.offsets[lo], self.offsets[hi])
-        return GroundTruthSet(boxes=self.boxes[rows],
-                              class_ids=self.category_ids[rows])
+        return GroundTruthSet(boxes=self.boxes[rows])
 
     def shifted(self, max_shift: int, seed: int) -> "AnnotationCorpus":
         """This corpus with each image's boxes moved by one offset, drawn
@@ -511,7 +510,7 @@ def _hungarian_positives(corpus: AnnotationCorpus, grids: list,
     positives = np.ones(len(corpus.ids), dtype=np.int64)
     for i in np.flatnonzero(np.diff(corpus.offsets) > anchors).tolist():
         rows = slice(corpus.offsets[i], corpus.offsets[i + 1])
-        gts = GroundTruthSet(corpus.boxes[rows], corpus.category_ids[rows])
+        gts = GroundTruthSet(corpus.boxes[rows])
         try:
             positives[rows] = matching.hungarian_match(
                 grids[codes[i]], gts).positives_per_gt

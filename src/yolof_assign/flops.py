@@ -24,6 +24,8 @@ FPN_ENCODERS = {
     "siso": ("SiSo", ("C5",), ("P5",)),
 }
 
+MAX_HEAD_CONVS = 256  # per branch: 128 and 64 times YOLOF's 2 and 4 convs
+
 COST_NOTES = (
     "MAC counted as 1 FLOP; bias/BN/ReLU/interpolation/addition excluded; "
     "encoder and decoder only, no backbone"
@@ -115,10 +117,13 @@ class DecoderSpec:
     def __post_init__(self):
         for name in ("cls_convs", "reg_convs", "anchors_per_position",
                      "num_classes", "channels"):
+            value = getattr(self, name)
             least = 1 if name == "channels" else 0  # a conv has a width
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got "
-                                 f"{getattr(self, name)}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            if name.endswith("convs") and value > MAX_HEAD_CONVS:
+                raise ValueError(f"{name} must be <= {MAX_HEAD_CONVS}, got "
+                                 f"{value}")
 
     def layers(self, level: str) -> list:
         out = []

@@ -28,22 +28,16 @@ IGNORED = -2
 
 @dataclass
 class GroundTruthSet:
-    """Ground-truth boxes with parallel class ids.
+    """Ground-truth boxes; matching reads geometry alone, not classes.
 
     Every coordinate is finite and every box has positive area, so the
     matchers never see a NaN distance or IoU.
     """
 
     boxes: np.ndarray
-    class_ids: np.ndarray
 
     def __post_init__(self):
         self.boxes = as_boxes(self.boxes)
-        self.class_ids = np.asarray(self.class_ids, dtype=np.int64).reshape(-1)
-        if len(self.class_ids) != len(self.boxes):
-            raise ValueError("boxes and class_ids must have equal length")
-        if np.any(self.class_ids < 0):
-            raise ValueError("class ids must be non-negative")
         if not np.isfinite(self.boxes).all():
             raise ValueError("every ground-truth coordinate must be finite")
         if len(self.boxes) and np.any(box_area(self.boxes) <= 0):

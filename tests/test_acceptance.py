@@ -67,8 +67,7 @@ def synthetic_scene(index, rng):
         cy = (ci + 0.5) * 32 + rng.uniform(-4, 4)
         boxes.append((cx - side / 2, cy - side / 2,
                       cx + side / 2, cy + side / 2))
-    return GroundTruthSet(boxes=np.array(boxes),
-                          class_ids=np.zeros(3, dtype=int))
+    return GroundTruthSet(boxes=np.array(boxes))
 
 
 def columns(rows):
@@ -130,7 +129,7 @@ def spread_instance(rng):
     side = rng.uniform(20, 40, size=(m, 1))
     boxes = np.hstack([g_centers - side / 2, g_centers + side / 2])
     grid = AnchorGrid(AnchorConfig(sizes=(32.0,)), rows, cols, anchors)
-    return grid, GroundTruthSet(boxes=boxes, class_ids=np.zeros(m, dtype=int))
+    return grid, GroundTruthSet(boxes=boxes)
 
 
 def test_criterion_3_top1_hungarian_equivalence():

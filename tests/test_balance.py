@@ -19,8 +19,7 @@ from oracles import distribution_py, per_image_py, split_positives_np
 
 def gts(boxes):
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    return GroundTruthSet(boxes=boxes,
-                          class_ids=np.zeros(len(boxes), dtype=int))
+    return GroundTruthSet(boxes=boxes)
 
 
 def fake_match(labels, num_gts):

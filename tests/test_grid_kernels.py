@@ -88,7 +88,7 @@ def gts_for(grid, kind, seed):
     the others (``test_ground_truths_must_be_finite``)."""
     boxes = boxes_for(grid, kind, seed)
     boxes = boxes[np.isfinite(boxes).all(axis=1)]
-    return GroundTruthSet(boxes=boxes, class_ids=np.zeros(len(boxes)))
+    return GroundTruthSet(boxes=boxes)
 
 
 def test_ground_truths_must_be_finite():
@@ -97,7 +97,7 @@ def test_ground_truths_must_be_finite():
             boxes = np.array([[10.0, 10.0, 50.0, 40.0], [0.0, 0.0, 8.0, 8.0]])
             boxes[1, coord] = value
             with pytest.raises(ValueError, match="must be finite"):
-                GroundTruthSet(boxes=boxes, class_ids=[0, 0])
+                GroundTruthSet(boxes=boxes)
 
 
 def grid_distances(boxes, grid):

@@ -323,7 +323,10 @@ class TestLoadCorpus:
             gts = corpus.ground_truths(img["id"])
             assert gts.boxes.tolist() == [[x, y, x + w, y + h] for x, y, w, h
                                           in (a["bbox"] for a in anns)]
-            assert gts.class_ids.tolist() == [a["category_id"] for a in anns]
+            i = corpus.image_ids.tolist().index(img["id"])
+            rows = slice(corpus.offsets[i], corpus.offsets[i + 1])
+            assert corpus.category_ids[rows].tolist() \
+                == [a["category_id"] for a in anns]
         assert len(corpus.ground_truths(99)) == 0
 
     def test_round_trip_fixed_point(self, tiny_corpus_path, tmp_path):

@@ -20,11 +20,9 @@ from oracles import (assignment_cost_enum, atss_py, iou_py, knearest_py,
                      max_iou_py, uniform_py)
 
 
-def gts(boxes, classes=None):
+def gts(boxes):
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    if classes is None:
-        classes = np.zeros(len(boxes), dtype=int)
-    return GroundTruthSet(boxes=boxes, class_ids=classes)
+    return GroundTruthSet(boxes=boxes)
 
 
 def paved(anchors, rows=1, cols=1):

@@ -33,7 +33,7 @@ def grid(request):
 
 def gts(boxes):
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    return GroundTruthSet(boxes=boxes, class_ids=np.zeros(len(boxes)))
+    return GroundTruthSet(boxes=boxes)
 
 
 def as_pairs(gt, anchor, values):
