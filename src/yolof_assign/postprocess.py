@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_boxes, pairwise_iou
+from .geometry import as_boxes, box_area, pairwise_iou
 
-# rows of a class compared per pairwise_iou call: memory stays
+# standing rows of a class scored per pairwise_iou call: memory stays
 # _BLOCK x (class size) floats, and few calls cover a long class
 _BLOCK = 32
 
@@ -18,13 +18,14 @@ def nms(boxes, scores, class_ids, iou_threshold: float = 0.6) -> list:
     A detection survives iff its IoU with every already-kept same-class
     detection is at most ``iou_threshold``.
 
-    Each class is walked in descending score, ties by input index, in
-    blocks of ``_BLOCK`` rows.  One ``pairwise_iou`` call scores a block's
-    rows still standing against every row from the block's start to the
-    class's end, so memory stays O(N); inside the block each kept row then
-    strikes the later rows it overlaps.  ``pairwise_iou`` works element by
-    element, so each pair gets the float a one-row call would give.  Boxes
-    keep their own coordinates: offsetting classes apart would change IoU
+    Each class is walked in descending score, ties by input index.  Its
+    rows not yet struck stand in that order; each block is the next
+    ``_BLOCK`` of them, and one ``pairwise_iou`` call scores it against
+    all of the class's standing rows, so memory stays O(N).  Inside the
+    block each kept row then strikes the later standing rows it overlaps,
+    and the struck ones leave.  ``pairwise_iou`` works element by element,
+    so each pair gets the float a one-row call would give.  Boxes keep
+    their own coordinates: offsetting classes apart would change IoU
     rounding at the threshold.
     """
     if not 0.0 <= iou_threshold <= 1.0:
@@ -35,25 +36,24 @@ def nms(boxes, scores, class_ids, iou_threshold: float = 0.6) -> list:
     if not len(boxes) == len(scores) == len(class_ids):
         raise ValueError(f"got {len(boxes)} boxes, {len(scores)} scores and "
                          f"{len(class_ids)} class ids")
-    # descending score, ties by ascending input index, then grouped by class
-    order = np.argsort(-scores, kind="stable")
-    order = order[np.argsort(class_ids[order], kind="stable")]
+    # grouped by class, then descending score, ties by ascending index
+    order = np.lexsort((-scores, class_ids))
     boxes = boxes[order]
+    areas = box_area(boxes)
     cls = class_ids[order]
     class_ends = np.flatnonzero(cls[1:] != cls[:-1]) + 1
-    alive = np.ones(len(order), dtype=bool)
+    alive = np.zeros(len(order), dtype=bool)
     for start, end in zip([0, *class_ends.tolist()],
                           [*class_ends.tolist(), len(order)]):
-        for block in range(start, end, _BLOCK):
-            stop = min(block + _BLOCK, end)
-            rows = np.flatnonzero(alive[block:stop]) + block
-            if not len(rows):
-                continue
-            stay = ~(pairwise_iou(boxes[rows], boxes[block:end])
-                     > iou_threshold)
-            for row, row_stay in zip(rows.tolist(), stay):
-                if alive[row]:
-                    alive[row + 1:end] &= row_stay[row + 1 - block:]
+        standing = np.arange(start, end)
+        while len(standing):
+            stay = ~(pairwise_iou(boxes[standing[:_BLOCK]], boxes[standing],
+                                  areas[standing]) > iou_threshold)
+            live = np.ones(len(standing), dtype=bool)
+            for row, row_stay in enumerate(stay):
+                if live[row]:
+                    live[row + 1:] &= row_stay[row + 1:]
+            alive[standing[:_BLOCK][live[:_BLOCK]]] = True
+            standing = standing[_BLOCK:][live[_BLOCK:]]
     kept = order[alive]
     return kept[np.lexsort((kept, -scores[kept]))].tolist()
-

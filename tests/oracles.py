@@ -80,6 +80,57 @@ def nms_py(boxes, scores, class_ids, threshold):
     return kept
 
 
+def _iou_matrix_np(a, b):
+    """IoU of each box of ``a`` with each box of ``b``, by the float
+    operations of :func:`iou_py` in the same order, over whole arrays."""
+    def span(lo, hi):
+        return np.maximum(np.minimum(a[:, None, hi], b[:, hi])
+                          - np.maximum(a[:, None, lo], b[:, lo]), 0.0)
+
+    def area(x):
+        return np.maximum(x[:, 2] - x[:, 0], 0.0) \
+            * np.maximum(x[:, 3] - x[:, 1], 0.0)
+
+    inter = span(0, 2) * span(1, 3)
+    union = area(a)[:, None] + area(b) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter),
+                     where=union > 0)
+
+
+def nms_blocked(boxes, scores, class_ids, threshold):
+    """Greedy class-wise suppression in fixed blocks of 32 sorted positions
+    per class.
+
+    Each block's rows still standing are scored against every row from the
+    block's start to the class's end, and each kept row strikes the later
+    rows it overlaps.  Returns kept indices in descending score, ties by
+    index.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    scores = np.asarray(scores, dtype=np.float64)
+    class_ids = np.asarray(class_ids)
+    order = np.argsort(-scores, kind="stable")
+    order = order[np.argsort(class_ids[order], kind="stable")]
+    boxes = boxes[order]
+    cls = class_ids[order]
+    class_ends = np.flatnonzero(cls[1:] != cls[:-1]) + 1
+    alive = np.ones(len(order), dtype=bool)
+    for start, end in zip([0, *class_ends.tolist()],
+                          [*class_ends.tolist(), len(order)]):
+        for first in range(start, end, 32):
+            stop = min(first + 32, end)
+            rows = np.flatnonzero(alive[first:stop]) + first
+            if not len(rows):
+                continue
+            stay = ~(_iou_matrix_np(boxes[rows], boxes[first:end])
+                     > threshold)
+            for row, row_stay in zip(rows.tolist(), stay):
+                if alive[row]:
+                    alive[row + 1:end] &= row_stay[row + 1 - first:]
+    kept = order[alive]
+    return kept[np.lexsort((kept, -scores[kept]))].tolist()
+
+
 def assignment_cost_enum(cost):
     """Minimum assignment cost by enumeration.
 

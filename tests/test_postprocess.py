@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from yolof_assign import postprocess
 from yolof_assign.coco import CorpusError, load_detections
 from yolof_assign.postprocess import nms
 
-from oracles import nms_py
+from oracles import nms_blocked, nms_py
 
 
 def det(box, score, class_id=0):
@@ -170,16 +171,86 @@ class TestBlockedNMS:
             np.random.default_rng(15), n, 150, 1, 6)
         sizes = []
         real = postprocess.pairwise_iou
+        index = {tuple(box): i for i, box in enumerate(boxes.tolist())}
+        assert len(index) == n
+        block_rows = []
 
-        def recording(a, b):
+        def recording(a, b, *args):
             sizes.append(len(a) * len(b))
-            return real(a, b)
+            block_rows.append([index[tuple(box)] for box in a.tolist()])
+            return real(a, b, *args)
 
         monkeypatch.setattr(postprocess, "pairwise_iou", recording)
         kept = nms(boxes, scores, classes, 0.6)
         assert 0 < len(kept) < n
-        assert len(sizes) >= n // postprocess._BLOCK // 2
+        # the standing walk: each box is a block row at most once, every
+        # kept box is one, and no call scores more than _BLOCK rows
+        flat = [i for rows in block_rows for i in rows]
+        assert len(flat) == len(set(flat))
+        assert set(kept) <= set(flat)
+        assert max(map(len, block_rows)) <= postprocess._BLOCK
+        assert len(block_rows) <= math.ceil(n / postprocess._BLOCK)
         assert max(sizes) <= postprocess._BLOCK * n
+
+    def test_nothing_struck_scores_whole_tails(self, monkeypatch):
+        # at threshold 1 no IoU is above it: every row stands, so each
+        # block is scored against the whole rest of its class
+        block = postprocess._BLOCK
+        boxes, scores, classes = clustered_columns(
+            np.random.default_rng(16), 2000, 100, 2, 1)
+        shapes = []
+        real = postprocess.pairwise_iou
+
+        def recording(a, b, *args):
+            shapes.append((len(a), len(b)))
+            return real(a, b, *args)
+
+        monkeypatch.setattr(postprocess, "pairwise_iou", recording)
+        kept = nms(boxes, scores, classes, 1.0)
+        assert kept == np.lexsort((np.arange(len(scores)), -scores)).tolist()
+        class_sizes = np.bincount(classes).tolist()
+        assert shapes == [(min(block, size - first), size - first)
+                          for size in class_sizes
+                          for first in range(0, size, block)]
+        assert all(a <= block and b <= max(class_sizes) for a, b in shapes)
+
+
+def hard_columns(seed, n, num_classes):
+    """:func:`clustered_columns` with score ties, zero-area boxes and
+    exact duplicate boxes."""
+    rng = np.random.default_rng(seed)
+    boxes, scores, classes = clustered_columns(rng, n, n // 12,
+                                               num_classes, 1)
+    boxes[::7, 2] = boxes[::7, 0]  # zero width
+    boxes[3::11, 3] = boxes[3::11, 1]  # zero height
+    boxes[5::9] = boxes[4::9][:len(boxes[5::9])]  # exact duplicates
+    return boxes, scores, classes
+
+
+class TestAgainstBlockedWalk:
+    """The standing walk keeps what the fixed-position blocked walk kept."""
+
+    def test_long_list_in_few_classes(self):
+        cols = clustered_columns(np.random.default_rng(20), 40_000, 4000,
+                                 3, 6)
+        kept = nms(*cols, 0.6)
+        assert kept == nms_blocked(*cols, 0.6)
+        assert 0 < len(kept) < len(cols[0]) // 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("thr", [0.0, 0.3, 0.6, 1.0])
+    def test_ties_zero_area_and_duplicates(self, thr, seed):
+        cols = hard_columns(30 + seed, 1200, 2)
+        assert nms(*cols, thr) == nms_blocked(*cols, thr)
+
+    @pytest.mark.parametrize("thr", [0.0, 0.5])
+    def test_blocked_walk_is_greedy(self, thr):
+        cols = hard_columns(40, 300, 3)
+        assert nms_blocked(*cols, thr) == oracle(*cols, thr)
+
+    def test_simulation_oracle_on_a_long_class_pair(self):
+        cols = clustered_columns(np.random.default_rng(21), 3000, 150, 2, 3)
+        assert nms(*cols, 0.6) == oracle(*cols, 0.6)
 
 
 class TestDetectionLoader:
